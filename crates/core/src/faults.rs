@@ -399,8 +399,10 @@ pub fn stats() -> Option<FaultStats> {
 }
 
 /// RAII guard: installs a plan on construction, [`clear`]s on drop. The
-/// injector is process-global — tests using it must serialize themselves
-/// (the chaos suite holds a gate mutex for exactly this reason).
+/// injector is process-global — tests using it must run in a test binary
+/// of their own and serialize themselves (the chaos suite and
+/// `crates/core/tests/faults.rs` each hold a gate mutex for exactly this
+/// reason).
 #[derive(Debug)]
 pub struct FaultScope(());
 
@@ -420,77 +422,10 @@ impl Drop for FaultScope {
 
 #[cfg(test)]
 mod tests {
+    // Tests that install or clear a plan live in `tests/faults.rs`, their
+    // own process: the injector is global, and checkpoint or trainer unit
+    // tests running alongside would consult (and be faulted by) their plans.
     use super::*;
-    use std::sync::Mutex as StdMutex;
-
-    // The injector is process-global; serialize the tests that install one.
-    static GATE: StdMutex<()> = StdMutex::new(());
-
-    #[test]
-    fn disabled_is_silent() {
-        let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
-        clear();
-        assert!(!active());
-        assert_eq!(trigger(FaultPoint::WorkerPanic), None);
-        assert_eq!(stats(), None);
-    }
-
-    #[test]
-    fn zero_rate_never_fires_and_full_rate_always_fires() {
-        let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
-        let _scope = FaultScope::install(FaultPlan::quiet(7).with_rate(FaultPoint::NanLoss, 1.0));
-        for _ in 0..32 {
-            assert_eq!(trigger(FaultPoint::WorkerPanic), None);
-            assert!(trigger(FaultPoint::NanLoss).is_some());
-        }
-        let s = stats().unwrap();
-        assert_eq!(s.fired_at(FaultPoint::NanLoss), 32);
-        assert_eq!(s.checked_at(FaultPoint::NanLoss), 32);
-        assert_eq!(s.fired_at(FaultPoint::WorkerPanic), 0);
-        assert_eq!(s.checked_at(FaultPoint::WorkerPanic), 32);
-        assert_eq!(s.total_fired(), 32);
-    }
-
-    #[test]
-    fn same_plan_reproduces_the_same_fault_sequence() {
-        let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
-        let run = || -> Vec<Option<u64>> {
-            let _scope = FaultScope::install(
-                FaultPlan::quiet(42).with_rate(FaultPoint::CheckpointFlip, 0.5),
-            );
-            (0..64)
-                .map(|_| trigger(FaultPoint::CheckpointFlip))
-                .collect()
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b);
-        assert!(a.iter().any(|t| t.is_some()));
-        assert!(a.iter().any(|t| t.is_none()));
-    }
-
-    #[test]
-    fn points_draw_from_independent_streams() {
-        let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
-        // Interleave consultations of a second point between runs; the
-        // first point's outcomes must not move.
-        let run = |interleave: bool| -> Vec<Option<u64>> {
-            let _scope = FaultScope::install(
-                FaultPlan::quiet(3)
-                    .with_rate(FaultPoint::WorkerPanic, 0.5)
-                    .with_rate(FaultPoint::NanLoss, 0.5),
-            );
-            (0..32)
-                .map(|_| {
-                    if interleave {
-                        let _ = trigger(FaultPoint::NanLoss);
-                    }
-                    trigger(FaultPoint::WorkerPanic)
-                })
-                .collect()
-        };
-        assert_eq!(run(false), run(true));
-    }
 
     #[test]
     fn spec_parsing_round_trips_and_rejects_garbage() {
@@ -521,66 +456,5 @@ mod tests {
     #[should_panic(expected = "outside [0, 1]")]
     fn with_rate_rejects_out_of_range() {
         let _ = FaultPlan::default().with_rate(FaultPoint::NanLoss, 2.0);
-    }
-
-    #[test]
-    fn worker_streams_are_independent_of_each_other() {
-        let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
-        // Interleave worker 1's consultations between worker 0's; worker
-        // 0's outcomes must not move, and neither worker may shadow the
-        // worker-agnostic stream.
-        let run = |interleave: bool| -> Vec<Option<u64>> {
-            let _scope =
-                FaultScope::install(FaultPlan::quiet(5).with_rate(FaultPoint::WorkerPanic, 0.5));
-            (0..32)
-                .map(|_| {
-                    if interleave {
-                        let _ = trigger_for(FaultPoint::WorkerPanic, Some(1));
-                        let _ = trigger(FaultPoint::WorkerPanic);
-                    }
-                    trigger_for(FaultPoint::WorkerPanic, Some(0))
-                })
-                .collect()
-        };
-        let a = run(false);
-        assert_eq!(a, run(true));
-        assert!(a.iter().any(|t| t.is_some()));
-        assert!(a.iter().any(|t| t.is_none()));
-    }
-
-    #[test]
-    fn worker_filter_silences_every_other_worker() {
-        let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
-        let _scope = FaultScope::install(
-            FaultPlan::quiet(8)
-                .with_rate(FaultPoint::WorkerPanic, 1.0)
-                .with_worker(2),
-        );
-        for _ in 0..16 {
-            assert!(trigger_for(FaultPoint::WorkerPanic, Some(2)).is_some());
-            assert_eq!(trigger_for(FaultPoint::WorkerPanic, Some(0)), None);
-            assert_eq!(trigger_for(FaultPoint::WorkerPanic, Some(3)), None);
-            // Worker-agnostic call sites are not filtered.
-            assert!(trigger(FaultPoint::WorkerPanic).is_some());
-        }
-        let s = stats().unwrap();
-        assert_eq!(s.fired_at(FaultPoint::WorkerPanic), 32);
-        assert_eq!(s.checked_at(FaultPoint::WorkerPanic), 64);
-    }
-
-    #[test]
-    fn a_filtered_plan_keeps_the_target_workers_schedule() {
-        let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
-        // The schedule worker 1 sees must be byte-identical whether or not
-        // the plan filters the other workers out.
-        let run = |filtered: bool| -> Vec<Option<u64>> {
-            let plan = FaultPlan::quiet(13).with_rate(FaultPoint::WorkerPanic, 0.5);
-            let plan = if filtered { plan.with_worker(1) } else { plan };
-            let _scope = FaultScope::install(plan);
-            (0..32)
-                .map(|_| trigger_for(FaultPoint::WorkerPanic, Some(1)))
-                .collect()
-        };
-        assert_eq!(run(false), run(true));
     }
 }

@@ -156,15 +156,14 @@ impl PatchedQuantumLayer {
         self
     }
 
-    /// Lowers every patch's circuit once for a batch pass. Patch circuits
-    /// are structurally identical but carry independent trainable angles,
-    /// so each patch gets its own tape; all of them are shared immutably
-    /// across the flattened patch × row worker pool.
-    fn compile_tapes(&self) -> Vec<CompiledTape> {
-        self.patches
-            .iter()
-            .map(QuantumLayer::compile_tape)
-            .collect()
+    /// Lowers every patch's circuit once for a batch pass with `compile`
+    /// (forward-only for `forward`, with the adjoint program for
+    /// `backward`). Patch circuits are structurally identical but carry
+    /// independent trainable angles, so each patch gets its own tape; all of
+    /// them are shared immutably across the flattened patch × row worker
+    /// pool.
+    fn compile_tapes(&self, compile: fn(&QuantumLayer) -> CompiledTape) -> Vec<CompiledTape> {
+        self.patches.iter().map(compile).collect()
     }
 }
 
@@ -188,7 +187,7 @@ impl Module for PatchedQuantumLayer {
         let slices: Vec<Matrix> = (0..p)
             .map(|k| input.columns(k * self.in_per_patch, (k + 1) * self.in_per_patch))
             .collect::<Result<_, _>>()?;
-        let tapes = self.compile_tapes();
+        let tapes = self.compile_tapes(QuantumLayer::compile_forward_tape);
         let patches = &self.patches;
         let results = parallel::map_rows(p * rows, self.threads, |idx| {
             let (k, r) = (idx / rows, idx % rows);
@@ -225,7 +224,7 @@ impl Module for PatchedQuantumLayer {
         let grad_slices: Vec<Matrix> = (0..p)
             .map(|k| grad_output.columns(k * self.out_per_patch, (k + 1) * self.out_per_patch))
             .collect::<Result<_, _>>()?;
-        let tapes = self.compile_tapes();
+        let tapes = self.compile_tapes(QuantumLayer::compile_tape);
         let patches = &self.patches;
         let per = parallel::map_rows(p * rows, self.threads, |idx| {
             let (k, r) = (idx / rows, idx % rows);

@@ -4,11 +4,12 @@
 //! backpropagate through each other exactly as the paper's hybrid
 //! architecture requires. Each pass first **compiles the circuit once per
 //! batch** into a [`CompiledTape`] — parameters bound, commuting
-//! single-qubit gates pre-fused, CNOT runs flattened, the adjoint sweep
-//! pre-inverted — and every batch row then replays that tape, so the
-//! per-gate lowering work is paid once instead of once per row. Forward
-//! executes the tape per row; backward runs one tape adjoint pass per row
-//! against the upstream-weighted diagonal observable.
+//! single-qubit gates pre-fused, CNOT runs flattened, and (for backward
+//! only) the adjoint sweep pre-inverted into rotation blocks — and every
+//! batch row then replays that tape, so the per-gate lowering work is paid
+//! once instead of once per row. Forward executes a forward-only tape per
+//! row; backward runs one tape adjoint pass per row against the
+//! upstream-weighted diagonal observable.
 //!
 //! Batch rows are independent simulations, so both passes shard rows across
 //! OS threads according to the layer's [`ExecPolicy`] threads knob (default
@@ -223,13 +224,22 @@ impl QuantumLayer {
     }
 
     /// Lowers the circuit with the **current** trainable angles into a
-    /// [`CompiledTape`]. Called once per batch pass; every row then replays
-    /// the shared tape. Crate-internal so [`crate::PatchedQuantumLayer`] can
-    /// compile one tape per patch and drive the patch × row grid through its
-    /// own work-sharding without borrowing the layer mutably.
+    /// [`CompiledTape`] carrying the adjoint program. Called once per
+    /// backward pass; every row then replays the shared tape. Crate-internal
+    /// so [`crate::PatchedQuantumLayer`] can compile one tape per patch and
+    /// drive the patch × row grid through its own work-sharding without
+    /// borrowing the layer mutably.
     pub(crate) fn compile_tape(&self) -> CompiledTape {
         self.circuit
             .compile(self.params.value.as_slice())
+            .expect("validated circuit")
+    }
+
+    /// [`Self::compile_tape`] without the adjoint program, for forward
+    /// passes (which never differentiate).
+    pub(crate) fn compile_forward_tape(&self) -> CompiledTape {
+        self.circuit
+            .compile_forward(self.params.value.as_slice())
             .expect("validated circuit")
     }
 
@@ -371,12 +381,12 @@ impl QuantumLayer {
 impl Module for QuantumLayer {
     fn forward(&mut self, input: &Matrix) -> Result<Matrix, NnError> {
         self.check_width(input)?;
-        // Lower the circuit once for the whole batch; every row (and every
-        // worker thread) replays the same immutable tape by reference.
-        // Rows write straight into the output matrix (one worker per
-        // contiguous row block), and the probability readout reuses one
-        // scratch buffer per worker instead of allocating per row.
-        let tape = self.compile_tape();
+        // Lower the circuit once for the whole batch (forward program only);
+        // every row (and every worker thread) replays the same immutable
+        // tape by reference. Rows write straight into the output matrix (one
+        // worker per contiguous row block), and the probability readout
+        // reuses one scratch buffer per worker instead of allocating per row.
+        let tape = self.compile_forward_tape();
         let mut out = Matrix::zeros(input.rows(), self.out_features());
         parallel::fill_rows(
             out.as_mut_slice(),

@@ -28,7 +28,6 @@ pub mod soa;
 pub use soa::SoaDenseBackend;
 
 use crate::complex::C64;
-use crate::embed::RotationAxis;
 use crate::error::{QuantumError, Result};
 use crate::gate::Gate;
 use crate::state::StateVector;
@@ -257,74 +256,68 @@ pub trait Backend: Clone + std::fmt::Debug {
         Ok(())
     }
 
-    /// One rotation stop of the adjoint backward sweep, fused: returns the
-    /// generator inner product `Im⟨bra|G|ket⟩` (where `self` is the ket and
-    /// `G` is the Pauli generator of a rotation about `axis` on `wire`),
-    /// then un-applies the pre-inverted rotation `inv` to both registers.
+    /// One block stop of the adjoint backward sweep, in a single traversal
+    /// of both registers (`self` is the ket): accumulates the 2×2 cross
+    /// matrix `C[a][b] = Σ conj(bra[·, a])·ket[·, b]`, where `·` runs over
+    /// every other wire and `a`, `b` are `wire`'s bit, and un-applies the
+    /// block's fused inverse `inv` from both registers as each amplitude
+    /// pair is read.
     ///
-    /// The default materializes both registers as dense states for the
-    /// read-only inner-product pass (a clone for non-dense storage), then
-    /// performs the two single-qubit un-applications; every shipped backend
-    /// overrides it with a clone-free traversal, [`FusedDenseBackend`] and
-    /// [`SoaDenseBackend`] with a single fused pass that reads and writes
-    /// each amplitude pair of both registers exactly once.
+    /// The adjoint engine turns `C` into one gradient per rotation of the
+    /// block, `Im Σ_ab H[a][b]·C[a][b]`, with `H` the rotation's generator
+    /// in the block's exit frame ([`crate::tape::RotationBlock`]).
     ///
     /// # Errors
     ///
     /// Returns [`QuantumError::WireOutOfRange`] for an invalid wire.
-    fn adjoint_rotation_stop(
+    fn adjoint_block_stop(
         &mut self,
         bra: &mut Self,
-        axis: RotationAxis,
         wire: usize,
         inv: &[[C64; 2]; 2],
-    ) -> Result<f64>
+    ) -> Result<[[C64; 2]; 2]>
     where
-        Self: Sized,
-    {
-        self.check_wire(wire)?;
-        let mask = 1usize << self.bit_of_wire(wire);
-        let ket_sv = self.to_statevector();
-        let bra_sv = bra.to_statevector();
-        let acc = generator_inner_im(ket_sv.amplitudes(), bra_sv.amplitudes(), axis, mask);
-        self.apply_single_qubit(wire, inv)?;
-        bra.apply_single_qubit(wire, inv)?;
-        Ok(acc)
-    }
+        Self: Sized;
 }
 
-/// The generator inner product `Im⟨bra|G|ket⟩` over dense amplitude slices,
-/// for the Pauli generator `G` of a rotation about `axis` on the wire whose
-/// bit mask is `mask`. Shared by the dense backend's rotation stop and the
-/// trait's fallback.
-fn generator_inner_im(ket: &[C64], bra_amps: &[C64], axis: RotationAxis, mask: usize) -> f64 {
-    let mut acc = 0.0;
-    match axis {
-        // (X|ψ⟩)_i = ψ_{i⊕m}: Im(conj(b_i)·ψ_{i⊕m}).
-        RotationAxis::X => {
-            for (i, bi) in bra_amps.iter().enumerate() {
-                let x = ket[i ^ mask];
-                acc += bi.re * x.im - bi.im * x.re;
-            }
-        }
-        // (Y|ψ⟩)_i = ∓i·ψ_{i⊕m} (− with the bit clear): Im picks ∓Re.
-        RotationAxis::Y => {
-            for (i, bi) in bra_amps.iter().enumerate() {
-                let x = ket[i ^ mask];
-                let s = if i & mask == 0 { -1.0 } else { 1.0 };
-                acc += s * (bi.re * x.re + bi.im * x.im);
-            }
-        }
-        // (Z|ψ⟩)_i = ±ψ_i (+ with the bit clear).
-        RotationAxis::Z => {
-            for (i, bi) in bra_amps.iter().enumerate() {
-                let x = ket[i];
-                let s = if i & mask == 0 { 1.0 } else { -1.0 };
-                acc += s * (bi.re * x.im - bi.im * x.re);
-            }
+/// [`Backend::adjoint_block_stop`] over interleaved `C64` amplitudes, shared
+/// by the dense and fused backends: walks the pairs `(i, i + stride)` of
+/// both registers once, reading each pair into the cross matrix before
+/// overwriting it with its un-applied value.
+fn block_stop_interleaved(
+    ket: &mut [C64],
+    bra: &mut [C64],
+    stride: usize,
+    inv: &[[C64; 2]; 2],
+) -> [[C64; 2]; 2] {
+    debug_assert_eq!(ket.len(), bra.len(), "ket and bra widths differ");
+    let m = *inv;
+    let mut c = [[C64::ZERO; 2]; 2];
+    for (kc, bc) in ket
+        .chunks_exact_mut(stride << 1)
+        .zip(bra.chunks_exact_mut(stride << 1))
+    {
+        let (k_lo, k_hi) = kc.split_at_mut(stride);
+        let (b_lo, b_hi) = bc.split_at_mut(stride);
+        for ((k0, k1), (b0, b1)) in k_lo
+            .iter_mut()
+            .zip(k_hi.iter_mut())
+            .zip(b_lo.iter_mut().zip(b_hi.iter_mut()))
+        {
+            let (x0, x1) = (*k0, *k1);
+            let (y0, y1) = (*b0, *b1);
+            let (y0c, y1c) = (y0.conj(), y1.conj());
+            c[0][0] += y0c * x0;
+            c[0][1] += y0c * x1;
+            c[1][0] += y1c * x0;
+            c[1][1] += y1c * x1;
+            *k0 = m[0][0] * x0 + m[0][1] * x1;
+            *k1 = m[1][0] * x0 + m[1][1] * x1;
+            *b0 = m[0][0] * y0 + m[0][1] * y1;
+            *b1 = m[1][0] * y0 + m[1][1] * y1;
         }
     }
-    acc
+    c
 }
 
 impl Backend for StateVector {
@@ -390,19 +383,20 @@ impl Backend for StateVector {
         StateVector::inner(self, other)
     }
 
-    fn adjoint_rotation_stop(
+    fn adjoint_block_stop(
         &mut self,
         bra: &mut Self,
-        axis: RotationAxis,
         wire: usize,
         inv: &[[C64; 2]; 2],
-    ) -> Result<f64> {
+    ) -> Result<[[C64; 2]; 2]> {
         self.check_wire(wire)?;
-        let mask = 1usize << Backend::bit_of_wire(self, wire);
-        let acc = generator_inner_im(self.amplitudes(), bra.amplitudes(), axis, mask);
-        self.apply_single_qubit(wire, inv)?;
-        bra.apply_single_qubit(wire, inv)?;
-        Ok(acc)
+        let stride = 1usize << Backend::bit_of_wire(self, wire);
+        Ok(block_stop_interleaved(
+            self.amps_mut(),
+            bra.amps_mut(),
+            stride,
+            inv,
+        ))
     }
 }
 
@@ -622,48 +616,20 @@ impl Backend for FusedDenseBackend {
         }
     }
 
-    fn adjoint_rotation_stop(
+    fn adjoint_block_stop(
         &mut self,
         bra: &mut Self,
-        axis: RotationAxis,
         wire: usize,
         inv: &[[C64; 2]; 2],
-    ) -> Result<f64> {
+    ) -> Result<[[C64; 2]; 2]> {
         self.check_wire(wire)?;
         let stride = 1usize << self.bit_of_wire(wire);
-        let dim = self.dim();
-        let inv = *inv;
-        let ket = self.0.amps_mut();
-        let bra_amps = bra.0.amps_mut();
-        let mut acc = 0.0;
-        let mut base = 0usize;
-        while base < dim {
-            for offset in 0..stride {
-                let i0 = base + offset;
-                let i1 = i0 + stride;
-                let (k0, k1) = (ket[i0], ket[i1]);
-                let (b0, b1) = (bra_amps[i0], bra_amps[i1]);
-                // Generator inner product before the pair is overwritten:
-                // i0 has the wire bit clear, i1 has it set.
-                acc += match axis {
-                    RotationAxis::X => {
-                        (b0.re * k1.im - b0.im * k1.re) + (b1.re * k0.im - b1.im * k0.re)
-                    }
-                    RotationAxis::Y => {
-                        (b1.re * k0.re + b1.im * k0.im) - (b0.re * k1.re + b0.im * k1.im)
-                    }
-                    RotationAxis::Z => {
-                        (b0.re * k0.im - b0.im * k0.re) - (b1.re * k1.im - b1.im * k1.re)
-                    }
-                };
-                ket[i0] = inv[0][0] * k0 + inv[0][1] * k1;
-                ket[i1] = inv[1][0] * k0 + inv[1][1] * k1;
-                bra_amps[i0] = inv[0][0] * b0 + inv[0][1] * b1;
-                bra_amps[i1] = inv[1][0] * b0 + inv[1][1] * b1;
-            }
-            base += stride << 1;
-        }
-        Ok(acc)
+        Ok(block_stop_interleaved(
+            self.0.amps_mut(),
+            bra.0.amps_mut(),
+            stride,
+            inv,
+        ))
     }
 
     fn apply_ops(&mut self, ops: &[Gate], params: &[f64], inputs: &[f64]) -> Result<()> {

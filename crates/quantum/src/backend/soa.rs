@@ -30,7 +30,6 @@
 
 use crate::backend::Backend;
 use crate::complex::C64;
-use crate::embed::RotationAxis;
 use crate::error::{QuantumError, Result};
 use crate::state::StateVector;
 use crate::tape::{CompiledTape, TapeOp};
@@ -287,16 +286,15 @@ impl SoaDenseBackend {
         }
     }
 
-    /// One fused adjoint rotation-stop pass: per amplitude pair of both
-    /// registers, accumulate `acc_fn(k0, k1, b0, b1)` (the axis-specific
-    /// generator term, components ordered `k0r, k0i, k1r, k1i, b0r, b0i,
-    /// b1r, b1i`), then overwrite both pairs with the pre-inverted rotation.
-    fn adjoint_stop_pass<F>(&mut self, bra: &mut Self, stride: usize, m: &M2, acc_fn: F) -> f64
-    where
-        F: Fn(f64, f64, f64, f64, f64, f64, f64, f64) -> f64,
-    {
+    /// The split-plane [`Backend::adjoint_block_stop`] pass: per amplitude
+    /// pair of both registers, accumulate the four cross products
+    /// `conj(b_a)·k_b` into scalar lanes, then overwrite both pairs with the
+    /// block's fused inverse.
+    fn block_stop_pass(&mut self, bra: &mut Self, stride: usize, m: &M2) -> [[C64; 2]; 2] {
         let dim = 1usize << self.n_qubits;
-        let mut acc = 0.0;
+        // c{a}{b}{r,i}: re/im of C[a][b] = Σ conj(b_a)·k_b.
+        let (mut c00r, mut c00i, mut c01r, mut c01i) = (0.0, 0.0, 0.0, 0.0);
+        let (mut c10r, mut c10i, mut c11r, mut c11i) = (0.0, 0.0, 0.0, 0.0);
         let mut base = 0;
         while base < dim {
             let i1 = base + stride;
@@ -317,7 +315,14 @@ impl SoaDenseBackend {
                 let (k1r, k1i) = (kr1[k], ki1[k]);
                 let (b0r, b0i) = (br0[k], bi0[k]);
                 let (b1r, b1i) = (br1[k], bi1[k]);
-                acc += acc_fn(k0r, k0i, k1r, k1i, b0r, b0i, b1r, b1i);
+                c00r += b0r * k0r + b0i * k0i;
+                c00i += b0r * k0i - b0i * k0r;
+                c01r += b0r * k1r + b0i * k1i;
+                c01i += b0r * k1i - b0i * k1r;
+                c10r += b1r * k0r + b1i * k0i;
+                c10i += b1r * k0i - b1i * k0r;
+                c11r += b1r * k1r + b1i * k1i;
+                c11i += b1r * k1i - b1i * k1r;
                 kr0[k] = m.r00 * k0r - m.i00 * k0i + m.r01 * k1r - m.i01 * k1i;
                 ki0[k] = m.r00 * k0i + m.i00 * k0r + m.r01 * k1i + m.i01 * k1r;
                 kr1[k] = m.r10 * k0r - m.i10 * k0i + m.r11 * k1r - m.i11 * k1i;
@@ -329,7 +334,10 @@ impl SoaDenseBackend {
             }
             base += stride << 1;
         }
-        acc
+        [
+            [C64::new(c00r, c00i), C64::new(c01r, c01i)],
+            [C64::new(c10r, c10i), C64::new(c11r, c11i)],
+        ]
     }
 }
 
@@ -562,37 +570,16 @@ impl Backend for SoaDenseBackend {
         Ok(())
     }
 
-    fn adjoint_rotation_stop(
+    fn adjoint_block_stop(
         &mut self,
         bra: &mut Self,
-        axis: RotationAxis,
         wire: usize,
         inv: &[[C64; 2]; 2],
-    ) -> Result<f64> {
+    ) -> Result<[[C64; 2]; 2]> {
         self.check_wire(wire)?;
+        debug_assert_eq!(self.n_qubits, bra.n_qubits, "ket and bra widths differ");
         let stride = 1usize << self.bit_of_wire(wire);
-        let m = M2::new(inv);
-        // The axis-specific generator terms (index 0 has the wire bit
-        // clear, index 1 has it set), matching the fused backend's fused
-        // traversal formulas.
-        let acc = match axis {
-            RotationAxis::X => {
-                self.adjoint_stop_pass(bra, stride, &m, |k0r, k0i, k1r, k1i, b0r, b0i, b1r, b1i| {
-                    (b0r * k1i - b0i * k1r) + (b1r * k0i - b1i * k0r)
-                })
-            }
-            RotationAxis::Y => {
-                self.adjoint_stop_pass(bra, stride, &m, |k0r, k0i, k1r, k1i, b0r, b0i, b1r, b1i| {
-                    (b1r * k0r + b1i * k0i) - (b0r * k1r + b0i * k1i)
-                })
-            }
-            RotationAxis::Z => {
-                self.adjoint_stop_pass(bra, stride, &m, |k0r, k0i, k1r, k1i, b0r, b0i, b1r, b1i| {
-                    (b0r * k0i - b0i * k0r) - (b1r * k1i - b1i * k1r)
-                })
-            }
-        };
-        Ok(acc)
+        Ok(self.block_stop_pass(bra, stride, &M2::new(inv)))
     }
 }
 

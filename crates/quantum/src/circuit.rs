@@ -251,24 +251,38 @@ impl Circuit {
     /// collapse into permutations, controlled phases become diagonal ops,
     /// and input-bound embedding gates stay behind as late slots.
     ///
-    /// This is the entry point of the compile-then-execute pipeline every
-    /// `run_*` convenience wraps. Callers executing many rows against the
-    /// same parameters (a mini-batch) should compile once and reuse the tape
-    /// via [`CompiledTape::execute_on`].
+    /// The tape also carries the pre-lowered adjoint program the `*_tape`
+    /// gradient sweeps in [`crate::grad::adjoint`] replay. Callers executing
+    /// many rows against the same parameters (a mini-batch) should compile
+    /// once and reuse the tape via [`CompiledTape::execute_on`]; callers
+    /// that never differentiate should use [`Circuit::compile_forward`].
     ///
     /// # Errors
     ///
     /// Returns [`QuantumError::ParamCountMismatch`] if `params` is shorter
     /// than the circuit references.
     pub fn compile(&self, params: &[f64]) -> Result<CompiledTape> {
-        tape::compile(self, params)
+        tape::compile(self, params, true)
+    }
+
+    /// [`Circuit::compile`] without the adjoint program: the entry point of
+    /// the compile-then-execute pipeline every `run_*` convenience and every
+    /// inference-only forward pass wraps. The adjoint sweeps reject the
+    /// resulting tape with [`QuantumError::ForwardOnlyTape`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuantumError::ParamCountMismatch`] if `params` is shorter
+    /// than the circuit references.
+    pub fn compile_forward(&self, params: &[f64]) -> Result<CompiledTape> {
+        tape::compile(self, params, false)
     }
 
     /// Executes the circuit on a chosen simulator [`Backend`] and returns
     /// the final register.
     ///
     /// A documented wrapper over the compile-then-execute pipeline:
-    /// [`Circuit::compile`] followed by [`CompiledTape::execute_on`].
+    /// [`Circuit::compile_forward`] followed by [`CompiledTape::execute_on`].
     /// `initial` lets the caller start from an embedded state (amplitude
     /// embedding); `None` starts from `|0…0⟩`.
     ///
@@ -283,12 +297,12 @@ impl Circuit {
         initial: Option<&B>,
     ) -> Result<B> {
         self.check_bindings(params, inputs)?;
-        self.compile(params)?.execute_on(inputs, initial)
+        self.compile_forward(params)?.execute_on(inputs, initial)
     }
 
     /// Executes the circuit on the dense reference backend
     /// ([`Circuit::run_on`] with `B = StateVector`): a documented wrapper
-    /// over [`Circuit::compile`] + [`CompiledTape::execute_on`].
+    /// over [`Circuit::compile_forward`] + [`CompiledTape::execute_on`].
     ///
     /// # Errors
     ///
@@ -319,7 +333,8 @@ impl Circuit {
     }
 
     /// Convenience: run then measure `⟨Z⟩` on every wire — a documented
-    /// wrapper over [`Circuit::compile`] + [`CompiledTape::expectations_z_on`].
+    /// wrapper over [`Circuit::compile_forward`] +
+    /// [`CompiledTape::expectations_z_on`].
     ///
     /// # Errors
     ///
@@ -336,7 +351,8 @@ impl Circuit {
 
     /// Convenience: run then return all basis-state probabilities (the
     /// measurement layer of the baseline quantum decoder) — a documented
-    /// wrapper over [`Circuit::compile`] + [`CompiledTape::probabilities_on`].
+    /// wrapper over [`Circuit::compile_forward`] +
+    /// [`CompiledTape::probabilities_on`].
     ///
     /// # Errors
     ///

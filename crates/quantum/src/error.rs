@@ -50,6 +50,10 @@ pub enum QuantumError {
     /// no mean of an empty sample, and silently substituting one run would
     /// misreport the caller's requested precision.
     ZeroTrajectories,
+    /// An adjoint sweep was asked of a tape compiled without its adjoint
+    /// program ([`crate::Circuit::compile_forward`]); compile it with
+    /// [`crate::Circuit::compile`] to differentiate.
+    ForwardOnlyTape,
 }
 
 impl fmt::Display for QuantumError {
@@ -87,6 +91,12 @@ impl fmt::Display for QuantumError {
             }
             QuantumError::ZeroTrajectories => {
                 write!(f, "cannot average expectations over zero trajectories")
+            }
+            QuantumError::ForwardOnlyTape => {
+                write!(
+                    f,
+                    "tape was compiled forward-only and carries no adjoint program"
+                )
             }
         }
     }

@@ -164,6 +164,18 @@ impl Gate {
         }
     }
 
+    /// The wire and Pauli generator `G` (from `U(θ) = exp(-iθG/2)`) of a
+    /// single-qubit rotation, or `None` for every other gate. The tape
+    /// compiler conjugates these into the frames of adjoint rotation blocks.
+    pub(crate) fn single_qubit_generator(&self) -> Option<(usize, [[C64; 2]; 2])> {
+        match *self {
+            Gate::RX(w, _) => Some((w, pauli_x())),
+            Gate::RY(w, _) => Some((w, pauli_y())),
+            Gate::RZ(w, _) => Some((w, pauli_z())),
+            _ => None,
+        }
+    }
+
     /// Applies the gate to `state` with `theta` as the resolved angle (ignored
     /// for non-parametrized gates). Generic over the simulator [`Backend`];
     /// plain [`crate::StateVector`] registers use the dense reference kernels.
@@ -233,19 +245,11 @@ impl Gate {
     /// Propagates wire-validation errors. Returns `Ok(false)` (leaving the
     /// state untouched) for non-parametrized gates.
     pub fn apply_generator<B: Backend>(&self, state: &mut B) -> Result<bool> {
+        if let Some((w, g)) = self.single_qubit_generator() {
+            state.apply_single_qubit(w, &g)?;
+            return Ok(true);
+        }
         match *self {
-            Gate::RX(w, _) => {
-                state.apply_single_qubit(w, &pauli_x())?;
-                Ok(true)
-            }
-            Gate::RY(w, _) => {
-                state.apply_single_qubit(w, &pauli_y())?;
-                Ok(true)
-            }
-            Gate::RZ(w, _) => {
-                state.apply_single_qubit(w, &pauli_z())?;
-                Ok(true)
-            }
             Gate::CRZ(c, t, _) => {
                 // Generator is |1⟩⟨1|_c ⊗ Z_t: zero out control-clear
                 // amplitudes and apply Z on the target within the

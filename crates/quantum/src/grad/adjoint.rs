@@ -20,20 +20,19 @@
 //! Two sweeps are provided per readout: the eager gate-by-gate `*_on`
 //! functions (the reference semantics), and the `*_tape` functions that
 //! replay a [`CompiledTape`]'s pre-lowered adjoint program — pre-inverted
-//! fused fixed segments, pre-resolved inverse rotations, and fused
-//! single-pass generator inner products. Batched training compiles once per
-//! mini-batch and runs the tape sweep per row.
+//! fused fixed segments, and rotation blocks whose angles are all
+//! differentiated in one traversal of the ket and bra. Batched training
+//! compiles once per mini-batch and runs the tape sweep per row.
 
 use crate::backend::Backend;
 use crate::circuit::Circuit;
 use crate::complex::C64;
-use crate::embed::RotationAxis;
 use crate::error::{QuantumError, Result};
 use crate::gate::{Gate, Param};
 use crate::grad::CircuitGradients;
 use crate::observable::{probability_diagonal, weighted_z_sum_diagonal};
 use crate::state::StateVector;
-use crate::tape::{AdjointStep, AdjointStop, CompiledTape, TapeOp};
+use crate::tape::{AdjointStep, AdjointStop, CompiledTape};
 
 /// [`vjp_diagonal`] generalized over the simulator [`Backend`]: the forward
 /// run, the backward un-application sweep, and the generator inner products
@@ -190,8 +189,7 @@ pub fn backward_probabilities(
 }
 
 /// `Im⟨bra|G|ket⟩` via the generic clone + [`Gate::apply_generator`] path —
-/// the fallback for stops outside the fused single-qubit rotation kernel
-/// (controlled rotations).
+/// the fallback for stops outside the block kernel (controlled rotations).
 fn generator_inner_im<B: Backend>(bra: &B, ket: &B, gate: &Gate) -> Result<f64> {
     let mut d = ket.clone();
     if gate.apply_generator(&mut d)? {
@@ -201,75 +199,38 @@ fn generator_inner_im<B: Backend>(bra: &B, ket: &B, gate: &Gate) -> Result<f64> 
     }
 }
 
-/// The Pauli axis generating `gate`, if it is a single-qubit rotation.
-fn rotation_axis(gate: &Gate) -> Option<RotationAxis> {
-    match gate {
-        Gate::RX(..) => Some(RotationAxis::X),
-        Gate::RY(..) => Some(RotationAxis::Y),
-        Gate::RZ(..) => Some(RotationAxis::Z),
-        _ => None,
-    }
-}
-
-/// Fused-kernel ingredients of a single-qubit rotation stop: the generator
-/// axis, the wire, and the inverse 2×2 to un-apply.
-struct RotationStop {
-    axis: RotationAxis,
-    wire: usize,
-    inv: [[C64; 2]; 2],
-}
-
-/// Resolves a stop into its [`RotationStop`] when its gate is a
-/// single-qubit rotation. Trainable stops carry the pre-inverted matrix on
-/// the tape; input stops derive it from the late-bound angle. Controlled
-/// rotations return `None` (they take the clone-based fallback).
-fn rotation_stop_parts(stop: &AdjointStop, inputs: &[f64]) -> Result<Option<RotationStop>> {
-    let Some(axis) = rotation_axis(stop.gate()) else {
-        return Ok(None);
-    };
-    match stop {
-        AdjointStop::Train {
-            inv: TapeOp::OneQ { wire, m },
-            ..
-        } => Ok(Some(RotationStop {
-            axis,
-            wire: *wire,
-            inv: *m,
-        })),
-        AdjointStop::Train { .. } => Ok(None),
-        AdjointStop::Input { gate, index } => {
-            let theta = *inputs.get(*index).ok_or(QuantumError::InputCountMismatch {
-                expected: *index + 1,
-                actual: inputs.len(),
-            })?;
-            let (wire, m) = gate
-                .single_qubit_matrix(-theta)
-                .expect("single-qubit rotations have a 2x2 matrix");
-            Ok(Some(RotationStop { axis, wire, inv: m }))
-        }
-    }
+/// `Im Σ_ab H[a][b]·C[a][b]`: one rotation's gradient `Im⟨bra|H|ket⟩` from
+/// the cross matrix `C` a block stop accumulated.
+fn contract_im(h: &[[C64; 2]; 2], c: &[[C64; 2]; 2]) -> f64 {
+    (h[0][0] * c[0][0] + h[0][1] * c[0][1] + h[1][0] * c[1][0] + h[1][1] * c[1][1]).im
 }
 
 /// [`vjp_diagonal_on`] against a pre-compiled tape: the production batched
 /// path. The forward run executes the tape, and the backward sweep replays
 /// the tape's pre-lowered adjoint program — fixed-gate segments between
-/// parametrized stops are already inverted and fused, trainable stops carry
-/// pre-resolved inverse matrices, and the generator inner products for
-/// single-qubit rotations run as one fused pass over the amplitudes.
+/// parametrized stops are already inverted and fused, and each run of
+/// trainable single-qubit rotations on one wire is a [`RotationBlock`]
+/// whose gradients all come from one [`Backend::adjoint_block_stop`]
+/// traversal. Single-qubit input rotations take the same kernel as
+/// one-gate blocks with a per-row inverse.
 ///
 /// Compile once per batch ([`crate::Circuit::compile`]) and call this per
 /// row.
 ///
+/// [`RotationBlock`]: crate::tape::RotationBlock
+///
 /// # Errors
 ///
-/// Returns input-count or dimension errors from tape execution, and a
-/// dimension error if `diag` does not match the register.
+/// Returns [`QuantumError::ForwardOnlyTape`] for a tape compiled without
+/// its adjoint program, input-count or dimension errors from tape
+/// execution, and a dimension error if `diag` does not match the register.
 pub fn vjp_diagonal_tape<B: Backend>(
     tape: &CompiledTape,
     inputs: &[f64],
     initial: Option<&B>,
     diag: &[f64],
 ) -> Result<CircuitGradients> {
+    let steps = tape.adjoint_program()?;
     let dim = 1usize << tape.n_qubits();
     if diag.len() != dim {
         return Err(QuantumError::DimensionMismatch {
@@ -286,7 +247,7 @@ pub fn vjp_diagonal_tape<B: Backend>(
     let mut grads = CircuitGradients::zeros(tape.n_params(), tape.n_inputs());
 
     // Backward sweep over the pre-lowered adjoint program.
-    for step in tape.adjoint_steps() {
+    for step in steps {
         match step {
             AdjointStep::Unapply(ops) => {
                 for op in ops {
@@ -294,23 +255,36 @@ pub fn vjp_diagonal_tape<B: Backend>(
                     bra.apply_tape_op(op, inputs)?;
                 }
             }
-            AdjointStep::Stop(stop) => {
-                // Single-qubit rotation stops take the backend's fused
-                // kernel: the generator inner product and both
-                // un-applications in one traversal per register.
-                let g = match rotation_stop_parts(stop, inputs)? {
-                    Some(r) => ket.adjoint_rotation_stop(&mut bra, r.axis, r.wire, &r.inv)?,
+            AdjointStep::Stop(AdjointStop::Block(block)) => {
+                let c = ket.adjoint_block_stop(&mut bra, block.wire, &block.inv)?;
+                for (index, h) in &block.angles {
+                    grads.params[*index] += contract_im(h, &c);
+                }
+            }
+            AdjointStep::Stop(AdjointStop::Input { gate, index }) => {
+                let theta = *inputs.get(*index).ok_or(QuantumError::InputCountMismatch {
+                    expected: *index + 1,
+                    actual: inputs.len(),
+                })?;
+                grads.inputs[*index] += match gate.single_qubit_generator() {
+                    Some((wire, g)) => {
+                        let (_, inv) = gate
+                            .single_qubit_matrix(-theta)
+                            .expect("single-qubit rotations have a 2x2 matrix");
+                        contract_im(&g, &ket.adjoint_block_stop(&mut bra, wire, &inv)?)
+                    }
                     None => {
-                        let g = generator_inner_im(&bra, &ket, stop.gate())?;
-                        stop.unapply(&mut ket, inputs)?;
-                        stop.unapply(&mut bra, inputs)?;
+                        let g = generator_inner_im(&bra, &ket, gate)?;
+                        gate.apply_inverse(&mut ket, theta)?;
+                        gate.apply_inverse(&mut bra, theta)?;
                         g
                     }
                 };
-                match *stop {
-                    AdjointStop::Train { index, .. } => grads.params[index] += g,
-                    AdjointStop::Input { index, .. } => grads.inputs[index] += g,
-                }
+            }
+            AdjointStep::Stop(AdjointStop::Controlled { gate, index, inv }) => {
+                grads.params[*index] += generator_inner_im(&bra, &ket, gate)?;
+                ket.apply_tape_op(inv, inputs)?;
+                bra.apply_tape_op(inv, inputs)?;
             }
         }
     }
@@ -321,8 +295,9 @@ pub fn vjp_diagonal_tape<B: Backend>(
 ///
 /// # Errors
 ///
-/// Returns a dimension error if `upstream.len() != n_qubits`, plus tape
-/// execution errors.
+/// Returns a dimension error if `upstream.len() != n_qubits`, plus the
+/// errors of [`vjp_diagonal_tape`] (including
+/// [`QuantumError::ForwardOnlyTape`]).
 pub fn backward_expectations_z_tape<B: Backend>(
     tape: &CompiledTape,
     inputs: &[f64],
@@ -345,8 +320,9 @@ pub fn backward_expectations_z_tape<B: Backend>(
 ///
 /// # Errors
 ///
-/// Returns a dimension error if `upstream.len() != 2^n_qubits`, plus tape
-/// execution errors.
+/// Returns a dimension error if `upstream.len() != 2^n_qubits`, plus the
+/// errors of [`vjp_diagonal_tape`] (including
+/// [`QuantumError::ForwardOnlyTape`]).
 pub fn backward_probabilities_tape<B: Backend>(
     tape: &CompiledTape,
     inputs: &[f64],

@@ -18,12 +18,18 @@
 //! * input-dependent embedding gates stay behind as **late-bound**
 //!   [`TapeOp::Late`] slots, resolved per row at execution time.
 //!
-//! The tape also carries a pre-lowered **adjoint program**
-//! ([`CompiledTape::adjoint_steps`]): the backward sweep of adjoint
-//! differentiation visits the same gates in reverse, and every fixed-gate
-//! segment between two parametrized stops is pre-inverted and pre-fused the
-//! same way. `crate::grad::adjoint` consumes it for the batched backward
-//! pass.
+//! A tape from [`Circuit::compile`] also carries a pre-lowered **adjoint
+//! program** ([`CompiledTape::adjoint_steps`]): the backward sweep of
+//! adjoint differentiation visits the same gates in reverse, every
+//! fixed-gate segment between two parametrized stops is pre-inverted and
+//! pre-fused the same way, and every maximal run of trainable single-qubit
+//! rotations on one wire (the template's `Rot(φ, θ, ω)`) becomes one
+//! [`RotationBlock`], differentiated in a single traversal of both
+//! registers. `crate::grad::adjoint` consumes it for the batched backward
+//! pass. Callers that only run forward compile with
+//! [`Circuit::compile_forward`] and skip the adjoint lowering; the adjoint
+//! entry points reject such a tape with
+//! [`QuantumError::ForwardOnlyTape`].
 //!
 //! This is the compile-once/execute-many split of PennyLane-style adjoint
 //! pipelines (Jones & Gacon) and Qulacs-style batched statevector execution.
@@ -50,7 +56,7 @@ use crate::backend::{matmul2, Backend};
 use crate::circuit::Circuit;
 use crate::complex::C64;
 use crate::error::{QuantumError, Result};
-use crate::gate::{rx_matrix, ry_matrix, rz_matrix, s_dagger_matrix, t_dagger_matrix, Gate, Param};
+use crate::gate::{rx_matrix, ry_matrix, s_dagger_matrix, t_dagger_matrix, Gate, Param};
 
 /// A pre-resolved operation on a compiled tape.
 ///
@@ -111,13 +117,26 @@ pub enum AdjointStep {
     Stop(AdjointStop),
 }
 
-/// A parametrized stop of the backward sweep: where the adjoint engine takes
-/// `Im⟨bra|G|ket⟩` before un-applying the gate from both vectors.
+/// A parametrized stop of the backward sweep: where the adjoint engine reads
+/// gradients off the ket and bra before un-applying the stop's gates from
+/// both.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AdjointStop {
-    /// A gate bound to a trainable parameter; its inverse was pre-resolved
-    /// at compile time.
-    Train {
+    /// A run of trainable single-qubit rotations on one wire.
+    Block(RotationBlock),
+    /// A gate bound to a per-row input feature; its inverse is resolved at
+    /// execution time. Single-qubit input rotations run through the block
+    /// kernel as one-gate blocks; controlled ones take the clone fallback.
+    Input {
+        /// The original gate (source of the generator).
+        gate: Gate,
+        /// Index into the input-feature vector.
+        index: usize,
+    },
+    /// A controlled rotation bound to a trainable parameter, differentiated
+    /// through the clone-based generator fallback; its inverse was
+    /// pre-resolved at compile time.
+    Controlled {
         /// The original gate (source of the generator).
         gate: Gate,
         /// Index into the trainable-parameter vector.
@@ -125,56 +144,71 @@ pub enum AdjointStop {
         /// The pre-resolved inverse op.
         inv: TapeOp,
     },
-    /// A gate bound to a per-row input feature; its inverse is resolved at
-    /// execution time.
-    Input {
-        /// The original gate (source of the generator).
-        gate: Gate,
-        /// Index into the input-feature vector.
-        index: usize,
-    },
 }
 
-impl AdjointStop {
-    /// The gate being differentiated at this stop.
-    pub fn gate(&self) -> &Gate {
-        match self {
-            AdjointStop::Train { gate, .. } | AdjointStop::Input { gate, .. } => gate,
+/// A maximal run of consecutive trainable single-qubit rotations on one
+/// wire, lowered so the backward sweep differentiates every angle of the
+/// run in one traversal of the ket and bra.
+///
+/// Number the run's rotations `1…k` in sweep (reverse circuit) order, with
+/// inverses `inv_j` and Pauli generators `G_j`, and let `A_1 = I`,
+/// `A_{j+1} = inv_j·A_j`. Rotation `j` is differentiated against the
+/// registers after the sweep has un-applied `A_j`, so its gradient
+/// `Im⟨bra|A_jᴴ·G_j·A_j|ket⟩` is taken in the block's exit frame with the
+/// conjugated generator `H_j = A_jᴴ·G_j·A_j`. All of them contract with
+/// one 2×2 cross matrix of the two registers
+/// ([`Backend::adjoint_block_stop`]), which then un-applies the fused
+/// inverse `A_{k+1}` in the same pass.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RotationBlock {
+    /// The wire every rotation of the run acts on.
+    pub wire: usize,
+    /// The run's fused inverse `A_{k+1} = inv_k ⋯ inv_1`.
+    pub inv: [[C64; 2]; 2],
+    /// One entry per rotation, in sweep order: its trainable-parameter
+    /// index and its generator `H_j` in the block's exit frame.
+    pub angles: Vec<(usize, [[C64; 2]; 2])>,
+}
+
+impl RotationBlock {
+    /// An empty block on `wire` (`A_1 = I`).
+    fn new(wire: usize) -> Self {
+        RotationBlock {
+            wire,
+            inv: [[C64::ONE, C64::ZERO], [C64::ZERO, C64::ONE]],
+            angles: Vec::new(),
         }
     }
 
-    /// Un-applies the stop's gate from `state`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel errors; returns an input-count error if an
-    /// [`AdjointStop::Input`] index exceeds `inputs`.
-    pub fn unapply<B: Backend>(&self, state: &mut B, inputs: &[f64]) -> Result<()> {
-        match self {
-            AdjointStop::Train { inv, .. } => state.apply_tape_op(inv, inputs),
-            AdjointStop::Input { gate, index } => {
-                let theta = *inputs.get(*index).ok_or(QuantumError::InputCountMismatch {
-                    expected: *index + 1,
-                    actual: inputs.len(),
-                })?;
-                gate.apply_inverse(state, theta)
-            }
-        }
+    /// Appends the next rotation in sweep order: records `H = Aᴴ·G·A` for
+    /// the current frame `A`, then advances the frame to `inv·A`.
+    fn push(&mut self, index: usize, generator: &[[C64; 2]; 2], inv: &[[C64; 2]; 2]) {
+        let a = &self.inv;
+        let a_h = [
+            [a[0][0].conj(), a[1][0].conj()],
+            [a[0][1].conj(), a[1][1].conj()],
+        ];
+        self.angles
+            .push((index, matmul2(&a_h, &matmul2(generator, a))));
+        self.inv = matmul2(inv, a);
     }
 }
 
 /// A circuit lowered against one trainable-parameter vector: the product of
-/// [`Circuit::compile`], reusable across every row of a batch.
+/// [`Circuit::compile`] (or [`Circuit::compile_forward`]), reusable across
+/// every row of a batch.
 ///
-/// Holds a flat forward program ([`CompiledTape::forward_ops`]) and the
-/// matching pre-lowered backward sweep ([`CompiledTape::adjoint_steps`]).
+/// Holds a flat forward program ([`CompiledTape::forward_ops`]) and, unless
+/// compiled forward-only, the matching pre-lowered backward sweep
+/// ([`CompiledTape::adjoint_steps`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledTape {
     n_qubits: usize,
     n_params: usize,
     n_inputs: usize,
     forward: Vec<TapeOp>,
-    adjoint: Vec<AdjointStep>,
+    /// `None` for a forward-only tape.
+    adjoint: Option<Vec<AdjointStep>>,
 }
 
 impl CompiledTape {
@@ -203,10 +237,17 @@ impl CompiledTape {
         &self.forward
     }
 
-    /// The pre-lowered backward sweep, in reverse circuit order.
+    /// The pre-lowered backward sweep, in reverse circuit order (empty for a
+    /// forward-only tape).
     #[inline]
     pub fn adjoint_steps(&self) -> &[AdjointStep] {
-        &self.adjoint
+        self.adjoint.as_deref().unwrap_or(&[])
+    }
+
+    /// The adjoint program, or [`QuantumError::ForwardOnlyTape`] for a
+    /// forward-only tape.
+    pub(crate) fn adjoint_program(&self) -> Result<&[AdjointStep]> {
+        self.adjoint.as_deref().ok_or(QuantumError::ForwardOnlyTape)
     }
 
     /// The register execution starts from: a dimension-checked clone of
@@ -395,21 +436,9 @@ impl Lowerer {
     }
 }
 
-/// The pre-resolved inverse op of a trainable rotation stop.
-fn inverse_op(gate: &Gate, theta: f64) -> TapeOp {
+/// The pre-resolved inverse op of a trainable controlled-rotation stop.
+fn controlled_inverse_op(gate: &Gate, theta: f64) -> TapeOp {
     match *gate {
-        Gate::RX(w, _) => TapeOp::OneQ {
-            wire: w,
-            m: rx_matrix(-theta),
-        },
-        Gate::RY(w, _) => TapeOp::OneQ {
-            wire: w,
-            m: ry_matrix(-theta),
-        },
-        Gate::RZ(w, _) => TapeOp::OneQ {
-            wire: w,
-            m: rz_matrix(-theta),
-        },
         Gate::CRX(c, t, _) => TapeOp::Controlled {
             control: c,
             target: t,
@@ -428,13 +457,78 @@ fn inverse_op(gate: &Gate, theta: f64) -> TapeOp {
                 C64::from_polar(1.0, -theta / 2.0),
             ],
         },
-        _ => unreachable!("only rotations carry parameter bindings"),
+        _ => unreachable!("single-qubit rotations lower into rotation blocks"),
     }
 }
 
+/// Lowers the backward sweep of `circuit` against `params`: walks the gates
+/// in reverse, extends the open [`RotationBlock`] while trainable
+/// single-qubit rotations stay on its wire, and pre-inverts and pre-fuses
+/// the fixed gates between two stops into one segment.
+fn lower_adjoint(circuit: &Circuit, params: &[f64]) -> Vec<AdjointStep> {
+    let mut steps = Vec::new();
+    let mut seg = Lowerer::default();
+    let mut block: Option<RotationBlock> = None;
+    // A block only opens after the pending segment was flushed, so at most
+    // one of the two is non-empty at any time.
+    let close =
+        |block: &mut Option<RotationBlock>, seg: &mut Lowerer, steps: &mut Vec<AdjointStep>| {
+            if let Some(b) = block.take() {
+                steps.push(AdjointStep::Stop(AdjointStop::Block(b)));
+            }
+            if !seg.ops.is_empty() {
+                steps.push(AdjointStep::Unapply(std::mem::take(&mut seg.ops)));
+            }
+        };
+    for gate in circuit.ops().iter().rev() {
+        match (gate.param(), gate.single_qubit_generator()) {
+            (Some(Param::Train(index)), Some((wire, generator))) => {
+                if !matches!(&block, Some(b) if b.wire == wire) {
+                    close(&mut block, &mut seg, &mut steps);
+                }
+                let (_, inv) = gate
+                    .single_qubit_matrix(-params[index])
+                    .expect("single-qubit rotations have a 2x2 matrix");
+                block
+                    .get_or_insert_with(|| RotationBlock::new(wire))
+                    .push(index, &generator, &inv);
+            }
+            (Some(Param::Train(index)), None) => {
+                close(&mut block, &mut seg, &mut steps);
+                steps.push(AdjointStep::Stop(AdjointStop::Controlled {
+                    gate: *gate,
+                    index,
+                    inv: controlled_inverse_op(gate, params[index]),
+                }));
+            }
+            (Some(Param::Input(index)), _) => {
+                close(&mut block, &mut seg, &mut steps);
+                steps.push(AdjointStep::Stop(AdjointStop::Input { gate: *gate, index }));
+            }
+            (fixed, _) => {
+                if let Some(b) = block.take() {
+                    steps.push(AdjointStep::Stop(AdjointStop::Block(b)));
+                }
+                let theta = match fixed {
+                    Some(Param::Fixed(v)) => v,
+                    _ => 0.0,
+                };
+                seg.lower_inverse(gate, theta);
+            }
+        }
+    }
+    close(&mut block, &mut seg, &mut steps);
+    steps
+}
+
 /// Lowers `circuit` against `params` into a [`CompiledTape`] (the body of
-/// [`Circuit::compile`]).
-pub(crate) fn compile(circuit: &Circuit, params: &[f64]) -> Result<CompiledTape> {
+/// [`Circuit::compile`], and of [`Circuit::compile_forward`] when
+/// `with_adjoint` is false).
+pub(crate) fn compile(
+    circuit: &Circuit,
+    params: &[f64],
+    with_adjoint: bool,
+) -> Result<CompiledTape> {
     if params.len() < circuit.n_params() {
         return Err(QuantumError::ParamCountMismatch {
             expected: circuit.n_params(),
@@ -454,41 +548,12 @@ pub(crate) fn compile(circuit: &Circuit, params: &[f64]) -> Result<CompiledTape>
         }
     }
 
-    // Adjoint program: walk the gates in reverse; fixed gates between two
-    // parametrized stops pre-invert and pre-fuse into one segment.
-    let mut adjoint = Vec::new();
-    let mut seg = Lowerer::default();
-    let flush = |seg: &mut Lowerer, adjoint: &mut Vec<AdjointStep>| {
-        if !seg.ops.is_empty() {
-            adjoint.push(AdjointStep::Unapply(std::mem::take(&mut seg.ops)));
-        }
-    };
-    for gate in circuit.ops().iter().rev() {
-        match gate.param() {
-            Some(Param::Train(index)) => {
-                flush(&mut seg, &mut adjoint);
-                adjoint.push(AdjointStep::Stop(AdjointStop::Train {
-                    gate: *gate,
-                    index,
-                    inv: inverse_op(gate, params[index]),
-                }));
-            }
-            Some(Param::Input(index)) => {
-                flush(&mut seg, &mut adjoint);
-                adjoint.push(AdjointStep::Stop(AdjointStop::Input { gate: *gate, index }));
-            }
-            Some(Param::Fixed(v)) => seg.lower_inverse(gate, v),
-            None => seg.lower_inverse(gate, 0.0),
-        }
-    }
-    flush(&mut seg, &mut adjoint);
-
     Ok(CompiledTape {
         n_qubits: circuit.n_qubits(),
         n_params: circuit.n_params(),
         n_inputs: circuit.n_inputs(),
         forward: fwd.ops,
-        adjoint,
+        adjoint: with_adjoint.then(|| lower_adjoint(circuit, params)),
     })
 }
 
@@ -622,22 +687,82 @@ mod tests {
     }
 
     #[test]
-    fn adjoint_program_alternates_stops_and_fused_segments() {
-        let c = paper_circuit(4, 2);
+    fn paper_template_lowers_to_one_block_per_wire_per_layer() {
+        // Sweep order per layer: the inverted CNOT ring, then wires n-1…0,
+        // each Rot(φ, θ, ω) as one 3-angle block (angles in reverse: ω, θ,
+        // φ); after the last layer, one input stop per embedded wire.
+        let (n, layers) = (4, 2);
+        let c = paper_circuit(n, layers);
         let tape = c.compile(&vec![0.2; c.n_params()]).unwrap();
-        let stops = tape
-            .adjoint_steps()
-            .iter()
-            .filter(|s| matches!(s, AdjointStep::Stop(_)))
-            .count();
-        // Every rotation (3 per wire per layer) plus every embedding gate is
-        // a stop; the CNOT rings are the only fixed segments.
-        assert_eq!(stops, c.n_params() + c.n_inputs());
-        let segments = tape
-            .adjoint_steps()
-            .iter()
-            .filter(|s| matches!(s, AdjointStep::Unapply(_)))
-            .count();
-        assert_eq!(segments, 2); // one inverted CNOT ring per layer
+        let mut steps = tape.adjoint_steps().iter();
+        for layer in (0..layers).rev() {
+            match steps.next() {
+                Some(AdjointStep::Unapply(ops)) => {
+                    assert!(matches!(ops.as_slice(), [TapeOp::CnotRun(p)] if p.len() == n));
+                }
+                other => panic!("layer {layer}: expected the CNOT ring, got {other:?}"),
+            }
+            for wire in (0..n).rev() {
+                let first = 3 * (layer * n + wire);
+                match steps.next() {
+                    Some(AdjointStep::Stop(AdjointStop::Block(b))) => {
+                        assert_eq!(b.wire, wire);
+                        let indices: Vec<usize> = b.angles.iter().map(|&(i, _)| i).collect();
+                        assert_eq!(indices, [first + 2, first + 1, first]);
+                    }
+                    other => panic!("layer {layer} wire {wire}: expected a block, got {other:?}"),
+                }
+            }
+        }
+        for wire in (0..n).rev() {
+            match steps.next() {
+                Some(AdjointStep::Stop(AdjointStop::Input { gate, index })) => {
+                    assert_eq!(*index, wire);
+                    assert_eq!(*gate, Gate::RY(wire, Param::Input(wire)));
+                }
+                other => panic!("wire {wire}: expected an input stop, got {other:?}"),
+            }
+        }
+        assert!(steps.next().is_none());
+    }
+
+    #[test]
+    fn block_frames_follow_the_sweep() {
+        // RZ(a)·RY(b) on one wire, applied RY first: the sweep meets RZ
+        // first (H = Z, frame I), then RY in the frame A = RZ(-a), and the
+        // block un-applies RY(-b)·RZ(-a).
+        let (a, b) = (0.7, -1.3);
+        let mut c = Circuit::new(1).unwrap();
+        c.ry(0, Param::Train(1)).unwrap();
+        c.rz(0, Param::Train(0)).unwrap();
+        let tape = c.compile(&[a, b]).unwrap();
+        let [AdjointStep::Stop(AdjointStop::Block(block))] = tape.adjoint_steps() else {
+            panic!("expected one block, got {:?}", tape.adjoint_steps());
+        };
+        let frame = crate::gate::rz_matrix(-a);
+        let frame_h = crate::gate::rz_matrix(a);
+        let expected_h = matmul2(&frame_h, &matmul2(&crate::gate::pauli_y(), &frame));
+        let expected_inv = matmul2(&ry_matrix(-b), &frame);
+        assert_eq!(block.angles[0], (0, crate::gate::pauli_z()));
+        assert_eq!(block.angles[1].0, 1);
+        for r in 0..2 {
+            for col in 0..2 {
+                assert!(block.angles[1].1[r][col].approx_eq(expected_h[r][col], 1e-15));
+                assert!(block.inv[r][col].approx_eq(expected_inv[r][col], 1e-15));
+            }
+        }
+    }
+
+    #[test]
+    fn forward_only_tapes_skip_the_adjoint_program() {
+        let c = paper_circuit(3, 2);
+        let params = vec![0.4; c.n_params()];
+        let full = c.compile(&params).unwrap();
+        let fwd = c.compile_forward(&params).unwrap();
+        assert!(full.adjoint.is_some());
+        assert_eq!(fwd.adjoint, None);
+        assert!(fwd.adjoint_steps().is_empty());
+        assert_eq!(fwd.forward_ops(), full.forward_ops());
+        assert_eq!(fwd.adjoint_program(), Err(QuantumError::ForwardOnlyTape));
     }
 }

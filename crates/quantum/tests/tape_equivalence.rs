@@ -8,8 +8,9 @@ use proptest::prelude::*;
 use sqvae_quantum::backend::{Backend, DenseBackend, FusedDenseBackend, SoaDenseBackend};
 use sqvae_quantum::embed::{angle_embedding_gates, RotationAxis};
 use sqvae_quantum::grad::adjoint;
+use sqvae_quantum::tape::{AdjointStep, AdjointStop};
 use sqvae_quantum::templates::{strongly_entangling_layers, EntangleRange};
-use sqvae_quantum::{Circuit, CompiledTape, Gate, Param};
+use sqvae_quantum::{Circuit, CompiledTape, Gate, Param, QuantumError};
 
 const TOL: f64 = 1e-12;
 
@@ -244,6 +245,184 @@ fn paper_template_tape_matches_eager() {
             .expectations_z_on::<SoaDenseBackend>(&inputs, None)
             .unwrap(),
         "paper template soa expectations",
+    );
+}
+
+/// Checks the tape sweep of `gates` (after a prefix that spreads and phases
+/// the state and entangles it with a CNOT ring, and followed by another
+/// ring so every wire's gradient reaches the readout) against the eager
+/// `vjp_diagonal_on` oracle on every backend, and that the adjoint program
+/// holds `blocks` rotation blocks.
+fn check_block_case(n: usize, gates: &[Gate], blocks: usize, what: &str) {
+    let mut c = Circuit::new(n).unwrap();
+    let ring: Vec<Gate> = (0..n).map(|w| Gate::CNOT(w, (w + 1) % n)).collect();
+    for w in 0..n {
+        c.h(w).unwrap();
+        c.push(Gate::T(w)).unwrap();
+        c.ry(w, Param::Fixed(0.4 + 0.3 * w as f64)).unwrap();
+    }
+    c.extend(ring.iter().copied()).unwrap();
+    c.extend(gates.iter().copied()).unwrap();
+    c.extend(ring.iter().copied()).unwrap();
+    let params: Vec<f64> = (0..c.n_params()).map(|i| 0.9 - 0.37 * i as f64).collect();
+    let inputs: Vec<f64> = (0..c.n_inputs()).map(|i| 0.4 + 0.6 * i as f64).collect();
+    let diag: Vec<f64> = (0..1usize << n).map(|i| 1.0 - 0.3 * i as f64).collect();
+
+    let tape = c.compile(&params).unwrap();
+    let found = tape
+        .adjoint_steps()
+        .iter()
+        .filter(|s| matches!(s, AdjointStep::Stop(AdjointStop::Block(_))))
+        .count();
+    assert_eq!(found, blocks, "{what}: rotation blocks");
+
+    let eager =
+        adjoint::vjp_diagonal_on::<DenseBackend>(&c, &params, &inputs, None, &diag).unwrap();
+    assert!(
+        eager
+            .params
+            .iter()
+            .chain(&eager.inputs)
+            .any(|g| g.abs() > 1e-3),
+        "{what}: the case should exercise non-zero gradients"
+    );
+    let dense = adjoint::vjp_diagonal_tape::<DenseBackend>(&tape, &inputs, None, &diag).unwrap();
+    let fused =
+        adjoint::vjp_diagonal_tape::<FusedDenseBackend>(&tape, &inputs, None, &diag).unwrap();
+    let soa = adjoint::vjp_diagonal_tape::<SoaDenseBackend>(&tape, &inputs, None, &diag).unwrap();
+    for (name, g) in [("dense", &dense), ("fused", &fused), ("soa", &soa)] {
+        assert_close(&eager.params, &g.params, &format!("{what}: {name} params"));
+        assert_close(&eager.inputs, &g.inputs, &format!("{what}: {name} inputs"));
+    }
+}
+
+#[test]
+fn block_reusing_one_parameter_index_accumulates() {
+    check_block_case(
+        2,
+        &[
+            Gate::RZ(0, Param::Train(0)),
+            Gate::RY(0, Param::Train(1)),
+            Gate::RZ(0, Param::Train(0)),
+        ],
+        1,
+        "shared index",
+    );
+}
+
+#[test]
+fn block_mixing_every_rotation_axis() {
+    check_block_case(
+        2,
+        &[
+            Gate::RX(1, Param::Train(0)),
+            Gate::RY(1, Param::Train(1)),
+            Gate::RZ(1, Param::Train(2)),
+            Gate::RX(1, Param::Train(3)),
+        ],
+        1,
+        "mixed axes",
+    );
+}
+
+#[test]
+fn fixed_gate_on_the_wire_splits_the_run() {
+    check_block_case(
+        2,
+        &[
+            Gate::RY(0, Param::Train(0)),
+            Gate::RZ(0, Param::Train(1)),
+            Gate::Hadamard(0),
+            Gate::RX(0, Param::Fixed(0.3)),
+            Gate::RY(0, Param::Train(2)),
+        ],
+        2,
+        "fixed split",
+    );
+}
+
+#[test]
+fn rotation_on_another_wire_interrupts_the_run() {
+    check_block_case(
+        3,
+        &[
+            Gate::RZ(0, Param::Train(0)),
+            Gate::RY(0, Param::Train(1)),
+            Gate::RX(2, Param::Train(2)),
+            Gate::RY(0, Param::Train(3)),
+        ],
+        3,
+        "interrupted run",
+    );
+}
+
+#[test]
+fn controlled_rotation_between_blocks() {
+    check_block_case(
+        2,
+        &[
+            Gate::RZ(0, Param::Train(0)),
+            Gate::RY(0, Param::Train(1)),
+            Gate::CRY(0, 1, Param::Train(2)),
+            Gate::CRZ(1, 0, Param::Train(3)),
+            Gate::RY(0, Param::Train(4)),
+            Gate::RX(0, Param::Train(0)),
+        ],
+        2,
+        "controlled between blocks",
+    );
+}
+
+#[test]
+fn input_rotation_next_to_a_trainable_one() {
+    check_block_case(
+        2,
+        &[
+            Gate::RY(0, Param::Input(0)),
+            Gate::RZ(0, Param::Train(0)),
+            Gate::RY(0, Param::Train(1)),
+            Gate::RX(0, Param::Input(1)),
+            Gate::CRX(1, 0, Param::Input(0)),
+            Gate::RZ(0, Param::Train(2)),
+        ],
+        2,
+        "input beside trainable",
+    );
+}
+
+/// A forward-only tape executes like a full one, but every adjoint entry
+/// point rejects it with the typed error instead of returning zeros.
+#[test]
+fn forward_only_tapes_are_rejected_by_the_adjoint_sweep() {
+    let n = 3;
+    let mut c = Circuit::new(n).unwrap();
+    c.extend(angle_embedding_gates(n, RotationAxis::Y, 0))
+        .unwrap();
+    c.extend(strongly_entangling_layers(n, 2, 0, EntangleRange::Ring).unwrap())
+        .unwrap();
+    let params: Vec<f64> = (0..c.n_params()).map(|i| 0.1 * i as f64).collect();
+    let inputs = [0.2, -0.4, 0.9];
+    let tape = c.compile_forward(&params).unwrap();
+    let state: DenseBackend = tape.execute_on(&inputs, None).unwrap();
+    let full: DenseBackend = c
+        .compile(&params)
+        .unwrap()
+        .execute_on(&inputs, None)
+        .unwrap();
+    assert_eq!(state, full);
+
+    let forward_only = Err(QuantumError::ForwardOnlyTape);
+    assert_eq!(
+        adjoint::backward_expectations_z_tape::<DenseBackend>(&tape, &inputs, None, &[1.0; 3]),
+        forward_only
+    );
+    assert_eq!(
+        adjoint::backward_probabilities_tape::<SoaDenseBackend>(&tape, &inputs, None, &[1.0; 8]),
+        forward_only
+    );
+    assert_eq!(
+        adjoint::vjp_diagonal_tape::<FusedDenseBackend>(&tape, &inputs, None, &[1.0; 8]),
+        forward_only
     );
 }
 

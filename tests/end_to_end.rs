@@ -4,10 +4,10 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sqvae::chem::{properties::DrugProperties, smiles, valence, MoleculeMatrix};
-use sqvae::core::{models, sampling, ParamGroup, TrainConfig, Trainer};
+use sqvae::core::{models, sampling, Autoencoder, ParamGroup, TrainConfig, Trainer};
 use sqvae::datasets::pdbbind::{generate as gen_pdbbind, PdbbindConfig};
 use sqvae::datasets::qm9::{generate as gen_qm9, Qm9Config};
-use sqvae::nn::Matrix;
+use sqvae::nn::{BackendKind, ExecPolicy, Matrix, Threads};
 
 fn quick(epochs: usize) -> TrainConfig {
     TrainConfig {
@@ -84,50 +84,80 @@ fn ligand_pipeline_sq_vae_trains_and_samples() {
     }
 }
 
+/// The objective `Autoencoder::backward` differentiates: reconstruction MSE
+/// plus the Gaussian latent's weighted KL term (zero for AEs). The sampling
+/// rng is re-seeded on every call, so a VAE draws the same ε each time.
+fn elbo(model: &mut Autoencoder, x: &Matrix) -> f64 {
+    let out = model
+        .forward_train(x, &mut StdRng::seed_from_u64(9))
+        .unwrap();
+    let (mse, _) = sqvae::nn::loss::mse(&out.reconstruction, x).unwrap();
+    mse + models::DEFAULT_KL_WEIGHT * model.kl_scale() * out.kl
+}
+
+/// Adds `delta` to the `k`-th quantum parameter scalar, counting across
+/// tensors in `parameters_of` order.
+fn nudge_quantum_param(model: &mut Autoencoder, k: usize, delta: f64) {
+    let mut idx = k;
+    for p in model.parameters_of(ParamGroup::Quantum) {
+        if idx < p.value.len() {
+            p.value.as_mut_slice()[idx] += delta;
+            return;
+        }
+        idx -= p.value.len();
+    }
+    panic!("quantum parameter {k} out of range");
+}
+
 #[test]
 fn hybrid_gradients_are_exact_end_to_end() {
-    // Finite-difference check across the quantum/classical boundary of a
-    // full H-BQ-AE: the strongest cross-crate correctness statement.
-    let mut rng = StdRng::seed_from_u64(8);
-    let mut model = models::h_bq_ae(16, 1, &mut rng);
+    // Central-difference check of every quantum parameter of every quantum
+    // factory, through the full Autoencoder (encoder, latent with a fixed ε,
+    // decoder) on the reference and the SoA backend: the safety net for any
+    // change to the gradient engine.
+    type Factory = fn(&mut StdRng) -> Autoencoder;
+    let zoo: [(&str, Factory); 6] = [
+        ("F-BQ-AE", |r| models::f_bq_ae(16, 1, r)),
+        ("F-BQ-VAE", |r| models::f_bq_vae(16, 1, r)),
+        ("H-BQ-AE", |r| models::h_bq_ae(16, 1, r)),
+        ("H-BQ-VAE", |r| models::h_bq_vae(16, 1, r)),
+        ("SQ-AE", |r| models::sq_ae(16, 2, 1, r)),
+        ("SQ-VAE", |r| models::sq_vae(16, 2, 1, r)),
+    ];
     let x = Matrix::from_fn(2, 16, |r, c| 0.1 + 0.05 * (r * 16 + c) as f64);
-
-    let mut rng2 = StdRng::seed_from_u64(9);
-    let out = model.forward_train(&x, &mut rng2).unwrap();
-    let (base_loss, grad) = sqvae::nn::loss::mse(&out.reconstruction, &x).unwrap();
-    model.backward(&grad).unwrap();
-    let analytic: Vec<f64> = model
-        .parameters_of(ParamGroup::Quantum)
-        .iter()
-        .flat_map(|p| p.grad.as_slice().to_vec())
-        .collect();
-
     let eps = 1e-5;
-    let n_check = analytic.len().min(6);
-    for (k, &a) in analytic.iter().enumerate().take(n_check) {
-        let mut rng = StdRng::seed_from_u64(8);
-        let mut m2 = models::h_bq_ae(16, 1, &mut rng);
-        {
-            let mut qp = m2.parameters_of(ParamGroup::Quantum);
-            // Locate the k-th scalar across tensors.
-            let mut idx = k;
-            for p in qp.iter_mut() {
-                if idx < p.value.len() {
-                    let v = p.value.as_slice()[idx];
-                    p.value.as_mut_slice()[idx] = v + eps;
-                    break;
-                }
-                idx -= p.value.len();
+    for backend in [BackendKind::Dense, BackendKind::Soa] {
+        for (name, factory) in zoo {
+            let mut model = factory(&mut StdRng::seed_from_u64(8));
+            model.set_exec_policy(ExecPolicy {
+                threads: Threads::Off,
+                backend,
+            });
+            let out = model
+                .forward_train(&x, &mut StdRng::seed_from_u64(9))
+                .unwrap();
+            let (_, grad) = sqvae::nn::loss::mse(&out.reconstruction, &x).unwrap();
+            model.backward(&grad).unwrap();
+            let analytic: Vec<f64> = model
+                .parameters_of(ParamGroup::Quantum)
+                .iter()
+                .flat_map(|p| p.grad.as_slice().to_vec())
+                .collect();
+            assert!(!analytic.is_empty(), "{name} has quantum parameters");
+
+            for (k, &a) in analytic.iter().enumerate() {
+                nudge_quantum_param(&mut model, k, eps);
+                let plus = elbo(&mut model, &x);
+                nudge_quantum_param(&mut model, k, -2.0 * eps);
+                let minus = elbo(&mut model, &x);
+                nudge_quantum_param(&mut model, k, eps);
+                let fd = (plus - minus) / (2.0 * eps);
+                assert!(
+                    (a - fd).abs() < 1e-9 * (1.0 + a.abs()),
+                    "{name} on {backend}: quantum param {k}: analytic {a} vs fd {fd}"
+                );
             }
         }
-        let mut rng2 = StdRng::seed_from_u64(9);
-        let out2 = m2.forward_train(&x, &mut rng2).unwrap();
-        let (loss2, _) = sqvae::nn::loss::mse(&out2.reconstruction, &x).unwrap();
-        let fd = (loss2 - base_loss) / eps;
-        assert!(
-            (a - fd).abs() < 1e-3,
-            "quantum param {k}: analytic {a} vs fd {fd}"
-        );
     }
 }
 
