@@ -1,12 +1,12 @@
 //! Backend scaling sweep: forward readout, probability readout, and a
-//! batched tape adjoint pass over 4–14 qubits on every simulator backend
-//! (dense, fused, soa). EXPERIMENTS.md records the measured sweep; the
-//! SoA backend's packed split-plane kernels are expected to pull ahead of
-//! the fused AoS kernels as the register outgrows cache lines (≥ 10
-//! qubits).
+//! batched tape adjoint pass over 4–14 qubits on both simulator backends
+//! (dense, soa). EXPERIMENTS.md records the measured sweep; the SoA
+//! backend's packed split-plane kernels pull ahead of the dense interleaved
+//! kernels on forward passes and readouts as the register outgrows the
+//! cache (12–14 qubits).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sqvae_quantum::backend::{Backend, DenseBackend, FusedDenseBackend, SoaDenseBackend};
+use sqvae_quantum::backend::{Backend, DenseBackend, SoaDenseBackend};
 use sqvae_quantum::embed::{angle_embedding_gates, RotationAxis};
 use sqvae_quantum::grad::adjoint;
 use sqvae_quantum::templates::{strongly_entangling_layers, EntangleRange};
@@ -79,7 +79,6 @@ fn bench_scaling_forward(c: &mut Criterion) {
     group.sample_size(10);
     for n in QUBITS {
         bench_forward_on::<DenseBackend>(&mut group, n);
-        bench_forward_on::<FusedDenseBackend>(&mut group, n);
         bench_forward_on::<SoaDenseBackend>(&mut group, n);
     }
     group.finish();
@@ -90,7 +89,6 @@ fn bench_scaling_probabilities(c: &mut Criterion) {
     group.sample_size(10);
     for n in QUBITS {
         bench_probabilities_on::<DenseBackend>(&mut group, n);
-        bench_probabilities_on::<FusedDenseBackend>(&mut group, n);
         bench_probabilities_on::<SoaDenseBackend>(&mut group, n);
     }
     group.finish();
@@ -101,7 +99,6 @@ fn bench_scaling_adjoint(c: &mut Criterion) {
     group.sample_size(10);
     for n in QUBITS {
         bench_adjoint_on::<DenseBackend>(&mut group, n);
-        bench_adjoint_on::<FusedDenseBackend>(&mut group, n);
         bench_adjoint_on::<SoaDenseBackend>(&mut group, n);
     }
     group.finish();

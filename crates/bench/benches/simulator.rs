@@ -3,9 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sqvae_quantum::embed::amplitude_embedding;
-use sqvae_quantum::grad::adjoint;
 use sqvae_quantum::templates::{strongly_entangling_layers, EntangleRange};
-use sqvae_quantum::{Backend, Circuit, FusedDenseBackend, StateVector};
+use sqvae_quantum::Circuit;
 
 fn circuit(n_qubits: usize, layers: usize) -> (Circuit, Vec<f64>) {
     let mut c = Circuit::new(n_qubits).expect("valid register");
@@ -51,67 +50,11 @@ fn bench_probabilities(c: &mut Criterion) {
     });
 }
 
-/// Dense vs fused backend on the paper's baseline template (6 qubits,
-/// 3 strongly-entangling layers): forward readout and one adjoint pass.
-/// EXPERIMENTS.md records the measured numbers.
-fn bench_simulator_backends(c: &mut Criterion) {
-    let (circ, params) = circuit(6, 3);
-    let upstream = vec![1.0f64; 6];
-    let mut group = c.benchmark_group("simulator_backends");
-    group.bench_function("forward_dense_6q3l", |b| {
-        b.iter(|| {
-            let s: StateVector = circ.run_on(&params, &[], None).unwrap();
-            circ.expectations_z_all(&s).unwrap()
-        })
-    });
-    group.bench_function("forward_fused_6q3l", |b| {
-        b.iter(|| {
-            let s: FusedDenseBackend = circ.run_on(&params, &[], None).unwrap();
-            circ.expectations_z_all(&s).unwrap()
-        })
-    });
-    group.bench_function("adjoint_dense_6q3l", |b| {
-        b.iter(|| {
-            adjoint::backward_expectations_z_on::<StateVector>(&circ, &params, &[], None, &upstream)
-                .unwrap()
-        })
-    });
-    group.bench_function("adjoint_fused_6q3l", |b| {
-        b.iter(|| {
-            adjoint::backward_expectations_z_on::<FusedDenseBackend>(
-                &circ,
-                &params,
-                &[],
-                None,
-                &upstream,
-            )
-            .unwrap()
-        })
-    });
-    // The 10-qubit probability readout of the baseline decoder, where the
-    // larger register makes fused passes count the most.
-    let (circ10, params10) = circuit(10, 3);
-    group.bench_function("probabilities_dense_10q3l", |b| {
-        b.iter(|| {
-            let s: StateVector = circ10.run_on(&params10, &[], None).unwrap();
-            Backend::probabilities(&s)
-        })
-    });
-    group.bench_function("probabilities_fused_10q3l", |b| {
-        b.iter(|| {
-            let s: FusedDenseBackend = circ10.run_on(&params10, &[], None).unwrap();
-            s.probabilities()
-        })
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_execution_vs_qubits,
     bench_execution_vs_depth,
     bench_amplitude_embedding,
-    bench_probabilities,
-    bench_simulator_backends
+    bench_probabilities
 );
 criterion_main!(benches);

@@ -45,9 +45,10 @@ pub struct ExpArgs {
     /// defaults to the `SQVAE_THREADS` environment variable). Results are
     /// bit-identical for every setting — only wall-clock changes.
     pub threads: Threads,
-    /// Simulator backend for quantum layers (`--backend dense|fused|soa`;
-    /// defaults to the `SQVAE_BACKEND` environment variable). Backends agree
-    /// to ~1e-15 — only wall-clock changes.
+    /// Simulator backend for quantum layers (`--backend dense|soa`, with
+    /// `fused` accepted as an alias of `dense`; defaults to the
+    /// `SQVAE_BACKEND` environment variable). Backends agree to ~1e-15 —
+    /// only wall-clock changes.
     pub backend: BackendKind,
     /// Serving worker-pool size for experiments that stand up an
     /// `InferenceServer` (`--workers auto|off|<n>`; defaults to the
@@ -80,7 +81,7 @@ impl ExpArgs {
     /// Parses `std::env::args()`-style arguments (skipping the binary name).
     ///
     /// Recognized: `--full`, `--quick`, `--panel <name>`, `--seed <n>`,
-    /// `--threads <auto|off|n>`, `--backend <dense|fused|soa>`,
+    /// `--threads <auto|off|n>`, `--backend <dense|soa>` (`fused` = `dense`),
     /// `--workers <auto|off|n>`, `--save <path>`, `--load <path>`. Unknown
     /// flags are ignored so wrappers can pass extras through.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
@@ -346,7 +347,8 @@ mod tests {
 
     #[test]
     fn parse_backend_flag() {
-        assert_eq!(args(&["--backend", "fused"]).backend, BackendKind::Fused);
+        // `fused` names a removed backend; it is an alias of dense.
+        assert_eq!(args(&["--backend", "fused"]).backend, BackendKind::Dense);
         assert_eq!(args(&["--backend", "dense"]).backend, BackendKind::Dense);
         assert_eq!(args(&["--backend", "soa"]).backend, BackendKind::Soa);
         // Bad specs keep the default rather than aborting an experiment.
@@ -359,7 +361,7 @@ mod tests {
         let a = args(&["--threads", "2", "--backend", "fused"]);
         let policy = a.exec_policy();
         assert_eq!(policy.threads, Threads::Fixed(2));
-        assert_eq!(policy.backend, BackendKind::Fused);
+        assert_eq!(policy.backend, BackendKind::Dense);
     }
 
     #[test]

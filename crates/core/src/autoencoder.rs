@@ -265,30 +265,6 @@ impl Autoencoder {
         self.decoder.set_exec_policy(policy);
     }
 
-    /// Sets the batch-row parallelism policy on every quantum stage
-    /// (classical stages and latent heads ignore it).
-    #[deprecated(note = "use `Autoencoder::set_exec_policy` with an `ExecPolicy`")]
-    pub fn set_threads(&mut self, threads: sqvae_nn::Threads) {
-        self.exec.threads = threads;
-        #[allow(deprecated)]
-        {
-            Module::set_threads(&mut self.encoder, threads);
-            Module::set_threads(&mut self.decoder, threads);
-        }
-    }
-
-    /// Sets the simulator backend on every quantum stage (classical stages
-    /// and latent heads ignore it).
-    #[deprecated(note = "use `Autoencoder::set_exec_policy` with an `ExecPolicy`")]
-    pub fn set_backend(&mut self, backend: sqvae_nn::BackendKind) {
-        self.exec.backend = backend;
-        #[allow(deprecated)]
-        {
-            Module::set_backend(&mut self.encoder, backend);
-            Module::set_backend(&mut self.decoder, backend);
-        }
-    }
-
     /// Zeroes every gradient.
     pub fn zero_grad(&mut self) {
         for p in self.parameters_of(ParamGroup::Quantum) {

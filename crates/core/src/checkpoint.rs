@@ -646,6 +646,38 @@ mod tests {
     }
 
     #[test]
+    fn fused_backend_tag_loads_as_dense() {
+        // Builds with a `fused` backend wrote that name into the body; the
+        // bytes below are what such a build produced for this model.
+        let mut m = model();
+        m.set_exec_policy(ExecPolicy::default().with_backend(BackendKind::Dense));
+        let ckpt = Checkpoint::capture(&mut m, 4).unwrap();
+        let mut body = Vec::new();
+        write_string(&mut body, &ckpt.name).unwrap();
+        write_string(&mut body, &ckpt.spec.to_string()).unwrap();
+        write_string(&mut body, "fused").unwrap();
+        write_u64(&mut body, ckpt.seed).unwrap();
+        ParamSnapshot::write_group(&mut body, &ckpt.params.quantum).unwrap();
+        ParamSnapshot::write_group(&mut body, &ckpt.params.classical).unwrap();
+        let mut bytes = MAGIC.to_vec();
+        write_u32(&mut bytes, FORMAT_VERSION).unwrap();
+        write_u64(&mut bytes, body.len() as u64).unwrap();
+        bytes.extend_from_slice(&body);
+        write_u64(&mut bytes, fnv1a64(&body)).unwrap();
+
+        let back = Checkpoint::read_from(&bytes[..]).unwrap();
+        assert_eq!(back.backend, BackendKind::Dense);
+        let mut rebuilt = back.build_model().unwrap();
+        assert_eq!(rebuilt.exec_policy().backend, BackendKind::Dense);
+        let x = Matrix::from_fn(3, 16, |r, c| (r * 16 + c) as f64 / 48.0);
+        let y0 = m.reconstruct(&x).unwrap();
+        let y1 = rebuilt.reconstruct(&x).unwrap();
+        for (a, b) in y0.as_slice().iter().zip(y1.as_slice()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    #[test]
     fn handmade_models_cannot_be_captured() {
         let mut m = Autoencoder::new(
             "handmade",

@@ -111,20 +111,6 @@ impl Module for HybridStack {
             stage.set_exec_policy(policy);
         }
     }
-
-    #[allow(deprecated)]
-    fn set_threads(&mut self, threads: sqvae_nn::Threads) {
-        for (_, stage) in &mut self.stages {
-            stage.set_threads(threads);
-        }
-    }
-
-    #[allow(deprecated)]
-    fn set_backend(&mut self, backend: sqvae_nn::BackendKind) {
-        for (_, stage) in &mut self.stages {
-            stage.set_backend(backend);
-        }
-    }
 }
 
 #[cfg(test)]

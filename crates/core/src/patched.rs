@@ -10,7 +10,7 @@
 
 use crate::quantum_layer::{QuantumInput, QuantumLayer, QuantumOutput};
 use rand::Rng;
-use sqvae_nn::{parallel, BackendKind, ExecPolicy, Matrix, Module, NnError, ParamTensor, Threads};
+use sqvae_nn::{parallel, ExecPolicy, Matrix, Module, NnError, ParamTensor, Threads};
 use sqvae_quantum::CompiledTape;
 
 /// Latent space dimension of a patched encoder over `input_dim` features
@@ -150,12 +150,6 @@ impl PatchedQuantumLayer {
         self.out_per_patch * self.patches.len()
     }
 
-    /// Builder-style setter for the threads knob of the execution policy.
-    pub fn with_threads(mut self, threads: Threads) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// Lowers every patch's circuit once for a batch pass with `compile`
     /// (forward-only for `forward`, with the adjoint program for
     /// `backward`). Patch circuits are structurally identical but carry
@@ -171,10 +165,11 @@ impl Module for PatchedQuantumLayer {
     /// Forward pass: each patch circuit is compiled once into a
     /// [`CompiledTape`], then every `(patch, row)` pair is an independent
     /// replay of its patch's tape, so the bank flattens the whole
-    /// patch × batch grid into one work list and shards it across threads
-    /// with [`parallel::map_rows`] — a single pool over both axes, no
-    /// nesting. Results land in fixed `(patch, row)` slots, so parallel
-    /// execution is bit-identical to sequential.
+    /// patch × batch grid into one patch-major work list and shards it
+    /// across threads with [`parallel::fill_rows`] — a single pool over
+    /// both axes, no nesting, and the same per-row body as
+    /// [`QuantumLayer`]'s own forward. Results land in fixed `(patch, row)`
+    /// slots, so parallel execution is bit-identical to sequential.
     fn forward(&mut self, input: &Matrix) -> Result<Matrix, NnError> {
         if input.cols() != self.in_features() {
             return Err(NnError::ShapeMismatch {
@@ -189,16 +184,22 @@ impl Module for PatchedQuantumLayer {
             .collect::<Result<_, _>>()?;
         let tapes = self.compile_tapes(QuantumLayer::compile_forward_tape);
         let patches = &self.patches;
-        let results = parallel::map_rows(p * rows, self.threads, |idx| {
-            let (k, r) = (idx / rows, idx % rows);
-            patches[k].forward_row_tape(&tapes[k], slices[k].row(r))
-        });
+        let width = self.out_per_patch;
+        let mut results = vec![0.0; p * rows * width];
+        parallel::fill_rows(
+            &mut results,
+            width,
+            self.threads,
+            Vec::new,
+            |idx, scratch, slot| {
+                let (k, r) = (idx / rows, idx % rows);
+                patches[k].forward_row_tape_into(&tapes[k], slices[k].row(r), scratch, slot);
+            },
+        );
         let mut out = Matrix::zeros(rows, self.out_features());
-        for k in 0..p {
-            let cols = k * self.out_per_patch..(k + 1) * self.out_per_patch;
-            for r in 0..rows {
-                out.row_mut(r)[cols.clone()].copy_from_slice(&results[k * rows + r]);
-            }
+        for (idx, patch_row) in results.chunks_exact(width).enumerate() {
+            let (k, r) = (idx / rows, idx % rows);
+            out.row_mut(r)[k * width..(k + 1) * width].copy_from_slice(patch_row);
         }
         self.cached_slices = Some(slices);
         Ok(out)
@@ -262,18 +263,6 @@ impl Module for PatchedQuantumLayer {
         self.threads = policy.threads;
         for patch in &mut self.patches {
             patch.set_exec_policy(policy);
-        }
-    }
-
-    #[allow(deprecated)]
-    fn set_threads(&mut self, threads: Threads) {
-        self.threads = threads;
-    }
-
-    #[allow(deprecated)]
-    fn set_backend(&mut self, backend: BackendKind) {
-        for patch in &mut self.patches {
-            patch.set_backend(backend);
         }
     }
 }
@@ -370,7 +359,9 @@ mod tests {
     fn threaded_patch_bank_matches_sequential_bitwise() {
         let bank_with = |threads: Threads| {
             let mut rng = StdRng::seed_from_u64(9);
-            PatchedQuantumLayer::amplitude_encoder(16, 2, 2, &mut rng).with_threads(threads)
+            let mut bank = PatchedQuantumLayer::amplitude_encoder(16, 2, 2, &mut rng);
+            bank.set_exec_policy(ExecPolicy::default().with_threads(threads));
+            bank
         };
         let x = Matrix::from_fn(5, 16, |i, j| 0.05 * (i * 16 + j) as f64 + 0.1);
         let g = Matrix::from_fn(5, 6, |i, j| 0.2 * (i as f64) - 0.1 * (j as f64));

@@ -13,20 +13,20 @@
 //!
 //! Batch rows are independent simulations, so both passes shard rows across
 //! OS threads according to the layer's [`ExecPolicy`] threads knob (default
-//! [`Threads::Off`]; the trainer propagates its configured policy). The
-//! shared tape is immutable and crosses shard boundaries by reference.
-//! Per-row results land in preallocated row slots and gradients accumulate
-//! in fixed row order, so the parallel path is bit-identical to the
-//! sequential one.
+//! [`sqvae_nn::Threads::Off`]; the trainer propagates its configured
+//! policy). The shared tape is immutable and crosses shard boundaries by
+//! reference. Per-row results land in preallocated row slots and gradients
+//! accumulate in fixed row order, so the parallel path is bit-identical to
+//! the sequential one.
 //!
 //! Which simulator executes the tape is the policy's second knob,
-//! [`BackendKind`]: every row dispatches onto the dense reference register,
-//! the fused-kernel backend, or the structure-of-arrays SIMD backend
-//! (`SQVAE_BACKEND`, `TrainConfig::backend`, [`sqvae_nn::ExecPolicy`]);
-//! backends agree to ≤ 1e-12.
+//! [`BackendKind`]: every row dispatches onto the dense reference register
+//! or the structure-of-arrays SIMD backend (`SQVAE_BACKEND`,
+//! `TrainConfig::backend`, [`sqvae_nn::ExecPolicy`]); the two agree to
+//! ≤ 1e-12.
 
 use rand::Rng;
-use sqvae_nn::parallel::{self, Threads};
+use sqvae_nn::parallel;
 use sqvae_nn::{init, BackendKind, ExecPolicy, Matrix, Module, NnError, ParamTensor};
 use sqvae_quantum::embed::{
     amplitude_embedding, angle_embedding_gates, qubits_for_features, RotationAxis,
@@ -34,9 +34,7 @@ use sqvae_quantum::embed::{
 use sqvae_quantum::grad::adjoint;
 use sqvae_quantum::grad::CircuitGradients;
 use sqvae_quantum::templates::{strongly_entangling_layers, EntangleRange};
-use sqvae_quantum::{
-    Backend, Circuit, CompiledTape, FusedDenseBackend, SoaDenseBackend, StateVector,
-};
+use sqvae_quantum::{Backend, Circuit, CompiledTape, SoaDenseBackend, StateVector};
 
 /// How classical data enters the circuit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,28 +148,6 @@ impl QuantumLayer {
         self.exec
     }
 
-    /// Builder-style setter for the threads knob of the execution policy.
-    pub fn with_threads(mut self, threads: Threads) -> Self {
-        self.exec.threads = threads;
-        self
-    }
-
-    /// The current batch-row parallelism policy.
-    pub fn threads(&self) -> Threads {
-        self.exec.threads
-    }
-
-    /// Builder-style setter for the backend knob of the execution policy.
-    pub fn with_backend(mut self, backend: BackendKind) -> Self {
-        self.exec.backend = backend;
-        self
-    }
-
-    /// The simulator backend this layer's circuit executes on.
-    pub fn backend(&self) -> BackendKind {
-        self.exec.backend
-    }
-
     /// Number of wires.
     pub fn n_qubits(&self) -> usize {
         self.circuit.n_qubits()
@@ -244,23 +220,14 @@ impl QuantumLayer {
     }
 
     /// One batch row's forward simulation: replays `tape` on the configured
-    /// backend (crate-internal for the same reason as
-    /// [`Self::compile_tape`]).
-    pub(crate) fn forward_row_tape(&self, tape: &CompiledTape, row: &[f64]) -> Vec<f64> {
-        match self.exec.backend {
-            BackendKind::Dense => self.forward_row_tape_on::<StateVector>(tape, row),
-            BackendKind::Fused => self.forward_row_tape_on::<FusedDenseBackend>(tape, row),
-            BackendKind::Soa => self.forward_row_tape_on::<SoaDenseBackend>(tape, row),
-        }
-    }
-
-    /// Like [`Self::forward_row_tape`], but writes the row's outputs into
-    /// `slot` through the worker-local `scratch` buffer instead of
-    /// returning a fresh `Vec` — the allocation-free per-row body of
-    /// [`Module::forward`]'s `fill_rows` sharding (probability readout goes
-    /// through [`CompiledTape::probabilities_into_on`], so the `2^n`-wide
-    /// buffer is reused across every row a worker owns).
-    fn forward_row_tape_into(
+    /// backend and writes the row's outputs into `slot` through the
+    /// worker-local `scratch` buffer — the allocation-free per-row body of
+    /// the `fill_rows` sharding in [`Module::forward`] here and in
+    /// [`crate::PatchedQuantumLayer`] (crate-internal for the same reason as
+    /// [`Self::compile_tape`]). Probability readout goes through
+    /// [`CompiledTape::probabilities_into_on`], so the `2^n`-wide buffer is
+    /// reused across every row a worker owns.
+    pub(crate) fn forward_row_tape_into(
         &self,
         tape: &CompiledTape,
         row: &[f64],
@@ -270,9 +237,6 @@ impl QuantumLayer {
         match self.exec.backend {
             BackendKind::Dense => {
                 self.forward_row_tape_into_on::<StateVector>(tape, row, scratch, slot)
-            }
-            BackendKind::Fused => {
-                self.forward_row_tape_into_on::<FusedDenseBackend>(tape, row, scratch, slot)
             }
             BackendKind::Soa => {
                 self.forward_row_tape_into_on::<SoaDenseBackend>(tape, row, scratch, slot)
@@ -310,23 +274,6 @@ impl QuantumLayer {
         }
     }
 
-    fn forward_row_tape_on<B: Backend>(&self, tape: &CompiledTape, row: &[f64]) -> Vec<f64> {
-        let (inputs, initial): (&[f64], Option<B>) = match self.input_mode {
-            QuantumInput::Amplitude { .. } => {
-                (&[], Some(B::from_statevector(self.embedded_initial(row))))
-            }
-            QuantumInput::Angle => (row, None),
-        };
-        match self.output_mode {
-            QuantumOutput::ExpectationZ => tape
-                .expectations_z_on(inputs, initial.as_ref())
-                .expect("validated circuit"),
-            QuantumOutput::Probabilities => tape
-                .probabilities_on(inputs, initial.as_ref())
-                .expect("validated circuit"),
-        }
-    }
-
     /// One batch row's adjoint backward pass over `tape`, on the configured
     /// backend (crate-internal for the same reason as
     /// [`Self::compile_tape`]).
@@ -338,9 +285,6 @@ impl QuantumLayer {
     ) -> CircuitGradients {
         match self.exec.backend {
             BackendKind::Dense => self.backward_row_tape_on::<StateVector>(tape, row, upstream),
-            BackendKind::Fused => {
-                self.backward_row_tape_on::<FusedDenseBackend>(tape, row, upstream)
-            }
             BackendKind::Soa => self.backward_row_tape_on::<SoaDenseBackend>(tape, row, upstream),
         }
     }
@@ -438,16 +382,6 @@ impl Module for QuantumLayer {
     fn set_exec_policy(&mut self, policy: ExecPolicy) {
         self.exec = policy;
     }
-
-    #[allow(deprecated)]
-    fn set_threads(&mut self, threads: Threads) {
-        self.exec.threads = threads;
-    }
-
-    #[allow(deprecated)]
-    fn set_backend(&mut self, backend: BackendKind) {
-        self.exec.backend = backend;
-    }
 }
 
 #[cfg(test)]
@@ -455,6 +389,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use sqvae_nn::Threads;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(7)
@@ -629,7 +564,7 @@ mod tests {
                 QuantumOutput::ExpectationZ,
                 &mut r,
             )
-            .with_threads(threads)
+            .with_exec_policy(ExecPolicy::default().with_threads(threads))
         };
         let x = Matrix::from_fn(7, 3, |i, j| 0.3 * (i as f64) - 0.2 * (j as f64));
         let g = Matrix::from_fn(7, 3, |i, j| 0.1 * (i + j) as f64 - 0.4);
@@ -647,7 +582,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_and_soa_backends_match_dense_numerically() {
+    fn soa_backend_matches_dense_numerically() {
         for (input, output) in [
             (
                 QuantumInput::Amplitude { in_features: 8 },
@@ -657,7 +592,8 @@ mod tests {
         ] {
             let layer_with = |backend: BackendKind| {
                 let mut r = rng();
-                QuantumLayer::new(3, 2, input, output, &mut r).with_backend(backend)
+                QuantumLayer::new(3, 2, input, output, &mut r)
+                    .with_exec_policy(ExecPolicy::default().with_backend(backend))
             };
             let x = Matrix::from_fn(4, input_width(input), |i, j| {
                 0.15 * (i + 1) as f64 + 0.07 * j as f64
@@ -666,22 +602,20 @@ mod tests {
             let yd = dense.forward(&x).unwrap();
             let g = Matrix::from_fn(4, yd.cols(), |i, j| 0.3 * (i as f64) - 0.1 * (j as f64));
             dense.backward(&g).unwrap();
-            for backend in [BackendKind::Fused, BackendKind::Soa] {
-                let mut other = layer_with(backend);
-                let yo = other.forward(&x).unwrap();
-                for (a, b) in yd.as_slice().iter().zip(yo.as_slice()) {
-                    assert!((a - b).abs() < 1e-12, "{backend} forward {a} vs {b}");
-                }
-                other.backward(&g).unwrap();
-                for (a, b) in dense
-                    .params
-                    .grad
-                    .as_slice()
-                    .iter()
-                    .zip(other.params.grad.as_slice())
-                {
-                    assert!((a - b).abs() < 1e-12, "{backend} grad {a} vs {b}");
-                }
+            let mut soa = layer_with(BackendKind::Soa);
+            let ys = soa.forward(&x).unwrap();
+            for (a, b) in yd.as_slice().iter().zip(ys.as_slice()) {
+                assert!((a - b).abs() < 1e-12, "soa forward {a} vs {b}");
+            }
+            soa.backward(&g).unwrap();
+            for (a, b) in dense
+                .params
+                .grad
+                .as_slice()
+                .iter()
+                .zip(soa.params.grad.as_slice())
+            {
+                assert!((a - b).abs() < 1e-12, "soa grad {a} vs {b}");
             }
         }
     }

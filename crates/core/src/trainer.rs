@@ -47,9 +47,11 @@ pub struct TrainConfig {
     /// (`SQVAE_THREADS`: `auto`, `off`/`0`, or a thread count).
     pub threads: Threads,
     /// Simulator backend for the quantum layers: `dense` is the reference
-    /// statevector kernels, `fused` the gate-fusing variant (same results to
-    /// ~1e-15, measurably faster). Defaults to [`BackendKind::from_env`]
-    /// (`SQVAE_BACKEND`: `dense` or `fused`).
+    /// statevector kernels and the fastest at the paper's 5–7-qubit patches,
+    /// `soa` the split-plane SIMD kernels (same results to ~1e-15, faster
+    /// forward passes at 12–14 qubits). Defaults to
+    /// [`BackendKind::from_env`] (`SQVAE_BACKEND`: `dense` or `soa`; `fused`
+    /// is an alias of `dense`).
     pub backend: BackendKind,
     /// Guard rail against divergence: when a batch produces a non-finite
     /// loss or non-finite gradients, roll the parameters back to the last

@@ -1,12 +1,10 @@
 //! Unified execution policy for quantum-bearing models.
 //!
-//! PRs 2 and 4 grew two parallel plumbing paths — `Module::set_threads` for
-//! row parallelism and `Module::set_backend` for simulator selection —
-//! through every container, layer, trainer config, and experiment flag.
-//! [`ExecPolicy`] bundles both knobs into one value with one setter
-//! ([`crate::Module::set_exec_policy`]), so adding the next execution knob
-//! (e.g. a tape-cache policy) touches one struct instead of six types. The
-//! old setters survive as deprecated thin wrappers; no call site breaks.
+//! [`ExecPolicy`] bundles the two execution knobs — batch-row parallelism
+//! and simulator backend — into one value with one setter
+//! ([`crate::Module::set_exec_policy`]), the only path either knob travels
+//! from a trainer config or experiment flag down through every container
+//! and layer.
 
 use crate::backend::BackendKind;
 use crate::parallel::Threads;
@@ -71,7 +69,7 @@ mod tests {
     fn builders_set_each_knob() {
         let p = ExecPolicy::default()
             .with_threads(Threads::Fixed(3))
-            .with_backend(BackendKind::Fused);
-        assert_eq!(p, ExecPolicy::new(Threads::Fixed(3), BackendKind::Fused));
+            .with_backend(BackendKind::Soa);
+        assert_eq!(p, ExecPolicy::new(Threads::Fixed(3), BackendKind::Soa));
     }
 }

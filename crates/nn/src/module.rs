@@ -6,11 +6,9 @@
 //! quantum-classical pipeline composes: the quantum layers implement the same
 //! contract with adjoint differentiation inside.
 
-use crate::backend::BackendKind;
 use crate::error::Result;
 use crate::exec::ExecPolicy;
 use crate::matrix::Matrix;
-use crate::parallel::Threads;
 
 /// A trainable tensor: value and accumulated gradient of identical shape.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,32 +81,10 @@ pub trait Module {
     }
 
     /// Sets the unified execution policy — batch-row parallelism and
-    /// simulator backend in one value. Quantum stages apply both knobs;
-    /// purely classical layers ignore it; containers forward it to
-    /// children.
-    ///
-    /// The default routes through the deprecated per-knob setters so
-    /// existing layer implementations keep working unchanged; new layers
-    /// should override this method instead.
-    fn set_exec_policy(&mut self, policy: ExecPolicy) {
-        #[allow(deprecated)]
-        {
-            self.set_threads(policy.threads);
-            self.set_backend(policy.backend);
-        }
-    }
-
-    /// Sets the batch-row parallelism policy. Layers that simulate rows
-    /// independently (the quantum stages) shard work accordingly; purely
-    /// classical layers ignore it, and containers forward it to children.
-    #[deprecated(note = "use `Module::set_exec_policy` with an `ExecPolicy`")]
-    fn set_threads(&mut self, _threads: Threads) {}
-
-    /// Sets the simulator backend the layer's quantum circuits execute on.
-    /// Purely classical layers ignore it; containers forward it to children
-    /// — the same contract as [`Module::set_threads`].
-    #[deprecated(note = "use `Module::set_exec_policy` with an `ExecPolicy`")]
-    fn set_backend(&mut self, _backend: BackendKind) {}
+    /// simulator backend in one value. Quantum stages apply both knobs and
+    /// containers forward it to their children; the default does nothing,
+    /// which is right for purely classical layers.
+    fn set_exec_policy(&mut self, _policy: ExecPolicy) {}
 }
 
 #[cfg(test)]

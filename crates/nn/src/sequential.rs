@@ -97,20 +97,6 @@ impl Module for Sequential {
             layer.set_exec_policy(policy);
         }
     }
-
-    #[allow(deprecated)]
-    fn set_threads(&mut self, threads: crate::parallel::Threads) {
-        for layer in &mut self.layers {
-            layer.set_threads(threads);
-        }
-    }
-
-    #[allow(deprecated)]
-    fn set_backend(&mut self, backend: crate::backend::BackendKind) {
-        for layer in &mut self.layers {
-            layer.set_backend(backend);
-        }
-    }
 }
 
 #[cfg(test)]

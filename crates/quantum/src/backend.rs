@@ -3,15 +3,12 @@
 //! Every consumer of the simulator — [`crate::Circuit::run_on`], the whole
 //! [`crate::grad`] module, and the quantum layers built on top — is generic
 //! over a [`Backend`]: the set of primitive register operations a simulation
-//! strategy must provide. Three implementations ship today:
+//! strategy must provide. Two implementations ship:
 //!
 //! * [`DenseBackend`] (an alias for [`StateVector`]) — the reference
-//!   semantics: every gate is one pass over the `2^n` amplitudes.
-//! * [`FusedDenseBackend`] — the same dense amplitudes behind optimized
-//!   kernels: runs of adjacent single-qubit gates on one wire fuse into a
-//!   single 2×2 matmul pass, a run of CNOTs (the paper's ring template)
-//!   collapses into one permutation pass, and controlled kernels enumerate
-//!   only the control-set half-space instead of scanning the full register.
+//!   semantics: every gate is one pass over the `2^n` interleaved
+//!   amplitudes. It is the default, and the oracle the equivalence suites
+//!   compare everything else against.
 //! * [`SoaDenseBackend`] — amplitudes split into separate re/im `f64`
 //!   planes (structure-of-arrays) so every kernel is a branch-free
 //!   unit-stride loop the autovectorizer packs into FMA, with cache-blocked
@@ -170,11 +167,9 @@ pub trait Backend: Clone + std::fmt::Debug {
     /// Panics if the dimensions differ.
     fn inner(&self, other: &Self) -> C64;
 
-    /// Executes a gate sequence with resolved parameter/input bindings.
-    ///
-    /// The default walks the ops one gate at a time; backends override it to
-    /// fuse or specialize whole sub-sequences (this is where
-    /// [`FusedDenseBackend`] earns its name).
+    /// Executes a gate sequence with resolved parameter/input bindings, one
+    /// gate at a time — the eager path the gradient oracles and the tape
+    /// equivalence suites check [`Backend::execute_tape`] against.
     ///
     /// # Errors
     ///
@@ -196,8 +191,8 @@ pub trait Backend: Clone + std::fmt::Debug {
     ///
     /// The default maps each op onto the primitive kernels (a
     /// [`TapeOp::CnotRun`] becomes one CNOT per pair); backends override it
-    /// to specialize whole ops, e.g. [`FusedDenseBackend`] applies a CNOT
-    /// run as a single permutation pass.
+    /// to specialize whole ops, e.g. [`SoaDenseBackend`] applies a CNOT run
+    /// as a single permutation pass while the register fits in L1.
     ///
     /// # Errors
     ///
@@ -280,10 +275,10 @@ pub trait Backend: Clone + std::fmt::Debug {
         Self: Sized;
 }
 
-/// [`Backend::adjoint_block_stop`] over interleaved `C64` amplitudes, shared
-/// by the dense and fused backends: walks the pairs `(i, i + stride)` of
-/// both registers once, reading each pair into the cross matrix before
-/// overwriting it with its un-applied value.
+/// [`Backend::adjoint_block_stop`] over the dense backend's interleaved
+/// `C64` amplitudes: walks the pairs `(i, i + stride)` of both registers
+/// once, reading each pair into the cross matrix before overwriting it with
+/// its un-applied value.
 fn block_stop_interleaved(
     ket: &mut [C64],
     bra: &mut [C64],
@@ -400,281 +395,6 @@ impl Backend for StateVector {
     }
 }
 
-/// Dense amplitudes behind fused and half-space-specialized kernels.
-///
-/// Three optimizations over the reference [`DenseBackend`]:
-///
-/// 1. **Single-qubit fusion** — adjacent single-qubit gates on the same wire
-///    (the template's `RZ·RY·RZ` rotations) compose into one 2×2 matrix
-///    applied in a single pass over the amplitudes.
-/// 2. **CNOT-run specialization** — a run of consecutive CNOTs (the paper's
-///    ring entangler) is a basis-state permutation; the whole run becomes
-///    one gather pass instead of one sweep per gate.
-/// 3. **Half-space controlled kernels** — [`Backend::apply_controlled`] and
-///    [`Backend::apply_cnot`] enumerate only the `dim/4` indices with the
-///    control bit set and the target bit clear, instead of scanning and
-///    testing all `2^n` indices.
-///
-/// Because fusion reorders floating-point arithmetic, results match the
-/// dense backend to ~1e-15 per amplitude (property-tested at ≤1e-12), not
-/// bit-for-bit. For a fixed backend selection, results remain fully
-/// deterministic.
-///
-/// # Examples
-///
-/// ```
-/// use sqvae_quantum::backend::{Backend, FusedDenseBackend};
-/// use sqvae_quantum::{Circuit, Param};
-///
-/// let mut c = Circuit::new(2)?;
-/// c.ry(0, Param::Fixed(0.3))?;
-/// c.cnot(0, 1)?;
-/// let state: FusedDenseBackend = c.run_on(&[], &[], None)?;
-/// assert_eq!(state.probabilities().len(), 4);
-/// # Ok::<(), sqvae_quantum::QuantumError>(())
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct FusedDenseBackend(StateVector);
-
-impl FusedDenseBackend {
-    /// Enumerates the `dim/4` basis indices with `cbit` set and `tbit`
-    /// clear, calling `f(i, j)` for each pair `(i, i | tmask)`.
-    fn for_each_controlled_pair(
-        &mut self,
-        cbit: usize,
-        tbit: usize,
-        mut f: impl FnMut(usize, usize, &mut [C64]),
-    ) {
-        let cmask = 1usize << cbit;
-        let tmask = 1usize << tbit;
-        let (b1, b2) = if cbit < tbit {
-            (cbit, tbit)
-        } else {
-            (tbit, cbit)
-        };
-        let dim = self.0.dim();
-        let amps = self.0.amps_mut();
-        // Expand each k in 0..dim/4 to a full index with zero bits inserted
-        // at positions b1 and b2, then force the control bit on.
-        for k in 0..(dim >> 2) {
-            let low = k & ((1usize << b1) - 1);
-            let mid = (k >> b1) & ((1usize << (b2 - b1 - 1)) - 1);
-            let high = k >> (b2 - 1);
-            let base = (high << (b2 + 1)) | (mid << (b1 + 1)) | low;
-            let i = base | cmask;
-            f(i, i | tmask, amps);
-        }
-    }
-
-    /// Validates a controlled gate's wires.
-    fn check_controlled(&self, control: usize, target: usize) -> Result<()> {
-        self.check_wire(control)?;
-        self.check_wire(target)?;
-        if control == target {
-            return Err(QuantumError::ControlEqualsTarget { wire: control });
-        }
-        Ok(())
-    }
-
-    /// Applies a run of consecutive CNOTs as one permutation pass.
-    ///
-    /// Each CNOT is the basis involution `π(i) = i ⊕ (bit_c(i) << t)`; the
-    /// composed circuit sends `amps[σ(i)]` to slot `i`, where `σ` chains the
-    /// per-gate involutions in reverse order — one gather over the register
-    /// regardless of the run length.
-    fn apply_cnot_run(&mut self, pairs: &[(usize, usize)]) -> Result<()> {
-        for &(c, t) in pairs {
-            self.check_controlled(c, t)?;
-        }
-        let n = self.0.n_qubits();
-        let masks: Vec<(usize, usize)> = pairs
-            .iter()
-            .map(|&(c, t)| (n - 1 - c, 1usize << (n - 1 - t)))
-            .collect();
-        let amps = self.0.amps_mut();
-        let gathered: Vec<C64> = (0..amps.len())
-            .map(|i| {
-                let mut src = i;
-                for &(cbit, tmask) in masks.iter().rev() {
-                    src ^= ((src >> cbit) & 1) * tmask;
-                }
-                amps[src]
-            })
-            .collect();
-        *amps = gathered;
-        Ok(())
-    }
-}
-
-impl Backend for FusedDenseBackend {
-    const NAME: &'static str = "fused";
-
-    fn zero_state(n_qubits: usize) -> Result<Self> {
-        Ok(FusedDenseBackend(StateVector::zero_state(n_qubits)?))
-    }
-
-    fn from_statevector(state: StateVector) -> Self {
-        FusedDenseBackend(state)
-    }
-
-    fn to_statevector(&self) -> StateVector {
-        self.0.clone()
-    }
-
-    fn into_statevector(self) -> StateVector {
-        self.0
-    }
-
-    fn reset(&mut self) {
-        self.0.reset();
-    }
-
-    fn n_qubits(&self) -> usize {
-        self.0.n_qubits()
-    }
-
-    fn apply_single_qubit(&mut self, wire: usize, m: &[[C64; 2]; 2]) -> Result<()> {
-        self.0.apply_single_qubit(wire, m)
-    }
-
-    fn apply_controlled(&mut self, control: usize, target: usize, m: &[[C64; 2]; 2]) -> Result<()> {
-        self.check_controlled(control, target)?;
-        let cbit = self.bit_of_wire(control);
-        let tbit = self.bit_of_wire(target);
-        let m = *m;
-        self.for_each_controlled_pair(cbit, tbit, |i, j, amps| {
-            let a0 = amps[i];
-            let a1 = amps[j];
-            amps[i] = m[0][0] * a0 + m[0][1] * a1;
-            amps[j] = m[1][0] * a0 + m[1][1] * a1;
-        });
-        Ok(())
-    }
-
-    fn apply_cnot(&mut self, control: usize, target: usize) -> Result<()> {
-        self.check_controlled(control, target)?;
-        let cbit = self.bit_of_wire(control);
-        let tbit = self.bit_of_wire(target);
-        self.for_each_controlled_pair(cbit, tbit, |i, j, amps| amps.swap(i, j));
-        Ok(())
-    }
-
-    fn apply_diagonal_real(&mut self, d: &[f64]) {
-        self.0.apply_diagonal_real(d);
-    }
-
-    fn expectation_z(&self, wire: usize) -> Result<f64> {
-        self.0.expectation_z(wire)
-    }
-
-    fn expectation_diagonal(&self, d: &[f64]) -> f64 {
-        self.0.expectation_diagonal(d)
-    }
-
-    fn probabilities(&self) -> Vec<f64> {
-        self.0.probabilities()
-    }
-
-    fn probabilities_into(&self, out: &mut Vec<f64>) {
-        self.0.probabilities_into(out);
-    }
-
-    fn inner(&self, other: &Self) -> C64 {
-        self.0.inner(&other.0)
-    }
-
-    fn apply_tape_op(&mut self, op: &TapeOp, inputs: &[f64]) -> Result<()> {
-        match op {
-            // A pre-compiled CNOT run is exactly the permutation pass the
-            // eager fusion discovers gate by gate — apply it directly.
-            TapeOp::CnotRun(pairs) if pairs.len() >= 2 => self.apply_cnot_run(pairs),
-            TapeOp::CnotRun(pairs) => Backend::apply_cnot(self, pairs[0].0, pairs[0].1),
-            // Controlled diagonal phases touch two amplitudes per pair with
-            // one multiplication each — no 2×2 matmul needed.
-            TapeOp::Phase { control, target, d } => {
-                self.check_controlled(*control, *target)?;
-                let cbit = self.bit_of_wire(*control);
-                let tbit = self.bit_of_wire(*target);
-                let d = *d;
-                self.for_each_controlled_pair(cbit, tbit, |i, j, amps| {
-                    amps[i] *= d[0];
-                    amps[j] *= d[1];
-                });
-                Ok(())
-            }
-            TapeOp::OneQ { wire, m } => self.apply_single_qubit(*wire, m),
-            TapeOp::Controlled { control, target, m } => {
-                Backend::apply_controlled(self, *control, *target, m)
-            }
-            TapeOp::Late { gate, index } => {
-                let theta = *inputs.get(*index).ok_or(QuantumError::InputCountMismatch {
-                    expected: *index + 1,
-                    actual: inputs.len(),
-                })?;
-                gate.apply(self, theta)
-            }
-        }
-    }
-
-    fn adjoint_block_stop(
-        &mut self,
-        bra: &mut Self,
-        wire: usize,
-        inv: &[[C64; 2]; 2],
-    ) -> Result<[[C64; 2]; 2]> {
-        self.check_wire(wire)?;
-        let stride = 1usize << self.bit_of_wire(wire);
-        Ok(block_stop_interleaved(
-            self.0.amps_mut(),
-            bra.0.amps_mut(),
-            stride,
-            inv,
-        ))
-    }
-
-    fn apply_ops(&mut self, ops: &[Gate], params: &[f64], inputs: &[f64]) -> Result<()> {
-        let resolve = |g: &Gate| g.param().map_or(0.0, |p| p.resolve(params, inputs));
-        let mut i = 0;
-        while i < ops.len() {
-            let theta = resolve(&ops[i]);
-            if let Some((wire, mut m)) = ops[i].single_qubit_matrix(theta) {
-                // Fuse the maximal run of single-qubit gates on this wire.
-                let mut j = i + 1;
-                while j < ops.len() {
-                    match ops[j].single_qubit_matrix(resolve(&ops[j])) {
-                        Some((w2, m2)) if w2 == wire => {
-                            m = matmul2(&m2, &m);
-                            j += 1;
-                        }
-                        _ => break,
-                    }
-                }
-                self.apply_single_qubit(wire, &m)?;
-                i = j;
-            } else if matches!(ops[i], Gate::CNOT(..)) {
-                // Collect the maximal run of consecutive CNOTs (the ring
-                // template) and apply it as one permutation pass.
-                let mut pairs = Vec::new();
-                let mut j = i;
-                while let Some(Gate::CNOT(c, t)) = ops.get(j) {
-                    pairs.push((*c, *t));
-                    j += 1;
-                }
-                if pairs.len() >= 2 {
-                    self.apply_cnot_run(&pairs)?;
-                } else {
-                    self.apply_cnot(pairs[0].0, pairs[0].1)?;
-                }
-                i = j;
-            } else {
-                ops[i].apply(self, theta)?;
-                i += 1;
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Row-major product `a · b` of two 2×2 complex matrices (gate `b` applied
 /// first, then `a`). Shared with the tape compiler's fusion pass.
 pub(crate) fn matmul2(a: &[[C64; 2]; 2], b: &[[C64; 2]; 2]) -> [[C64; 2]; 2] {
@@ -693,7 +413,7 @@ pub(crate) fn matmul2(a: &[[C64; 2]; 2], b: &[[C64; 2]; 2]) -> [[C64; 2]; 2] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gate::{hadamard, pauli_x, ry_matrix, rz_matrix};
+    use crate::gate::{hadamard, pauli_x};
 
     fn assert_states_close(a: &StateVector, b: &StateVector, tol: f64) {
         assert_eq!(a.dim(), b.dim());
@@ -705,67 +425,7 @@ mod tests {
     #[test]
     fn names_distinguish_backends() {
         assert_eq!(<DenseBackend as Backend>::NAME, "dense");
-        assert_eq!(FusedDenseBackend::NAME, "fused");
-    }
-
-    #[test]
-    fn fused_half_space_cnot_matches_dense() {
-        for n in 2..=4 {
-            for c in 0..n {
-                for t in 0..n {
-                    if c == t {
-                        continue;
-                    }
-                    let mut dense = StateVector::zero_state(n).unwrap();
-                    for w in 0..n {
-                        dense
-                            .apply_single_qubit(w, &ry_matrix(0.3 + w as f64))
-                            .unwrap();
-                    }
-                    let mut fused = FusedDenseBackend::from_statevector(dense.clone());
-                    dense.apply_cnot(c, t).unwrap();
-                    Backend::apply_cnot(&mut fused, c, t).unwrap();
-                    assert_states_close(&dense, &fused.to_statevector(), 1e-15);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fused_half_space_controlled_matches_dense() {
-        let m = ry_matrix(1.1);
-        for (c, t) in [(0usize, 2usize), (2, 0), (1, 2), (2, 1), (0, 1)] {
-            let mut dense = StateVector::zero_state(3).unwrap();
-            for w in 0..3 {
-                dense.apply_single_qubit(w, &hadamard()).unwrap();
-                dense
-                    .apply_single_qubit(w, &rz_matrix(0.2 * w as f64))
-                    .unwrap();
-            }
-            let mut fused = FusedDenseBackend::from_statevector(dense.clone());
-            dense.apply_controlled(c, t, &m).unwrap();
-            Backend::apply_controlled(&mut fused, c, t, &m).unwrap();
-            assert_states_close(&dense, &fused.to_statevector(), 1e-15);
-        }
-    }
-
-    #[test]
-    fn cnot_run_is_one_permutation_pass() {
-        // The 4-wire ring: CNOT(0,1), (1,2), (2,3), (3,0).
-        let ring: Vec<(usize, usize)> = (0..4).map(|w| (w, (w + 1) % 4)).collect();
-        let mut dense = StateVector::zero_state(4).unwrap();
-        for w in 0..4 {
-            dense
-                .apply_single_qubit(w, &ry_matrix(0.4 + 0.3 * w as f64))
-                .unwrap();
-        }
-        let mut fused = FusedDenseBackend::from_statevector(dense.clone());
-        for &(c, t) in &ring {
-            dense.apply_cnot(c, t).unwrap();
-        }
-        fused.apply_cnot_run(&ring).unwrap();
-        // Pure permutations move amplitudes without arithmetic: exact match.
-        assert_eq!(dense, fused.to_statevector());
+        assert_eq!(SoaDenseBackend::NAME, "soa");
     }
 
     #[test]
@@ -782,21 +442,24 @@ mod tests {
 
     #[test]
     fn kernel_errors_surface_through_the_trait() {
-        let mut f = FusedDenseBackend::zero_state(2).unwrap();
-        assert!(Backend::apply_cnot(&mut f, 0, 0).is_err());
-        assert!(Backend::apply_cnot(&mut f, 0, 5).is_err());
-        assert!(Backend::apply_controlled(&mut f, 3, 0, &pauli_x()).is_err());
-        assert!(f.apply_cnot_run(&[(0, 1), (1, 1)]).is_err());
+        let mut d = DenseBackend::zero_state(2).unwrap();
+        assert!(Backend::apply_cnot(&mut d, 0, 0).is_err());
+        assert!(Backend::apply_cnot(&mut d, 0, 5).is_err());
+        assert!(Backend::apply_controlled(&mut d, 3, 0, &pauli_x()).is_err());
+        let bad_run = TapeOp::CnotRun(vec![(0, 1), (1, 1)]);
+        assert!(d.apply_tape_op(&bad_run, &[]).is_err());
+        let mut bra = d.clone();
+        assert!(d.adjoint_block_stop(&mut bra, 2, &pauli_x()).is_err());
     }
 
     #[test]
     fn reset_and_round_trip() {
-        let mut f = FusedDenseBackend::zero_state(2).unwrap();
-        Backend::apply_single_qubit(&mut f, 0, &pauli_x()).unwrap();
-        assert!(f.to_statevector().probability(0b10) > 0.99);
-        f.reset();
-        assert!((f.to_statevector().probability(0) - 1.0).abs() < 1e-15);
-        let sv = f.clone().into_statevector();
-        assert_eq!(sv, f.to_statevector());
+        let mut d = DenseBackend::zero_state(2).unwrap();
+        Backend::apply_single_qubit(&mut d, 0, &pauli_x()).unwrap();
+        assert!(d.to_statevector().probability(0b10) > 0.99);
+        Backend::reset(&mut d);
+        assert!((d.to_statevector().probability(0) - 1.0).abs() < 1e-15);
+        let sv = d.clone().into_statevector();
+        assert_eq!(sv, d.to_statevector());
     }
 }

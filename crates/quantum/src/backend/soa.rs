@@ -23,10 +23,10 @@
 //!   ordinary full passes. Tiling never reorders the ops, so the arithmetic
 //!   is bit-identical to the untiled pass.
 //!
-//! Like the fused backend, reordered floating-point work means results
-//! match the dense reference to ~1e-15 per amplitude (property-tested at
-//! ≤ 1e-12), not bit-for-bit; for a fixed backend selection, results remain
-//! fully deterministic across thread counts.
+//! Reordered floating-point work means results match the dense reference
+//! to ~1e-15 per amplitude (property-tested at ≤ 1e-12), not bit-for-bit;
+//! for a fixed backend selection, results remain fully deterministic across
+//! thread counts.
 
 use crate::backend::Backend;
 use crate::complex::C64;
@@ -131,8 +131,9 @@ fn phase_block(re: &mut [f64], im: &mut [f64], i0: usize, i1: usize, len: usize,
 ///
 /// Pick it (`SQVAE_BACKEND=soa`, `--backend soa`,
 /// `BackendKind::Soa`) when register size — not gate count — dominates:
-/// at ≥ 10 qubits the packed-FMA passes pull ahead of the fused backend's
-/// interleaved kernels, and the gap widens with every extra qubit.
+/// at 12–14 qubits its packed-FMA forward and readout passes beat the dense
+/// backend's interleaved kernels, and the gap widens with every extra
+/// qubit. At the paper's 5–7-qubit patches dense trains faster.
 ///
 /// # Examples
 ///
@@ -223,12 +224,11 @@ impl SoaDenseBackend {
     /// Applies a run of consecutive CNOTs.
     ///
     /// While the planes fit in L1 (`dim <= TILE`) the whole run collapses
-    /// into one permutation gather through reused scratch planes (same
-    /// index chaining as the fused backend's pass, but allocation-free
-    /// after the first run). Larger registers take one streaming half-space
-    /// swap per CNOT instead: the gather's scattered reads thrash the cache
-    /// once the planes outgrow it, while `swap_with_slice` blocks stay
-    /// unit-stride at every size.
+    /// into one permutation gather through reused scratch planes
+    /// (allocation-free after the first run). Larger registers take one
+    /// streaming half-space swap per CNOT instead: the gather's scattered
+    /// reads thrash the cache once the planes outgrow it, while
+    /// `swap_with_slice` blocks stay unit-stride at every size.
     fn apply_cnot_run(&mut self, pairs: &[(usize, usize)]) -> Result<()> {
         for &(c, t) in pairs {
             self.check_controlled(c, t)?;

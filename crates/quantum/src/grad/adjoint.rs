@@ -34,9 +34,13 @@ use crate::observable::{probability_diagonal, weighted_z_sum_diagonal};
 use crate::state::StateVector;
 use crate::tape::{AdjointStep, AdjointStop, CompiledTape};
 
-/// [`vjp_diagonal`] generalized over the simulator [`Backend`]: the forward
-/// run, the backward un-application sweep, and the generator inner products
-/// all execute on `B`'s kernels.
+/// Vector-Jacobian product of `E = ⟨ψ|diag|ψ⟩` with respect to trainable
+/// parameters and embedded inputs, on the simulator [`Backend`] `B`: the
+/// forward run, the backward un-application sweep, and the generator inner
+/// products all execute on `B`'s kernels.
+///
+/// `initial` is the embedded starting state (`None` = `|0…0⟩`). The returned
+/// gradients accumulate over every gate sharing a parameter index.
 ///
 /// This is the **eager, gate-by-gate** reference sweep. The production
 /// training path compiles the circuit once per batch and runs
@@ -95,25 +99,6 @@ pub fn vjp_diagonal_on<B: Backend>(
     Ok(grads)
 }
 
-/// Vector-Jacobian product of `E = ⟨ψ|diag|ψ⟩` with respect to trainable
-/// parameters and embedded inputs, on the dense reference backend.
-///
-/// `initial` is the embedded starting state (`None` = `|0…0⟩`). The returned
-/// gradients accumulate over every gate sharing a parameter index.
-///
-/// # Errors
-///
-/// See [`vjp_diagonal_on`].
-pub fn vjp_diagonal(
-    circuit: &Circuit,
-    params: &[f64],
-    inputs: &[f64],
-    initial: Option<&StateVector>,
-    diag: &[f64],
-) -> Result<CircuitGradients> {
-    vjp_diagonal_on(circuit, params, inputs, initial, diag)
-}
-
 /// [`backward_expectations_z`] generalized over the simulator [`Backend`].
 ///
 /// # Errors
@@ -155,7 +140,9 @@ pub fn backward_expectations_z(
     backward_expectations_z_on(circuit, params, inputs, initial, upstream)
 }
 
-/// [`backward_probabilities`] generalized over the simulator [`Backend`].
+/// Backward pass for a basis-state probability readout on the simulator
+/// [`Backend`] `B`: given the upstream gradient `dL/dp_i` for every basis
+/// state `i`, returns `dL/dθ` and `dL/dx`.
 ///
 /// # Errors
 ///
@@ -170,22 +157,6 @@ pub fn backward_probabilities_on<B: Backend>(
 ) -> Result<CircuitGradients> {
     let diag = probability_diagonal(circuit.n_qubits(), upstream)?;
     vjp_diagonal_on(circuit, params, inputs, initial, &diag)
-}
-
-/// Backward pass for a basis-state probability readout: given the upstream
-/// gradient `dL/dp_i` for every basis state `i`, returns `dL/dθ` and `dL/dx`.
-///
-/// # Errors
-///
-/// See [`backward_probabilities_on`].
-pub fn backward_probabilities(
-    circuit: &Circuit,
-    params: &[f64],
-    inputs: &[f64],
-    initial: Option<&StateVector>,
-    upstream: &[f64],
-) -> Result<CircuitGradients> {
-    backward_probabilities_on(circuit, params, inputs, initial, upstream)
 }
 
 /// `Im⟨bra|G|ket⟩` via the generic clone + [`Gate::apply_generator`] path —
@@ -383,7 +354,7 @@ mod tests {
         let params: Vec<f64> = (0..n).map(|i| 0.1 + 0.13 * i as f64).collect();
         // Loss: sum_i w_i p_i with arbitrary weights.
         let w = [0.5, -1.5, 2.5, 0.25];
-        let g = backward_probabilities(&c, &params, &[], None, &w).unwrap();
+        let g = backward_probabilities_on::<StateVector>(&c, &params, &[], None, &w).unwrap();
         let eps = 1e-6;
         for k in 0..n {
             let mut pp = params.clone();
@@ -477,6 +448,6 @@ mod tests {
     fn rejects_wrong_upstream_length() {
         let c = Circuit::new(2).unwrap();
         assert!(backward_expectations_z(&c, &[], &[], None, &[1.0]).is_err());
-        assert!(backward_probabilities(&c, &[], &[], None, &[1.0; 3]).is_err());
+        assert!(backward_probabilities_on::<StateVector>(&c, &[], &[], None, &[1.0; 3]).is_err());
     }
 }

@@ -66,7 +66,8 @@ where
     jacobian_params_on(circuit, params, inputs, initial, eps, measure)
 }
 
-/// [`jacobian_inputs`] generalized over the simulator [`Backend`].
+/// Jacobian of `measure` with respect to embedded inputs, via central
+/// differences with step `eps` on the simulator [`Backend`] `B`.
 ///
 /// # Errors
 ///
@@ -101,26 +102,6 @@ where
     Ok(jac)
 }
 
-/// Jacobian of `measure` with respect to embedded inputs, via central
-/// differences on the dense reference backend.
-///
-/// # Errors
-///
-/// Returns circuit-execution errors.
-pub fn jacobian_inputs<F>(
-    circuit: &Circuit,
-    params: &[f64],
-    inputs: &[f64],
-    initial: Option<&StateVector>,
-    eps: f64,
-    measure: F,
-) -> Result<Vec<Vec<f64>>>
-where
-    F: Fn(&StateVector) -> Vec<f64>,
-{
-    jacobian_inputs_on(circuit, params, inputs, initial, eps, measure)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,7 +131,7 @@ mod tests {
         let mut c = Circuit::new(1).unwrap();
         c.ry(0, Param::Input(0)).unwrap();
         let x = 0.55;
-        let jac = jacobian_inputs(&c, &[], &[x], None, DEFAULT_EPS, |s| {
+        let jac = jacobian_inputs_on(&c, &[], &[x], None, DEFAULT_EPS, |s: &StateVector| {
             vec![s.expectation_z(0).unwrap()]
         })
         .unwrap();

@@ -57,8 +57,13 @@ fn run_with_override<B: Backend>(
     Ok(state)
 }
 
-/// [`jacobian`] generalized over the simulator [`Backend`]: every shifted
-/// execution runs on `B`'s kernels and `measure` reads the `B` register.
+/// Full Jacobian of a measurement vector with respect to trainable
+/// parameters and inputs, via parameter shifts on the simulator [`Backend`]
+/// `B`: every shifted execution runs on `B`'s kernels.
+///
+/// `measure` maps a final state to the output vector (e.g. per-wire `⟨Z⟩` or
+/// probabilities). Returns `(jac_params, jac_inputs)` where
+/// `jac_params[p][o] = d out_o / d θ_p`.
 ///
 /// # Errors
 ///
@@ -130,30 +135,6 @@ where
     Ok((jac_params, jac_inputs))
 }
 
-/// Full Jacobian of a measurement vector with respect to trainable
-/// parameters and inputs, via parameter shifts on the dense reference
-/// backend.
-///
-/// `measure` maps a final state to the output vector (e.g. per-wire `⟨Z⟩` or
-/// probabilities). Returns `(jac_params, jac_inputs)` where
-/// `jac_params[p][o] = d out_o / d θ_p`.
-///
-/// # Errors
-///
-/// Returns circuit-execution errors.
-pub fn jacobian<F>(
-    circuit: &Circuit,
-    params: &[f64],
-    inputs: &[f64],
-    initial: Option<&StateVector>,
-    measure: F,
-) -> Result<JacobianPair>
-where
-    F: Fn(&StateVector) -> Vec<f64>,
-{
-    jacobian_on(circuit, params, inputs, initial, measure)
-}
-
 /// [`jacobian_expectations_z`] generalized over the simulator [`Backend`].
 ///
 /// # Errors
@@ -187,7 +168,8 @@ pub fn jacobian_expectations_z(
     jacobian_expectations_z_on(circuit, params, inputs, initial)
 }
 
-/// [`jacobian_probabilities`] generalized over the simulator [`Backend`].
+/// Jacobian of the basis-state probability readout on the simulator
+/// [`Backend`] `B`.
 ///
 /// # Errors
 ///
@@ -199,20 +181,6 @@ pub fn jacobian_probabilities_on<B: Backend>(
     initial: Option<&B>,
 ) -> Result<JacobianPair> {
     jacobian_on(circuit, params, inputs, initial, |s: &B| s.probabilities())
-}
-
-/// Jacobian of the basis-state probability readout.
-///
-/// # Errors
-///
-/// Returns circuit-execution errors.
-pub fn jacobian_probabilities(
-    circuit: &Circuit,
-    params: &[f64],
-    inputs: &[f64],
-    initial: Option<&StateVector>,
-) -> Result<JacobianPair> {
-    jacobian_probabilities_on(circuit, params, inputs, initial)
 }
 
 /// Vector-Jacobian product computed by parameter shift (for cross-checking
@@ -310,7 +278,7 @@ mod tests {
         c.extend(strongly_entangling_layers(2, 1, 0, EntangleRange::Ring).unwrap())
             .unwrap();
         let params: Vec<f64> = (0..c.n_params()).map(|i| 0.2 + 0.1 * i as f64).collect();
-        let (jp, _) = jacobian_probabilities(&c, &params, &[], None).unwrap();
+        let (jp, _) = jacobian_probabilities_on::<StateVector>(&c, &params, &[], None).unwrap();
         for row in &jp {
             let s: f64 = row.iter().sum();
             assert!(s.abs() < 1e-10);

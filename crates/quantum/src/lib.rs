@@ -11,10 +11,9 @@
 //! * [`StateVector`] — dense `2^n`-amplitude register with single-qubit,
 //!   controlled, and diagonal kernels plus `⟨Z⟩`/probability measurements.
 //! * [`backend`] — the simulator [`Backend`] trait behind every executor:
-//!   [`DenseBackend`] (the reference semantics), [`FusedDenseBackend`]
-//!   (gate fusion + half-space controlled kernels), and [`SoaDenseBackend`]
-//!   (split re/im planes + cache-blocked SIMD-friendly kernels); the seam
-//!   future GPU/sparse/tensor-network backends plug into.
+//!   [`DenseBackend`] (the reference semantics and default) and
+//!   [`SoaDenseBackend`] (split re/im planes + cache-blocked SIMD-friendly
+//!   kernels); the seam future GPU/sparse/tensor-network backends plug into.
 //! * [`Circuit`] — a gate list with deferred [`Param`] binding (trainable
 //!   parameters vs. embedded input features).
 //! * [`tape`] — the batch-compiled execution pipeline: [`Circuit::compile`]
@@ -69,7 +68,7 @@ pub mod observable;
 pub mod tape;
 pub mod templates;
 
-pub use backend::{Backend, DenseBackend, FusedDenseBackend, SoaDenseBackend};
+pub use backend::{Backend, DenseBackend, SoaDenseBackend};
 pub use circuit::Circuit;
 pub use complex::C64;
 pub use error::{QuantumError, Result};

@@ -104,11 +104,11 @@ impl StateVector {
         &self.amps
     }
 
-    /// Mutable access to the raw amplitude storage, for the optimized
-    /// kernels of [`crate::backend::FusedDenseBackend`]. Crate-internal:
-    /// callers must preserve the length invariant (`2^n_qubits`).
+    /// Mutable access to the raw amplitudes, for the adjoint block kernel
+    /// and the structure-of-arrays conversion. A slice, so no caller can
+    /// break the length invariant (`2^n_qubits`).
     #[inline]
-    pub(crate) fn amps_mut(&mut self) -> &mut Vec<C64> {
+    pub(crate) fn amps_mut(&mut self) -> &mut [C64] {
         &mut self.amps
     }
 

@@ -9,8 +9,7 @@
 //!
 //! * runs of single-qubit gates **pre-fuse** into one 2×2 matrix per wire
 //!   (fusing across gates on *other* wires too, since disjoint single-qubit
-//!   unitaries commute — strictly more fusion than the eager
-//!   [`FusedDenseBackend`](crate::FusedDenseBackend) pass);
+//!   unitaries commute);
 //! * consecutive CNOTs (and SWAPs, as three CNOTs) collapse into one
 //!   [`TapeOp::CnotRun`] permutation;
 //! * controlled phases (`CZ`, `CRZ`) become two pre-resolved **diagonal
@@ -560,7 +559,7 @@ pub(crate) fn compile(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{DenseBackend, FusedDenseBackend};
+    use crate::backend::{DenseBackend, SoaDenseBackend};
     use crate::embed::{angle_embedding_gates, RotationAxis};
     use crate::templates::{strongly_entangling_layers, EntangleRange};
     use crate::StateVector;
@@ -637,8 +636,10 @@ mod tests {
         c.crz(0, 1, Param::Fixed(0.7)).unwrap();
         let tape = c.compile(&[]).unwrap();
         assert_eq!(tape.forward_ops().len(), 1);
-        let fused: FusedDenseBackend = {
-            let mut s = FusedDenseBackend::zero_state(2).unwrap();
+        // The structure-of-arrays backend runs the fused phase through its
+        // own diagonal kernel; the dense reference applies the gates eagerly.
+        let taped: SoaDenseBackend = {
+            let mut s = SoaDenseBackend::zero_state(2).unwrap();
             for w in 0..2 {
                 s.apply_single_qubit(w, &crate::gate::hadamard()).unwrap();
             }
@@ -652,7 +653,7 @@ mod tests {
                 .unwrap();
         }
         dense.apply_ops(c.ops(), &[], &[]).unwrap();
-        for (a, b) in fused
+        for (a, b) in taped
             .to_statevector()
             .amplitudes()
             .iter()

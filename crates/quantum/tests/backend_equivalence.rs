@@ -1,10 +1,10 @@
-//! Backend equivalence: every optimized backend (fused kernels,
-//! structure-of-arrays SIMD) must reproduce the dense reference backend —
-//! forward states, measurements, and adjoint gradients — to ≤ 1e-12 on
-//! randomized circuits, and be fully deterministic for a fixed selection.
+//! Backend equivalence: the structure-of-arrays SIMD backend must reproduce
+//! the dense reference backend — forward states, measurements, and adjoint
+//! gradients — to ≤ 1e-12 on randomized circuits, and every backend must be
+//! fully deterministic for a fixed selection.
 
 use proptest::prelude::*;
-use sqvae_quantum::backend::{Backend, DenseBackend, FusedDenseBackend, SoaDenseBackend};
+use sqvae_quantum::backend::{Backend, DenseBackend, SoaDenseBackend};
 use sqvae_quantum::embed::{amplitude_embedding, angle_embedding_gates, RotationAxis};
 use sqvae_quantum::grad::{adjoint, paramshift};
 use sqvae_quantum::templates::{strongly_entangling_layers, EntangleRange};
@@ -14,7 +14,7 @@ const TOL: f64 = 1e-12;
 
 /// Strategy: a random gate over `n` wires referencing at most `np` trainable
 /// parameters and `ni` input features, spanning every gate kind the
-/// optimized backends specialize (single-qubit runs, CNOTs, controlled
+/// SoA backend specializes (single-qubit runs, CNOTs, controlled
 /// rotations).
 fn arb_gate(n: usize, np: usize, ni: usize) -> impl Strategy<Value = Gate> {
     let wire = 0..n;
@@ -148,7 +148,7 @@ fn check_paramshift_matches_dense<B: Backend>(c: &Circuit, params: &[f64], input
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Fused and SoA forward execution reproduce the dense amplitudes,
+    /// SoA forward execution reproduces the dense amplitudes,
     /// per-wire expectations, and probabilities.
     #[test]
     fn optimized_forward_matches_dense(
@@ -157,12 +157,11 @@ proptest! {
         inputs in proptest::collection::vec(-2.0..2.0f64, 2),
     ) {
         let c = build_circuit(3, gates);
-        check_forward_matches_dense::<FusedDenseBackend>(&c, &params, &inputs);
         check_forward_matches_dense::<SoaDenseBackend>(&c, &params, &inputs);
     }
 
-    /// Fused and SoA adjoint gradients (parameters AND inputs) reproduce
-    /// the dense ones for the ⟨Z⟩ readout.
+    /// SoA adjoint gradients (parameters AND inputs) reproduce the dense
+    /// ones for the ⟨Z⟩ readout.
     #[test]
     fn optimized_adjoint_matches_dense_expectations(
         gates in proptest::collection::vec(arb_gate(3, 4, 2), 1..24),
@@ -171,7 +170,6 @@ proptest! {
         upstream in proptest::collection::vec(-1.5..1.5f64, 3),
     ) {
         let c = build_circuit(3, gates);
-        check_adjoint_matches_dense_expectations::<FusedDenseBackend>(&c, &params, &inputs, &upstream);
         check_adjoint_matches_dense_expectations::<SoaDenseBackend>(&c, &params, &inputs, &upstream);
     }
 
@@ -184,12 +182,11 @@ proptest! {
         upstream in proptest::collection::vec(-1.0..1.0f64, 4),
     ) {
         let c = build_circuit(2, gates);
-        check_adjoint_matches_dense_probabilities::<FusedDenseBackend>(&c, &params, &inputs, &upstream);
         check_adjoint_matches_dense_probabilities::<SoaDenseBackend>(&c, &params, &inputs, &upstream);
     }
 
-    /// Parameter-shift Jacobians executed on the optimized backends agree
-    /// with the dense ones.
+    /// Parameter-shift Jacobians executed on the SoA backend agree with the
+    /// dense ones.
     #[test]
     fn optimized_paramshift_matches_dense(
         gates in proptest::collection::vec(arb_gate(2, 3, 1), 1..12),
@@ -197,15 +194,14 @@ proptest! {
         inputs in proptest::collection::vec(-2.0..2.0f64, 1),
     ) {
         let c = build_circuit(2, gates);
-        check_paramshift_matches_dense::<FusedDenseBackend>(&c, &params, &inputs);
         check_paramshift_matches_dense::<SoaDenseBackend>(&c, &params, &inputs);
     }
 }
 
 /// The paper's baseline encoder circuit — angle embedding plus 3
 /// strongly-entangling layers on 6 qubits — is exactly the shape the
-/// optimized backends specialize (RZ·RY·RZ runs + CNOT ring); pin its
-/// equivalence on all of them.
+/// SoA backend specializes (RZ·RY·RZ runs + CNOT ring); pin its
+/// equivalence there.
 #[test]
 fn paper_template_matches_on_all_backends() {
     let n = 6;
@@ -218,14 +214,11 @@ fn paper_template_matches_on_all_backends() {
     let inputs: Vec<f64> = (0..n).map(|i| 0.3 * i as f64 - 0.8).collect();
     let upstream: Vec<f64> = (0..n).map(|i| 1.0 - 0.4 * i as f64).collect();
 
-    check_forward_matches_dense::<FusedDenseBackend>(&c, &params, &inputs);
     check_forward_matches_dense::<SoaDenseBackend>(&c, &params, &inputs);
-    check_adjoint_matches_dense_expectations::<FusedDenseBackend>(&c, &params, &inputs, &upstream);
     check_adjoint_matches_dense_expectations::<SoaDenseBackend>(&c, &params, &inputs, &upstream);
 }
 
-/// Amplitude-embedded initial states flow through the optimized backends
-/// too.
+/// Amplitude-embedded initial states flow through the SoA backend too.
 #[test]
 fn amplitude_embedded_initial_matches() {
     fn check<B: Backend>() {
@@ -256,7 +249,6 @@ fn amplitude_embedded_initial_matches() {
         .unwrap();
         assert_close(&gd.params, &gf.params, "embedded-initial grads");
     }
-    check::<FusedDenseBackend>();
     check::<SoaDenseBackend>();
 }
 
@@ -268,8 +260,8 @@ fn optimized_backends_are_deterministic() {
     c.extend(strongly_entangling_layers(4, 3, 0, EntangleRange::PennyLane).unwrap())
         .unwrap();
     let params: Vec<f64> = (0..c.n_params()).map(|i| 0.11 * i as f64 - 1.7).collect();
-    let a: FusedDenseBackend = c.run_on(&params, &[], None).unwrap();
-    let b: FusedDenseBackend = c.run_on(&params, &[], None).unwrap();
+    let a: DenseBackend = c.run_on(&params, &[], None).unwrap();
+    let b: DenseBackend = c.run_on(&params, &[], None).unwrap();
     assert_eq!(a, b);
     let a: SoaDenseBackend = c.run_on(&params, &[], None).unwrap();
     let b: SoaDenseBackend = c.run_on(&params, &[], None).unwrap();
@@ -282,7 +274,7 @@ fn optimized_backends_are_deterministic() {
 fn mismatched_initial_is_a_typed_error_everywhere() {
     let mut c = Circuit::new(2).unwrap();
     c.ry(0, Param::Train(0)).unwrap();
-    let wide = FusedDenseBackend::zero_state(3).unwrap();
+    let wide = SoaDenseBackend::zero_state(3).unwrap();
     assert!(matches!(
         c.run_on(&[0.1], &[], Some(&wide)),
         Err(sqvae_quantum::QuantumError::DimensionMismatch { .. })
@@ -293,11 +285,6 @@ fn mismatched_initial_is_a_typed_error_everywhere() {
     ));
     assert!(matches!(
         adjoint::backward_expectations_z_on(&c, &[0.1], &[], Some(&wide), &[1.0, 0.0]),
-        Err(sqvae_quantum::QuantumError::DimensionMismatch { .. })
-    ));
-    let wide = SoaDenseBackend::zero_state(3).unwrap();
-    assert!(matches!(
-        c.run_on(&[0.1], &[], Some(&wide)),
         Err(sqvae_quantum::QuantumError::DimensionMismatch { .. })
     ));
 }

@@ -1,11 +1,10 @@
 //! Compiled-tape equivalence: executing a [`CompiledTape`] must reproduce
 //! eager gate-by-gate execution — forward states, expectations,
 //! probabilities, and adjoint gradients — to ≤ 1e-12 on randomized circuits,
-//! on every backend (dense, fused, SoA), and the tape must be reusable
-//! across rows.
+//! on every backend (dense, SoA), and the tape must be reusable across rows.
 
 use proptest::prelude::*;
-use sqvae_quantum::backend::{Backend, DenseBackend, FusedDenseBackend, SoaDenseBackend};
+use sqvae_quantum::backend::{Backend, DenseBackend, SoaDenseBackend};
 use sqvae_quantum::embed::{angle_embedding_gates, RotationAxis};
 use sqvae_quantum::grad::adjoint;
 use sqvae_quantum::tape::{AdjointStep, AdjointStop};
@@ -83,13 +82,8 @@ proptest! {
         let tape = c.compile(&params).unwrap();
         let eager: DenseBackend = eager_state(&c, &params, &inputs);
         let dense: DenseBackend = tape.execute_on(&inputs, None).unwrap();
-        let fused: FusedDenseBackend = tape.execute_on(&inputs, None).unwrap();
         for (a, b) in eager.amplitudes().iter().zip(dense.amplitudes()) {
             prop_assert!(a.approx_eq(*b, TOL), "dense amplitude {a} vs {b}");
-        }
-        let fused_sv = fused.to_statevector();
-        for (a, b) in eager.amplitudes().iter().zip(fused_sv.amplitudes()) {
-            prop_assert!(a.approx_eq(*b, TOL), "fused amplitude {a} vs {b}");
         }
         let soa: SoaDenseBackend = tape.execute_on(&inputs, None).unwrap();
         let soa_sv = soa.to_statevector();
@@ -108,7 +102,7 @@ proptest! {
         );
         assert_close(
             &Backend::probabilities(&eager),
-            &tape.probabilities_on::<FusedDenseBackend>(&inputs, None).unwrap(),
+            &tape.probabilities_on::<DenseBackend>(&inputs, None).unwrap(),
             "probabilities",
         );
         let mut soa_probs = Vec::new();
@@ -132,14 +126,10 @@ proptest! {
             &c, &params, &inputs, None, &upstream).unwrap();
         let dense = adjoint::backward_expectations_z_tape::<DenseBackend>(
             &tape, &inputs, None, &upstream).unwrap();
-        let fused = adjoint::backward_expectations_z_tape::<FusedDenseBackend>(
-            &tape, &inputs, None, &upstream).unwrap();
         let soa = adjoint::backward_expectations_z_tape::<SoaDenseBackend>(
             &tape, &inputs, None, &upstream).unwrap();
         assert_close(&eager.params, &dense.params, "dense param gradients");
         assert_close(&eager.inputs, &dense.inputs, "dense input gradients");
-        assert_close(&eager.params, &fused.params, "fused param gradients");
-        assert_close(&eager.inputs, &fused.inputs, "fused input gradients");
         assert_close(&eager.params, &soa.params, "soa param gradients");
         assert_close(&eager.inputs, &soa.inputs, "soa input gradients");
     }
@@ -156,7 +146,7 @@ proptest! {
         let tape = c.compile(&params).unwrap();
         let eager = adjoint::backward_probabilities_on::<DenseBackend>(
             &c, &params, &inputs, None, &upstream).unwrap();
-        let taped = adjoint::backward_probabilities_tape::<FusedDenseBackend>(
+        let taped = adjoint::backward_probabilities_tape::<DenseBackend>(
             &tape, &inputs, None, &upstream).unwrap();
         assert_close(&eager.params, &taped.params, "param gradients");
         assert_close(&eager.inputs, &taped.inputs, "input gradients");
@@ -180,11 +170,10 @@ proptest! {
         let tape = c.compile(&params).unwrap();
         for row in &rows {
             let eager: DenseBackend = eager_state(&c, &params, row);
-            let a: FusedDenseBackend = tape.execute_on(row, None).unwrap();
-            let b: FusedDenseBackend = tape.execute_on(row, None).unwrap();
+            let a: DenseBackend = tape.execute_on(row, None).unwrap();
+            let b: DenseBackend = tape.execute_on(row, None).unwrap();
             prop_assert_eq!(&a, &b, "tape re-execution must be deterministic");
-            let a_sv = a.to_statevector();
-            for (x, y) in eager.amplitudes().iter().zip(a_sv.amplitudes()) {
+            for (x, y) in eager.amplitudes().iter().zip(a.amplitudes()) {
                 prop_assert!(x.approx_eq(*y, TOL), "row amplitude {x} vs {y}");
             }
             let s1: SoaDenseBackend = tape.execute_on(row, None).unwrap();
@@ -215,22 +204,20 @@ fn paper_template_tape_matches_eager() {
     let upstream: Vec<f64> = (0..n).map(|i| 1.0 - 0.4 * i as f64).collect();
 
     let tape: CompiledTape = c.compile(&params).unwrap();
-    let eager: FusedDenseBackend = eager_state(&c, &params, &inputs);
+    let eager: DenseBackend = eager_state(&c, &params, &inputs);
     assert_close(
         &c.expectations_z_all(&eager).unwrap(),
         &tape
-            .expectations_z_on::<FusedDenseBackend>(&inputs, None)
+            .expectations_z_on::<DenseBackend>(&inputs, None)
             .unwrap(),
         "paper template expectations",
     );
 
-    let ge = adjoint::backward_expectations_z_on::<FusedDenseBackend>(
-        &c, &params, &inputs, None, &upstream,
-    )
-    .unwrap();
-    let gt =
-        adjoint::backward_expectations_z_tape::<FusedDenseBackend>(&tape, &inputs, None, &upstream)
+    let ge =
+        adjoint::backward_expectations_z_on::<DenseBackend>(&c, &params, &inputs, None, &upstream)
             .unwrap();
+    let gt = adjoint::backward_expectations_z_tape::<DenseBackend>(&tape, &inputs, None, &upstream)
+        .unwrap();
     assert_close(&ge.params, &gt.params, "paper template param grads");
     assert_close(&ge.inputs, &gt.inputs, "paper template input grads");
 
@@ -287,10 +274,8 @@ fn check_block_case(n: usize, gates: &[Gate], blocks: usize, what: &str) {
         "{what}: the case should exercise non-zero gradients"
     );
     let dense = adjoint::vjp_diagonal_tape::<DenseBackend>(&tape, &inputs, None, &diag).unwrap();
-    let fused =
-        adjoint::vjp_diagonal_tape::<FusedDenseBackend>(&tape, &inputs, None, &diag).unwrap();
     let soa = adjoint::vjp_diagonal_tape::<SoaDenseBackend>(&tape, &inputs, None, &diag).unwrap();
-    for (name, g) in [("dense", &dense), ("fused", &fused), ("soa", &soa)] {
+    for (name, g) in [("dense", &dense), ("soa", &soa)] {
         assert_close(&eager.params, &g.params, &format!("{what}: {name} params"));
         assert_close(&eager.inputs, &g.inputs, &format!("{what}: {name} inputs"));
     }
@@ -421,7 +406,7 @@ fn forward_only_tapes_are_rejected_by_the_adjoint_sweep() {
         forward_only
     );
     assert_eq!(
-        adjoint::vjp_diagonal_tape::<FusedDenseBackend>(&tape, &inputs, None, &[1.0; 8]),
+        adjoint::vjp_diagonal_tape::<DenseBackend>(&tape, &inputs, None, &[1.0; 8]),
         forward_only
     );
 }
@@ -434,7 +419,7 @@ fn tape_errors_and_immutability() {
     let mut c = Circuit::new(2).unwrap();
     c.ry(0, Param::Train(0)).unwrap();
     let tape = c.compile(&[0.3]).unwrap();
-    let wide = FusedDenseBackend::zero_state(3).unwrap();
+    let wide = SoaDenseBackend::zero_state(3).unwrap();
     assert!(matches!(
         tape.execute_on(&[], Some(&wide)),
         Err(sqvae_quantum::QuantumError::DimensionMismatch { .. })

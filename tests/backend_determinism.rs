@@ -2,10 +2,10 @@
 //!
 //! For a **fixed** simulator backend, training must be bit-identical across
 //! every `SQVAE_THREADS` setting (extending `tests/parallel_determinism.rs`
-//! to the fused and SoA backends and the parallel patch bank). **Across**
-//! backends, the optimized kernels reorder floating-point arithmetic, so
-//! runs agree to high precision rather than bit-for-bit; short trainings
-//! stay within tight tolerances.
+//! to the SoA backend and the parallel patch bank). **Across** backends,
+//! the SoA kernels reorder floating-point arithmetic, so runs agree to high
+//! precision rather than bit-for-bit; short trainings stay within tight
+//! tolerances.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -58,7 +58,7 @@ fn train_with(
 }
 
 fn assert_backend_thread_matrix(make: fn(&mut StdRng) -> Autoencoder) {
-    for backend in [BackendKind::Dense, BackendKind::Fused, BackendKind::Soa] {
+    for backend in [BackendKind::Dense, BackendKind::Soa] {
         let baseline = train_with(make, backend, Threads::Off);
         assert_eq!(baseline.0.len(), 2);
         assert!(baseline.1.iter().all(|v| v.is_finite()));
@@ -75,14 +75,12 @@ fn assert_backend_thread_matrix(make: fn(&mut StdRng) -> Autoencoder) {
     // Across backends: same physics, reordered arithmetic. Two short epochs
     // keep the drift many orders below anything training-relevant.
     let dense = train_with(make, BackendKind::Dense, Threads::Off);
-    for backend in [BackendKind::Fused, BackendKind::Soa] {
-        let other = train_with(make, backend, Threads::Off);
-        for (a, b) in dense.0.iter().zip(&other.0) {
-            assert!((a - b).abs() < 1e-9, "{backend:?} epoch MSE {a} vs {b}");
-        }
-        for (a, b) in dense.1.iter().zip(&other.1) {
-            assert!((a - b).abs() < 1e-9, "{backend:?} final param {a} vs {b}");
-        }
+    let soa = train_with(make, BackendKind::Soa, Threads::Off);
+    for (a, b) in dense.0.iter().zip(&soa.0) {
+        assert!((a - b).abs() < 1e-9, "soa epoch MSE {a} vs {b}");
+    }
+    for (a, b) in dense.1.iter().zip(&soa.1) {
+        assert!((a - b).abs() < 1e-9, "soa final param {a} vs {b}");
     }
 }
 
@@ -109,13 +107,8 @@ fn evaluation_is_backend_consistent() {
     };
     let dense = evaluate(BackendKind::Dense);
     assert!(dense.is_finite());
-    for backend in [BackendKind::Fused, BackendKind::Soa] {
-        let other = evaluate(backend);
-        assert!(
-            (dense - other).abs() < 1e-10,
-            "{backend:?}: {dense} vs {other}"
-        );
-    }
+    let soa = evaluate(BackendKind::Soa);
+    assert!((dense - soa).abs() < 1e-10, "soa: {dense} vs {soa}");
 }
 
 #[test]
@@ -129,7 +122,7 @@ fn tape_reuse_matrix_is_deterministic() {
     let x = Matrix::from_fn(6, 3, |i, j| 0.21 * ((i % 3) as f64) - 0.13 * (j as f64));
     let g = Matrix::from_fn(6, 3, |i, j| 0.17 * ((i % 3) as f64) + 0.05 * (j as f64));
     // Rows 0..3 repeat as rows 3..6 (both in inputs and upstream grads).
-    for backend in [BackendKind::Dense, BackendKind::Fused, BackendKind::Soa] {
+    for backend in [BackendKind::Dense, BackendKind::Soa] {
         let run = |threads: Threads| {
             let mut rng = StdRng::seed_from_u64(17);
             let mut layer = QuantumLayer::new(
@@ -163,24 +156,4 @@ fn tape_reuse_matrix_is_deterministic() {
             );
         }
     }
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_setters_still_reach_every_stage() {
-    // The pre-PR 6 per-knob API must keep steering the execution policy
-    // (deprecated thin wrappers, not removals).
-    let data = toy_dataset(6, 16, 61);
-    let evaluate = |via_policy: bool| {
-        let mut rng = StdRng::seed_from_u64(60);
-        let mut model = models::sq_vae(16, 2, 1, &mut rng);
-        if via_policy {
-            model.set_exec_policy(ExecPolicy::new(Threads::Fixed(2), BackendKind::Fused));
-        } else {
-            model.set_threads(Threads::Fixed(2));
-            model.set_backend(BackendKind::Fused);
-        }
-        Trainer::evaluate_batched(&mut model, &data, 3).unwrap()
-    };
-    assert_eq!(evaluate(true), evaluate(false));
 }
