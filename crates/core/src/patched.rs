@@ -7,6 +7,13 @@
 //! measures per-wire `⟨Z⟩`, so the latent space dimension grows to
 //! `LSD = p · log2(1024/p)` — 18, 32, 56, 96 for p = 2, 4, 8, 16 — instead
 //! of the baseline's 10.
+//!
+//! The sub-circuits are small (7 qubits at p = 8), so one `(patch, row)`
+//! simulation costs microseconds. The bank therefore runs its whole
+//! patch × row grid as one call on the process-wide compute pool
+//! ([`sqvae_nn::parallel`]), whose persistent helpers and calling thread
+//! claim work items one at a time; no thread is spawned per pass, and the
+//! results are bit-identical to the sequential loop.
 
 use crate::quantum_layer::{QuantumInput, QuantumLayer, QuantumOutput};
 use rand::Rng;
@@ -154,8 +161,8 @@ impl PatchedQuantumLayer {
     /// (forward-only for `forward`, with the adjoint program for
     /// `backward`). Patch circuits are structurally identical but carry
     /// independent trainable angles, so each patch gets its own tape; all of
-    /// them are shared immutably across the flattened patch × row worker
-    /// pool.
+    /// them are shared immutably by every thread of the flattened
+    /// patch × row pool call.
     fn compile_tapes(&self, compile: fn(&QuantumLayer) -> CompiledTape) -> Vec<CompiledTape> {
         self.patches.iter().map(compile).collect()
     }
@@ -165,8 +172,8 @@ impl Module for PatchedQuantumLayer {
     /// Forward pass: each patch circuit is compiled once into a
     /// [`CompiledTape`], then every `(patch, row)` pair is an independent
     /// replay of its patch's tape, so the bank flattens the whole
-    /// patch × batch grid into one patch-major work list and shards it
-    /// across threads with [`parallel::fill_rows`] — a single pool over
+    /// patch × batch grid into one patch-major work list and shards it on
+    /// the compute pool with [`parallel::fill_rows`] — one pool call over
     /// both axes, no nesting, and the same per-row body as
     /// [`QuantumLayer`]'s own forward. Results land in fixed `(patch, row)`
     /// slots, so parallel execution is bit-identical to sequential.
@@ -258,8 +265,9 @@ impl Module for PatchedQuantumLayer {
     fn set_exec_policy(&mut self, policy: ExecPolicy) {
         // The bank shards the flattened patch × row grid itself; patches
         // run their own rows inline (a row reaching a patch here is exactly
-        // one work item), so no nested pools ever form. The backend knob is
-        // forwarded so every patch's tape replays on the same simulator.
+        // one work item), so no nested pool calls ever form. The backend
+        // knob is forwarded so every patch's tape replays on the same
+        // simulator.
         self.threads = policy.threads;
         for patch in &mut self.patches {
             patch.set_exec_policy(policy);

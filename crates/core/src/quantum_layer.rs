@@ -11,10 +11,12 @@
 //! row; backward runs one tape adjoint pass per row against the
 //! upstream-weighted diagonal observable.
 //!
-//! Batch rows are independent simulations, so both passes shard rows across
-//! OS threads according to the layer's [`ExecPolicy`] threads knob (default
-//! [`sqvae_nn::Threads::Off`]; the trainer propagates its configured
-//! policy). The shared tape is immutable and crosses shard boundaries by
+//! Batch rows are independent simulations, so both passes shard rows on
+//! the process-wide compute pool ([`sqvae_nn::parallel`]) according to the
+//! layer's [`ExecPolicy`] threads knob (default [`sqvae_nn::Threads::Off`];
+//! the trainer propagates its configured policy). The calling thread and
+//! the pool's persistent helpers claim rows one at a time; no thread is
+//! spawned per pass. The shared tape is immutable and crosses threads by
 //! reference. Per-row results land in preallocated row slots and gradients
 //! accumulate in fixed row order, so the parallel path is bit-identical to
 //! the sequential one.
@@ -221,12 +223,12 @@ impl QuantumLayer {
 
     /// One batch row's forward simulation: replays `tape` on the configured
     /// backend and writes the row's outputs into `slot` through the
-    /// worker-local `scratch` buffer — the allocation-free per-row body of
+    /// thread-local `scratch` buffer — the allocation-free per-row body of
     /// the `fill_rows` sharding in [`Module::forward`] here and in
     /// [`crate::PatchedQuantumLayer`] (crate-internal for the same reason as
     /// [`Self::compile_tape`]). Probability readout goes through
     /// [`CompiledTape::probabilities_into_on`], so the `2^n`-wide buffer is
-    /// reused across every row a worker owns.
+    /// reused across every row one thread runs in the pass.
     pub(crate) fn forward_row_tape_into(
         &self,
         tape: &CompiledTape,
@@ -326,10 +328,10 @@ impl Module for QuantumLayer {
     fn forward(&mut self, input: &Matrix) -> Result<Matrix, NnError> {
         self.check_width(input)?;
         // Lower the circuit once for the whole batch (forward program only);
-        // every row (and every worker thread) replays the same immutable
-        // tape by reference. Rows write straight into the output matrix (one
-        // worker per contiguous row block), and the probability readout
-        // reuses one scratch buffer per worker instead of allocating per row.
+        // every row (and every pool thread) replays the same immutable tape
+        // by reference. Rows write straight into the output matrix, and the
+        // probability readout reuses one scratch buffer per participating
+        // thread instead of allocating per row.
         let tape = self.compile_forward_tape();
         let mut out = Matrix::zeros(input.rows(), self.out_features());
         parallel::fill_rows(

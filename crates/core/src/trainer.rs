@@ -41,10 +41,11 @@ pub struct TrainConfig {
     /// this many consecutive epochs (requires a test set; `None` disables).
     pub early_stop_patience: Option<usize>,
     /// Batch-row parallelism for the quantum layers: rows of each mini-batch
-    /// are sharded across OS threads during the statevector forward runs and
-    /// adjoint backward passes. Results are bit-identical to sequential
-    /// execution for any setting. Defaults to [`Threads::from_env`]
-    /// (`SQVAE_THREADS`: `auto`, `off`/`0`, or a thread count).
+    /// are sharded on the shared compute pool ([`sqvae_nn::parallel`])
+    /// during the statevector forward runs and adjoint backward passes.
+    /// Results are bit-identical to sequential execution for any setting.
+    /// Defaults to [`Threads::from_env`] (`SQVAE_THREADS`: `auto`,
+    /// `off`/`0`, or a thread count).
     pub threads: Threads,
     /// Simulator backend for the quantum layers: `dense` is the reference
     /// statevector kernels and the fastest at the paper's 5–7-qubit patches,

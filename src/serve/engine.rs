@@ -54,7 +54,10 @@ impl std::fmt::Debug for BatchEngine {
 
 impl BatchEngine {
     /// An empty engine whose coalesced batches hold at most
-    /// `max_batch_rows` rows (sized to the `map_rows` sharding sweet spot).
+    /// `max_batch_rows` rows. Each batch runs as one model call whose
+    /// quantum layers fan the rows out on the shared compute pool
+    /// ([`sqvae_nn::parallel`]); a pool call costs microseconds, so even a
+    /// single-row batch pays no thread spawn.
     ///
     /// # Panics
     ///

@@ -7,8 +7,8 @@
 //!   keyed by checkpoint path, a request queue, and a coalescer that merges
 //!   single `encode` / `decode` / `sample` / `reconstruct` requests
 //!   targeting the same model into one batched forward pass. Every model
-//!   call is row-independent (the quantum layers shard batch rows via
-//!   `map_rows` with a bit-identical guarantee), so a coalesced batch
+//!   call is row-independent (the quantum layers shard batch rows on the
+//!   shared compute pool with a bit-identical guarantee), so a coalesced batch
 //!   returns exactly the bytes the same requests would produce one at a
 //!   time.
 //! * The dispatcher (`dispatch`) — routes each request to a home worker by

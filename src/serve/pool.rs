@@ -52,15 +52,6 @@ pub fn workers_from_env() -> Threads {
     }
 }
 
-/// Number of pool workers a [`Threads`] policy resolves to.
-fn resolve_pool_size(workers: Threads) -> usize {
-    match workers {
-        Threads::Off => 1,
-        Threads::Fixed(n) => n.max(1),
-        Threads::Auto => std::thread::available_parallelism().map_or(1, |n| n.get()),
-    }
-}
-
 /// Configuration for [`InferenceServer::start`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
@@ -407,7 +398,7 @@ impl std::fmt::Debug for InferenceServer {
 impl InferenceServer {
     /// Spawns the worker pool and returns the handle clients submit to.
     pub fn start(config: ServerConfig) -> Self {
-        let pool_size = resolve_pool_size(config.workers);
+        let pool_size = config.workers.resolve(usize::MAX);
         let shared = Arc::new(Shared {
             state: Mutex::new(PoolState::new(pool_size)),
             work_cvs: (0..pool_size).map(|_| Condvar::new()).collect(),
