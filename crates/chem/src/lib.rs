@@ -16,7 +16,7 @@
 //! * [`rings`] — SSSR-approximate ring perception (aromatic rings,
 //!   macrocycles, fusion).
 //! * [`smiles`] — a writer/parser pair for human-readable inspection.
-//! * [`properties`] — QED / logP / SA scorers with MolGAN-style [0,1]
+//! * [`properties`] — QED / logP / SA scorers with MolGAN-style \[0,1\]
 //!   normalization (Table II's metrics). Each scorer documents how it
 //!   substitutes for its RDKit counterpart.
 //!

@@ -1,10 +1,10 @@
 //! Drug-property metrics (the paper's Table II scorers).
 //!
-//! Three metrics, each in a raw and a MolGAN-style [0,1]-normalized form
+//! Three metrics, each in a raw and a MolGAN-style \[0,1\]-normalized form
 //! (the paper's Table II reports the normalized scale, where *higher is
 //! better* for every column):
 //!
-//! * **QED** — quantitative estimate of druglikeness, already in [0,1].
+//! * **QED** — quantitative estimate of druglikeness, already in \[0,1\].
 //! * **logP** — Wildman–Crippen octanol-water partition coefficient,
 //!   normalized with MolGAN's clipping range.
 //! * **SA** — synthetic accessibility (1 easy … 10 hard), normalized and
@@ -24,12 +24,12 @@ use crate::rings::perceive_rings;
 const LOGP_MIN: f64 = -2.12178879609;
 const LOGP_MAX: f64 = 6.0429063424;
 
-/// logP mapped to [0,1] by clipping to MolGAN's range and rescaling.
+/// logP mapped to \[0,1\] by clipping to MolGAN's range and rescaling.
 pub fn normalized_logp(raw: f64) -> f64 {
     (raw.clamp(LOGP_MIN, LOGP_MAX) - LOGP_MIN) / (LOGP_MAX - LOGP_MIN)
 }
 
-/// SA (1 … 10) mapped to [0,1] with 1.0 = easiest to synthesize.
+/// SA (1 … 10) mapped to \[0,1\] with 1.0 = easiest to synthesize.
 pub fn normalized_sa(raw: f64) -> f64 {
     ((10.0 - raw) / 9.0).clamp(0.0, 1.0)
 }
@@ -37,15 +37,15 @@ pub fn normalized_sa(raw: f64) -> f64 {
 /// All Table II metrics for one molecule.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DrugProperties {
-    /// QED in [0,1].
+    /// QED in \[0,1\].
     pub qed: f64,
     /// Raw Wildman–Crippen logP.
     pub logp_raw: f64,
-    /// Normalized logP in [0,1].
+    /// Normalized logP in \[0,1\].
     pub logp: f64,
-    /// Raw SA score in [1,10].
+    /// Raw SA score in \[1,10\].
     pub sa_raw: f64,
-    /// Normalized SA in [0,1] (higher = easier).
+    /// Normalized SA in \[0,1\] (higher = easier).
     pub sa: f64,
 }
 

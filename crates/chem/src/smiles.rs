@@ -157,7 +157,7 @@ fn write_atom(
     }
 }
 
-/// Parses a SMILES string produced by [`write`] (uppercase atoms, explicit
+/// Parses a SMILES string produced by [`write`](fn@write) (uppercase atoms, explicit
 /// `:` aromatic bonds, digit/`%nn` ring closures, `.` separators).
 ///
 /// # Errors

@@ -146,14 +146,17 @@ impl Autoencoder {
     /// Evaluation-mode encoding: maps inputs to latent vectors. VAEs return
     /// the posterior mean `μ` (no sampling).
     ///
+    /// Like every evaluation path here, this runs [`Module::infer`], so the
+    /// stacks keep nothing (no simulator registers, no layer inputs).
+    ///
     /// # Errors
     ///
     /// Returns shape errors from any stage.
     pub fn encode(&mut self, input: &Matrix) -> Result<Matrix, NnError> {
-        let h = self.encoder.forward(input)?;
+        let h = self.encoder.infer(input)?;
         match &mut self.latent {
             Latent::Identity => Ok(h),
-            Latent::Linear(l) => l.forward(&h),
+            Latent::Linear(l) => l.infer(&h),
             Latent::Gaussian(g) => g.forward_mean(&h),
         }
     }
@@ -166,7 +169,7 @@ impl Autoencoder {
     /// Returns shape errors from any stage.
     pub fn reconstruct(&mut self, input: &Matrix) -> Result<Matrix, NnError> {
         let z = self.encode(input)?;
-        self.decoder.forward(&z)
+        self.decoder.infer(&z)
     }
 
     /// Backward pass for the ELBO: takes `dL_recon/d(reconstruction)` and
@@ -194,7 +197,7 @@ impl Autoencoder {
     ///
     /// Returns shape errors when `z` width mismatches the decoder.
     pub fn decode(&mut self, z: &Matrix) -> Result<Matrix, NnError> {
-        self.decoder.forward(z)
+        self.decoder.infer(z)
     }
 
     /// Draws `n` latent vectors `z ~ N(0, I)` without decoding them.

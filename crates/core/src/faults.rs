@@ -6,7 +6,7 @@
 //! systems break:
 //!
 //! * [`FaultPoint::WorkerPanic`] — the inference worker panics mid-batch
-//!   (exercises the supervisor + [`WorkerGone`] paths).
+//!   (exercises the supervisor + `ServeError::WorkerGone` paths).
 //! * [`FaultPoint::QueueSaturation`] — a submission is refused as if the
 //!   bounded queue were full (exercises backpressure + client retry).
 //! * [`FaultPoint::CheckpointFlip`] / [`FaultPoint::CheckpointTruncate`] —

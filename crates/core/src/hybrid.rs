@@ -91,6 +91,14 @@ impl Module for HybridStack {
         Ok(x)
     }
 
+    fn infer(&self, input: &Matrix) -> Result<Matrix, NnError> {
+        let mut x = input.clone();
+        for (_, stage) in &self.stages {
+            x = stage.infer(&x)?;
+        }
+        Ok(x)
+    }
+
     fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix, NnError> {
         let mut g = grad_output.clone();
         for (_, stage) in self.stages.iter_mut().rev() {

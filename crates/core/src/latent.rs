@@ -96,19 +96,21 @@ impl GaussianLatent {
         Ok(z)
     }
 
-    /// The deterministic latent code `μ(h)` (used at evaluation time).
+    /// The deterministic latent code `μ(h)` (used at evaluation time); the
+    /// head runs [`Module::infer`], so it keeps nothing.
     ///
     /// Invalidates any cached sample: a `backward` call must always pair
-    /// with the *immediately preceding* `forward_sample`, and `mu_head`'s
-    /// internal activations were just overwritten by this forward, so a
-    /// stale cache would silently mix two different forward passes.
+    /// with the *immediately preceding* `forward_sample`, and an evaluation
+    /// pass in between ends that pairing, so `backward` reports
+    /// [`NnError::BackwardBeforeForward`] instead of differentiating a
+    /// sample older than the evaluation.
     ///
     /// # Errors
     ///
     /// Returns shape errors when `hidden` width mismatches the heads.
     pub fn forward_mean(&mut self, hidden: &Matrix) -> Result<Matrix, NnError> {
         self.cached = None;
-        self.mu_head.forward(hidden)
+        self.mu_head.infer(hidden)
     }
 
     /// KL divergence of the most recent [`GaussianLatent::forward_sample`].

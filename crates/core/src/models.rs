@@ -12,7 +12,7 @@
 //! encoder and a full-width FC after the quantum decoder. With the paper's
 //! 64-feature / 6-qubit / 3-layer baseline this accounting reproduces
 //! Table I's quantum counts exactly (108) and its classical counts for the
-//! hybrid variants (4202 / 4286 = 42 + 84·[VAE] + 4160).
+//! hybrid variants (4202 / 4286 = 42 + 84·\[VAE\] + 4160).
 
 use crate::autoencoder::Autoencoder;
 use crate::hybrid::HybridStack;

@@ -14,11 +14,16 @@
 //! ([`sqvae_nn::parallel`]), whose persistent helpers and calling thread
 //! claim work items one at a time; no thread is spawned per pass, and the
 //! results are bit-identical to the sequential loop.
+//!
+//! Like a single [`QuantumLayer`], the bank's training forward compiles
+//! one tape per patch, with its adjoint program, simulates every work item
+//! once, and keeps each item's final register (2 KiB at 7 qubits); its
+//! backward runs only the adjoint sweeps from those registers and consumes
+//! them. The evaluation forward ([`Module::infer`]) keeps nothing.
 
-use crate::quantum_layer::{QuantumInput, QuantumLayer, QuantumOutput};
+use crate::quantum_layer::{self, Kept, QuantumInput, QuantumLayer, QuantumOutput};
 use rand::Rng;
-use sqvae_nn::{parallel, ExecPolicy, Matrix, Module, NnError, ParamTensor, Threads};
-use sqvae_quantum::CompiledTape;
+use sqvae_nn::{ExecPolicy, Matrix, Module, NnError, ParamTensor};
 
 /// Latent space dimension of a patched encoder over `input_dim` features
 /// with `p` patches: `p · log2(input_dim / p)`.
@@ -67,8 +72,8 @@ pub struct PatchedQuantumLayer {
     patches: Vec<QuantumLayer>,
     in_per_patch: usize,
     out_per_patch: usize,
-    threads: Threads,
-    cached_slices: Option<Vec<Matrix>>,
+    exec: ExecPolicy,
+    kept: Option<Kept>,
 }
 
 impl PatchedQuantumLayer {
@@ -104,8 +109,8 @@ impl PatchedQuantumLayer {
             patches,
             in_per_patch: per_patch,
             out_per_patch: n_qubits,
-            threads: Threads::Off,
-            cached_slices: None,
+            exec: ExecPolicy::default(),
+            kept: None,
         }
     }
 
@@ -137,8 +142,8 @@ impl PatchedQuantumLayer {
             patches,
             in_per_patch: n_qubits,
             out_per_patch: n_qubits,
-            threads: Threads::Off,
-            cached_slices: None,
+            exec: ExecPolicy::default(),
+            kept: None,
         }
     }
 
@@ -157,102 +162,52 @@ impl PatchedQuantumLayer {
         self.out_per_patch * self.patches.len()
     }
 
-    /// Lowers every patch's circuit once for a batch pass with `compile`
-    /// (forward-only for `forward`, with the adjoint program for
-    /// `backward`). Patch circuits are structurally identical but carry
-    /// independent trainable angles, so each patch gets its own tape; all of
-    /// them are shared immutably by every thread of the flattened
-    /// patch × row pool call.
-    fn compile_tapes(&self, compile: fn(&QuantumLayer) -> CompiledTape) -> Vec<CompiledTape> {
-        self.patches.iter().map(compile).collect()
-    }
-}
-
-impl Module for PatchedQuantumLayer {
-    /// Forward pass: each patch circuit is compiled once into a
-    /// [`CompiledTape`], then every `(patch, row)` pair is an independent
-    /// replay of its patch's tape, so the bank flattens the whole
-    /// patch × batch grid into one patch-major work list and shards it on
-    /// the compute pool with [`parallel::fill_rows`] — one pool call over
-    /// both axes, no nesting, and the same per-row body as
-    /// [`QuantumLayer`]'s own forward. Results land in fixed `(patch, row)`
-    /// slots, so parallel execution is bit-identical to sequential.
-    fn forward(&mut self, input: &Matrix) -> Result<Matrix, NnError> {
+    fn check_width(&self, input: &Matrix) -> Result<(), NnError> {
         if input.cols() != self.in_features() {
             return Err(NnError::ShapeMismatch {
                 expected: (input.rows(), self.in_features()),
                 actual: input.shape(),
             });
         }
-        let p = self.patches.len();
-        let rows = input.rows();
-        let slices: Vec<Matrix> = (0..p)
-            .map(|k| input.columns(k * self.in_per_patch, (k + 1) * self.in_per_patch))
-            .collect::<Result<_, _>>()?;
-        let tapes = self.compile_tapes(QuantumLayer::compile_forward_tape);
-        let patches = &self.patches;
-        let width = self.out_per_patch;
-        let mut results = vec![0.0; p * rows * width];
-        parallel::fill_rows(
-            &mut results,
-            width,
-            self.threads,
-            Vec::new,
-            |idx, scratch, slot| {
-                let (k, r) = (idx / rows, idx % rows);
-                patches[k].forward_row_tape_into(&tapes[k], slices[k].row(r), scratch, slot);
-            },
-        );
-        let mut out = Matrix::zeros(rows, self.out_features());
-        for (idx, patch_row) in results.chunks_exact(width).enumerate() {
-            let (k, r) = (idx / rows, idx % rows);
-            out.row_mut(r)[k * width..(k + 1) * width].copy_from_slice(patch_row);
-        }
-        self.cached_slices = Some(slices);
+        Ok(())
+    }
+}
+
+impl Module for PatchedQuantumLayer {
+    /// Training forward: each patch circuit is compiled once into a
+    /// [`sqvae_quantum::CompiledTape`] with its adjoint program, then every
+    /// `(patch, row)` pair is an independent replay of its patch's tape, so
+    /// the bank flattens the whole patch × batch grid into one patch-major
+    /// work list and shards it on the compute pool — one pool call over
+    /// both axes, no nesting. Outputs land in fixed `(patch, row)` slots, so
+    /// parallel execution is bit-identical to sequential, and every work
+    /// item's final register is kept for [`Module::backward`].
+    fn forward(&mut self, input: &Matrix) -> Result<Matrix, NnError> {
+        self.check_width(input)?;
+        self.kept = None;
+        let (out, kept) = quantum_layer::forward_bank(&self.patches, input, self.exec);
+        self.kept = Some(kept);
         Ok(out)
     }
 
-    /// Backward pass, sharded like [`PatchedQuantumLayer::forward`].
-    /// Gradients accumulate per patch in fixed row order, preserving the
-    /// bit-identical determinism guarantee.
+    fn infer(&self, input: &Matrix) -> Result<Matrix, NnError> {
+        self.check_width(input)?;
+        Ok(quantum_layer::infer_bank(&self.patches, input, self.exec))
+    }
+
+    /// Backward pass: the adjoint sweeps of the kept registers, sharded
+    /// like [`PatchedQuantumLayer::forward`]. Gradients accumulate per
+    /// patch in fixed row order, preserving the bit-identical determinism
+    /// guarantee.
     fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix, NnError> {
-        let slices = self
-            .cached_slices
-            .take()
-            .ok_or(NnError::BackwardBeforeForward)?;
-        let rows = slices.first().map_or(0, Matrix::rows);
-        if grad_output.cols() != self.out_features() || grad_output.rows() != rows {
-            self.cached_slices = Some(slices);
-            return Err(NnError::ShapeMismatch {
-                expected: (rows, self.out_features()),
-                actual: grad_output.shape(),
-            });
-        }
-        let p = self.patches.len();
-        let grad_slices: Vec<Matrix> = (0..p)
-            .map(|k| grad_output.columns(k * self.out_per_patch, (k + 1) * self.out_per_patch))
-            .collect::<Result<_, _>>()?;
-        let tapes = self.compile_tapes(QuantumLayer::compile_tape);
-        let patches = &self.patches;
-        let per = parallel::map_rows(p * rows, self.threads, |idx| {
-            let (k, r) = (idx / rows, idx % rows);
-            patches[k].backward_row_tape(&tapes[k], slices[k].row(r), grad_slices[k].row(r))
-        });
-        let mut grad_input = Matrix::zeros(rows, self.in_features());
-        for (k, patch) in self.patches.iter_mut().enumerate() {
-            let cols = k * self.in_per_patch..(k + 1) * self.in_per_patch;
-            for r in 0..rows {
-                let grads = &per[k * rows + r];
-                patch.accumulate_param_grads(&grads.params);
-                // Input gradients exist only for the differentiable angle
-                // embedding; amplitude-embedded raw data gets zeros.
-                if matches!(patch.input_mode(), QuantumInput::Angle) {
-                    grad_input.row_mut(r)[cols.clone()].copy_from_slice(&grads.inputs);
-                }
-            }
-        }
-        self.cached_slices = Some(slices);
-        Ok(grad_input)
+        let width = self.out_features();
+        let kept = Kept::take_for(&mut self.kept, grad_output, width)?;
+        Ok(quantum_layer::backward_bank(
+            &mut self.patches,
+            kept,
+            grad_output,
+            self.exec.threads,
+        ))
     }
 
     fn parameters(&mut self) -> Vec<&mut ParamTensor> {
@@ -263,15 +218,10 @@ impl Module for PatchedQuantumLayer {
     }
 
     fn set_exec_policy(&mut self, policy: ExecPolicy) {
-        // The bank shards the flattened patch × row grid itself; patches
-        // run their own rows inline (a row reaching a patch here is exactly
-        // one work item), so no nested pool calls ever form. The backend
-        // knob is forwarded so every patch's tape replays on the same
-        // simulator.
-        self.threads = policy.threads;
-        for patch in &mut self.patches {
-            patch.set_exec_policy(policy);
-        }
+        // The bank shards the flattened patch × row grid itself and picks
+        // the backend for every patch, so its own policy is the only one
+        // its passes read.
+        self.exec = policy;
     }
 }
 
@@ -280,6 +230,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use sqvae_nn::Threads;
 
     #[test]
     fn latent_dims_match_paper() {
@@ -393,5 +344,85 @@ mod tests {
         assert!(enc.forward(&Matrix::zeros(1, 10)).is_err());
         enc.forward(&Matrix::filled(1, 16, 0.1)).unwrap();
         assert!(enc.backward(&Matrix::zeros(1, 5)).is_err());
+    }
+
+    #[test]
+    fn kept_register_backward_equals_the_re_executing_oracle_bitwise() {
+        use crate::quantum_layer::oracle;
+        use sqvae_nn::BackendKind;
+        type Build = fn(&mut StdRng) -> PatchedQuantumLayer;
+        let banks: [(&str, Build, usize); 2] = [
+            (
+                "amplitude_encoder",
+                |rng| PatchedQuantumLayer::amplitude_encoder(32, 4, 2, rng),
+                32,
+            ),
+            (
+                "angle_decoder",
+                |rng| PatchedQuantumLayer::angle_decoder(9, 3, 2, rng),
+                9,
+            ),
+        ];
+        for (name, build, width) in banks {
+            let x = Matrix::from_fn(5, width, |i, j| 0.07 * (i * width + j) as f64 - 0.4);
+            for backend in [BackendKind::Dense, BackendKind::Soa] {
+                for threads in [Threads::Off, Threads::Fixed(3)] {
+                    let mut bank = build(&mut StdRng::seed_from_u64(12));
+                    bank.set_exec_policy(ExecPolicy { threads, backend });
+                    let y = bank.forward(&x).unwrap();
+                    let g = Matrix::from_fn(5, y.cols(), |i, j| 0.25 * i as f64 - 0.05 * j as f64);
+                    let gin = bank.backward(&g).unwrap();
+                    let (params, want_gin) = oracle::bank_gradients(&bank.patches, backend, &x, &g);
+                    let case = format!("{name} {backend:?} {threads:?}");
+                    let got: Vec<Vec<f64>> = bank
+                        .parameters()
+                        .iter()
+                        .map(|p| p.grad.as_slice().to_vec())
+                        .collect();
+                    assert_eq!(got, params, "{case}");
+                    assert_eq!(gin, want_gin, "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn backward_differentiates_the_forward_that_ran_once() {
+        use sqvae_nn::{Adam, Optimizer};
+        let fresh = || PatchedQuantumLayer::angle_decoder(6, 2, 2, &mut StdRng::seed_from_u64(8));
+        let x = Matrix::from_fn(3, 6, |i, j| 0.3 * i as f64 - 0.2 * j as f64);
+        let g = Matrix::from_fn(3, 6, |i, j| 0.1 * (i + j) as f64 - 0.3);
+        let mut reference = fresh();
+        reference.forward(&x).unwrap();
+        let want_gin = reference.backward(&g).unwrap();
+        let want: Vec<Matrix> = reference
+            .parameters()
+            .iter()
+            .map(|p| p.grad.clone())
+            .collect();
+
+        let mut stepped = fresh();
+        stepped.forward(&x).unwrap();
+        for p in stepped.parameters() {
+            p.grad.fill(1.0);
+        }
+        Adam::new(0.1).step(&mut stepped.parameters()).unwrap();
+        stepped.zero_grad();
+        assert_eq!(stepped.backward(&g).unwrap(), want_gin);
+        let got: Vec<Matrix> = stepped
+            .parameters()
+            .iter()
+            .map(|p| p.grad.clone())
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(
+            stepped.backward(&g).unwrap_err(),
+            NnError::BackwardBeforeForward
+        );
+
+        let mut retried = fresh();
+        retried.forward(&x).unwrap();
+        assert!(retried.backward(&Matrix::zeros(3, 5)).is_err());
+        assert_eq!(retried.backward(&g).unwrap(), want_gin);
     }
 }

@@ -4,32 +4,43 @@
 //! backpropagate through each other exactly as the paper's hybrid
 //! architecture requires. Each pass first **compiles the circuit once per
 //! batch** into a [`CompiledTape`] — parameters bound, commuting
-//! single-qubit gates pre-fused, CNOT runs flattened, and (for backward
-//! only) the adjoint sweep pre-inverted into rotation blocks — and every
-//! batch row then replays that tape, so the per-gate lowering work is paid
-//! once instead of once per row. Forward executes a forward-only tape per
-//! row; backward runs one tape adjoint pass per row against the
-//! upstream-weighted diagonal observable.
+//! single-qubit gates pre-fused, CNOT runs flattened, and (for training)
+//! the adjoint sweep pre-inverted into rotation blocks — and every batch
+//! row then replays that tape, so the per-gate lowering work is paid once
+//! instead of once per row.
 //!
-//! Batch rows are independent simulations, so both passes shard rows on
-//! the process-wide compute pool ([`sqvae_nn::parallel`]) according to the
-//! layer's [`ExecPolicy`] threads knob (default [`sqvae_nn::Threads::Off`];
-//! the trainer propagates its configured policy). The calling thread and
-//! the pool's persistent helpers claim rows one at a time; no thread is
-//! spawned per pass. The shared tape is immutable and crosses threads by
-//! reference. Per-row results land in preallocated row slots and gradients
-//! accumulate in fixed row order, so the parallel path is bit-identical to
-//! the sequential one.
+//! **Forward keeps, backward sweeps.** The training forward
+//! ([`Module::forward`]) compiles the tape with its adjoint program and
+//! simulates each row once. It reads the outputs off each row's final
+//! register, then keeps the tape, every row's final register (about
+//! `2^n × 16` bytes each) and, for angle input, the angles the tape's input
+//! stops read. [`Module::backward`] runs only the adjoint sweep from those
+//! registers, against the upstream-weighted diagonal observable, and
+//! consumes them: it neither recompiles nor re-simulates, and it
+//! differentiates the angles the forward ran with even if the optimizer
+//! stepped them since. The next forward drops whatever is still kept
+//! before it simulates. The evaluation forward ([`Module::infer`]) compiles
+//! a forward-only tape and keeps nothing.
+//!
+//! Batch rows are independent simulations, so all three passes shard rows
+//! on the process-wide compute pool ([`sqvae_nn::parallel`]) according to
+//! the layer's [`ExecPolicy`] threads knob (default
+//! [`sqvae_nn::Threads::Off`]; the trainer propagates its configured
+//! policy). The calling thread and the pool's persistent helpers claim rows
+//! one at a time; no thread is spawned per pass. The shared tape is
+//! immutable and crosses threads by reference. Per-row results land in
+//! preallocated row slots and gradients accumulate in fixed row order, so
+//! the parallel path is bit-identical to the sequential one.
 //!
 //! Which simulator executes the tape is the policy's second knob,
-//! [`BackendKind`]: every row dispatches onto the dense reference register
-//! or the structure-of-arrays SIMD backend (`SQVAE_BACKEND`,
+//! [`BackendKind`]: every row runs on the dense reference register or the
+//! structure-of-arrays SIMD backend (`SQVAE_BACKEND`,
 //! `TrainConfig::backend`, [`sqvae_nn::ExecPolicy`]); the two agree to
-//! ≤ 1e-12.
+//! ≤ 1e-12. A backward sweeps on the backend its forward ran on.
 
 use rand::Rng;
 use sqvae_nn::parallel;
-use sqvae_nn::{init, BackendKind, ExecPolicy, Matrix, Module, NnError, ParamTensor};
+use sqvae_nn::{init, BackendKind, ExecPolicy, Matrix, Module, NnError, ParamTensor, Threads};
 use sqvae_quantum::embed::{
     amplitude_embedding, angle_embedding_gates, qubits_for_features, RotationAxis,
 };
@@ -88,7 +99,7 @@ pub struct QuantumLayer {
     input_mode: QuantumInput,
     output_mode: QuantumOutput,
     params: ParamTensor,
-    cached_input: Option<Matrix>,
+    kept: Option<Kept>,
     exec: ExecPolicy,
 }
 
@@ -134,7 +145,7 @@ impl QuantumLayer {
             input_mode,
             output_mode,
             params,
-            cached_input: None,
+            kept: None,
             exec: ExecPolicy::default(),
         }
     }
@@ -201,122 +212,54 @@ impl QuantumLayer {
         }
     }
 
-    /// Lowers the circuit with the **current** trainable angles into a
-    /// [`CompiledTape`] carrying the adjoint program. Called once per
-    /// backward pass; every row then replays the shared tape. Crate-internal
-    /// so [`crate::PatchedQuantumLayer`] can compile one tape per patch and
-    /// drive the patch × row grid through its own work-sharding without
-    /// borrowing the layer mutably.
-    pub(crate) fn compile_tape(&self) -> CompiledTape {
+    /// Lowers the circuit with the current trainable angles into a
+    /// [`CompiledTape`] carrying the adjoint program, for a training
+    /// forward whose backward sweeps the same tape.
+    fn compile_tape(&self) -> CompiledTape {
         self.circuit
             .compile(self.params.value.as_slice())
             .expect("validated circuit")
     }
 
-    /// [`Self::compile_tape`] without the adjoint program, for forward
+    /// [`Self::compile_tape`] without the adjoint program, for evaluation
     /// passes (which never differentiate).
-    pub(crate) fn compile_forward_tape(&self) -> CompiledTape {
+    fn compile_forward_tape(&self) -> CompiledTape {
         self.circuit
             .compile_forward(self.params.value.as_slice())
             .expect("validated circuit")
     }
 
-    /// One batch row's forward simulation: replays `tape` on the configured
-    /// backend and writes the row's outputs into `slot` through the
-    /// thread-local `scratch` buffer — the allocation-free per-row body of
-    /// the `fill_rows` sharding in [`Module::forward`] here and in
-    /// [`crate::PatchedQuantumLayer`] (crate-internal for the same reason as
-    /// [`Self::compile_tape`]). Probability readout goes through
-    /// [`CompiledTape::probabilities_into_on`], so the `2^n`-wide buffer is
-    /// reused across every row one thread runs in the pass.
-    pub(crate) fn forward_row_tape_into(
-        &self,
-        tape: &CompiledTape,
-        row: &[f64],
-        scratch: &mut Vec<f64>,
-        slot: &mut [f64],
-    ) {
-        match self.exec.backend {
-            BackendKind::Dense => {
-                self.forward_row_tape_into_on::<StateVector>(tape, row, scratch, slot)
+    /// Simulates one row: builds its start state and executes `tape` on it
+    /// in place. An amplitude-input row becomes the start state; an
+    /// angle-input row starts from `|0…0⟩` and is the angles `tape` reads.
+    fn run_row<B: Backend>(&self, tape: &CompiledTape, row: &[f64]) -> B {
+        let (mut state, angles) = match self.input_mode {
+            QuantumInput::Amplitude { .. } => {
+                (B::from_statevector(self.embedded_initial(row)), &[][..])
             }
-            BackendKind::Soa => {
-                self.forward_row_tape_into_on::<SoaDenseBackend>(tape, row, scratch, slot)
-            }
-        }
+            QuantumInput::Angle => (B::zero_state(self.n_qubits()).expect("valid register"), row),
+        };
+        state.execute_tape(tape, angles).expect("validated circuit");
+        state
     }
 
-    fn forward_row_tape_into_on<B: Backend>(
-        &self,
-        tape: &CompiledTape,
-        row: &[f64],
-        scratch: &mut Vec<f64>,
-        slot: &mut [f64],
-    ) {
-        let (inputs, initial): (&[f64], Option<B>) = match self.input_mode {
-            QuantumInput::Amplitude { .. } => {
-                (&[], Some(B::from_statevector(self.embedded_initial(row))))
-            }
-            QuantumInput::Angle => (row, None),
-        };
+    /// Writes the layer's readout of a final register into `out` (cleared
+    /// first, capacity reused).
+    fn read_out<B: Backend>(&self, state: &B, out: &mut Vec<f64>) {
         match self.output_mode {
             QuantumOutput::ExpectationZ => {
-                let state = tape
-                    .execute_on(inputs, initial.as_ref())
-                    .expect("validated circuit");
-                for (w, y) in slot.iter_mut().enumerate() {
-                    *y = state.expectation_z(w).expect("wire in range");
-                }
+                out.clear();
+                out.extend(
+                    (0..self.n_qubits()).map(|w| state.expectation_z(w).expect("wire in range")),
+                );
             }
-            QuantumOutput::Probabilities => {
-                tape.probabilities_into_on(inputs, initial.as_ref(), scratch)
-                    .expect("validated circuit");
-                slot.copy_from_slice(scratch);
-            }
+            QuantumOutput::Probabilities => state.probabilities_into(out),
         }
-    }
-
-    /// One batch row's adjoint backward pass over `tape`, on the configured
-    /// backend (crate-internal for the same reason as
-    /// [`Self::compile_tape`]).
-    pub(crate) fn backward_row_tape(
-        &self,
-        tape: &CompiledTape,
-        row: &[f64],
-        upstream: &[f64],
-    ) -> CircuitGradients {
-        match self.exec.backend {
-            BackendKind::Dense => self.backward_row_tape_on::<StateVector>(tape, row, upstream),
-            BackendKind::Soa => self.backward_row_tape_on::<SoaDenseBackend>(tape, row, upstream),
-        }
-    }
-
-    fn backward_row_tape_on<B: Backend>(
-        &self,
-        tape: &CompiledTape,
-        row: &[f64],
-        upstream: &[f64],
-    ) -> CircuitGradients {
-        let (inputs, initial): (&[f64], Option<B>) = match self.input_mode {
-            QuantumInput::Amplitude { .. } => {
-                (&[], Some(B::from_statevector(self.embedded_initial(row))))
-            }
-            QuantumInput::Angle => (row, None),
-        };
-        match self.output_mode {
-            QuantumOutput::ExpectationZ => {
-                adjoint::backward_expectations_z_tape(tape, inputs, initial.as_ref(), upstream)
-            }
-            QuantumOutput::Probabilities => {
-                adjoint::backward_probabilities_tape(tape, inputs, initial.as_ref(), upstream)
-            }
-        }
-        .expect("validated circuit")
     }
 
     /// Adds one row's parameter gradients into the accumulated gradient, in
     /// caller-chosen order (the determinism guarantee lives with the caller).
-    pub(crate) fn accumulate_param_grads(&mut self, row_grads: &[f64]) {
+    fn accumulate_param_grads(&mut self, row_grads: &[f64]) {
         for (i, g) in row_grads.iter().enumerate() {
             let cur = self.params.grad.get(0, i);
             self.params.grad.set(0, i, cur + g);
@@ -324,57 +267,253 @@ impl QuantumLayer {
     }
 }
 
-impl Module for QuantumLayer {
-    fn forward(&mut self, input: &Matrix) -> Result<Matrix, NnError> {
-        self.check_width(input)?;
-        // Lower the circuit once for the whole batch (forward program only);
-        // every row (and every pool thread) replays the same immutable tape
-        // by reference. Rows write straight into the output matrix, and the
-        // probability readout reuses one scratch buffer per participating
-        // thread instead of allocating per row.
-        let tape = self.compile_forward_tape();
-        let mut out = Matrix::zeros(input.rows(), self.out_features());
-        parallel::fill_rows(
-            out.as_mut_slice(),
-            self.out_features(),
-            self.exec.threads,
-            Vec::new,
-            |r, scratch, slot| self.forward_row_tape_into(&tape, input.row(r), scratch, slot),
-        );
-        self.cached_input = Some(input.clone());
-        Ok(out)
-    }
+/// What a training forward keeps for its backward.
+///
+/// The forward passes here run a **bank** of structurally identical
+/// sub-circuits ([`crate::PatchedQuantumLayer`]; a lone [`QuantumLayer`] is
+/// a bank of one) as one patch-major grid of `(patch, row)` work items.
+/// Patch `k` reads columns `k·in..(k+1)·in` of each input row and writes
+/// columns `k·out..(k+1)·out` of each output row.
+#[derive(Debug, Clone)]
+pub(crate) struct Kept {
+    /// Per patch, the tape the forward executed, adjoint program included.
+    tapes: Vec<CompiledTape>,
+    /// The batch input, kept only for angle input, whose input stops read
+    /// it; the sweep never reads amplitude-embedded data.
+    inputs: Option<Matrix>,
+    rows: usize,
+    registers: Registers,
+}
 
-    fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix, NnError> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or(NnError::BackwardBeforeForward)?;
-        if grad_output.rows() != input.rows() || grad_output.cols() != self.out_features() {
+/// Every work item's final register, on the backend that produced it.
+#[derive(Debug, Clone)]
+enum Registers {
+    Dense(Vec<StateVector>),
+    Soa(Vec<SoaDenseBackend>),
+}
+
+impl Kept {
+    /// Takes what `slot` holds for a backward pass with `grad_output` over
+    /// `out_features` columns. A shape error leaves it in place, so a
+    /// corrected call still succeeds.
+    pub(crate) fn take_for(
+        slot: &mut Option<Kept>,
+        grad_output: &Matrix,
+        out_features: usize,
+    ) -> Result<Kept, NnError> {
+        let kept = slot.as_ref().ok_or(NnError::BackwardBeforeForward)?;
+        let expected = (kept.rows, out_features);
+        if grad_output.shape() != expected {
             return Err(NnError::ShapeMismatch {
-                expected: (input.rows(), self.out_features()),
+                expected,
                 actual: grad_output.shape(),
             });
         }
-        // Recompiled here rather than cached from `forward`: the optimizer
-        // may have stepped the angles in between, and compilation is cheap
-        // relative to even one row's simulation.
-        let tape = self.compile_tape();
-        let per_row = parallel::map_rows(input.rows(), self.exec.threads, |r| {
-            self.backward_row_tape(&tape, input.row(r), grad_output.row(r))
-        });
-        // Accumulate in fixed row order so parallel runs reproduce the
-        // sequential floating-point sums bit for bit.
-        let mut grad_input = Matrix::zeros(per_row.len(), self.in_features());
-        for (r, grads) in per_row.iter().enumerate() {
-            self.accumulate_param_grads(&grads.params);
-            // Input gradients exist only for the differentiable angle
-            // embedding; amplitude-embedded raw data gets zeros.
-            if matches!(self.input_mode, QuantumInput::Angle) {
-                grad_input.row_mut(r).copy_from_slice(&grads.inputs);
+        Ok(slot.take().expect("checked above"))
+    }
+}
+
+/// Splits a patch-major work-item index into `(patch, row)`.
+fn item(idx: usize, rows: usize) -> (usize, usize) {
+    (idx / rows, idx % rows)
+}
+
+/// Columns `k·width..(k+1)·width` of a row: patch `k`'s share of it.
+fn patch_cols(row: &[f64], k: usize, width: usize) -> &[f64] {
+    &row[k * width..(k + 1) * width]
+}
+
+/// Scatters patch-major readouts (`width` values per work item) into a
+/// `rows × (patches · width)` output matrix.
+fn to_rows(results: &[f64], rows: usize, patches: usize, width: usize) -> Matrix {
+    let mut out = Matrix::zeros(rows, patches * width);
+    for (idx, y) in results.chunks_exact(width).enumerate() {
+        let (k, r) = item(idx, rows);
+        out.row_mut(r)[k * width..(k + 1) * width].copy_from_slice(y);
+    }
+    out
+}
+
+/// The training forward of a bank: compiles every patch's tape with its
+/// adjoint program, simulates each work item once, and returns the outputs
+/// with what [`backward_bank`] sweeps from.
+pub(crate) fn forward_bank(
+    bank: &[QuantumLayer],
+    input: &Matrix,
+    exec: ExecPolicy,
+) -> (Matrix, Kept) {
+    let tapes: Vec<CompiledTape> = bank.iter().map(QuantumLayer::compile_tape).collect();
+    let (out, registers) = match exec.backend {
+        BackendKind::Dense => {
+            let (out, regs) = forward_on(bank, &tapes, input, exec.threads);
+            (out, Registers::Dense(regs))
+        }
+        BackendKind::Soa => {
+            let (out, regs) = forward_on(bank, &tapes, input, exec.threads);
+            (out, Registers::Soa(regs))
+        }
+    };
+    let inputs = matches!(bank[0].input_mode, QuantumInput::Angle).then(|| input.clone());
+    let kept = Kept {
+        tapes,
+        inputs,
+        rows: input.rows(),
+        registers,
+    };
+    (out, kept)
+}
+
+fn forward_on<B: Backend + Send>(
+    bank: &[QuantumLayer],
+    tapes: &[CompiledTape],
+    input: &Matrix,
+    threads: Threads,
+) -> (Matrix, Vec<B>) {
+    let rows = input.rows();
+    let (in_w, out_w) = (bank[0].in_features(), bank[0].out_features());
+    let items = parallel::map_rows(bank.len() * rows, threads, |idx| {
+        let (k, r) = item(idx, rows);
+        let mut state: B = bank[k].run_row(&tapes[k], patch_cols(input.row(r), k, in_w));
+        let mut y = Vec::with_capacity(out_w);
+        bank[k].read_out(&state, &mut y);
+        state.release_scratch();
+        (state, y)
+    });
+    let mut results = Vec::with_capacity(items.len() * out_w);
+    let registers = items
+        .into_iter()
+        .map(|(state, y)| {
+            results.extend_from_slice(&y);
+            state
+        })
+        .collect();
+    (to_rows(&results, rows, bank.len(), out_w), registers)
+}
+
+/// The evaluation forward of a bank: forward-only tapes, each work item
+/// simulated and read out through one reused buffer per thread, nothing
+/// kept. Bit-identical to [`forward_bank`]'s outputs.
+pub(crate) fn infer_bank(bank: &[QuantumLayer], input: &Matrix, exec: ExecPolicy) -> Matrix {
+    let tapes: Vec<CompiledTape> = bank
+        .iter()
+        .map(QuantumLayer::compile_forward_tape)
+        .collect();
+    match exec.backend {
+        BackendKind::Dense => infer_on::<StateVector>(bank, &tapes, input, exec.threads),
+        BackendKind::Soa => infer_on::<SoaDenseBackend>(bank, &tapes, input, exec.threads),
+    }
+}
+
+fn infer_on<B: Backend>(
+    bank: &[QuantumLayer],
+    tapes: &[CompiledTape],
+    input: &Matrix,
+    threads: Threads,
+) -> Matrix {
+    let rows = input.rows();
+    let (in_w, out_w) = (bank[0].in_features(), bank[0].out_features());
+    let mut results = vec![0.0; bank.len() * rows * out_w];
+    parallel::fill_rows(
+        &mut results,
+        out_w,
+        threads,
+        Vec::new,
+        |idx, scratch, slot| {
+            let (k, r) = item(idx, rows);
+            let state: B = bank[k].run_row(&tapes[k], patch_cols(input.row(r), k, in_w));
+            bank[k].read_out(&state, scratch);
+            slot.copy_from_slice(scratch);
+        },
+    );
+    to_rows(&results, rows, bank.len(), out_w)
+}
+
+/// The backward of a bank: sweeps every kept register against its share of
+/// `grad_output` (shape-checked by [`Kept::take_for`]), consuming it, then
+/// accumulates parameter gradients per patch in fixed row order and
+/// returns the input gradient (zeros for amplitude-embedded raw data).
+pub(crate) fn backward_bank(
+    bank: &mut [QuantumLayer],
+    kept: Kept,
+    grad_output: &Matrix,
+    threads: Threads,
+) -> Matrix {
+    let Kept {
+        tapes,
+        inputs,
+        rows,
+        registers,
+    } = kept;
+    let per = match registers {
+        Registers::Dense(regs) => {
+            sweep_on(bank, &tapes, inputs.as_ref(), regs, grad_output, threads)
+        }
+        Registers::Soa(regs) => sweep_on(bank, &tapes, inputs.as_ref(), regs, grad_output, threads),
+    };
+    let in_w = bank[0].in_features();
+    let mut grad_input = Matrix::zeros(rows, bank.len() * in_w);
+    for (k, layer) in bank.iter_mut().enumerate() {
+        for r in 0..rows {
+            let grads = &per[k * rows + r];
+            layer.accumulate_param_grads(&grads.params);
+            if matches!(layer.input_mode, QuantumInput::Angle) {
+                grad_input.row_mut(r)[k * in_w..(k + 1) * in_w].copy_from_slice(&grads.inputs);
             }
         }
-        Ok(grad_input)
+    }
+    grad_input
+}
+
+fn sweep_on<B: Backend + Send>(
+    bank: &[QuantumLayer],
+    tapes: &[CompiledTape],
+    inputs: Option<&Matrix>,
+    registers: Vec<B>,
+    grad_output: &Matrix,
+    threads: Threads,
+) -> Vec<CircuitGradients> {
+    let rows = grad_output.rows();
+    let (in_w, out_w) = (bank[0].in_features(), bank[0].out_features());
+    parallel::map_items(registers, threads, |idx, ket| {
+        let (k, r) = item(idx, rows);
+        let x = inputs.map_or(&[][..], |m| patch_cols(m.row(r), k, in_w));
+        let upstream = patch_cols(grad_output.row(r), k, out_w);
+        match bank[k].output_mode {
+            QuantumOutput::ExpectationZ => {
+                adjoint::backward_expectations_z_from(&tapes[k], x, ket, upstream)
+            }
+            QuantumOutput::Probabilities => {
+                adjoint::backward_probabilities_from(&tapes[k], x, ket, upstream)
+            }
+        }
+        .expect("a kept register matches its tape")
+    })
+}
+
+impl Module for QuantumLayer {
+    fn forward(&mut self, input: &Matrix) -> Result<Matrix, NnError> {
+        self.check_width(input)?;
+        self.kept = None;
+        let (out, kept) = forward_bank(std::slice::from_ref(self), input, self.exec);
+        self.kept = Some(kept);
+        Ok(out)
+    }
+
+    fn infer(&self, input: &Matrix) -> Result<Matrix, NnError> {
+        self.check_width(input)?;
+        Ok(infer_bank(std::slice::from_ref(self), input, self.exec))
+    }
+
+    fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix, NnError> {
+        let width = self.out_features();
+        let kept = Kept::take_for(&mut self.kept, grad_output, width)?;
+        let threads = self.exec.threads;
+        Ok(backward_bank(
+            std::slice::from_mut(self),
+            kept,
+            grad_output,
+            threads,
+        ))
     }
 
     fn parameters(&mut self) -> Vec<&mut ParamTensor> {
@@ -383,6 +522,78 @@ impl Module for QuantumLayer {
 
     fn set_exec_policy(&mut self, policy: ExecPolicy) {
         self.exec = policy;
+    }
+}
+
+/// The re-executing oracle the kept-register backward is tested against.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+
+    /// A bank's gradients from `adjoint::backward_*_tape` on
+    /// `Circuit::compile(angles)`, which re-executes every row: per patch,
+    /// the parameter gradients summed over rows in row order, and the input
+    /// gradient matrix.
+    pub(crate) fn bank_gradients(
+        bank: &[QuantumLayer],
+        backend: BackendKind,
+        input: &Matrix,
+        grad_output: &Matrix,
+    ) -> (Vec<Vec<f64>>, Matrix) {
+        match backend {
+            BackendKind::Dense => on::<StateVector>(bank, input, grad_output),
+            BackendKind::Soa => on::<SoaDenseBackend>(bank, input, grad_output),
+        }
+    }
+
+    fn on<B: Backend>(
+        bank: &[QuantumLayer],
+        input: &Matrix,
+        grad_output: &Matrix,
+    ) -> (Vec<Vec<f64>>, Matrix) {
+        let (in_w, out_w) = (bank[0].in_features(), bank[0].out_features());
+        let mut grad_input = Matrix::zeros(input.rows(), bank.len() * in_w);
+        let mut params = Vec::new();
+        for (k, layer) in bank.iter().enumerate() {
+            let tape = layer
+                .circuit
+                .compile(layer.params.value.as_slice())
+                .unwrap();
+            let mut sum = vec![0.0; tape.n_params()];
+            for r in 0..input.rows() {
+                let x = &input.row(r)[k * in_w..(k + 1) * in_w];
+                let upstream = &grad_output.row(r)[k * out_w..(k + 1) * out_w];
+                let (inputs, initial): (&[f64], Option<B>) = match layer.input_mode {
+                    QuantumInput::Amplitude { .. } => {
+                        (&[], Some(B::from_statevector(layer.embedded_initial(x))))
+                    }
+                    QuantumInput::Angle => (x, None),
+                };
+                let g = match layer.output_mode {
+                    QuantumOutput::ExpectationZ => adjoint::backward_expectations_z_tape(
+                        &tape,
+                        inputs,
+                        initial.as_ref(),
+                        upstream,
+                    ),
+                    QuantumOutput::Probabilities => adjoint::backward_probabilities_tape(
+                        &tape,
+                        inputs,
+                        initial.as_ref(),
+                        upstream,
+                    ),
+                }
+                .unwrap();
+                for (acc, v) in sum.iter_mut().zip(&g.params) {
+                    *acc += v;
+                }
+                if matches!(layer.input_mode, QuantumInput::Angle) {
+                    grad_input.row_mut(r)[k * in_w..(k + 1) * in_w].copy_from_slice(&g.inputs);
+                }
+            }
+            params.push(sum);
+        }
+        (params, grad_input)
     }
 }
 
@@ -532,9 +743,7 @@ mod tests {
         for c in 0..2 {
             let mut xp = x.clone();
             xp.set(0, c, x.get(0, c) + eps);
-            let mut l2 = layer.clone();
-            l2.cached_input = None;
-            let fp = l2.forward(&xp).unwrap().sum();
+            let fp = layer.infer(&xp).unwrap().sum();
             let fd = (fp - base) / eps;
             assert!((gin.get(0, c) - fd).abs() < 1e-4, "input {c}");
         }
@@ -648,5 +857,87 @@ mod tests {
             &mut r,
         );
         assert_eq!(enc.parameter_count() + dec.parameter_count(), 108);
+    }
+
+    /// Every (input, output) pairing the models use.
+    const MODES: [(QuantumInput, QuantumOutput); 3] = [
+        (
+            QuantumInput::Amplitude { in_features: 8 },
+            QuantumOutput::ExpectationZ,
+        ),
+        (QuantumInput::Angle, QuantumOutput::ExpectationZ),
+        (QuantumInput::Angle, QuantumOutput::Probabilities),
+    ];
+
+    #[test]
+    fn kept_register_backward_equals_the_re_executing_oracle_bitwise() {
+        for (input, output) in MODES {
+            let x = Matrix::from_fn(5, input_width(input), |i, j| {
+                0.21 * (i + 1) as f64 - 0.13 * j as f64
+            });
+            for backend in [BackendKind::Dense, BackendKind::Soa] {
+                for threads in [Threads::Off, Threads::Fixed(3)] {
+                    let mut r = rng();
+                    let mut layer = QuantumLayer::new(3, 2, input, output, &mut r)
+                        .with_exec_policy(ExecPolicy { threads, backend });
+                    let y = layer.forward(&x).unwrap();
+                    let g = Matrix::from_fn(5, y.cols(), |i, j| 0.3 * i as f64 - 0.17 * j as f64);
+                    let gin = layer.backward(&g).unwrap();
+                    let (params, want_gin) =
+                        oracle::bank_gradients(std::slice::from_ref(&layer), backend, &x, &g);
+                    let case = format!("{input:?} {output:?} {backend:?} {threads:?}");
+                    assert_eq!(layer.params.grad.as_slice(), &params[0][..], "{case}");
+                    assert_eq!(gin, want_gin, "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn backward_differentiates_the_forward_that_ran_once() {
+        use sqvae_nn::{Optimizer, Sgd};
+        for (input, output) in MODES {
+            let x = Matrix::from_fn(4, input_width(input), |i, j| 0.1 * (i + 2 * j) as f64);
+            let fresh = || {
+                let mut r = rng();
+                QuantumLayer::new(3, 2, input, output, &mut r)
+            };
+            let mut reference = fresh();
+            let y = reference.forward(&x).unwrap();
+            let g = Matrix::from_fn(4, y.cols(), |i, j| 0.2 * i as f64 - 0.1 * j as f64);
+            let want_gin = reference.backward(&g).unwrap();
+
+            // Neither an optimizer step nor a backend switch between
+            // forward and backward leaks into the gradients: backward
+            // sweeps the forward's (dense) registers with its tape.
+            let mut stepped = fresh();
+            stepped.forward(&x).unwrap();
+            stepped.params.grad.fill(0.7);
+            Sgd::new(0.5).step(&mut stepped.parameters()).unwrap();
+            stepped.zero_grad();
+            stepped.set_exec_policy(ExecPolicy::default().with_backend(BackendKind::Soa));
+            assert_ne!(stepped.params.value, reference.params.value);
+            assert_eq!(stepped.backward(&g).unwrap(), want_gin);
+            assert_eq!(stepped.params.grad, reference.params.grad);
+            // The registers are consumed: one backward per forward.
+            assert_eq!(
+                stepped.backward(&g).unwrap_err(),
+                NnError::BackwardBeforeForward
+            );
+
+            // A backward rejected for its shape keeps the registers.
+            let mut retried = fresh();
+            retried.forward(&x).unwrap();
+            assert!(matches!(
+                retried.backward(&Matrix::zeros(4, y.cols() + 1)),
+                Err(NnError::ShapeMismatch { .. })
+            ));
+            assert!(matches!(
+                retried.backward(&Matrix::zeros(3, y.cols())),
+                Err(NnError::ShapeMismatch { .. })
+            ));
+            assert_eq!(retried.backward(&g).unwrap(), want_gin);
+            assert_eq!(retried.params.grad, reference.params.grad);
+        }
     }
 }

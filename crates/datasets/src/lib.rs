@@ -10,7 +10,7 @@
 //! | QM9 (8×8 molecule matrices) | [`qm9`] | 64 features |
 //! | PDBbind 2019 ligands (32×32) | [`pdbbind`] | 1024 features |
 //! | scikit-learn Digits | [`digits`] | 64 features, 0–16 gray |
-//! | grayscale CIFAR-10 | [`cifar_gray`] | 1024 features, [0,1] |
+//! | grayscale CIFAR-10 | [`cifar_gray`] | 1024 features, \[0,1\] |
 //!
 //! Everything is seeded: the same configuration always yields the same
 //! dataset, so every experiment in the reproduction is replayable.

@@ -100,6 +100,10 @@ impl Activation {
 impl Module for Activation {
     fn forward(&mut self, input: &Matrix) -> Result<Matrix> {
         self.cached_input = Some(input.clone());
+        self.infer(input)
+    }
+
+    fn infer(&self, input: &Matrix) -> Result<Matrix> {
         Ok(input.map(|x| Self::apply(self.kind, x)))
     }
 

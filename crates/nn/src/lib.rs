@@ -4,9 +4,10 @@
 //! SQ-VAE reproduction: the classical halves of the paper's hybrid
 //! quantum-classical autoencoders (PyTorch's role in the original stack).
 //!
-//! Layers follow an explicit forward/backward [`Module`] contract so that
-//! quantum layers (adjoint-differentiated circuits living in `sqvae-core`)
-//! compose with classical ones in a single backpropagation chain.
+//! Layers follow an explicit forward/backward [`Module`] contract, with a
+//! keep-nothing `infer` for evaluation, so that quantum layers
+//! (adjoint-differentiated circuits living in `sqvae-core`) compose with
+//! classical ones in a single backpropagation chain.
 //!
 //! ## Example: one training step of a tiny regressor
 //!

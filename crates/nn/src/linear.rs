@@ -80,11 +80,15 @@ impl Linear {
 
 impl Module for Linear {
     fn forward(&mut self, input: &Matrix) -> Result<Matrix> {
-        let out = input
-            .matmul(&self.weight.value)?
-            .add_row_broadcast(&self.bias.value)?;
+        let out = self.infer(input)?;
         self.cached_input = Some(input.clone());
         Ok(out)
+    }
+
+    fn infer(&self, input: &Matrix) -> Result<Matrix> {
+        input
+            .matmul(&self.weight.value)?
+            .add_row_broadcast(&self.bias.value)
     }
 
     fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix> {

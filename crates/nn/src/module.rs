@@ -1,10 +1,12 @@
 //! The layer abstraction: explicit forward/backward modules.
 //!
-//! Instead of a tape-based autograd, every layer caches what it needs in
-//! `forward` and produces input gradients in `backward`, accumulating
-//! parameter gradients into its [`ParamTensor`]s. This mirrors how the hybrid
-//! quantum-classical pipeline composes: the quantum layers implement the same
-//! contract with adjoint differentiation inside.
+//! Instead of a tape-based autograd, every layer keeps what its backward
+//! needs in `forward` and produces input gradients in `backward`,
+//! accumulating parameter gradients into its [`ParamTensor`]s. Evaluation
+//! runs `infer`, which computes the same outputs and keeps nothing. This
+//! mirrors how the hybrid quantum-classical pipeline composes: the quantum
+//! layers implement the same contract with adjoint differentiation inside,
+//! keeping each row's final simulator register from forward to backward.
 
 use crate::error::Result;
 use crate::exec::ExecPolicy;
@@ -44,25 +46,48 @@ impl ParamTensor {
 
 /// A differentiable layer mapping `[batch, in]` to `[batch, out]`.
 ///
-/// Contract: `backward` must be called after `forward` with an upstream
-/// gradient of the same shape as the forward output, and returns the
-/// gradient with respect to the forward input. Parameter gradients
-/// *accumulate* across calls until [`Module::zero_grad`].
+/// Contract:
+///
+/// * [`Module::forward`] is the training forward. It keeps what the
+///   matching [`Module::backward`] reads: the input of a classical layer,
+///   or the compiled circuit and every row's final register of a quantum
+///   layer. Each `forward` replaces what the previous one kept.
+/// * [`Module::backward`] must follow a `forward`, with an upstream
+///   gradient of the forward output's shape, and returns the gradient with
+///   respect to the forward input. It differentiates the forward that ran:
+///   parameter values changed in between (an optimizer step, a snapshot
+///   restore) do not enter the quantum layers' gradients, which sweep from
+///   the kept registers and consume them, so a second `backward` without a
+///   new `forward` is [`crate::NnError::BackwardBeforeForward`] there.
+///   Parameter gradients *accumulate* across calls until
+///   [`Module::zero_grad`].
+/// * [`Module::infer`] is the evaluation forward: the same output bits as
+///   `forward`, but it keeps nothing and leaves what `backward` reads
+///   untouched.
 pub trait Module {
-    /// Forward pass over a mini-batch.
+    /// Training forward pass over a mini-batch; keeps what
+    /// [`Module::backward`] reads.
     ///
     /// # Errors
     ///
     /// Returns shape errors when the input width does not match the layer.
     fn forward(&mut self, input: &Matrix) -> Result<Matrix>;
 
+    /// Evaluation forward pass: returns the bits [`Module::forward`] would,
+    /// keeps nothing, and cannot disturb a pending [`Module::backward`].
+    ///
+    /// # Errors
+    ///
+    /// Returns shape errors when the input width does not match the layer.
+    fn infer(&self, input: &Matrix) -> Result<Matrix>;
+
     /// Backward pass: consumes `dL/d(output)`, returns `dL/d(input)`, and
     /// accumulates `dL/d(params)`.
     ///
     /// # Errors
     ///
-    /// Returns [`crate::NnError::BackwardBeforeForward`] when no forward
-    /// activation is cached, or shape errors.
+    /// Returns [`crate::NnError::BackwardBeforeForward`] when nothing from a
+    /// forward pass is kept, or shape errors.
     fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix>;
 
     /// Mutable access to every trainable tensor (possibly none).

@@ -1,14 +1,14 @@
 //! Row-sharded parallel execution on one persistent compute pool.
 //!
 //! Every quantum layer simulates batch rows independently, so the batch
-//! dimension is an embarrassingly parallel axis. [`map_rows`] and
-//! [`fill_rows`] hand a call's rows to one process-wide pool of helper
-//! threads (standard library only, matching the offline build
-//! environment). The pool holds `max(cpus, 2) − 1` helpers, started on the
-//! first parallel call with the CPU count read once, and lives for the
-//! process. Training, every quantum layer and every serving worker submit
-//! into the same pool, so row sharding and serving workers share one set of
-//! threads instead of multiplying.
+//! dimension is an embarrassingly parallel axis. [`map_rows`],
+//! [`map_items`] and [`fill_rows`] hand a call's rows to one process-wide
+//! pool of helper threads (standard library only, matching the offline
+//! build environment). The pool holds `max(cpus, 2) − 1` helpers, started
+//! on the first parallel call with the CPU count read once, and lives for
+//! the process. Training, every quantum layer and every serving worker
+//! submit into the same pool, so row sharding and serving workers share
+//! one set of threads instead of multiplying.
 //!
 //! The calling thread always takes part: it and any helper that joins claim
 //! rows one at a time from one atomic counter, and each row's result lands
@@ -179,6 +179,27 @@ where
             &mut lock(&slots[row]),
         );
     });
+}
+
+/// [`map_rows`] over owned inputs: computes `f(row, items[row])` for every
+/// row on the compute pool, handing each item by value to the thread that
+/// claims its row, and returns the results in row order (bit-identical to
+/// the sequential `items.into_iter().enumerate().map(..)`).
+///
+/// # Panics
+///
+/// Re-raises the first panic raised by `f` as [`map_rows`] does.
+pub fn map_items<T, R, F>(items: Vec<T>, threads: Threads, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, T) -> R + Sync,
+{
+    let items: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    map_rows(items.len(), threads, |row| {
+        let item = lock(&items[row]).take();
+        f(row, item.expect("every row is claimed once"))
+    })
 }
 
 /// Locks a row or scratch slot. Each is locked by one thread at a time, and
@@ -541,6 +562,22 @@ mod tests {
             r
         });
         assert_eq!(out, (0..8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn map_items_moves_each_item_into_its_own_row() {
+        let items: Vec<Vec<f64>> = (0..40).map(|r| vec![row_value(r); r % 5]).collect();
+        let expected: Vec<(usize, u64)> = items
+            .iter()
+            .enumerate()
+            .map(|(r, v)| (r, v.iter().sum::<f64>().to_bits()))
+            .collect();
+        for threads in [Threads::Off, Threads::Fixed(3)] {
+            let got = map_items(items.clone(), threads, |r, v: Vec<f64>| {
+                (r, v.into_iter().sum::<f64>().to_bits())
+            });
+            assert_eq!(got, expected, "{threads:?}");
+        }
     }
 
     /// Floating-point work whose bits depend on the row, so a misplaced or

@@ -77,6 +77,14 @@ impl Module for Sequential {
         Ok(x)
     }
 
+    fn infer(&self, input: &Matrix) -> Result<Matrix> {
+        let mut x = input.clone();
+        for layer in &self.layers {
+            x = layer.infer(&x)?;
+        }
+        Ok(x)
+    }
+
     fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix> {
         let mut g = grad_output.clone();
         for layer in self.layers.iter_mut().rev() {

@@ -70,6 +70,13 @@ pub trait Backend: Clone + std::fmt::Debug {
     /// Resets the register to `|0…0⟩` in place.
     fn reset(&mut self);
 
+    /// Frees any working storage the register holds beside its amplitudes,
+    /// for a register kept alive between passes (the quantum layers keep
+    /// every row's final register from forward to backward). The state is
+    /// unchanged. The default holds none; [`SoaDenseBackend`] drops its
+    /// CNOT-gather planes.
+    fn release_scratch(&mut self) {}
+
     /// Number of qubits in the register.
     fn n_qubits(&self) -> usize;
 

@@ -392,6 +392,11 @@ impl Backend for SoaDenseBackend {
         self.re[0] = 1.0;
     }
 
+    fn release_scratch(&mut self) {
+        self.scratch_re = Vec::new();
+        self.scratch_im = Vec::new();
+    }
+
     fn n_qubits(&self) -> usize {
         self.n_qubits
     }
@@ -670,6 +675,11 @@ mod tests {
         // equality or a cloned register.
         let clone = soa.clone();
         assert_eq!(clone, soa);
+        // Releasing them keeps the state and frees both planes.
+        assert_eq!(soa.scratch_re.len(), 32);
+        soa.release_scratch();
+        assert_eq!(clone, soa);
+        assert_eq!(soa.scratch_re.capacity() + soa.scratch_im.capacity(), 0);
     }
 
     #[test]

@@ -247,12 +247,12 @@ impl Circuit {
     }
 
     /// Lowers the circuit against one trainable-parameter vector into a
-    /// [`CompiledTape`]: rotation matrices resolve and fuse, CNOT runs
-    /// collapse into permutations, controlled phases become diagonal ops,
+    /// [`CompiledTape`]: rotation matrices resolve and fuse, consecutive
+    /// CNOTs group into one run op, controlled phases become diagonal ops,
     /// and input-bound embedding gates stay behind as late slots.
     ///
-    /// The tape also carries the pre-lowered adjoint program the `*_tape`
-    /// gradient sweeps in [`crate::grad::adjoint`] replay. Callers executing
+    /// The tape also carries the pre-lowered adjoint program the gradient
+    /// sweeps in [`crate::grad::adjoint`] replay. Callers executing
     /// many rows against the same parameters (a mini-batch) should compile
     /// once and reuse the tape via [`CompiledTape::execute_on`]; callers
     /// that never differentiate should use [`Circuit::compile_forward`].

@@ -18,11 +18,15 @@
 //! quantum layer's `backward()`.
 //!
 //! Two sweeps are provided per readout: the eager gate-by-gate `*_on`
-//! functions (the reference semantics), and the `*_tape` functions that
-//! replay a [`CompiledTape`]'s pre-lowered adjoint program — pre-inverted
-//! fused fixed segments, and rotation blocks whose angles are all
-//! differentiated in one traversal of the ket and bra. Batched training
-//! compiles once per mini-batch and runs the tape sweep per row.
+//! functions (the reference semantics), and the sweep that replays a
+//! [`CompiledTape`]'s pre-lowered adjoint program — pre-inverted fused
+//! fixed segments, and rotation blocks whose angles are all differentiated
+//! in one traversal of the ket and bra. The tape sweep has two entry
+//! points. The `*_from` functions start from a caller-supplied final
+//! register: batched training compiles once per mini-batch, keeps every
+//! row's register from its forward pass, and sweeps from it. The `*_tape`
+//! functions execute the tape first and then run the same sweep; they are
+//! the re-executing oracle the layers are tested against.
 
 use crate::backend::Backend;
 use crate::circuit::Circuit;
@@ -43,9 +47,9 @@ use crate::tape::{AdjointStep, AdjointStop, CompiledTape};
 /// gradients accumulate over every gate sharing a parameter index.
 ///
 /// This is the **eager, gate-by-gate** reference sweep. The production
-/// training path compiles the circuit once per batch and runs
-/// [`vjp_diagonal_tape`] instead; the two are property-tested to agree at
-/// ≤ 1e-12.
+/// training path compiles the circuit once per batch and sweeps each row's
+/// kept register with [`vjp_diagonal_from`] instead; the tape sweep is
+/// property-tested against this one at ≤ 1e-12.
 ///
 /// # Errors
 ///
@@ -112,15 +116,7 @@ pub fn backward_expectations_z_on<B: Backend>(
     initial: Option<&B>,
     upstream: &[f64],
 ) -> Result<CircuitGradients> {
-    let n = circuit.n_qubits();
-    if upstream.len() != n {
-        return Err(QuantumError::DimensionMismatch {
-            expected: n,
-            actual: upstream.len(),
-        });
-    }
-    let wires: Vec<usize> = (0..n).collect();
-    let diag = weighted_z_sum_diagonal(n, &wires, upstream)?;
+    let diag = z_diagonal(circuit.n_qubits(), upstream)?;
     vjp_diagonal_on(circuit, params, inputs, initial, &diag)
 }
 
@@ -176,19 +172,14 @@ fn contract_im(h: &[[C64; 2]; 2], c: &[[C64; 2]; 2]) -> f64 {
     (h[0][0] * c[0][0] + h[0][1] * c[0][1] + h[1][0] * c[1][0] + h[1][1] * c[1][1]).im
 }
 
-/// [`vjp_diagonal_on`] against a pre-compiled tape: the production batched
-/// path. The forward run executes the tape, and the backward sweep replays
-/// the tape's pre-lowered adjoint program — fixed-gate segments between
-/// parametrized stops are already inverted and fused, and each run of
-/// trainable single-qubit rotations on one wire is a [`RotationBlock`]
-/// whose gradients all come from one [`Backend::adjoint_block_stop`]
-/// traversal. Single-qubit input rotations take the same kernel as
-/// one-gate blocks with a per-row inverse.
+/// [`vjp_diagonal_on`] against a pre-compiled tape: executes the tape for
+/// the row, then runs [`vjp_diagonal_from`]'s sweep from the final
+/// register.
 ///
-/// Compile once per batch ([`crate::Circuit::compile`]) and call this per
-/// row.
-///
-/// [`RotationBlock`]: crate::tape::RotationBlock
+/// Training does not call this: the quantum layers keep every row's final
+/// register from their forward pass and sweep from it directly. This
+/// re-executing form is the oracle those layers are tested against, and
+/// what the benchmarks time as one row's full adjoint cost.
 ///
 /// # Errors
 ///
@@ -201,6 +192,50 @@ pub fn vjp_diagonal_tape<B: Backend>(
     initial: Option<&B>,
     diag: &[f64],
 ) -> Result<CircuitGradients> {
+    let steps = checked_program(tape, diag)?;
+    let ket = tape.execute_on(inputs, initial)?;
+    sweep(tape, steps, inputs, ket, diag)
+}
+
+/// The adjoint sweep of a compiled tape, started from `ket`, the register
+/// the tape's forward program produced for this row (with the same
+/// `inputs`). Consumes `ket`.
+///
+/// The sweep replays the tape's pre-lowered adjoint program: fixed-gate
+/// segments between parametrized stops are already inverted and fused,
+/// and each run of trainable single-qubit rotations on one wire is a
+/// [`RotationBlock`] whose gradients all come from one
+/// [`Backend::adjoint_block_stop`] traversal. Single-qubit input rotations
+/// take the same kernel as one-gate blocks with a per-row inverse. Starting
+/// from the same register bits, the result is bit-identical to
+/// [`vjp_diagonal_tape`].
+///
+/// [`RotationBlock`]: crate::tape::RotationBlock
+///
+/// # Errors
+///
+/// Returns [`QuantumError::ForwardOnlyTape`] for a tape compiled without
+/// its adjoint program, a dimension error if `ket` or `diag` does not match
+/// the tape's register, and an input-count error if `inputs` is shorter
+/// than the tape's input stops reference.
+pub fn vjp_diagonal_from<B: Backend>(
+    tape: &CompiledTape,
+    inputs: &[f64],
+    ket: B,
+    diag: &[f64],
+) -> Result<CircuitGradients> {
+    let steps = checked_program(tape, diag)?;
+    if ket.n_qubits() != tape.n_qubits() {
+        return Err(QuantumError::DimensionMismatch {
+            expected: 1 << tape.n_qubits(),
+            actual: ket.dim(),
+        });
+    }
+    sweep(tape, steps, inputs, ket, diag)
+}
+
+/// The tape's adjoint program, once `diag` is checked against its register.
+fn checked_program<'t>(tape: &'t CompiledTape, diag: &[f64]) -> Result<&'t [AdjointStep]> {
     let steps = tape.adjoint_program()?;
     let dim = 1usize << tape.n_qubits();
     if diag.len() != dim {
@@ -209,15 +244,23 @@ pub fn vjp_diagonal_tape<B: Backend>(
             actual: diag.len(),
         });
     }
+    Ok(steps)
+}
 
-    // Forward pass on the compiled tape.
-    let mut ket: B = tape.execute_on(inputs, initial)?;
+/// The backward sweep shared by [`vjp_diagonal_tape`] and
+/// [`vjp_diagonal_from`], over a checked program.
+fn sweep<B: Backend>(
+    tape: &CompiledTape,
+    steps: &[AdjointStep],
+    inputs: &[f64],
+    mut ket: B,
+    diag: &[f64],
+) -> Result<CircuitGradients> {
     let mut bra = ket.clone();
     bra.apply_diagonal_real(diag);
 
     let mut grads = CircuitGradients::zeros(tape.n_params(), tape.n_inputs());
 
-    // Backward sweep over the pre-lowered adjoint program.
     for step in steps {
         match step {
             AdjointStep::Unapply(ops) => {
@@ -262,7 +305,20 @@ pub fn vjp_diagonal_tape<B: Backend>(
     Ok(grads)
 }
 
-/// [`backward_expectations_z_on`] against a pre-compiled tape.
+/// The upstream-weighted `⟨Z⟩` diagonal `Σ_w upstream[w]·Z_w` on `n` wires.
+fn z_diagonal(n: usize, upstream: &[f64]) -> Result<Vec<f64>> {
+    if upstream.len() != n {
+        return Err(QuantumError::DimensionMismatch {
+            expected: n,
+            actual: upstream.len(),
+        });
+    }
+    let wires: Vec<usize> = (0..n).collect();
+    weighted_z_sum_diagonal(n, &wires, upstream)
+}
+
+/// [`backward_expectations_z_on`] against a pre-compiled tape: executes the
+/// tape, then sweeps (the re-executing oracle; see [`vjp_diagonal_tape`]).
 ///
 /// # Errors
 ///
@@ -275,19 +331,32 @@ pub fn backward_expectations_z_tape<B: Backend>(
     initial: Option<&B>,
     upstream: &[f64],
 ) -> Result<CircuitGradients> {
-    let n = tape.n_qubits();
-    if upstream.len() != n {
-        return Err(QuantumError::DimensionMismatch {
-            expected: n,
-            actual: upstream.len(),
-        });
-    }
-    let wires: Vec<usize> = (0..n).collect();
-    let diag = weighted_z_sum_diagonal(n, &wires, upstream)?;
-    vjp_diagonal_tape(tape, inputs, initial, &diag)
+    vjp_diagonal_tape(
+        tape,
+        inputs,
+        initial,
+        &z_diagonal(tape.n_qubits(), upstream)?,
+    )
 }
 
-/// [`backward_probabilities_on`] against a pre-compiled tape.
+/// [`backward_expectations_z_tape`] swept from the row's final register
+/// `ket` instead of re-executing the tape (see [`vjp_diagonal_from`]).
+///
+/// # Errors
+///
+/// Returns a dimension error if `upstream.len() != n_qubits`, plus the
+/// errors of [`vjp_diagonal_from`].
+pub fn backward_expectations_z_from<B: Backend>(
+    tape: &CompiledTape,
+    inputs: &[f64],
+    ket: B,
+    upstream: &[f64],
+) -> Result<CircuitGradients> {
+    vjp_diagonal_from(tape, inputs, ket, &z_diagonal(tape.n_qubits(), upstream)?)
+}
+
+/// [`backward_probabilities_on`] against a pre-compiled tape: executes the
+/// tape, then sweeps (the re-executing oracle; see [`vjp_diagonal_tape`]).
 ///
 /// # Errors
 ///
@@ -302,6 +371,23 @@ pub fn backward_probabilities_tape<B: Backend>(
 ) -> Result<CircuitGradients> {
     let diag = probability_diagonal(tape.n_qubits(), upstream)?;
     vjp_diagonal_tape(tape, inputs, initial, &diag)
+}
+
+/// [`backward_probabilities_tape`] swept from the row's final register
+/// `ket` instead of re-executing the tape (see [`vjp_diagonal_from`]).
+///
+/// # Errors
+///
+/// Returns a dimension error if `upstream.len() != 2^n_qubits`, plus the
+/// errors of [`vjp_diagonal_from`].
+pub fn backward_probabilities_from<B: Backend>(
+    tape: &CompiledTape,
+    inputs: &[f64],
+    ket: B,
+    upstream: &[f64],
+) -> Result<CircuitGradients> {
+    let diag = probability_diagonal(tape.n_qubits(), upstream)?;
+    vjp_diagonal_from(tape, inputs, ket, &diag)
 }
 
 #[cfg(test)]

@@ -72,7 +72,7 @@ pub struct ServerConfig {
     pub workers: Threads,
     /// Queue depth at which a request's home shard is considered "deep" and
     /// the dispatcher spills the request to the least-loaded worker instead
-    /// (see [`super::dispatch`]). Values `<= 1` spill on any imbalance;
+    /// (see `serve/dispatch.rs`). Values `<= 1` spill on any imbalance;
     /// very large values pin requests to their shard.
     pub spill_depth: usize,
 }
@@ -365,7 +365,7 @@ fn run_worker(shared: Arc<Shared>, w: usize, max_batch_rows: usize) {
 /// its own [`BatchEngine`].
 ///
 /// Submissions are bounded pool-wide by [`ServerConfig::capacity`] and
-/// routed by the sharded dispatcher (see [`super::dispatch`]): requests
+/// routed by the sharded dispatcher (see `serve/dispatch.rs`): requests
 /// sharing a coalescing key land on the same worker so batching stays
 /// effective, spilling to the least-loaded worker when the home shard's
 /// queue is deep. Each worker steals its own queue at once, coalesces it,
