@@ -4,8 +4,7 @@
 //!
 //! ```text
 //! cargo bench -p sqvae-bench --bench scaling | tee bench.txt
-//! cargo bench -p sqvae-bench --bench serving_throughput | tee serve.txt
-//! cargo run -p sqvae-bench --bin bench_check -- bench.txt serve.txt
+//! cargo run -p sqvae-bench --bin bench_check -- bench.txt
 //! cargo run -p sqvae-bench --bin bench_check -- --write bench.txt   # refresh baseline
 //! ```
 //!

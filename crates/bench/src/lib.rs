@@ -50,11 +50,6 @@ pub struct ExpArgs {
     /// `SQVAE_BACKEND` environment variable). Backends agree to ~1e-15 —
     /// only wall-clock changes.
     pub backend: BackendKind,
-    /// Serving worker-pool size for experiments that stand up an
-    /// `InferenceServer` (`--workers auto|off|<n>`; defaults to the
-    /// `SQVAE_WORKERS` environment variable). Results are bit-identical
-    /// for every setting — only requests/sec changes.
-    pub workers: Threads,
     /// Optional `--save <path>` — checkpoint the trained model there.
     pub save: Option<String>,
     /// Optional `--load <path>` — restore a checkpoint instead of training
@@ -70,7 +65,6 @@ impl Default for ExpArgs {
             seed: 42,
             threads: Threads::from_env(),
             backend: BackendKind::from_env(),
-            workers: sqvae::serve::workers_from_env(),
             save: None,
             load: None,
         }
@@ -82,7 +76,7 @@ impl ExpArgs {
     ///
     /// Recognized: `--full`, `--quick`, `--panel <name>`, `--seed <n>`,
     /// `--threads <auto|off|n>`, `--backend <dense|soa>` (`fused` = `dense`),
-    /// `--workers <auto|off|n>`, `--save <path>`, `--load <path>`. Unknown
+    /// `--save <path>`, `--load <path>`. Unknown
     /// flags are ignored so wrappers can pass extras through.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
         let mut out = ExpArgs::default();
@@ -110,13 +104,6 @@ impl ExpArgs {
                     if let Some(s) = it.next() {
                         if let Ok(b) = s.parse() {
                             out.backend = b;
-                        }
-                    }
-                }
-                "--workers" => {
-                    if let Some(s) = it.next() {
-                        if let Ok(w) = s.parse() {
-                            out.workers = w;
                         }
                     }
                 }
@@ -373,16 +360,6 @@ mod tests {
         // Bad specs keep the default rather than aborting an experiment.
         let default = ExpArgs::default().threads;
         assert_eq!(args(&["--threads", "banana"]).threads, default);
-    }
-
-    #[test]
-    fn parse_workers_flag() {
-        assert_eq!(args(&["--workers", "off"]).workers, Threads::Off);
-        assert_eq!(args(&["--workers", "4"]).workers, Threads::Fixed(4));
-        assert_eq!(args(&["--workers", "auto"]).workers, Threads::Auto);
-        // Bad specs keep the default rather than aborting an experiment.
-        let default = ExpArgs::default().workers;
-        assert_eq!(args(&["--workers", "many"]).workers, default);
     }
 
     #[test]

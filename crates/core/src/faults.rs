@@ -5,8 +5,9 @@
 //! the serving and training stacks consult at the moments where real
 //! systems break:
 //!
-//! * [`FaultPoint::WorkerPanic`] — the inference worker panics mid-batch
-//!   (exercises the supervisor + `ServeError::WorkerGone` paths).
+//! * [`FaultPoint::WorkerPanic`] — the serving engine thread panics with a
+//!   batch in flight (exercises the supervisor + `ServeError::WorkerGone`
+//!   paths).
 //! * [`FaultPoint::QueueSaturation`] — a submission is refused as if the
 //!   bounded queue were full (exercises backpressure + client retry).
 //! * [`FaultPoint::CheckpointFlip`] / [`FaultPoint::CheckpointTruncate`] —
@@ -19,17 +20,9 @@
 //!
 //! Every point draws from its **own** `StdRng` stream seeded from
 //! `plan.seed ^ point-index`, so whether (say) the third checkpoint save is
-//! corrupted does not depend on how many worker batches ran in between, or
-//! on thread interleaving at other points. Re-running with the same plan
+//! corrupted does not depend on how many serving batches ran in between,
+//! or on thread interleaving at other points. Re-running with the same plan
 //! and the same per-point call sequence reproduces the same faults.
-//!
-//! Call sites that run inside an identified serving worker consult
-//! [`trigger_for`] with their worker index; each `(point, worker)` pair
-//! then owns an independent stream, so pool-size changes or cross-worker
-//! interleaving never shift another worker's fault schedule. A plan can
-//! also be pinned to a single worker ([`FaultPlan::with_worker`], spec key
-//! `worker=N`), which is how the chaos suite kills exactly one member of a
-//! pool while its siblings keep serving.
 //!
 //! ## Cost when disabled
 //!
@@ -48,14 +41,13 @@
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 /// Where a fault can be injected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultPoint {
-    /// Panic the serving worker thread at the top of a batch.
+    /// Panic the serving engine thread with a batch in flight.
     WorkerPanic,
     /// Refuse a submission as if the bounded queue were at capacity.
     QueueSaturation,
@@ -109,11 +101,6 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Firing probability per point, in [`ALL_FAULT_POINTS`] index order.
     pub rates: [f64; N_FAULT_POINTS],
-    /// When set, worker-indexed consultations ([`trigger_for`] with
-    /// `Some(w)`) only fire for this worker index; worker-agnostic call
-    /// sites ([`trigger`]) are unaffected. `None` (the default) fires for
-    /// every worker.
-    pub worker_filter: Option<usize>,
 }
 
 impl Default for FaultPlan {
@@ -122,7 +109,6 @@ impl Default for FaultPlan {
         FaultPlan {
             seed: 0,
             rates: [0.0; N_FAULT_POINTS],
-            worker_filter: None,
         }
     }
 }
@@ -166,18 +152,9 @@ impl FaultPlan {
         self.rates[point.index()]
     }
 
-    /// Returns the plan restricted to serving worker `worker`: only
-    /// [`trigger_for`] consultations carrying that index fire.
-    /// Worker-agnostic [`trigger`] call sites keep firing normally.
-    pub fn with_worker(mut self, worker: usize) -> Self {
-        self.worker_filter = Some(worker);
-        self
-    }
-
     /// Parses a `SQVAE_FAULTS`-style spec: comma-separated `key=value`
-    /// pairs (`seed`, `worker` for [`FaultPlan::with_worker`], plus any
-    /// [`FaultPoint::key`]), or the literal `on` / `1` for
-    /// [`FaultPlan::chaos`] with seed 42.
+    /// pairs (`seed` plus any [`FaultPoint::key`]), or the literal `on` /
+    /// `1` for [`FaultPlan::chaos`] with seed 42.
     ///
     /// # Errors
     ///
@@ -199,21 +176,13 @@ impl FaultPlan {
                     .map_err(|_| format!("fault seed `{value}` is not a u64"))?;
                 continue;
             }
-            if key == "worker" {
-                plan.worker_filter = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("fault worker `{value}` is not an index"))?,
-                );
-                continue;
-            }
             let point = ALL_FAULT_POINTS
                 .iter()
                 .copied()
                 .find(|p| p.key() == key)
                 .ok_or_else(|| {
                     format!(
-                        "unknown fault point `{key}` (accepted: seed, worker, worker_panic, \
+                        "unknown fault point `{key}` (accepted: seed, worker_panic, \
                          queue_saturation, checkpoint_flip, checkpoint_truncate, nan_loss)"
                     )
                 })?;
@@ -271,55 +240,30 @@ impl FaultStats {
 
 struct Injector {
     plan: FaultPlan,
-    /// One lazily-created stream per `(point, worker)` pair; `None` is the
-    /// worker-agnostic stream every pre-pool call site keeps using (its
-    /// seed derivation is unchanged, so existing plans reproduce the same
-    /// schedules).
-    rngs: HashMap<(usize, Option<usize>), StdRng>,
+    /// One stream per point, seeded `plan.seed ^ point-tag`.
+    rngs: [StdRng; N_FAULT_POINTS],
     stats: FaultStats,
-}
-
-/// Seed of the `(point, worker)` stream. Worker-agnostic streams keep the
-/// historical `plan.seed ^ point-tag` derivation; worker-indexed streams
-/// mix the index in with a golden-ratio multiply so adjacent workers land
-/// far apart.
-fn stream_seed(plan_seed: u64, point: usize, worker: Option<usize>) -> u64 {
-    let base = plan_seed ^ (0x5157_4145_u64 << 8 | point as u64);
-    match worker {
-        None => base,
-        Some(w) => base ^ (w as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-    }
 }
 
 impl Injector {
     fn new(plan: FaultPlan) -> Self {
         Injector {
             plan,
-            rngs: HashMap::new(),
+            rngs: std::array::from_fn(|i| {
+                StdRng::seed_from_u64(plan.seed ^ (0x5157_4145_u64 << 8 | i as u64))
+            }),
             stats: FaultStats::default(),
         }
     }
 
-    fn trigger(&mut self, point: FaultPoint, worker: Option<usize>) -> Option<u64> {
+    fn trigger(&mut self, point: FaultPoint) -> Option<u64> {
         let i = point.index();
         self.stats.checked[i] += 1;
-        // A worker filter silences other workers *before* any draw, so the
-        // filtered plan leaves every stream exactly where the unfiltered
-        // plan would for the targeted worker.
-        if let (Some(filter), Some(w)) = (self.plan.worker_filter, worker) {
-            if filter != w {
-                return None;
-            }
-        }
         let rate = self.plan.rates[i];
         if rate <= 0.0 {
             return None;
         }
-        let seed = stream_seed(self.plan.seed, i, worker);
-        let rng = self
-            .rngs
-            .entry((i, worker))
-            .or_insert_with(|| StdRng::seed_from_u64(seed));
+        let rng = &mut self.rngs[i];
         // Two draws per consultation (decision + payload) keeps the stream
         // position independent of whether the fault fired.
         let decision = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
@@ -375,22 +319,10 @@ pub fn active() -> bool {
 /// randomness for shaping it (e.g. which byte of a checkpoint to flip).
 #[inline]
 pub fn trigger(point: FaultPoint) -> Option<u64> {
-    trigger_for(point, None)
-}
-
-/// Worker-indexed [`trigger`]: serving workers pass their pool index so
-/// each `(point, worker)` pair draws from its own stream (pool size and
-/// cross-worker interleaving cannot shift another worker's schedule) and
-/// so [`FaultPlan::with_worker`] can target a single pool member. `None`
-/// consults the worker-agnostic stream [`trigger`] uses.
-#[inline]
-pub fn trigger_for(point: FaultPoint, worker: Option<usize>) -> Option<u64> {
     if !ACTIVE.load(Ordering::Acquire) {
         return None;
     }
-    injector()
-        .as_mut()
-        .and_then(|inj| inj.trigger(point, worker))
+    injector().as_mut().and_then(|inj| inj.trigger(point))
 }
 
 /// Counters of the installed plan (`None` when inactive).
@@ -439,17 +371,14 @@ mod tests {
 
         assert_eq!(FaultPlan::parse("on").unwrap(), FaultPlan::chaos(42));
         assert_eq!(FaultPlan::parse("1").unwrap(), FaultPlan::chaos(42));
-
-        let pinned = FaultPlan::parse("worker_panic=1.0, worker=2").unwrap();
-        assert_eq!(pinned.worker_filter, Some(2));
-        assert_eq!(FaultPlan::parse("").unwrap().worker_filter, None);
+        assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::default());
 
         assert!(FaultPlan::parse("worker_panic").is_err());
         assert!(FaultPlan::parse("warp_core_breach=0.5").is_err());
         assert!(FaultPlan::parse("worker_panic=1.5").is_err());
         assert!(FaultPlan::parse("seed=banana").is_err());
         assert!(FaultPlan::parse("worker_panic=x").is_err());
-        assert!(FaultPlan::parse("worker=minus-one").is_err());
+        assert!(FaultPlan::parse("worker_panic=1.0, worker=0").is_err());
     }
 
     #[test]

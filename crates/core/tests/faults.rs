@@ -7,9 +7,7 @@
 //! tests here still share one process, so each holds `GATE` for its whole
 //! body.
 
-use sqvae_core::faults::{
-    self, clear, stats, trigger, trigger_for, FaultPlan, FaultPoint, FaultScope,
-};
+use sqvae_core::faults::{self, clear, stats, trigger, FaultPlan, FaultPoint, FaultScope};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 static GATE: Mutex<()> = Mutex::new(());
@@ -78,67 +76,6 @@ fn points_draw_from_independent_streams() {
                 }
                 trigger(FaultPoint::WorkerPanic)
             })
-            .collect()
-    };
-    assert_eq!(run(false), run(true));
-}
-
-#[test]
-fn worker_streams_are_independent_of_each_other() {
-    let _gate = gate();
-    // Interleave worker 1's consultations between worker 0's; worker 0's
-    // outcomes must not move, and neither worker may shadow the
-    // worker-agnostic stream.
-    let run = |interleave: bool| -> Vec<Option<u64>> {
-        let _scope =
-            FaultScope::install(FaultPlan::quiet(5).with_rate(FaultPoint::WorkerPanic, 0.5));
-        (0..32)
-            .map(|_| {
-                if interleave {
-                    let _ = trigger_for(FaultPoint::WorkerPanic, Some(1));
-                    let _ = trigger(FaultPoint::WorkerPanic);
-                }
-                trigger_for(FaultPoint::WorkerPanic, Some(0))
-            })
-            .collect()
-    };
-    let a = run(false);
-    assert_eq!(a, run(true));
-    assert!(a.iter().any(|t| t.is_some()));
-    assert!(a.iter().any(|t| t.is_none()));
-}
-
-#[test]
-fn worker_filter_silences_every_other_worker() {
-    let _gate = gate();
-    let _scope = FaultScope::install(
-        FaultPlan::quiet(8)
-            .with_rate(FaultPoint::WorkerPanic, 1.0)
-            .with_worker(2),
-    );
-    for _ in 0..16 {
-        assert!(trigger_for(FaultPoint::WorkerPanic, Some(2)).is_some());
-        assert_eq!(trigger_for(FaultPoint::WorkerPanic, Some(0)), None);
-        assert_eq!(trigger_for(FaultPoint::WorkerPanic, Some(3)), None);
-        // Worker-agnostic call sites are not filtered.
-        assert!(trigger(FaultPoint::WorkerPanic).is_some());
-    }
-    let s = stats().unwrap();
-    assert_eq!(s.fired_at(FaultPoint::WorkerPanic), 32);
-    assert_eq!(s.checked_at(FaultPoint::WorkerPanic), 64);
-}
-
-#[test]
-fn a_filtered_plan_keeps_the_target_workers_schedule() {
-    let _gate = gate();
-    // The schedule worker 1 sees must be byte-identical whether or not the
-    // plan filters the other workers out.
-    let run = |filtered: bool| -> Vec<Option<u64>> {
-        let plan = FaultPlan::quiet(13).with_rate(FaultPoint::WorkerPanic, 0.5);
-        let plan = if filtered { plan.with_worker(1) } else { plan };
-        let _scope = FaultScope::install(plan);
-        (0..32)
-            .map(|_| trigger_for(FaultPoint::WorkerPanic, Some(1)))
             .collect()
     };
     assert_eq!(run(false), run(true));

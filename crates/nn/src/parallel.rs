@@ -6,9 +6,9 @@
 //! pool of helper threads (standard library only, matching the offline
 //! build environment). The pool holds `max(cpus, 2) − 1` helpers, started
 //! on the first parallel call with the CPU count read once, and lives for
-//! the process. Training, every quantum layer and every serving worker
-//! submit into the same pool, so row sharding and serving workers share
-//! one set of threads instead of multiplying.
+//! the process. Training, every quantum layer and the serving engine
+//! submit into the same pool, so serving shares one set of threads with
+//! row sharding instead of multiplying it.
 //!
 //! The calling thread always takes part: it and any helper that joins claim
 //! rows one at a time from one atomic counter, and each row's result lands

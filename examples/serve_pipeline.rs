@@ -3,8 +3,7 @@
 //! 1. train a scalable SQ-VAE for one epoch,
 //! 2. save it as a checkpoint and reload it (asserting bit-identical
 //!    reconstructions across the round trip),
-//! 3. stand up a multi-worker [`sqvae::serve::InferenceServer`] (2 workers
-//!    by default; `--workers auto|off|<n>` overrides) over the checkpoint
+//! 3. stand up an [`sqvae::serve::InferenceServer`] over the checkpoint
 //!    and push a batched mix of encode / decode / sample / reconstruct
 //!    requests,
 //! 4. diff every served result against the direct in-process call.
@@ -12,7 +11,7 @@
 //! Exits nonzero on the first mismatch, so CI fails loudly.
 //!
 //! ```sh
-//! cargo run --release --example serve_pipeline -- --workers 2
+//! cargo run --release --example serve_pipeline
 //! ```
 
 use rand::rngs::StdRng;
@@ -20,7 +19,7 @@ use rand::SeedableRng;
 use sqvae::core::checkpoint;
 use sqvae::core::{models, TrainConfig, Trainer};
 use sqvae::datasets::qm9::{generate, Qm9Config};
-use sqvae::nn::{Matrix, Threads};
+use sqvae::nn::Matrix;
 use sqvae::serve::{InferenceServer, Op, Request, ServerConfig};
 
 fn bits(m: &Matrix) -> Vec<u64> {
@@ -37,20 +36,6 @@ fn check(label: &str, served: &Matrix, direct: &Matrix) -> Result<(), String> {
     } else {
         Err(format!("{label}: served output diverged from direct call"))
     }
-}
-
-/// `--workers <auto|off|n>` from the command line; the pipeline defaults
-/// to a 2-worker pool so CI always exercises multi-worker serving.
-fn workers_arg() -> Threads {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--workers" {
-            if let Some(w) = args.next().and_then(|s| s.parse().ok()) {
-                return w;
-            }
-        }
-    }
-    Threads::Fixed(2)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -90,20 +75,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &model.reconstruct(&probe)?,
     )?;
 
-    // 3. Serve a batched request mix against the checkpoint through a
-    //    worker pool. Pausing the pool while the burst is submitted makes
-    //    the coalescing deterministic (otherwise a worker may steal the
-    //    first request before the rest arrive, which is correct but
-    //    batches less). The two Reconstruct requests share a coalescing
-    //    key, so the dispatcher shards them onto the same worker and they
-    //    merge into one forward pass whatever the pool size.
+    // 3. Serve a batched request mix against the checkpoint. Pausing the
+    //    server while the burst is submitted makes the coalescing
+    //    deterministic (otherwise the engine may take the first request
+    //    before the rest arrive, which is correct but batches less). The
+    //    two Reconstruct requests share a coalescing key, so the engine
+    //    merges them into one forward pass even with other kinds queued
+    //    between them.
     let server = InferenceServer::start(ServerConfig {
         capacity: 32,
         max_batch_rows: 64,
-        workers: workers_arg(),
         ..ServerConfig::default()
     });
-    println!("serving with {} worker(s)", server.workers());
     server.pause();
     let x = Matrix::from_fn(3, 64, |r, c| ((r * 64 + c) as f64).sin().abs());
     let z = Matrix::from_fn(2, model.latent_dim(), |r, c| (r + c) as f64 * 0.2);

@@ -1,56 +1,44 @@
 //! Long-running batched inference over checkpointed models.
 //!
 //! The training pipeline produces checkpoints ([`sqvae_core::checkpoint`]);
-//! this module serves them. Three layers:
-//!
-//! * [`BatchEngine`] (`engine`) — a synchronous core: a warm-model registry
-//!   keyed by checkpoint path, a request queue, and a coalescer that merges
-//!   single `encode` / `decode` / `sample` / `reconstruct` requests
-//!   targeting the same model into one batched forward pass. Every model
-//!   call is row-independent (the quantum layers shard batch rows on the
-//!   shared compute pool with a bit-identical guarantee), so a coalesced batch
-//!   returns exactly the bytes the same requests would produce one at a
-//!   time.
-//! * The dispatcher (`dispatch`) — routes each request to a home worker by
-//!   hashing its coalescing key (**sharding**: same-key requests land
-//!   together so batches stay fat), spilling to the least-loaded worker
-//!   when the home shard's queue is at least
-//!   [`ServerConfig::spill_depth`] deep (**spillover**: a deep home queue
-//!   already guarantees a full batch, so the marginal request gains more
-//!   from an idle worker).
-//! * [`InferenceServer`] (`pool`) — a pool of [`ServerConfig::workers`]
-//!   worker threads (default: the `SQVAE_WORKERS` environment variable,
-//!   falling back to one per CPU), each wrapping its own engine with its
-//!   own warm-model registry replica: bounded pool-wide submission queue
-//!   (typed [`ServeError::QueueFull`] backpressure), blocking
-//!   [`InferenceServer::request`] round trips, a maintenance
-//!   [`InferenceServer::pause`], and a graceful
-//!   [`InferenceServer::shutdown`] that drains every accepted request
-//!   before the pool exits.
+//! this module serves them. [`InferenceServer`] runs **one engine thread
+//! over one bounded request queue**. The thread takes the front request
+//! plus every queued request for the same model, op kind and payload width
+//! that still fits [`ServerConfig::max_batch_rows`], runs them as one
+//! batched `encode` / `decode` / `sample` / `reconstruct` call on its
+//! warm-model registry (keyed by checkpoint path), publishes the results,
+//! and takes the next batch. The batch's rows fan out on the process-wide
+//! compute pool ([`sqvae_nn::parallel`]) that training also uses, so the
+//! server adds no second thread-count lever. Around that engine:
+//! typed [`ServeError::QueueFull`] backpressure, blocking
+//! [`InferenceServer::request`] round trips, a maintenance
+//! [`InferenceServer::pause`], and a graceful
+//! [`InferenceServer::shutdown`] that drains every accepted request before
+//! the engine exits.
 //!
 //! ## Fault tolerance
 //!
 //! The server is built to keep its core invariant — **every accepted
 //! request resolves**, with a result or a typed error, never a hang —
-//! under the failures a long-running deployment actually sees, and each
-//! guarantee holds per pool worker:
+//! under the failures a long-running deployment actually sees:
 //!
 //! * **Deadlines.** A request can carry its own [`Request::deadline`], or
 //!   inherit [`ServerConfig::default_timeout`]. Expired requests are
 //!   load-shed in-queue (before they waste a batch slot) and
 //!   [`InferenceServer::wait`] gives up at the deadline — both surface as
 //!   [`ServeError::DeadlineExceeded`].
-//! * **Worker supervision.** A panic in a worker (a model bug, or an
-//!   injected [`sqvae_core::faults::FaultPoint::WorkerPanic`]) fails only
-//!   the tickets *that worker* held in flight with
-//!   [`ServeError::WorkerGone`] — the rest of the pool keeps serving — and
-//!   the supervisor respawns the crashed member independently on the next
-//!   client call, rebuilding its warm-model registry from the checkpoint
-//!   paths the dead generation had loaded. Queued-but-unstolen requests
-//!   survive the crash untouched.
+//! * **Engine supervision.** A panic in the engine thread (a model bug, or
+//!   an injected [`sqvae_core::faults::FaultPoint::WorkerPanic`]) fails
+//!   exactly the batch in flight with [`ServeError::WorkerGone`]. Requests
+//!   still queued wait, and the supervisor respawns the engine on the next
+//!   client call that needs it, rebuilding its warm-model registry from the
+//!   checkpoint paths the dead generation had loaded.
 //! * **Client retries.** [`InferenceServer::request`] retries retryable
 //!   errors ([`ServeError::QueueFull`], [`ServeError::WorkerGone`]) per
 //!   the [`ServerConfig::retry`] policy with exponential backoff.
+//! * **Bounded payloads.** A request with more rows than one batch may hold
+//!   is refused at submission with [`ServeError::TooManyRows`], before any
+//!   allocation sized by its row count.
 //! * **Poison recovery.** Every lock acquisition recovers from mutex
 //!   poisoning, so one panic never cascades into aborts elsewhere.
 //! * **Checkpoint healing.** Models load through
@@ -60,27 +48,21 @@
 //!
 //! ## Determinism
 //!
-//! Results are **bit-identical for any pool size** (and any
-//! [`ServerConfig::spill_depth`]): every request's bytes depend only on
-//! its own payload, never on batch composition or worker placement.
-//! Sampling stays deterministic under coalescing because each `sample`
-//! request carries its own seed: the engine draws that request's latent
-//! rows from a fresh `StdRng::seed_from_u64(seed)` — the same stream a
-//! direct [`sqvae_core::Autoencoder::sample`] call would consume — and only
-//! the decoder pass is shared. Routing therefore decides wall-clock, not
-//! answers.
+//! Every request's bytes depend only on its own payload, never on batch
+//! composition or on the compute pool's thread count. Sampling stays
+//! deterministic under coalescing because each `sample` request carries
+//! its own seed: the engine draws that request's latent rows from a fresh
+//! `StdRng::seed_from_u64(seed)` — the same stream a direct
+//! [`sqvae_core::Autoencoder::sample`] call would consume — and only the
+//! decoder pass is shared.
 //!
 //! ## Example
 //!
 //! ```no_run
 //! use sqvae::serve::{InferenceServer, Op, Request, ServerConfig};
-//! use sqvae_nn::Threads;
 //!
 //! # fn main() -> Result<(), sqvae::serve::ServeError> {
-//! let server = InferenceServer::start(ServerConfig {
-//!     workers: Threads::Fixed(4), // or leave the SQVAE_WORKERS default
-//!     ..ServerConfig::default()
-//! });
+//! let server = InferenceServer::start(ServerConfig::default());
 //! let sampled = server.request(Request::new("model.ckpt", Op::Sample { n: 4, seed: 7 }))?;
 //! println!("sampled {} molecules-worth of features", sampled.rows());
 //! server.shutdown();
@@ -88,14 +70,11 @@
 //! # }
 //! ```
 
-mod dispatch;
 mod engine;
 mod pool;
 mod stats;
 
-pub use dispatch::shard_index;
-pub use engine::{BatchEngine, Ticket};
-pub use pool::{workers_from_env, InferenceServer, ServerConfig, WORKERS_ENV_VAR};
+pub use pool::{workers_from_env, InferenceServer, ServerConfig};
 pub use stats::{EngineStats, ServerHealth};
 
 use sqvae_core::checkpoint::{self, Checkpoint};
@@ -115,11 +94,19 @@ pub enum ServeError {
     },
     /// The server is shutting down and no longer accepts work.
     ShuttingDown,
-    /// The worker thread holding this request is gone (panicked) before
-    /// answering it.
+    /// The engine thread panicked while running this request's batch, or
+    /// could not be respawned to run it.
     WorkerGone,
     /// A request carried no rows to process (`n == 0` or an empty matrix).
     EmptyRequest,
+    /// A request carried more rows than one batch may hold. Split it into
+    /// requests of at most `max_batch_rows` rows.
+    TooManyRows {
+        /// Rows the request carried.
+        rows: usize,
+        /// The server's [`ServerConfig::max_batch_rows`].
+        max_batch_rows: usize,
+    },
     /// The referenced checkpoint could not be loaded (message from
     /// [`sqvae_core::checkpoint::CheckpointError`]).
     Checkpoint(String),
@@ -153,8 +140,15 @@ impl std::fmt::Display for ServeError {
                 write!(f, "submission queue is full (capacity {capacity})")
             }
             ServeError::ShuttingDown => write!(f, "server is shutting down"),
-            ServeError::WorkerGone => write!(f, "worker thread exited before answering"),
+            ServeError::WorkerGone => write!(f, "engine thread exited before answering"),
             ServeError::EmptyRequest => write!(f, "request carries no rows"),
+            ServeError::TooManyRows {
+                rows,
+                max_batch_rows,
+            } => write!(
+                f,
+                "request carries {rows} rows, over the batch row budget of {max_batch_rows}"
+            ),
             ServeError::Checkpoint(msg) => write!(f, "checkpoint load failed: {msg}"),
             ServeError::Model(e) => write!(f, "model error: {e}"),
             ServeError::DeadlineExceeded => {
@@ -196,8 +190,8 @@ pub enum Op {
 }
 
 impl Op {
-    /// Number of output rows this op will produce (and the coalescer's
-    /// row-budget cost).
+    /// Number of output rows this op will produce (and its cost against
+    /// the batch row budget).
     fn rows(&self) -> usize {
         match self {
             Op::Encode(m) | Op::Decode(m) | Op::Reconstruct(m) => m.rows(),
@@ -207,8 +201,7 @@ impl Op {
 
     /// Coalescing key: ops merge into one batch only when the kind and the
     /// payload width agree (widths always agree for same-kind ops on one
-    /// model, but a mis-sized payload must not poison its batchmates). The
-    /// dispatcher hashes the same key to pick a request's home shard.
+    /// model, but a mis-sized payload must not poison its batchmates).
     fn kind_and_width(&self) -> (u8, usize) {
         match self {
             Op::Encode(m) => (0, m.cols()),
@@ -222,8 +215,8 @@ impl Op {
 /// A request: which checkpoint to serve, and what to do.
 #[derive(Debug, Clone)]
 pub struct Request {
-    /// Path of the checkpoint file; each pool worker loads it on first use
-    /// and keeps the model warm for subsequent requests.
+    /// Path of the checkpoint file; the engine loads it on first use and
+    /// keeps the model warm for subsequent requests.
     pub model: String,
     /// The operation to run.
     pub op: Op,
@@ -318,7 +311,6 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sqvae_core::models;
-    use sqvae_nn::Threads;
 
     fn temp_path(name: &str) -> String {
         let dir = std::env::temp_dir().join("sqvae-serve-tests");
@@ -337,159 +329,217 @@ mod tests {
         m.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
+    fn server_with_budget(max_batch_rows: usize) -> InferenceServer {
+        InferenceServer::start(ServerConfig {
+            max_batch_rows,
+            ..ServerConfig::default()
+        })
+    }
+
+    /// Submits `reqs` while the server is paused, so the engine sees them
+    /// all queued at once, then resumes and waits on each in order.
+    fn serve_paused(
+        server: &InferenceServer,
+        reqs: Vec<Request>,
+    ) -> Vec<Result<Matrix, ServeError>> {
+        server.pause();
+        let ids: Vec<u64> = reqs
+            .into_iter()
+            .map(|r| server.submit(r).unwrap())
+            .collect();
+        assert_eq!(server.health().pending, ids.len());
+        server.resume();
+        ids.into_iter().map(|id| server.wait(id)).collect()
+    }
+
     #[test]
     fn coalesced_batch_matches_direct_single_row_calls() {
         let (path, mut direct) = published_model("coalesce.ckpt", 1);
-        let mut engine = BatchEngine::new(64);
-        let xs: Vec<Matrix> = (0..5)
-            .map(|i| Matrix::from_fn(1, 16, |_, c| (i * 16 + c) as f64 / 80.0))
+        let server = server_with_budget(64);
+        let xs: Vec<Matrix> = (0..20)
+            .map(|i| Matrix::from_fn(1, 16, |_, c| (i * 16 + c) as f64 / 320.0))
             .collect();
-        let tickets: Vec<Ticket> = xs
+        let reqs = xs
             .iter()
-            .map(|x| {
-                engine
-                    .submit(Request::new(path.clone(), Op::Reconstruct(x.clone())))
-                    .unwrap()
-            })
+            .map(|x| Request::new(path.clone(), Op::Reconstruct(x.clone())))
             .collect();
-        assert_eq!(engine.pending(), 5);
-        // All five coalesce into ONE forward pass...
-        assert_eq!(engine.process_next_batch(), 5);
-        let stats = engine.stats();
-        assert_eq!(stats.batches, 1);
-        assert_eq!(stats.requests, 5);
-        assert_eq!(stats.rows, 5);
-        assert_eq!(stats.largest_batch_requests, 5);
-        // ...and each result is bit-identical to the direct call.
-        for (x, t) in xs.iter().zip(tickets) {
-            let served = engine.take_result(t).unwrap().unwrap();
+        let served = serve_paused(&server, reqs);
+        // Each result is bit-identical to the direct call...
+        for (x, got) in xs.iter().zip(served) {
             let want = direct.reconstruct(x).unwrap();
-            assert_eq!(rows_bits(&served), rows_bits(&want));
+            assert_eq!(rows_bits(&got.unwrap()), rows_bits(&want));
         }
+        // ...and all twenty ran as ONE forward pass.
+        let stats = server.shutdown();
+        assert_eq!(stats.batches, 1);
+        assert_eq!(stats.requests, 20);
+        assert_eq!(stats.rows, 20);
+        assert_eq!(stats.largest_batch_requests, 20);
     }
 
     #[test]
     fn encode_decode_and_sample_round_trip_bit_identically() {
         let (path, mut direct) = published_model("ops.ckpt", 2);
-        let mut engine = BatchEngine::new(64);
+        let server = server_with_budget(64);
         let x = Matrix::from_fn(3, 16, |r, c| ((r * 16 + c) as f64).sin());
-        let t_enc = engine
-            .submit(Request::new(path.clone(), Op::Encode(x.clone())))
-            .unwrap();
         let z = Matrix::from_fn(2, direct.latent_dim(), |r, c| (r + c) as f64 * 0.1);
-        let t_dec = engine
-            .submit(Request::new(path.clone(), Op::Decode(z.clone())))
-            .unwrap();
-        let t_s1 = engine
-            .submit(Request::new(path.clone(), Op::Sample { n: 2, seed: 11 }))
-            .unwrap();
-        let t_s2 = engine
-            .submit(Request::new(path, Op::Sample { n: 3, seed: 12 }))
-            .unwrap();
-        engine.drain();
-        // Mixed kinds cannot share a batch; the two samples can.
-        assert_eq!(engine.stats().batches, 3);
-
-        let want_enc = direct.encode(&x).unwrap();
-        assert_eq!(
-            rows_bits(&engine.take_result(t_enc).unwrap().unwrap()),
-            rows_bits(&want_enc)
+        let served = serve_paused(
+            &server,
+            vec![
+                Request::new(path.clone(), Op::Encode(x.clone())),
+                Request::new(path.clone(), Op::Sample { n: 2, seed: 11 }),
+                Request::new(path.clone(), Op::Decode(z.clone())),
+                Request::new(path, Op::Sample { n: 3, seed: 12 }),
+            ],
         );
-        let want_dec = direct.decode(&z).unwrap();
-        assert_eq!(
-            rows_bits(&engine.take_result(t_dec).unwrap().unwrap()),
-            rows_bits(&want_dec)
-        );
+        let served: Vec<Vec<u64>> = served.into_iter().map(|r| rows_bits(&r.unwrap())).collect();
+        assert_eq!(served[0], rows_bits(&direct.encode(&x).unwrap()));
+        assert_eq!(served[2], rows_bits(&direct.decode(&z).unwrap()));
         // Coalesced samples equal direct per-seed sample() calls.
         let want_s1 = direct.sample(2, &mut StdRng::seed_from_u64(11)).unwrap();
         let want_s2 = direct.sample(3, &mut StdRng::seed_from_u64(12)).unwrap();
-        assert_eq!(
-            rows_bits(&engine.take_result(t_s1).unwrap().unwrap()),
-            rows_bits(&want_s1)
-        );
-        assert_eq!(
-            rows_bits(&engine.take_result(t_s2).unwrap().unwrap()),
-            rows_bits(&want_s2)
-        );
+        assert_eq!(served[1], rows_bits(&want_s1));
+        assert_eq!(served[3], rows_bits(&want_s2));
+        // Mixed kinds cannot share a batch; the two samples can, even with
+        // a decode queued between them.
+        let stats = server.shutdown();
+        assert_eq!(stats.batches, 3);
+        assert_eq!(stats.largest_batch_requests, 2);
     }
 
     #[test]
     fn row_budget_splits_oversized_batches() {
         let (path, _) = published_model("budget.ckpt", 3);
-        let mut engine = BatchEngine::new(4);
-        for _ in 0..3 {
-            engine
-                .submit(Request::new(
-                    path.clone(),
-                    Op::Reconstruct(Matrix::filled(3, 16, 0.2)),
-                ))
-                .unwrap();
+        let server = server_with_budget(4);
+        let reqs = (0..3)
+            .map(|_| Request::new(path.clone(), Op::Reconstruct(Matrix::filled(3, 16, 0.2))))
+            .collect();
+        for got in serve_paused(&server, reqs) {
+            assert_eq!(got.unwrap().shape(), (3, 16));
         }
-        engine.drain();
         // 3 rows each, budget 4: no two requests fit together.
-        assert_eq!(engine.stats().batches, 3);
-        assert_eq!(engine.stats().largest_batch_requests, 1);
+        let stats = server.shutdown();
+        assert_eq!(stats.batches, 3);
+        assert_eq!(stats.largest_batch_requests, 1);
     }
 
     #[test]
     fn models_stay_warm_across_batches() {
-        let (path, _) = published_model("warm.ckpt", 4);
-        let mut engine = BatchEngine::new(8);
-        for _ in 0..3 {
-            engine
-                .submit(Request::new(path.clone(), Op::Sample { n: 1, seed: 0 }))
-                .unwrap();
-            engine.drain();
+        let (path, mut direct) = published_model("warm.ckpt", 4);
+        let server = server_with_budget(8);
+        let sample = |seed| server.request(Request::new(path.clone(), Op::Sample { n: 1, seed }));
+        sample(0).unwrap();
+        // With the checkpoint gone from disk, only the warm registry can
+        // answer the later batches.
+        std::fs::remove_file(&path).unwrap();
+        let _ = std::fs::remove_file(format!("{path}.bak"));
+        for seed in 1..3 {
+            let want = direct.sample(1, &mut StdRng::seed_from_u64(seed)).unwrap();
+            assert_eq!(rows_bits(&sample(seed).unwrap()), rows_bits(&want));
         }
-        assert_eq!(engine.warm_models(), 1);
+        assert_eq!(server.shutdown().batches, 3);
+        // A cold server cannot load it.
+        let cold = server_with_budget(8);
+        assert!(matches!(
+            cold.request(Request::new(path, Op::Sample { n: 1, seed: 0 })),
+            Err(ServeError::Checkpoint(_))
+        ));
+        cold.shutdown();
     }
 
     #[test]
     fn engine_surfaces_checkpoint_and_empty_errors() {
-        let mut engine = BatchEngine::new(8);
-        let t = engine
-            .submit(Request::new(
-                temp_path("does-not-exist.ckpt"),
-                Op::Sample { n: 1, seed: 0 },
-            ))
-            .unwrap();
-        engine.drain();
+        let server = server_with_budget(8);
+        let missing = Request::new(
+            temp_path("does-not-exist.ckpt"),
+            Op::Sample { n: 1, seed: 0 },
+        );
         assert!(matches!(
-            engine.take_result(t),
-            Some(Err(ServeError::Checkpoint(_)))
+            server.request(missing),
+            Err(ServeError::Checkpoint(_))
         ));
-        let err = engine
+        let err = server
             .submit(Request::new("x", Op::Sample { n: 0, seed: 0 }))
             .unwrap_err();
         assert_eq!(err, ServeError::EmptyRequest);
+        assert_eq!(server.health().respawns, 0);
+        server.shutdown();
     }
 
     #[test]
     fn bad_payload_fails_its_batch_without_poisoning_other_keys() {
         let (path, mut direct) = published_model("width.ckpt", 5);
-        let mut engine = BatchEngine::new(64);
-        // Wrong width: 16-feature model fed 8-wide rows.
-        let bad = engine
-            .submit(Request::new(
-                path.clone(),
-                Op::Reconstruct(Matrix::filled(1, 8, 0.1)),
-            ))
-            .unwrap();
+        let server = server_with_budget(64);
         let x = Matrix::filled(1, 16, 0.3);
-        let good = engine
-            .submit(Request::new(path, Op::Reconstruct(x.clone())))
+        // Wrong width: 16-feature model fed 8-wide rows. Different widths →
+        // different batch keys → independent fates.
+        let served = serve_paused(
+            &server,
+            vec![
+                Request::new(path.clone(), Op::Reconstruct(Matrix::filled(1, 8, 0.1))),
+                Request::new(path, Op::Reconstruct(x.clone())),
+            ],
+        );
+        assert!(matches!(served[0], Err(ServeError::Model(_))));
+        assert_eq!(
+            rows_bits(served[1].as_ref().unwrap()),
+            rows_bits(&direct.reconstruct(&x).unwrap())
+        );
+        server.shutdown();
+    }
+
+    #[test]
+    fn requests_over_the_row_budget_are_refused_typed() {
+        let (path, mut direct) = published_model("oversized.ckpt", 13);
+        let server = server_with_budget(8);
+        let refused = |rows: usize| ServeError::TooManyRows {
+            rows,
+            max_batch_rows: 8,
+        };
+        let wide = Matrix::filled(9, 16, 0.1);
+        let latents = Matrix::filled(9, direct.latent_dim(), 0.1);
+        let over = [
+            (Op::Sample { n: 9, seed: 0 }, 9),
+            (
+                Op::Sample {
+                    n: usize::MAX,
+                    seed: 0,
+                },
+                usize::MAX,
+            ),
+            (Op::Encode(wide.clone()), 9),
+            (Op::Decode(latents), 9),
+            (Op::Reconstruct(wide), 9),
+        ];
+        for (op, rows) in over {
+            let err = server.request(Request::new(path.clone(), op)).unwrap_err();
+            assert_eq!(err, refused(rows));
+            assert!(!err.is_retryable());
+        }
+        // At the budget, requests are still served bit-identically.
+        let x = Matrix::from_fn(8, 16, |r, c| ((r * 16 + c) as f64).cos());
+        let served = server
+            .request(Request::new(path.clone(), Op::Reconstruct(x.clone())))
             .unwrap();
-        engine.drain();
-        // Different widths → different batch keys → independent fates.
-        assert!(matches!(
-            engine.take_result(bad),
-            Some(Err(ServeError::Model(_)))
-        ));
-        let served = engine.take_result(good).unwrap().unwrap();
         assert_eq!(
             rows_bits(&served),
             rows_bits(&direct.reconstruct(&x).unwrap())
         );
+        let sampled = server
+            .request(Request::new(path, Op::Sample { n: 8, seed: 5 }))
+            .unwrap();
+        let want = direct.sample(8, &mut StdRng::seed_from_u64(5)).unwrap();
+        assert_eq!(rows_bits(&sampled), rows_bits(&want));
+        let health = server.health();
+        assert_eq!(health.respawns, 0);
+        assert!(health.worker_alive);
+        assert_eq!(server.shutdown().requests, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch row budget must be positive")]
+    fn a_zero_row_budget_is_refused_at_start() {
+        let _ = server_with_budget(0);
     }
 
     #[test]
@@ -518,73 +568,6 @@ mod tests {
     }
 
     #[test]
-    fn a_multi_worker_pool_round_trips_and_reports_its_size() {
-        let (path, mut direct) = published_model("pool3.ckpt", 30);
-        let server = InferenceServer::start(ServerConfig {
-            workers: Threads::Fixed(3),
-            ..ServerConfig::default()
-        });
-        assert_eq!(server.workers(), 3);
-        let health = server.health();
-        assert!(health.worker_alive);
-        assert_eq!(health.workers, 3);
-        let sampled = server
-            .request(Request::new(path, Op::Sample { n: 2, seed: 31 }))
-            .unwrap();
-        let want = direct.sample(2, &mut StdRng::seed_from_u64(31)).unwrap();
-        assert_eq!(rows_bits(&sampled), rows_bits(&want));
-        server.shutdown();
-    }
-
-    #[test]
-    fn spillover_routing_does_not_change_result_bytes() {
-        // Same request set through two 4-worker pools: one that pins
-        // requests to their home shard (huge spill_depth) and one that
-        // spills on any queue imbalance (spill_depth 1). Placement differs;
-        // bytes must not.
-        let paths: Vec<String> = (0..3)
-            .map(|i| published_model(&format!("spill-{i}.ckpt"), 40 + i).0)
-            .collect();
-        let reqs = || -> Vec<Request> {
-            let mut v = Vec::new();
-            for (i, p) in paths.iter().enumerate() {
-                for j in 0..4u64 {
-                    v.push(Request::new(
-                        p.clone(),
-                        Op::Sample {
-                            n: 1,
-                            seed: i as u64 * 10 + j,
-                        },
-                    ));
-                }
-            }
-            v
-        };
-        let run = |spill_depth: usize| -> Vec<Vec<u64>> {
-            let server = InferenceServer::start(ServerConfig {
-                workers: Threads::Fixed(4),
-                spill_depth,
-                ..ServerConfig::default()
-            });
-            // Pause so queues build depth and the shallow spill threshold
-            // actually triggers divergent placement.
-            server.pause();
-            let ids: Vec<u64> = reqs()
-                .into_iter()
-                .map(|r| server.submit(r).unwrap())
-                .collect();
-            server.resume();
-            let out = ids
-                .into_iter()
-                .map(|id| rows_bits(&server.wait(id).unwrap()))
-                .collect();
-            server.shutdown();
-            out
-        };
-        assert_eq!(run(1), run(usize::MAX));
-    }
-
-    #[test]
     fn bounded_queue_backpressure_and_graceful_drain() {
         let (path, _) = published_model("backpressure.ckpt", 7);
         let server = InferenceServer::start(ServerConfig {
@@ -592,8 +575,7 @@ mod tests {
             max_batch_rows: 64,
             ..ServerConfig::default()
         });
-        // Paused pool: accepted requests pile up deterministically. The
-        // capacity bound is pool-wide, whatever the worker count.
+        // Paused server: accepted requests pile up deterministically.
         server.pause();
         let req = |seed: u64| Request::new(path.clone(), Op::Sample { n: 1, seed });
         let ids: Vec<u64> = (0..3).map(|s| server.submit(req(s)).unwrap()).collect();
@@ -602,7 +584,7 @@ mod tests {
             ServeError::QueueFull { capacity: 3 }
         );
         // Graceful shutdown lifts the pause and drains all three accepted
-        // requests before the pool exits.
+        // requests before the engine exits.
         let results: Vec<_> = {
             let server = &server;
             std::thread::scope(|scope| {
@@ -675,7 +657,7 @@ mod tests {
     fn queued_requests_past_their_deadline_are_load_shed() {
         let (path, _) = published_model("deadline.ckpt", 21);
         let server = InferenceServer::start(ServerConfig::default());
-        // Paused pool: the request sits in-queue past its (already
+        // Paused server: the request sits in-queue past its (already
         // expired) deadline and must be shed, not served.
         server.pause();
         let req = Request::new(path, Op::Sample { n: 1, seed: 0 }).with_timeout(Duration::ZERO);
@@ -709,6 +691,11 @@ mod tests {
         assert!(!ServeError::DeadlineExceeded.is_retryable());
         assert!(!ServeError::ShuttingDown.is_retryable());
         assert!(!ServeError::EmptyRequest.is_retryable());
+        assert!(!ServeError::TooManyRows {
+            rows: 2,
+            max_batch_rows: 1
+        }
+        .is_retryable());
         assert!(!ServeError::UnknownTicket { id: 0 }.is_retryable());
     }
 
@@ -748,7 +735,6 @@ mod tests {
         let server = InferenceServer::start(ServerConfig::default());
         let health = server.health();
         assert!(health.worker_alive);
-        assert!(health.workers >= 1);
         assert_eq!(health.respawns, 0);
         assert_eq!(health.pending, 0);
         server.shutdown();

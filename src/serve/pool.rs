@@ -1,26 +1,25 @@
-//! The multi-worker serving engine: a pool of supervised worker threads,
-//! each owning a [`BatchEngine`] with its own warm-model registry replica,
-//! fed by the sharded dispatcher in [`super::dispatch`].
+//! The serving engine: one supervised engine thread over one request
+//! queue.
 //!
-//! Every PR 8 robustness contract holds **per worker**:
+//! The engine thread takes one coalesced batch at a time off the queue
+//! ([`take_batch`]), runs it outside the lock on its warm-model
+//! registry ([`BatchEngine`]), publishes the results, and takes the next
+//! batch. The batch's rows fan out on the shared compute pool
+//! ([`sqvae_nn::parallel`]), so the server adds no thread count of its own.
 //!
-//! * deadlines are enforced in each worker's queue (and in
-//!   [`InferenceServer::wait`]);
-//! * a panic kills exactly one worker — only the tickets *it* held in
-//!   flight fail with [`ServeError::WorkerGone`], its queued-but-unstolen
-//!   requests survive, and the supervisor respawns that member
-//!   independently on the next client call (warm registry rebuilt from its
-//!   checkpoint paths);
-//! * [`EngineStats::absorb`] folds counters across worker generations
-//!   *and* across pool members, so [`InferenceServer::shutdown`] and
-//!   [`InferenceServer::health`] report pool-wide totals.
+//! * Deadlines are enforced in the queue (and in
+//!   [`InferenceServer::wait`]).
+//! * A panic fails exactly the batch in flight with
+//!   [`ServeError::WorkerGone`]. Requests still queued wait for the
+//!   generation the supervisor respawns on the next client call, whose
+//!   warm registry is rebuilt from the dead generation's checkpoint paths.
+//! * [`EngineStats::absorb`] totals the counters across batches and
+//!   generations for [`InferenceServer::shutdown`].
 //!
-//! Waiters never poll: ticket completion is signalled through a shared
-//! `done` condvar, and each worker sleeps on its **own** `work` condvar so
-//! a submission wakes exactly the worker it was routed to.
+//! Waiters never poll: results are signalled through the `done` condvar,
+//! and the engine sleeps on the `work` condvar.
 
-use super::dispatch;
-use super::engine::BatchEngine;
+use super::engine::{take_batch, BatchEngine, QueuedJob};
 use super::stats::{EngineStats, ServerHealth};
 use super::{Request, RetryPolicy, ServeError};
 use sqvae_core::faults::{self, FaultPoint};
@@ -30,35 +29,22 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Name of the environment variable that sets the default pool size (same
-/// grammar as `SQVAE_THREADS`: `auto`, `off`, or a positive count).
-pub const WORKERS_ENV_VAR: &str = "SQVAE_WORKERS";
-
-/// Reads the default worker-pool policy from `SQVAE_WORKERS`: unset or
-/// `auto` → [`Threads::Auto`] (one worker per available CPU); `0` or `off`
-/// → a single worker; `n` → exactly `n` workers. Unparseable values warn
-/// once on stderr and fall back to `auto` (matching the `SQVAE_THREADS` /
-/// `SQVAE_BACKEND` typo policy).
+/// Always [`Threads::Off`], without reading the environment: the server
+/// runs one engine thread, so there is no worker pool to size. It exists
+/// only because the end-to-end benchmark in `perfbench/` prints it; delete
+/// it once that print goes.
 pub fn workers_from_env() -> Threads {
-    match std::env::var(WORKERS_ENV_VAR) {
-        Ok(v) => v.parse().unwrap_or_else(|err: String| {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| {
-                eprintln!("warning: {WORKERS_ENV_VAR}: {err}; falling back to 'auto'");
-            });
-            Threads::Auto
-        }),
-        Err(_) => Threads::Auto,
-    }
+    Threads::Off
 }
 
 /// Configuration for [`InferenceServer::start`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// Maximum queued (accepted, unprocessed) requests — summed across the
-    /// whole pool — before [`ServeError::QueueFull`] backpressure kicks in.
+    /// Maximum queued (accepted, not yet batched) requests before
+    /// [`ServeError::QueueFull`] backpressure kicks in.
     pub capacity: usize,
-    /// Row budget per coalesced batch (see [`BatchEngine::new`]).
+    /// Row budget per coalesced batch. A request with more rows is refused
+    /// with [`ServeError::TooManyRows`].
     pub max_batch_rows: usize,
     /// Deadline applied (from submission time) to requests that carry no
     /// [`Request::deadline`] of their own. `None` means such requests wait
@@ -66,15 +52,6 @@ pub struct ServerConfig {
     pub default_timeout: Option<Duration>,
     /// Retry policy for [`InferenceServer::request`].
     pub retry: RetryPolicy,
-    /// Worker-pool size policy. Defaults to the `SQVAE_WORKERS` environment
-    /// variable ([`workers_from_env`]), which itself defaults to
-    /// [`Threads::Auto`] — one worker per available CPU.
-    pub workers: Threads,
-    /// Queue depth at which a request's home shard is considered "deep" and
-    /// the dispatcher spills the request to the least-loaded worker instead
-    /// (see `serve/dispatch.rs`). Values `<= 1` spill on any imbalance;
-    /// very large values pin requests to their shard.
-    pub spill_depth: usize,
 }
 
 impl Default for ServerConfig {
@@ -84,399 +61,326 @@ impl Default for ServerConfig {
             max_batch_rows: 64,
             default_timeout: None,
             retry: RetryPolicy::default(),
-            workers: workers_from_env(),
-            spill_depth: 8,
         }
     }
 }
 
-/// An accepted request with its server-assigned id and effective deadline
-/// (the request's own, or submission time + default timeout).
-struct QueuedJob {
-    id: u64,
-    req: Request,
-    deadline: Option<Instant>,
+/// Where the engine thread is in its life.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Engine {
+    Running,
+    /// Panicked and not yet respawned.
+    Crashed,
+    /// Drained the queue and exited at shutdown.
+    Exited,
 }
 
-/// Per-worker mutable state: its queue, blast radius, and live counters.
-#[derive(Default)]
-struct WorkerSlot {
+struct ServerState {
     queue: VecDeque<QueuedJob>,
-    /// Ids this worker has stolen and not yet resolved. A panic fails
-    /// exactly these with [`ServeError::WorkerGone`].
+    /// Ids of the batch the engine is running. A panic fails exactly these
+    /// with [`ServeError::WorkerGone`].
     in_flight: Vec<u64>,
-    /// Checkpoint paths this worker's current generation holds warm; a
-    /// respawned generation rebuilds its registry from these.
-    warm_paths: Vec<String>,
-    /// Live counters of the current generation.
-    stats_live: EngineStats,
-    /// The worker thread is running (spawned and neither exited nor
-    /// crashed).
-    alive: bool,
-    /// The worker panicked and has not been respawned yet.
-    crashed: bool,
-}
-
-struct PoolState {
-    workers: Vec<WorkerSlot>,
     results: HashMap<u64, Result<Matrix, ServeError>>,
     /// Issued, not-yet-consumed ids → effective deadline. Absence (and no
     /// queued result) means the id was never issued:
     /// [`ServeError::UnknownTicket`].
     outstanding: HashMap<u64, Option<Instant>>,
-    /// Ids whose waiter gave up at the deadline while a worker held them;
-    /// the worker discards their results instead of publishing.
+    /// Ids whose waiter gave up at the deadline while the engine held them;
+    /// the engine discards their results instead of publishing.
     abandoned: HashSet<u64>,
     next_id: u64,
     paused: bool,
     shutting_down: bool,
-    /// Times the supervisor respawned a crashed worker (pool-wide).
+    engine: Engine,
+    /// Checkpoint paths the current generation holds warm; a respawned
+    /// generation rebuilds its registry from these.
+    warm_paths: Vec<String>,
+    /// Times the supervisor respawned a crashed engine.
     respawns: u64,
     /// Requests that resolved with [`ServeError::DeadlineExceeded`].
     deadline_shed: u64,
-    /// Counters folded in from finished worker generations (pool-wide).
-    stats_done: EngineStats,
-}
-
-impl PoolState {
-    fn new(n_workers: usize) -> Self {
-        PoolState {
-            workers: (0..n_workers)
-                .map(|_| WorkerSlot {
-                    alive: true,
-                    ..WorkerSlot::default()
-                })
-                .collect(),
-            results: HashMap::new(),
-            outstanding: HashMap::new(),
-            abandoned: HashSet::new(),
-            next_id: 0,
-            paused: false,
-            shutting_down: false,
-            respawns: 0,
-            deadline_shed: 0,
-            stats_done: EngineStats::default(),
-        }
-    }
-
-    /// Accepted, unprocessed requests across the whole pool.
-    fn pending(&self) -> usize {
-        self.workers.iter().map(|s| s.queue.len()).sum()
-    }
+    /// Counters of every finished batch, across generations.
+    stats: EngineStats,
 }
 
 struct Shared {
-    state: Mutex<PoolState>,
-    /// One wake channel per worker (new work for *that* worker, resume,
-    /// shutdown), so a submission never wakes the rest of the pool.
-    work_cvs: Vec<Condvar>,
+    state: Mutex<ServerState>,
+    /// Wakes the engine: new work, resume, shutdown.
+    work_cv: Condvar,
     /// Wakes clients blocked on results.
     done_cv: Condvar,
 }
 
-/// Locks the pool state, recovering from poisoning: a panic elsewhere must
-/// not abort every subsequent client call. The state is kept consistent
-/// across panics by [`PanicGuard`], so the recovered guard is safe to use.
-fn lock_state(shared: &Shared) -> MutexGuard<'_, PoolState> {
+/// Locks the server state, recovering from poisoning: a panic elsewhere
+/// must not abort every subsequent client call. The state is kept
+/// consistent across panics by [`PanicGuard`], so the recovered guard is
+/// safe to use.
+fn lock_state(shared: &Shared) -> MutexGuard<'_, ServerState> {
     shared.state.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Fails worker `w`'s queued requests whose deadline already passed
-/// (load-shedding before they waste a batch slot) and wakes their waiters.
-fn shed_expired(state: &mut PoolState, shared: &Shared, w: usize) {
-    let now = Instant::now();
-    let mut shed_any = false;
-    let mut kept = VecDeque::with_capacity(state.workers[w].queue.len());
-    let drained: Vec<QueuedJob> = state.workers[w].queue.drain(..).collect();
-    for job in drained {
-        match job.deadline {
-            Some(d) if d <= now => {
-                state.deadline_shed += 1;
-                shed_any = true;
-                if !state.abandoned.remove(&job.id) {
-                    state
-                        .results
-                        .insert(job.id, Err(ServeError::DeadlineExceeded));
-                }
-            }
-            _ => kept.push_back(job),
-        }
-    }
-    state.workers[w].queue = kept;
-    if shed_any {
-        shared.done_cv.notify_all();
+/// Publishes one result, honouring abandonment: a waiter that timed out
+/// while the engine held the id has already consumed its error, so the
+/// late result is dropped instead of leaking into `results`.
+fn publish_result(state: &mut ServerState, id: u64, result: Result<Matrix, ServeError>) {
+    if !state.abandoned.remove(&id) {
+        state.results.insert(id, result);
     }
 }
 
-/// Publishes one result, honouring abandonment: a waiter that timed out
-/// while a worker held the id has already consumed its error, so the late
-/// result is dropped instead of leaking into `results`.
-fn publish_result(state: &mut PoolState, id: u64, result: Result<Matrix, ServeError>) {
-    if state.abandoned.remove(&id) {
+/// Fails queued requests whose deadline already passed (load-shedding
+/// before they waste a batch slot) and wakes their waiters.
+fn shed_expired(state: &mut ServerState, shared: &Shared) {
+    let now = Instant::now();
+    let mut expired = Vec::new();
+    state.queue.retain(|job| match job.deadline {
+        Some(d) if d <= now => {
+            expired.push(job.id);
+            false
+        }
+        _ => true,
+    });
+    if expired.is_empty() {
         return;
     }
-    state.results.insert(id, result);
+    for id in expired {
+        state.deadline_shed += 1;
+        publish_result(state, id, Err(ServeError::DeadlineExceeded));
+    }
+    shared.done_cv.notify_all();
 }
 
-/// Whether an outstanding ticket is still held somewhere that can resolve
-/// it: a published result, some worker's queue, or some worker's in-flight
-/// set. An outstanding ticket held nowhere can never resolve.
-fn ticket_reachable(state: &PoolState, id: u64) -> bool {
-    state.results.contains_key(&id)
-        || state
-            .workers
-            .iter()
-            .any(|s| s.in_flight.contains(&id) || s.queue.iter().any(|j| j.id == id))
-}
-
-/// Runs on every exit path of worker `worker`. On a panic (a model bug or
+/// Runs on every exit path of the engine thread. On a panic (a model bug or
 /// an injected [`FaultPoint::WorkerPanic`]) it restores the invariant that
-/// every accepted request resolves: all of *this worker's* in-flight ids
-/// fail with [`ServeError::WorkerGone`] — other pool members are untouched
-/// — its counters fold into the pool total, and the condvars wake so
-/// waiters observe the crash immediately.
-struct PanicGuard {
-    shared: Arc<Shared>,
-    worker: usize,
-}
+/// every accepted request resolves: the batch in flight fails with
+/// [`ServeError::WorkerGone`], the queue is left for the next generation,
+/// and waiters wake to observe the crash immediately.
+struct PanicGuard(Arc<Shared>);
 
 impl Drop for PanicGuard {
     fn drop(&mut self) {
         if !std::thread::panicking() {
             return;
         }
-        let mut state = lock_state(&self.shared);
-        let slot = &mut state.workers[self.worker];
-        let in_flight = std::mem::take(&mut slot.in_flight);
-        let live = std::mem::take(&mut slot.stats_live);
-        slot.alive = false;
-        slot.crashed = true;
-        for id in in_flight {
-            if state.abandoned.remove(&id) {
-                continue; // waiter already gave up at its deadline
-            }
-            state.results.insert(id, Err(ServeError::WorkerGone));
+        let mut state = lock_state(&self.0);
+        state.engine = Engine::Crashed;
+        for id in std::mem::take(&mut state.in_flight) {
+            publish_result(&mut state, id, Err(ServeError::WorkerGone));
         }
-        state.stats_done.absorb(live);
-        self.shared.done_cv.notify_all();
-        self.shared.work_cvs[self.worker].notify_all();
+        self.0.done_cv.notify_all();
     }
 }
 
-fn spawn_worker(shared: Arc<Shared>, w: usize, max_batch_rows: usize) -> JoinHandle<()> {
-    std::thread::spawn(move || run_worker(shared, w, max_batch_rows))
+fn spawn_engine(shared: Arc<Shared>, max_batch_rows: usize) -> JoinHandle<()> {
+    std::thread::spawn(move || run_engine(shared, max_batch_rows))
 }
 
-fn run_worker(shared: Arc<Shared>, w: usize, max_batch_rows: usize) {
-    let _guard = PanicGuard {
-        shared: Arc::clone(&shared),
-        worker: w,
-    };
-    let mut engine = BatchEngine::new(max_batch_rows);
+fn run_engine(shared: Arc<Shared>, max_batch_rows: usize) {
+    let _guard = PanicGuard(Arc::clone(&shared));
+    let mut engine = BatchEngine::default();
     // Respawn path: rebuild the warm registry the dead generation held.
     // Paths that no longer load are skipped here; requests that still
     // target them get the typed checkpoint error per batch.
-    let warm: Vec<String> = lock_state(&shared).workers[w].warm_paths.clone();
+    let warm = lock_state(&shared).warm_paths.clone();
     for path in &warm {
         let _ = engine.warm_up(path);
     }
 
     let mut state = lock_state(&shared);
+    state.stats.absorb(engine.take_stats());
     loop {
-        shed_expired(&mut state, &shared, w);
-        if (state.workers[w].queue.is_empty() || state.paused) && !state.shutting_down {
-            // Sleep until new work — or until this worker's earliest queued
-            // deadline, so paused/idle workers still shed expired requests
+        shed_expired(&mut state, &shared);
+        if (state.queue.is_empty() || state.paused) && !state.shutting_down {
+            // Sleep until new work, or until the earliest queued deadline,
+            // so a paused or idle engine still sheds expired requests
             // promptly.
-            let next_deadline = state.workers[w]
-                .queue
-                .iter()
-                .filter_map(|j| j.deadline)
-                .min();
+            let next_deadline = state.queue.iter().filter_map(|j| j.deadline).min();
             state = match next_deadline {
                 Some(d) => {
-                    let now = Instant::now();
-                    if d <= now {
-                        continue; // shed on the next loop iteration
-                    }
-                    let (guard, _) = shared.work_cvs[w]
-                        .wait_timeout(state, d - now)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    guard
+                    let timeout = d.saturating_duration_since(Instant::now());
+                    shared
+                        .work_cv
+                        .wait_timeout(state, timeout)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
                 }
-                None => shared.work_cvs[w]
+                None => shared
+                    .work_cv
                     .wait(state)
                     .unwrap_or_else(PoisonError::into_inner),
             };
             continue;
         }
-        if state.workers[w].queue.is_empty() && state.shutting_down {
-            break;
+        if state.queue.is_empty() {
+            break; // shutting down with nothing left to drain
         }
-        // Steal this worker's queue and run it without the lock, so clients
-        // keep submitting (and other workers keep serving) while the batch
-        // executes. `in_flight` records the stolen ids: they are the blast
-        // radius if this worker panics mid-batch.
-        let stolen: Vec<QueuedJob> = state.workers[w].queue.drain(..).collect();
-        state.workers[w].in_flight = stolen.iter().map(|j| j.id).collect();
+        // Run the batch without the lock, so clients keep submitting while
+        // it executes. `in_flight` is the blast radius of a panic.
+        let batch = take_batch(&mut state.queue, max_batch_rows);
+        state.in_flight = batch.iter().map(|j| j.id).collect();
         drop(state);
 
-        // Chaos hook: fires exactly where a real model panic would land —
-        // after stealing, with tickets in flight and the lock released. The
-        // worker index gives the injector an independent stream per pool
-        // member, and lets a filtered plan kill exactly one of them.
-        if faults::trigger_for(FaultPoint::WorkerPanic, Some(w)).is_some() {
+        // Chaos hook: fires exactly where a real model panic would land,
+        // with the batch in flight and the lock released.
+        if faults::trigger(FaultPoint::WorkerPanic).is_some() {
             panic!("injected worker panic (sqvae::faults)");
         }
-
-        let mut tickets = Vec::with_capacity(stolen.len());
-        let mut rejected = Vec::new();
-        for job in stolen {
-            match engine.submit(job.req) {
-                Ok(t) => tickets.push((job.id, t)),
-                Err(e) => rejected.push((job.id, e)),
-            }
-        }
-        engine.drain();
+        let outcome = engine.run_batch(&batch);
 
         state = lock_state(&shared);
-        state.workers[w].in_flight.clear();
-        for (id, t) in tickets {
-            let result = engine
-                .take_result(t)
-                .expect("drained engine has every result");
-            publish_result(&mut state, id, result);
+        state.in_flight.clear();
+        match outcome {
+            Ok(outputs) => {
+                for (job, out) in batch.iter().zip(outputs) {
+                    publish_result(&mut state, job.id, Ok(out));
+                }
+            }
+            Err(e) => {
+                for job in &batch {
+                    publish_result(&mut state, job.id, Err(e.clone()));
+                }
+            }
         }
-        for (id, e) in rejected {
-            publish_result(&mut state, id, Err(e));
-        }
-        state.workers[w].warm_paths = engine.warm_paths();
-        state.workers[w].stats_live = engine.stats();
+        state.stats.absorb(engine.take_stats());
+        state.warm_paths = engine.warm_paths();
         shared.done_cv.notify_all();
     }
-    // Clean exit: fold this generation's counters into the pool total.
-    state.stats_done.absorb(engine.stats());
-    state.workers[w].stats_live = EngineStats::default();
-    state.workers[w].alive = false;
+    state.engine = Engine::Exited;
     shared.done_cv.notify_all();
 }
 
-/// A pool of supervised worker threads serving batched inference, each over
-/// its own [`BatchEngine`].
+/// A supervised inference server: one engine thread coalescing batches off
+/// one bounded request queue.
 ///
-/// Submissions are bounded pool-wide by [`ServerConfig::capacity`] and
-/// routed by the sharded dispatcher (see `serve/dispatch.rs`): requests
-/// sharing a coalescing key land on the same worker so batching stays
-/// effective, spilling to the least-loaded worker when the home shard's
-/// queue is deep. Each worker steals its own queue at once, coalesces it,
-/// runs it, and publishes results. A worker panic fails only the tickets
-/// *that worker* held in flight ([`ServeError::WorkerGone`]); the
-/// supervisor respawns crashed members independently on the next client
-/// call with their warm-model registries rebuilt from checkpoints.
-/// [`InferenceServer::shutdown`] drains everything already accepted before
-/// the pool exits.
+/// Submissions are bounded by [`ServerConfig::capacity`]. The engine takes
+/// the front request plus every queued request sharing its (model, op
+/// kind, width) key that still fits [`ServerConfig::max_batch_rows`], runs
+/// them as one model call, and publishes the results. An engine panic fails
+/// only the batch in flight ([`ServeError::WorkerGone`]); the supervisor
+/// respawns the engine on the next client call with its warm-model
+/// registry rebuilt from checkpoints. [`InferenceServer::shutdown`] drains
+/// everything already accepted before the engine exits.
 ///
-/// Results are bit-identical for any pool size: every request's bytes
-/// depend only on its own payload (per-request sample seeds included),
-/// never on batch composition or worker placement.
+/// Every request's bytes depend only on its own payload (per-request sample
+/// seeds included), never on batch composition.
 pub struct InferenceServer {
     shared: Arc<Shared>,
-    handles: Mutex<Vec<Option<JoinHandle<()>>>>,
+    handle: Mutex<Option<JoinHandle<()>>>,
     config: ServerConfig,
-    pool_size: usize,
 }
 
 impl std::fmt::Debug for InferenceServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("InferenceServer")
-            .field("capacity", &self.config.capacity)
-            .field("workers", &self.pool_size)
+            .field("config", &self.config)
             .finish()
     }
 }
 
 impl InferenceServer {
-    /// Spawns the worker pool and returns the handle clients submit to.
+    /// Spawns the engine thread and returns the handle clients submit to.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `config.max_batch_rows == 0`: no request could ever
+    /// fit a batch.
     pub fn start(config: ServerConfig) -> Self {
-        let pool_size = config.workers.resolve(usize::MAX);
+        assert!(
+            config.max_batch_rows > 0,
+            "batch row budget must be positive"
+        );
         let shared = Arc::new(Shared {
-            state: Mutex::new(PoolState::new(pool_size)),
-            work_cvs: (0..pool_size).map(|_| Condvar::new()).collect(),
+            state: Mutex::new(ServerState {
+                queue: VecDeque::new(),
+                in_flight: Vec::new(),
+                results: HashMap::new(),
+                outstanding: HashMap::new(),
+                abandoned: HashSet::new(),
+                next_id: 0,
+                paused: false,
+                shutting_down: false,
+                engine: Engine::Running,
+                warm_paths: Vec::new(),
+                respawns: 0,
+                deadline_shed: 0,
+                stats: EngineStats::default(),
+            }),
+            work_cv: Condvar::new(),
             done_cv: Condvar::new(),
         });
-        let handles = (0..pool_size)
-            .map(|w| Some(spawn_worker(Arc::clone(&shared), w, config.max_batch_rows)))
-            .collect();
+        let handle = spawn_engine(Arc::clone(&shared), config.max_batch_rows);
         InferenceServer {
             shared,
-            handles: Mutex::new(handles),
+            handle: Mutex::new(Some(handle)),
             config,
-            pool_size,
         }
     }
 
-    /// Number of worker threads in the pool.
-    pub fn workers(&self) -> usize {
-        self.pool_size
-    }
-
-    /// Respawns every crashed worker. Called at the entry of each client
-    /// operation, so the pool heals on the next touch after a panic without
-    /// a dedicated monitor thread — and each member independently: one
-    /// crash never restarts its siblings. During shutdown a member is only
-    /// respawned when it still has accepted work to drain.
+    /// Respawns a crashed engine. Called by each client operation that
+    /// needs a live engine, so the server heals on the next touch after a
+    /// panic without a dedicated monitor thread. During shutdown the
+    /// engine is only respawned when accepted work is left to drain.
     fn supervise(&self) {
-        fn respawn_set(state: &PoolState) -> Vec<usize> {
-            state
-                .workers
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.crashed && (!state.shutting_down || !s.queue.is_empty()))
-                .map(|(w, _)| w)
-                .collect()
+        fn needs_respawn(state: &ServerState) -> bool {
+            state.engine == Engine::Crashed && !(state.shutting_down && state.queue.is_empty())
         }
-        if respawn_set(&lock_state(&self.shared)).is_empty() {
+        if !needs_respawn(&lock_state(&self.shared)) {
             return;
         }
-        // Lock order everywhere: handle slots, then state.
-        let mut slots = self.handles.lock().unwrap_or_else(PoisonError::into_inner);
-        let to_spawn = {
+        // Lock order everywhere: handle, then state.
+        let mut handle = self.handle.lock().unwrap_or_else(PoisonError::into_inner);
+        {
             let mut state = lock_state(&self.shared);
-            let ws = respawn_set(&state);
-            for &w in &ws {
-                state.workers[w].crashed = false;
-                state.workers[w].alive = true;
-                state.respawns += 1;
+            if !needs_respawn(&state) {
+                return;
             }
-            ws
-        };
-        for w in to_spawn {
-            if let Some(handle) = slots[w].take() {
-                let _ = handle.join(); // dead thread: returns immediately
-            }
-            slots[w] = Some(spawn_worker(
-                Arc::clone(&self.shared),
-                w,
-                self.config.max_batch_rows,
-            ));
+            state.engine = Engine::Running;
+            state.respawns += 1;
+        }
+        if let Some(dead) = handle.take() {
+            let _ = dead.join(); // dead thread: returns immediately
+        }
+        *handle = Some(spawn_engine(
+            Arc::clone(&self.shared),
+            self.config.max_batch_rows,
+        ));
+    }
+
+    /// Joins the engine thread, if one is running.
+    fn join_engine(&self) {
+        let handle = self
+            .handle
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let Some(handle) = handle {
+            let _ = handle.join();
         }
     }
 
     /// Queues a request, returning an id for [`InferenceServer::wait`].
     /// The effective deadline — [`Request::deadline`] or submission time +
-    /// [`ServerConfig::default_timeout`] — is fixed here, and the dispatcher
-    /// routes the request to its home shard (spilling to the least-loaded
-    /// worker when that shard's queue is deep).
+    /// [`ServerConfig::default_timeout`] — is fixed here.
     ///
     /// # Errors
     ///
-    /// [`ServeError::QueueFull`] when the pool-wide bounded queue is at
-    /// capacity (backpressure — retry later), [`ServeError::ShuttingDown`]
-    /// after [`InferenceServer::shutdown`] began, [`ServeError::EmptyRequest`]
-    /// for zero-row payloads (rejected eagerly, not worth a queue slot).
+    /// [`ServeError::EmptyRequest`] for zero-row payloads and
+    /// [`ServeError::TooManyRows`] for payloads over
+    /// [`ServerConfig::max_batch_rows`] (both rejected eagerly, before a
+    /// queue slot or an allocation), [`ServeError::QueueFull`] when the
+    /// bounded queue is at capacity (backpressure — retry later), and
+    /// [`ServeError::ShuttingDown`] after [`InferenceServer::shutdown`]
+    /// began.
     pub fn submit(&self, req: Request) -> Result<u64, ServeError> {
-        if req.op.rows() == 0 {
+        let rows = req.op.rows();
+        if rows == 0 {
             return Err(ServeError::EmptyRequest);
+        }
+        if rows > self.config.max_batch_rows {
+            return Err(ServeError::TooManyRows {
+                rows,
+                max_batch_rows: self.config.max_batch_rows,
+            });
         }
         self.supervise();
         // Chaos hook: models a burst that saturated the queue before us.
@@ -489,7 +393,7 @@ impl InferenceServer {
         if state.shutting_down {
             return Err(ServeError::ShuttingDown);
         }
-        if state.pending() >= self.config.capacity {
+        if state.queue.len() >= self.config.capacity {
             return Err(ServeError::QueueFull {
                 capacity: self.config.capacity,
             });
@@ -500,30 +404,26 @@ impl InferenceServer {
             .deadline
             .or_else(|| self.config.default_timeout.map(|t| Instant::now() + t));
         state.outstanding.insert(id, deadline);
-        let depths: Vec<usize> = state.workers.iter().map(|s| s.queue.len()).collect();
-        let target = dispatch::route(&req.model, &req.op, &depths, self.config.spill_depth);
-        state.workers[target]
-            .queue
-            .push_back(QueuedJob { id, req, deadline });
-        self.shared.work_cvs[target].notify_one();
+        state.queue.push_back(QueuedJob { id, req, deadline });
+        self.shared.work_cv.notify_one();
         Ok(id)
     }
 
     /// Blocks until the request behind `id` completes and returns its
-    /// result. Never blocks past the request's deadline, and never blocks
-    /// at all for ids the server did not issue. Completion is signalled
-    /// through a condvar — no polling, so latency is not quantized by any
-    /// sleep interval.
+    /// result. A result already published returns at once; otherwise a
+    /// crashed engine is respawned first. Never blocks past the request's
+    /// deadline, and never blocks at all for ids the server did not issue.
+    /// Completion is signalled through a condvar — no polling, so latency
+    /// is not quantized by any sleep interval.
     ///
     /// # Errors
     ///
     /// The request's own failure, [`ServeError::WorkerGone`] when the
-    /// worker holding it died (and could not be respawned),
+    /// engine died holding it (or could not be respawned),
     /// [`ServeError::DeadlineExceeded`] past the deadline, or
     /// [`ServeError::UnknownTicket`] for ids never issued or already
     /// consumed.
     pub fn wait(&self, id: u64) -> Result<Matrix, ServeError> {
-        self.supervise();
         let mut state = lock_state(&self.shared);
         loop {
             if let Some(result) = state.results.remove(&id) {
@@ -533,63 +433,58 @@ impl InferenceServer {
             let Some(&deadline) = state.outstanding.get(&id) else {
                 return Err(ServeError::UnknownTicket { id });
             };
-            if state.workers.iter().any(|s| s.crashed) {
-                drop(state);
-                self.supervise();
-                state = lock_state(&self.shared);
-                if state.workers.iter().any(|s| s.crashed) {
-                    // Some member's respawn was declined (shutdown with
-                    // nothing of its own to drain). A ticket held nowhere
-                    // can never resolve: fail it typed. Tickets held by
-                    // surviving members keep waiting below.
-                    if !ticket_reachable(&state, id) {
-                        state.outstanding.remove(&id);
-                        return Err(ServeError::WorkerGone);
+            match state.engine {
+                Engine::Running => {}
+                Engine::Crashed => {
+                    drop(state);
+                    self.supervise();
+                    state = lock_state(&self.shared);
+                    if state.engine == Engine::Running {
+                        continue; // healed: re-check results immediately
                     }
-                } else {
-                    continue; // pool healed: re-check results immediately
+                    // The respawn was declined (shutdown with nothing
+                    // queued), so nothing can resolve this ticket any more.
+                    state.outstanding.remove(&id);
+                    return state
+                        .results
+                        .remove(&id)
+                        .unwrap_or(Err(ServeError::WorkerGone));
                 }
-            } else if state.workers.iter().all(|s| !s.alive) {
-                // Clean pool exit with the ticket unresolved (shutdown
-                // raced the waiter).
-                state.outstanding.remove(&id);
-                return Err(ServeError::WorkerGone);
+                Engine::Exited => {
+                    // Clean exit with the ticket unresolved (shutdown raced
+                    // the waiter).
+                    state.outstanding.remove(&id);
+                    return Err(ServeError::WorkerGone);
+                }
             }
-            match deadline {
+            state = match deadline {
                 Some(d) => {
                     let now = Instant::now();
                     if d <= now {
-                        // Give up: cancel if still queued; if a worker
+                        // Give up: cancel if still queued; if the engine
                         // already holds it, mark it abandoned so the late
                         // result is discarded rather than leaked.
-                        let mut was_queued = false;
-                        for slot in &mut state.workers {
-                            let before = slot.queue.len();
-                            slot.queue.retain(|j| j.id != id);
-                            was_queued |= slot.queue.len() != before;
-                        }
-                        if !was_queued && state.workers.iter().any(|s| s.in_flight.contains(&id)) {
+                        if state.in_flight.contains(&id) {
                             state.abandoned.insert(id);
+                        } else {
+                            state.queue.retain(|j| j.id != id);
                         }
                         state.outstanding.remove(&id);
                         state.deadline_shed += 1;
                         return Err(ServeError::DeadlineExceeded);
                     }
-                    let (guard, _) = self
-                        .shared
+                    self.shared
                         .done_cv
                         .wait_timeout(state, d - now)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    state = guard;
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
                 }
-                None => {
-                    state = self
-                        .shared
-                        .done_cv
-                        .wait(state)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-            }
+                None => self
+                    .shared
+                    .done_cv
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner),
+            };
         }
     }
 
@@ -618,11 +513,11 @@ impl InferenceServer {
         }
     }
 
-    /// Stops every worker from picking up new batches (already-running work
-    /// finishes). Accepted requests keep queuing until the pool-wide
-    /// bounded queue fills, at which point submissions see
-    /// [`ServeError::QueueFull`] — the maintenance lever for load-shedding
-    /// upstream. Deadlines keep being enforced while paused.
+    /// Stops the engine from taking new batches (a running batch
+    /// finishes). Accepted requests keep queuing until the bounded queue
+    /// fills, at which point submissions see [`ServeError::QueueFull`] —
+    /// the maintenance lever for load-shedding upstream. Deadlines keep
+    /// being enforced while paused.
     pub fn pause(&self) {
         lock_state(&self.shared).paused = true;
     }
@@ -630,60 +525,36 @@ impl InferenceServer {
     /// Resumes batch processing after [`InferenceServer::pause`].
     pub fn resume(&self) {
         lock_state(&self.shared).paused = false;
-        for cv in &self.shared.work_cvs {
-            cv.notify_one();
-        }
+        self.shared.work_cv.notify_one();
     }
 
-    /// Liveness counters aggregated across the pool: worker status, total
-    /// respawns, deadline sheds, pool-wide queue depth.
+    /// Liveness counters: engine status, respawns, deadline sheds, queue
+    /// depth.
     pub fn health(&self) -> ServerHealth {
         let state = lock_state(&self.shared);
         ServerHealth {
-            worker_alive: state.workers.iter().all(|s| s.alive),
-            workers: state.workers.len(),
+            worker_alive: state.engine == Engine::Running,
             respawns: state.respawns,
             deadline_shed: state.deadline_shed,
-            pending: state.pending(),
+            pending: state.queue.len(),
         }
     }
 
     /// Graceful shutdown: stops accepting new work, drains every accepted
-    /// request on every worker (pause is lifted), joins the pool, and
-    /// returns counters totalled across all members and generations. If a
-    /// worker crashes while draining, it is respawned until its queue
-    /// empties; if the drain cannot complete, leftovers resolve as
-    /// [`ServeError::ShuttingDown`] rather than hanging their waiters.
+    /// request (pause is lifted), joins the engine, and returns counters
+    /// totalled across all batches and generations. If the engine crashes
+    /// while draining, it is respawned until the queue empties; each crash
+    /// fails only its own batch.
     pub fn shutdown(self) -> EngineStats {
         loop {
             self.supervise();
             self.begin_shutdown();
-            let taken: Vec<JoinHandle<()>> = {
-                let mut slots = self.handles.lock().unwrap_or_else(PoisonError::into_inner);
-                slots.iter_mut().filter_map(|s| s.take()).collect()
-            };
-            for handle in taken {
-                let _ = handle.join();
+            self.join_engine();
+            let state = lock_state(&self.shared);
+            if state.engine != Engine::Crashed || state.queue.is_empty() {
+                return state.stats;
             }
-            let mut state = lock_state(&self.shared);
-            if state
-                .workers
-                .iter()
-                .any(|s| s.crashed && !s.queue.is_empty())
-            {
-                continue; // crashed mid-drain: respawn and keep draining
-            }
-            for w in 0..state.workers.len() {
-                while let Some(job) = state.workers[w].queue.pop_front() {
-                    publish_result(&mut state, job.id, Err(ServeError::ShuttingDown));
-                }
-            }
-            self.shared.done_cv.notify_all();
-            let mut stats = state.stats_done;
-            for slot in &state.workers {
-                stats.absorb(slot.stats_live);
-            }
-            return stats;
+            // Crashed mid-drain: respawn and keep draining.
         }
     }
 
@@ -691,21 +562,13 @@ impl InferenceServer {
         let mut state = lock_state(&self.shared);
         state.shutting_down = true;
         state.paused = false;
-        for cv in &self.shared.work_cvs {
-            cv.notify_all();
-        }
+        self.shared.work_cv.notify_all();
     }
 }
 
 impl Drop for InferenceServer {
     fn drop(&mut self) {
         self.begin_shutdown();
-        let taken: Vec<JoinHandle<()>> = {
-            let mut slots = self.handles.lock().unwrap_or_else(PoisonError::into_inner);
-            slots.iter_mut().filter_map(|s| s.take()).collect()
-        };
-        for handle in taken {
-            let _ = handle.join();
-        }
+        self.join_engine();
     }
 }

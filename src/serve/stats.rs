@@ -1,9 +1,9 @@
-//! Observability counters for the serving stack: per-engine work counters
-//! ([`EngineStats`], merged across worker generations and pool members via
-//! [`EngineStats::absorb`]) and the pool-level liveness snapshot
+//! Observability counters for the serving stack: the engine's work counters
+//! ([`EngineStats`], totalled across batches and engine generations via
+//! [`EngineStats::absorb`]) and the server's liveness snapshot
 //! ([`ServerHealth`]).
 
-/// Counters describing what an engine did, for observability and tests.
+/// Counters describing what the engine did, for observability and tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStats {
     /// Requests completed (successfully or with an error).
@@ -21,9 +21,9 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Folds another generation's counters into this one. The server uses
-    /// this to report totals across worker respawns and across every pool
-    /// member; counts add, the largest-batch high-water mark takes the max.
+    /// Folds another set of counters into this one. The server uses this
+    /// to total each batch's counters across engine respawns; counts add,
+    /// the largest-batch high-water mark takes the max.
     pub fn absorb(&mut self, other: EngineStats) {
         self.requests += other.requests;
         self.batches += other.batches;
@@ -39,17 +39,13 @@ impl EngineStats {
 /// [`crate::serve::InferenceServer::health`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerHealth {
-    /// Every worker thread in the pool is currently running.
+    /// The engine thread is currently running.
     pub worker_alive: bool,
-    /// Number of worker threads the pool was started with.
-    pub workers: usize,
-    /// Times the supervisor respawned a crashed worker (summed across the
-    /// pool — each member is supervised independently).
+    /// Times the supervisor respawned a crashed engine thread.
     pub respawns: u64,
     /// Requests that resolved with
     /// [`crate::serve::ServeError::DeadlineExceeded`].
     pub deadline_shed: u64,
-    /// Accepted requests not yet processed, summed over every worker's
-    /// queue.
+    /// Accepted requests not yet taken into a batch.
     pub pending: usize,
 }

@@ -5,8 +5,9 @@
 //!   hang (these tests finishing at all is the proof);
 //! * every request that succeeds under chaos returns bytes identical to
 //!   the fault-free run;
-//! * the supervisor respawns panicked workers, checkpoint corruption heals
-//!   from the `.bak` generation, and NaN losses roll back and continue.
+//! * the supervisor respawns a panicked engine, a panic fails only the
+//!   batch in flight, checkpoint corruption heals from the `.bak`
+//!   generation, and NaN losses roll back and continue.
 //!
 //! The injector is process-global, so this suite lives in its own
 //! integration binary and serializes itself through `GATE`. CI runs it a
@@ -19,9 +20,9 @@ use rand::SeedableRng;
 use sqvae::core::{models, Autoencoder, NanGuard, TrainConfig, Trainer};
 use sqvae::datasets::qm9::{generate as gen_qm9, Qm9Config};
 use sqvae::faults::{self, FaultPlan, FaultPoint, FaultScope};
-use sqvae::nn::{Matrix, Threads};
+use sqvae::nn::Matrix;
 use sqvae::serve::{
-    publish_model, shard_index, InferenceServer, Op, Request, RetryPolicy, ServeError, ServerConfig,
+    publish_model, InferenceServer, Op, Request, RetryPolicy, ServeError, ServerConfig,
 };
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
@@ -59,8 +60,9 @@ fn a_dying_worker_resolves_every_outstanding_ticket_and_is_respawned() {
         ..ServerConfig::default()
     });
 
-    // Queue a burst while paused, then let the (always-panicking) worker
-    // steal it: every stolen ticket must fail typed, none may hang.
+    // Queue a burst while paused, then let the (always-panicking) engine
+    // take it as one batch: every ticket in it must fail typed, none may
+    // hang.
     server.pause();
     let ids: Vec<u64> = (0..8)
         .map(|seed| {
@@ -84,7 +86,7 @@ fn a_dying_worker_resolves_every_outstanding_ticket_and_is_respawned() {
     }
 
     // With the fault still armed, a fresh request fails typed too (the
-    // respawned worker dies again) — still no hang.
+    // respawned engine dies again) — still no hang.
     assert_eq!(
         server
             .request(Request::new(path.clone(), Op::Sample { n: 1, seed: 90 }))
@@ -163,7 +165,7 @@ fn chaos_storm_loses_no_request_and_survivors_are_bit_identical() {
             Op::Reconstruct(xs[i as usize].clone())
         };
         // Every round trip resolves — success or typed error, never a
-        // hang. Retries are part of the contract: a lost worker or a
+        // hang. Retries are part of the contract: a lost engine or a
         // saturated queue is transient.
         match server.request(Request::new(path.clone(), op)) {
             Ok(m) => {
@@ -190,120 +192,60 @@ fn chaos_storm_loses_no_request_and_survivors_are_bit_identical() {
     let health = server.health();
     assert!(health.worker_alive);
     if stats.fired_at(FaultPoint::WorkerPanic) > 0 {
-        assert!(health.respawns >= 1, "worker died but was never respawned");
+        assert!(health.respawns >= 1, "engine died but was never respawned");
     }
     let engine_stats = server.shutdown();
-    // The storm's successes all flowed through some worker generation.
+    // The storm's successes all flowed through some engine generation.
     assert!(engine_stats.requests >= successes);
     assert!(successes > 0, "chaos drowned every request");
 }
 
 #[test]
-fn one_dead_worker_in_a_pool_of_four_takes_only_its_own_requests_down() {
+fn an_engine_panic_fails_only_the_batch_in_flight() {
     let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
-
-    // One checkpoint per shard of a 4-worker pool: probe candidate names
-    // until every home shard {0,1,2,3} is covered (the shard map hashes the
-    // model path, so coverage is a property of the names we pick). Sample
-    // ops all share one (kind, width) regardless of seed, so each model's
-    // requests are pinned to its shard.
-    let probe_op = Op::Sample { n: 1, seed: 0 };
-    let mut path_for_shard: [Option<(String, Autoencoder)>; 4] = [None, None, None, None];
-    let mut candidate = 0u64;
-    while path_for_shard.iter().any(Option::is_none) {
-        let name = format!("pool-shard-{candidate}.ckpt");
-        let shard = shard_index(&temp_path(&name), &probe_op, 4);
-        if path_for_shard[shard].is_none() {
-            path_for_shard[shard] = Some(published_model(&name, 70 + candidate));
-        }
-        candidate += 1;
-    }
-    let mut shard_models: Vec<(String, Autoencoder)> =
-        path_for_shard.into_iter().map(Option::unwrap).collect();
-
+    let (path_a, _) = published_model("blast-a.ckpt", 70);
+    let (path_b, mut model_b) = published_model("blast-b.ckpt", 71);
     let server = InferenceServer::start(ServerConfig {
-        workers: Threads::Fixed(4),
         retry: RetryPolicy::none(),
-        // Pin requests to their home shards: spillover must not reroute
-        // the doomed worker's traffic before the panic lands.
-        spill_depth: usize::MAX,
         ..ServerConfig::default()
     });
 
-    // Queue a burst while paused — three seeded samples per shard — then
-    // arm a plan that kills ONLY worker 0 and let the pool steal.
+    // Three seeded samples per model, interleaved in one paused queue. The
+    // engine's first batch is model A's three (the front request's key);
+    // model B's stay queued behind it.
     server.pause();
-    let ids: Vec<(usize, u64, Vec<u64>)> = (0..4usize)
-        .flat_map(|shard| {
-            let (path, model) = &mut shard_models[shard];
-            let path = path.clone();
-            (0..3u64)
-                .map(|j| {
-                    let seed = shard as u64 * 10 + j;
-                    let want = bits(&model.sample(2, &mut StdRng::seed_from_u64(seed)).unwrap());
-                    let id = server
-                        .submit(Request::new(path.clone(), Op::Sample { n: 2, seed }))
-                        .unwrap();
-                    (shard, id, want)
-                })
-                .collect::<Vec<_>>()
-        })
-        .collect();
+    let mut ids_a = Vec::new();
+    let mut ids_b = Vec::new();
+    for seed in 0..3u64 {
+        let submit = |path: &str| {
+            server
+                .submit(Request::new(path, Op::Sample { n: 2, seed }))
+                .unwrap()
+        };
+        ids_a.push(submit(&path_a));
+        ids_b.push((seed, submit(&path_b)));
+    }
     let seed = FaultPlan::from_env().map(|p| p.seed).unwrap_or(13);
-    let scope = FaultScope::install(
-        FaultPlan::quiet(seed)
-            .with_rate(FaultPoint::WorkerPanic, 1.0)
-            .with_worker(0),
-    );
-    let results: Vec<(usize, Result<Matrix, ServeError>, Vec<u64>)> = std::thread::scope(|s| {
-        let server = &server;
-        let handles: Vec<_> = ids
-            .into_iter()
-            .map(|(shard, id, want)| (shard, s.spawn(move || server.wait(id)), want))
-            .collect();
-        server.resume();
-        handles
-            .into_iter()
-            .map(|(shard, h, want)| (shard, h.join().unwrap(), want))
-            .collect()
-    });
-
-    // Blast radius is exactly worker 0: its requests fail typed, every
-    // other shard's requests succeed with fault-free bytes.
-    for (shard, result, want) in results {
-        if shard == 0 {
-            assert_eq!(
-                result.unwrap_err(),
-                ServeError::WorkerGone,
-                "worker 0's requests must fail typed"
-            );
-        } else {
-            assert_eq!(
-                bits(&result.unwrap_or_else(|e| panic!("shard {shard} infected: {e}"))),
-                want,
-                "a surviving worker's bytes diverged"
-            );
-        }
+    let scope = FaultScope::install(FaultPlan::quiet(seed).with_rate(FaultPoint::WorkerPanic, 1.0));
+    server.resume();
+    for id in ids_a {
+        assert_eq!(server.wait(id).unwrap_err(), ServeError::WorkerGone);
     }
 
-    // Disarm and touch worker 0's shard again: the respawned member serves
-    // bit-identically.
+    // Disarm before any further client call: the next wait respawns the
+    // engine, which serves model B's queued requests with fault-free bytes.
     drop(scope);
-    let (path0, model0) = &mut shard_models[0];
-    let healed = server
-        .request(Request::new(path0.clone(), Op::Sample { n: 2, seed: 999 }))
-        .unwrap();
-    let want = model0.sample(2, &mut StdRng::seed_from_u64(999)).unwrap();
-    assert_eq!(bits(&healed), bits(&want));
-
-    // Exactly one respawn: worker 0 died once, nobody else ever did (the
-    // worker filter silenced their streams), and the respawned generation
-    // never re-panicked (it woke to an empty queue).
+    for (seed, id) in ids_b {
+        let want = model_b.sample(2, &mut StdRng::seed_from_u64(seed)).unwrap();
+        let got = server
+            .wait(id)
+            .unwrap_or_else(|e| panic!("a queued request outside the batch failed: {e}"));
+        assert_eq!(bits(&got), bits(&want));
+    }
     let health = server.health();
-    assert!(health.worker_alive, "pool not fully healed");
-    assert_eq!(health.workers, 4);
+    assert!(health.worker_alive);
     assert_eq!(health.respawns, 1, "expected exactly one respawn");
-    server.shutdown();
+    assert_eq!(server.shutdown().requests, 3);
 }
 
 #[test]

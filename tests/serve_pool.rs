@@ -1,18 +1,16 @@
-//! Pool determinism matrix: the multi-worker server must return bytes
-//! bit-identical to direct model calls — and therefore to itself — for
-//! every pool size and every routing policy.
+//! Serving determinism: a mixed schedule served through the
+//! `InferenceServer` returns bytes bit-identical to direct model calls.
 //!
-//! This is the contract that makes `SQVAE_WORKERS` a pure deployment knob:
-//! results depend only on each request's payload (sample requests carry
-//! their own seeds), never on batch composition, worker placement, or
-//! spillover decisions, so operators can resize the pool without
-//! revalidating outputs.
+//! Results depend only on each request's payload (sample requests carry
+//! their own seeds), never on batch composition or on how many compute-pool
+//! threads a batch's rows fan out over. CI runs this at `SQVAE_THREADS=1`,
+//! at `=4` and under the soa backend.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sqvae::core::{models, Autoencoder};
-use sqvae::nn::{Matrix, Threads};
-use sqvae::serve::{publish_model, shard_index, InferenceServer, Op, Request, ServerConfig};
+use sqvae::nn::Matrix;
+use sqvae::serve::{publish_model, InferenceServer, Op, Request, ServerConfig};
 
 fn temp_path(name: &str) -> String {
     let dir = std::env::temp_dir().join("sqvae-serve-pool-tests");
@@ -32,8 +30,8 @@ fn bits(m: &Matrix) -> Vec<u64> {
 }
 
 /// A mixed schedule over `models`: encode, reconstruct, decode, and seeded
-/// sample requests, interleaved across models so a multi-worker pool
-/// actually exercises several shards at once.
+/// sample requests for each model in turn, so the engine coalesces several
+/// keys out of one queue.
 fn schedule(models: &mut [(String, Autoencoder)]) -> Vec<Request> {
     let mut reqs = Vec::new();
     for (i, (path, model)) in models.iter_mut().enumerate() {
@@ -80,22 +78,12 @@ fn reference(models: &mut [(String, Autoencoder)]) -> Vec<Vec<u64>> {
         .collect()
 }
 
-/// Runs the schedule through a pool of `workers` and returns result bytes
-/// in schedule order. Submission happens while paused so every queue holds
-/// its full shard before any worker steals — the adversarial case for
-/// batch-composition effects.
-fn serve_schedule(
-    models: &mut [(String, Autoencoder)],
-    workers: usize,
-    spill_depth: usize,
-) -> Vec<Vec<u64>> {
-    let server = InferenceServer::start(ServerConfig {
-        workers: Threads::Fixed(workers),
-        spill_depth,
-        ..ServerConfig::default()
-    });
-    assert_eq!(server.workers(), workers);
-    assert_eq!(server.health().workers, workers);
+/// Runs the schedule through the server and returns result bytes in
+/// schedule order. Submission happens while paused so the queue holds the
+/// whole schedule before the engine takes a batch — the adversarial case
+/// for batch-composition effects.
+fn serve_schedule(models: &mut [(String, Autoencoder)]) -> Vec<Vec<u64>> {
+    let server = InferenceServer::start(ServerConfig::default());
     server.pause();
     let ids: Vec<u64> = schedule(models)
         .into_iter()
@@ -111,55 +99,16 @@ fn serve_schedule(
     assert_eq!(health.respawns, 0);
     let stats = server.shutdown();
     assert_eq!(stats.requests, out.len());
+    // Four keys per model (three sample requests share one).
+    assert_eq!(stats.batches, 4 * models.len());
     out
 }
 
 #[test]
-fn results_are_bit_identical_across_pool_sizes_one_two_and_four() {
+fn a_mixed_schedule_is_served_bit_identically_to_direct_calls() {
     let mut published: Vec<(String, Autoencoder)> = (0..3)
         .map(|i| published_model(&format!("matrix-{i}.ckpt"), 50 + i))
         .collect();
     let want = reference(&mut published);
-    for workers in [1usize, 2, 4] {
-        let got = serve_schedule(&mut published, workers, ServerConfig::default().spill_depth);
-        assert_eq!(
-            got, want,
-            "a {workers}-worker pool diverged from direct model calls"
-        );
-    }
-}
-
-#[test]
-fn aggressive_spillover_matches_hard_sharding_byte_for_byte() {
-    let mut published: Vec<(String, Autoencoder)> = (0..3)
-        .map(|i| published_model(&format!("spillover-{i}.ckpt"), 60 + i))
-        .collect();
-    let want = reference(&mut published);
-    // spill_depth 1: any queued request diverts newcomers to the
-    // least-loaded worker. spill_depth::MAX: requests never leave their
-    // home shard. Placement differs as much as it ever can; bytes may not.
-    assert_eq!(serve_schedule(&mut published, 4, 1), want);
-    assert_eq!(serve_schedule(&mut published, 4, usize::MAX), want);
-}
-
-#[test]
-fn the_shard_map_spreads_distinct_models_and_is_stable() {
-    // Placement itself (not just results) must be deterministic: the
-    // dispatcher hashes with a fixed FNV-1a, not RandomState.
-    let op = Op::Sample { n: 1, seed: 0 };
-    for i in 0..8 {
-        let path = format!("stable-{i}.ckpt");
-        assert_eq!(
-            shard_index(&path, &op, 4),
-            shard_index(&path, &op, 4),
-            "shard map is not stable"
-        );
-    }
-    let hit: std::collections::HashSet<usize> = (0..16)
-        .map(|i| shard_index(&format!("spread-{i}.ckpt"), &op, 4))
-        .collect();
-    assert!(
-        hit.len() >= 2,
-        "16 distinct models all hashed to one of 4 shards"
-    );
+    assert_eq!(serve_schedule(&mut published), want);
 }
