@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sqvae_core::{models, Autoencoder, Threads, TrainConfig, Trainer};
+use sqvae_core::{models, Autoencoder, ExecPolicy, Threads, TrainConfig, Trainer};
 use sqvae_datasets::Dataset;
 
 fn toy_dataset(n: usize, width: usize) -> Dataset {
@@ -20,10 +20,13 @@ fn toy_dataset(n: usize, width: usize) -> Dataset {
 }
 
 fn one_epoch(model: &mut Autoencoder, data: &Dataset, batch_size: usize, threads: Threads) {
+    model.set_exec_policy(ExecPolicy {
+        threads,
+        ..ExecPolicy::from_env()
+    });
     let mut trainer = Trainer::new(TrainConfig {
         epochs: 1,
         batch_size,
-        threads,
         ..TrainConfig::default()
     });
     trainer.train(model, data, None).expect("training succeeds");

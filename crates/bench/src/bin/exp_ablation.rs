@@ -45,8 +45,6 @@ fn main() {
                 quantum_lr: qlr,
                 classical_lr: clr,
                 seed: args.seed,
-                threads: args.threads,
-                backend: args.backend,
                 ..TrainConfig::default()
             })
             .train(&mut model, &train, None)
@@ -75,8 +73,6 @@ fn main() {
             let hist = Trainer::new(TrainConfig {
                 epochs,
                 seed: args.seed,
-                threads: args.threads,
-                backend: args.backend,
                 ..TrainConfig::default()
             })
             .train(&mut model, &train, None)

@@ -26,8 +26,6 @@ fn train_curve(model: &mut Autoencoder, data: &Dataset, epochs: usize, args: &Ex
         quantum_lr: 0.01,
         classical_lr: 0.01,
         seed: args.seed,
-        threads: args.threads,
-        backend: args.backend,
         ..TrainConfig::default()
     });
     trainer

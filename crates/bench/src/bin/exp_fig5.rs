@@ -31,8 +31,6 @@ fn main() {
             quantum_lr: 0.01,
             classical_lr: 0.01,
             seed: args.seed,
-            threads: args.threads,
-            backend: args.backend,
             ..TrainConfig::default()
         };
         let mut rng = StdRng::seed_from_u64(args.seed);
@@ -68,8 +66,6 @@ fn main() {
             let ae_hist = Trainer::new(TrainConfig {
                 epochs,
                 seed: args.seed,
-                threads: args.threads,
-                backend: args.backend,
                 ..TrainConfig::default()
             })
             .train(&mut ae, &train, Some(&test))
@@ -78,8 +74,6 @@ fn main() {
             let vae_hist = Trainer::new(TrainConfig {
                 epochs,
                 seed: args.seed,
-                threads: args.threads,
-                backend: args.backend,
                 ..TrainConfig::default()
             })
             .train(&mut vae, &train, Some(&test))

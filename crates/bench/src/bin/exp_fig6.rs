@@ -39,8 +39,6 @@ fn main() {
             quantum_lr: 0.001,
             classical_lr: 0.001,
             seed: args.seed,
-            threads: args.threads,
-            backend: args.backend,
             ..TrainConfig::default()
         })
         .train(&mut model, &train, Some(&test))

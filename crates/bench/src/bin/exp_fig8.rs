@@ -35,8 +35,6 @@ fn main() {
                 Trainer::new(TrainConfig {
                     epochs,
                     seed: args.seed,
-                    threads: args.threads,
-                    backend: args.backend,
                     ..TrainConfig::default()
                 })
                 .train(&mut model, &train, None)
@@ -72,8 +70,6 @@ fn main() {
             Trainer::new(TrainConfig {
                 epochs,
                 seed: args.seed,
-                threads: args.threads,
-                backend: args.backend,
                 ..TrainConfig::default()
             })
             .train(&mut model, &train_img, None)
@@ -100,8 +96,6 @@ fn main() {
             Trainer::new(TrainConfig {
                 epochs,
                 seed: args.seed,
-                threads: args.threads,
-                backend: args.backend,
                 ..TrainConfig::default()
             })
             .train(model, &train_img, None)

@@ -41,8 +41,6 @@ fn main() {
         epochs,
         seed: args.seed,
         max_grad_norm: Some(5.0),
-        threads: args.threads,
-        backend: args.backend,
         ..TrainConfig::default()
     })
     .train(&mut model, &data, None)
@@ -86,8 +84,6 @@ fn main() {
         quantum_lr: 0.01,
         classical_lr: 0.01,
         seed: args.seed,
-        threads: args.threads,
-        backend: args.backend,
         ..TrainConfig::default()
     })
     .train(&mut fbq, &digits, None)

@@ -48,8 +48,6 @@ fn main() {
         args.train_or_restore(&format!("vae-lsd{lsd}"), &mut vae, |m| {
             let mut trainer = Trainer::new(TrainConfig {
                 epochs,
-                threads: args.threads,
-                backend: args.backend,
                 ..TrainConfig::default()
             });
             trainer
@@ -66,8 +64,6 @@ fn main() {
         args.train_or_restore(&format!("sq-lsd{lsd}"), &mut sq, |m| {
             let mut trainer = Trainer::new(TrainConfig {
                 epochs,
-                threads: args.threads,
-                backend: args.backend,
                 ..TrainConfig::default()
             });
             trainer

@@ -17,11 +17,13 @@
 //! Every binary defaults to a **quick** scale (reduced samples/epochs so the
 //! whole suite runs in minutes on a laptop); pass `--full` for paper-scale
 //! runs. Results print as aligned text tables; EXPERIMENTS.md records the
-//! measured numbers next to the paper's.
+//! measured numbers next to the paper's. Like every other entry point, the
+//! binaries run each model on the execution policy it starts with, which
+//! `SQVAE_THREADS` and `SQVAE_BACKEND` set (see `sqvae_nn::ExecPolicy`).
 
 use sqvae_core::checkpoint;
 use sqvae_core::Autoencoder;
-use sqvae_nn::{BackendKind, ExecPolicy, Matrix, Threads};
+use sqvae_nn::Matrix;
 
 /// Scale of an experiment run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,15 +43,6 @@ pub struct ExpArgs {
     pub panel: Option<String>,
     /// Optional `--seed <n>` override.
     pub seed: u64,
-    /// Batch-row parallelism for quantum layers (`--threads auto|off|<n>`;
-    /// defaults to the `SQVAE_THREADS` environment variable). Results are
-    /// bit-identical for every setting — only wall-clock changes.
-    pub threads: Threads,
-    /// Simulator backend for quantum layers (`--backend dense|soa`, with
-    /// `fused` accepted as an alias of `dense`; defaults to the
-    /// `SQVAE_BACKEND` environment variable). Backends agree to ~1e-15 —
-    /// only wall-clock changes.
-    pub backend: BackendKind,
     /// Optional `--save <path>` — checkpoint the trained model there.
     pub save: Option<String>,
     /// Optional `--load <path>` — restore a checkpoint instead of training
@@ -63,8 +56,6 @@ impl Default for ExpArgs {
             scale: Scale::Quick,
             panel: None,
             seed: 42,
-            threads: Threads::from_env(),
-            backend: BackendKind::from_env(),
             save: None,
             load: None,
         }
@@ -75,9 +66,8 @@ impl ExpArgs {
     /// Parses `std::env::args()`-style arguments (skipping the binary name).
     ///
     /// Recognized: `--full`, `--quick`, `--panel <name>`, `--seed <n>`,
-    /// `--threads <auto|off|n>`, `--backend <dense|soa>` (`fused` = `dense`),
-    /// `--save <path>`, `--load <path>`. Unknown
-    /// flags are ignored so wrappers can pass extras through.
+    /// `--save <path>`, `--load <path>`. Unknown flags are ignored so
+    /// wrappers can pass extras through.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
         let mut out = ExpArgs::default();
         let mut it = args.into_iter();
@@ -93,33 +83,12 @@ impl ExpArgs {
                         }
                     }
                 }
-                "--threads" => {
-                    if let Some(s) = it.next() {
-                        if let Ok(t) = s.parse() {
-                            out.threads = t;
-                        }
-                    }
-                }
-                "--backend" => {
-                    if let Some(s) = it.next() {
-                        if let Ok(b) = s.parse() {
-                            out.backend = b;
-                        }
-                    }
-                }
                 "--save" => out.save = it.next(),
                 "--load" => out.load = it.next(),
                 _ => {}
             }
         }
         out
-    }
-
-    /// The unified execution policy the `--threads` / `--backend` flags
-    /// select, ready to hand to `TrainConfig` or
-    /// `Module::set_exec_policy`.
-    pub fn exec_policy(&self) -> ExecPolicy {
-        ExecPolicy::new(self.threads, self.backend)
     }
 
     /// Picks `quick` or `full` by scale.
@@ -330,36 +299,6 @@ mod tests {
     fn parse_ignores_unknown_and_bad_values() {
         let a = args(&["--wat", "--seed", "not-a-number"]);
         assert_eq!(a.seed, 42);
-    }
-
-    #[test]
-    fn parse_backend_flag() {
-        // `fused` names a removed backend; it is an alias of dense.
-        assert_eq!(args(&["--backend", "fused"]).backend, BackendKind::Dense);
-        assert_eq!(args(&["--backend", "dense"]).backend, BackendKind::Dense);
-        assert_eq!(args(&["--backend", "soa"]).backend, BackendKind::Soa);
-        // Bad specs keep the default rather than aborting an experiment.
-        let default = ExpArgs::default().backend;
-        assert_eq!(args(&["--backend", "quantum"]).backend, default);
-    }
-
-    #[test]
-    fn exec_policy_bundles_both_flags() {
-        let a = args(&["--threads", "2", "--backend", "fused"]);
-        let policy = a.exec_policy();
-        assert_eq!(policy.threads, Threads::Fixed(2));
-        assert_eq!(policy.backend, BackendKind::Dense);
-    }
-
-    #[test]
-    fn parse_threads_flag() {
-        assert_eq!(args(&["--threads", "off"]).threads, Threads::Off);
-        assert_eq!(args(&["--threads", "0"]).threads, Threads::Off);
-        assert_eq!(args(&["--threads", "3"]).threads, Threads::Fixed(3));
-        assert_eq!(args(&["--threads", "auto"]).threads, Threads::Auto);
-        // Bad specs keep the default rather than aborting an experiment.
-        let default = ExpArgs::default().threads;
-        assert_eq!(args(&["--threads", "banana"]).threads, default);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The autoencoder: encoder stack → latent stage → decoder stack.
 
 use crate::hybrid::{HybridStack, ParamGroup};
-use crate::latent::Latent;
+use crate::latent::{standard_normals, Latent};
 use crate::models::ModelSpec;
 use rand::Rng;
 use sqvae_nn::{ExecPolicy, Matrix, Module, NnError, ParamTensor};
@@ -49,7 +49,8 @@ pub struct ForwardOutput {
 }
 
 impl Autoencoder {
-    /// Assembles an autoencoder from its stages.
+    /// Assembles an autoencoder from its stages. Its execution policy starts
+    /// as [`ExecPolicy::from_env`], like that of every quantum layer.
     pub fn new(
         name: impl Into<String>,
         encoder: HybridStack,
@@ -64,7 +65,7 @@ impl Autoencoder {
             last_kl: 0.0,
             identity_latent_dim: None,
             spec: None,
-            exec: ExecPolicy::default(),
+            exec: ExecPolicy::from_env(),
         }
     }
 
@@ -91,8 +92,8 @@ impl Autoencoder {
         self.spec
     }
 
-    /// The execution policy most recently applied via
-    /// [`Autoencoder::set_exec_policy`] (default: sequential, dense).
+    /// The model's execution policy: [`ExecPolicy::from_env`] until
+    /// [`Autoencoder::set_exec_policy`] changes it.
     pub fn exec_policy(&self) -> ExecPolicy {
         self.exec
     }
@@ -103,19 +104,14 @@ impl Autoencoder {
     }
 
     /// Latent dimensionality (width of `z`).
-    pub fn latent_dim(&mut self) -> usize {
-        match &mut self.latent {
+    pub fn latent_dim(&self) -> usize {
+        match &self.latent {
             Latent::Gaussian(g) => g.latent_dim(),
-            Latent::Linear(l) => l.out_features(),
-            // Identity: the encoder output width; probe with the decoder
-            // input assumption — stored implicitly, so ask the encoder.
-            Latent::Identity => self.probe_latent_dim(),
+            // Identity: the encoder output width, recorded at construction.
+            Latent::Identity => self
+                .identity_latent_dim
+                .expect("identity-latent models record their latent dim at construction"),
         }
-    }
-
-    fn probe_latent_dim(&mut self) -> usize {
-        self.identity_latent_dim
-            .expect("identity-latent models record their latent dim at construction")
     }
 
     /// Training-mode forward: encode, sample/transform the latent, decode.
@@ -131,7 +127,6 @@ impl Autoencoder {
         let h = self.encoder.forward(input)?;
         let z = match &mut self.latent {
             Latent::Identity => h,
-            Latent::Linear(l) => l.forward(&h)?,
             Latent::Gaussian(g) => g.forward_sample(&h, rng)?,
         };
         let kl = match &self.latent {
@@ -156,7 +151,6 @@ impl Autoencoder {
         let h = self.encoder.infer(input)?;
         match &mut self.latent {
             Latent::Identity => Ok(h),
-            Latent::Linear(l) => l.infer(&h),
             Latent::Gaussian(g) => g.forward_mean(&h),
         }
     }
@@ -182,7 +176,6 @@ impl Autoencoder {
         let grad_z = self.decoder.backward(grad_reconstruction)?;
         let grad_h = match &mut self.latent {
             Latent::Identity => grad_z,
-            Latent::Linear(l) => l.backward(&grad_z)?,
             Latent::Gaussian(g) => g.backward(&grad_z)?,
         };
         self.encoder.backward(&grad_h)?;
@@ -207,12 +200,7 @@ impl Autoencoder {
     /// draws of several requests into one decoder pass while consuming the
     /// identical RNG stream a direct `sample` call would.
     pub fn sample_latent(&mut self, n: usize, rng: &mut impl Rng) -> Matrix {
-        let d = self.latent_dim();
-        Matrix::from_fn(n, d, |_, _| {
-            let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-            let u2: f64 = rng.gen_range(0.0..1.0);
-            (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-        })
+        standard_normals(n, self.latent_dim(), rng)
     }
 
     /// Draws `n` samples by decoding `z ~ N(0, I)`.
@@ -258,11 +246,11 @@ impl Autoencoder {
         v
     }
 
-    /// Sets the unified execution policy — batch-row parallelism and
-    /// simulator backend — on every quantum stage (classical stages and
-    /// latent heads ignore it). The trainer calls this with its configured
-    /// [`sqvae_nn::ExecPolicy`] before each run.
-    pub fn set_exec_policy(&mut self, policy: sqvae_nn::ExecPolicy) {
+    /// Sets the execution policy — batch-row parallelism and simulator
+    /// backend — on every quantum stage (classical stages and latent heads
+    /// ignore it). This is the only way a model's policy changes: the
+    /// trainer runs on whatever policy the model has.
+    pub fn set_exec_policy(&mut self, policy: ExecPolicy) {
         self.exec = policy;
         self.encoder.set_exec_policy(policy);
         self.decoder.set_exec_policy(policy);

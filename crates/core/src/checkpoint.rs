@@ -21,7 +21,9 @@
 //! Corrupt input is a typed [`CheckpointError`], never a panic: truncation
 //! surfaces as [`CheckpointError::Io`] (`UnexpectedEof`), bit flips as
 //! [`CheckpointError::ChecksumMismatch`], format drift as
-//! [`CheckpointError::UnsupportedVersion`].
+//! [`CheckpointError::UnsupportedVersion`]. An architecture tag no factory
+//! can build, or one implying more parameters than the file stores, is
+//! [`CheckpointError::Corrupt`] before any model is allocated.
 //!
 //! Saves are **crash-safe**: [`Checkpoint::save`] writes a temp sibling,
 //! fsyncs it, and renames it into place, keeping the previous generation
@@ -287,8 +289,8 @@ pub struct Checkpoint {
     /// Architecture descriptor; [`Checkpoint::build_model`] feeds it back
     /// through the factory that built the original.
     pub spec: ModelSpec,
-    /// Simulator backend the model ran on; restored on load. (Thread policy
-    /// is machine-local and deliberately *not* persisted.)
+    /// The model's own simulator backend; restored on load. (Threads are
+    /// machine-local: a loaded model takes them from the environment.)
     pub backend: BackendKind,
     /// RNG seed recorded by the caller at save time (provenance metadata —
     /// e.g. the training seed; not consumed on load).
@@ -317,7 +319,7 @@ impl Checkpoint {
 
     /// Rebuilds the model this checkpoint describes: factory-construct from
     /// the spec, overwrite every parameter with the saved tensors, restore
-    /// the saved backend (threads come from the environment — a
+    /// the saved backend (threads come from [`ExecPolicy::from_env`] — a
     /// machine-local choice).
     ///
     /// # Errors
@@ -331,7 +333,10 @@ impl Checkpoint {
         // deterministic anyway.
         let mut model = self.spec.build(&mut StdRng::seed_from_u64(self.seed));
         self.params.restore(&mut model)?;
-        model.set_exec_policy(ExecPolicy::from_env().with_backend(self.backend));
+        model.set_exec_policy(ExecPolicy {
+            backend: self.backend,
+            ..ExecPolicy::from_env()
+        });
         Ok(model)
     }
 
@@ -362,8 +367,10 @@ impl Checkpoint {
     /// # Errors
     ///
     /// [`CheckpointError::BadMagic`], [`CheckpointError::UnsupportedVersion`],
-    /// [`CheckpointError::ChecksumMismatch`], [`CheckpointError::Corrupt`],
-    /// or [`CheckpointError::Io`] (truncation → `UnexpectedEof`).
+    /// [`CheckpointError::ChecksumMismatch`], [`CheckpointError::Corrupt`]
+    /// (also for a spec no factory builds, or one implying more parameters
+    /// than the file stores), or [`CheckpointError::Io`] (truncation →
+    /// `UnexpectedEof`).
     pub fn read_from(mut r: impl Read) -> Result<Self, CheckpointError> {
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
@@ -402,6 +409,12 @@ impl Checkpoint {
             return Err(CheckpointError::Corrupt(format!(
                 "{} trailing bytes after the last tensor",
                 b.len()
+            )));
+        }
+        let stored: usize = quantum.iter().chain(&classical).map(Matrix::len).sum();
+        if spec.parameter_count().map_or(true, |n| n > stored) {
+            return Err(CheckpointError::Corrupt(format!(
+                "model spec '{spec}' implies more parameters than the {stored} stored"
             )));
         }
         Ok(Checkpoint {
@@ -608,8 +621,14 @@ mod tests {
     use super::*;
     use crate::models;
 
+    /// A dense model: the bytes these tests write record its backend.
     fn model() -> Autoencoder {
-        models::sq_vae(16, 2, 1, &mut StdRng::seed_from_u64(3))
+        let mut m = models::sq_vae(16, 2, 1, &mut StdRng::seed_from_u64(3));
+        m.set_exec_policy(ExecPolicy {
+            backend: BackendKind::Dense,
+            ..ExecPolicy::from_env()
+        });
+        m
     }
 
     fn checkpoint_bytes() -> Vec<u8> {
@@ -650,7 +669,6 @@ mod tests {
         // Builds with a `fused` backend wrote that name into the body; the
         // bytes below are what such a build produced for this model.
         let mut m = model();
-        m.set_exec_policy(ExecPolicy::default().with_backend(BackendKind::Dense));
         let ckpt = Checkpoint::capture(&mut m, 4).unwrap();
         let mut body = Vec::new();
         write_string(&mut body, &ckpt.name).unwrap();

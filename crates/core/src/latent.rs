@@ -4,10 +4,23 @@
 //! parameters `(μ, log σ²)`; `z = μ + σ·ε` is sampled with the
 //! reparametrization trick and regularized toward `N(0, I)` by the KL term
 //! of the ELBO. Vanilla AEs skip the distribution ("the only part that AE
-//! does not involve") and optionally pass through a small latent FC.
+//! does not involve"); where they have a latent-width FC, it is the last
+//! stage of the encoder stack.
 
 use rand::Rng;
 use sqvae_nn::{loss, Linear, Matrix, Module, NnError, ParamTensor};
+
+/// A `rows × cols` matrix of standard normal draws, filled row-major by
+/// Box–Muller with two uniform draws per entry — the one stream behind both
+/// the reparametrization noise ε and [`crate::Autoencoder::sample_latent`],
+/// so served samples reproduce direct calls bit for bit.
+pub(crate) fn standard_normals(rows: usize, cols: usize, rng: &mut impl Rng) -> Matrix {
+    Matrix::from_fn(rows, cols, |_, _| {
+        let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+        let u2: f64 = rng.gen_range(0.0..1.0);
+        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+    })
+}
 
 /// Gaussian latent head with reparametrized sampling.
 #[derive(Debug, Clone)]
@@ -77,12 +90,7 @@ impl GaussianLatent {
         let raw_logvar = self.logvar_head.forward(hidden)?;
         let logvar = raw_logvar.map(|lv| lv.clamp(-LOGVAR_CLAMP, LOGVAR_CLAMP));
         let logvar_mask = raw_logvar.map(|lv| if lv.abs() < LOGVAR_CLAMP { 1.0 } else { 0.0 });
-        let eps = Matrix::from_fn(mu.rows(), mu.cols(), |_, _| {
-            // Box-Muller standard normal.
-            let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-            let u2: f64 = rng.gen_range(0.0..1.0);
-            (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-        });
+        let eps = standard_normals(mu.rows(), mu.cols(), rng);
         let sigma = logvar.map(|lv| (0.5 * lv).exp());
         let z = mu.add(&sigma.hadamard(&eps)?)?;
         let (kl, _, _) = loss::gaussian_kl(&mu, &logvar)?;
@@ -172,10 +180,8 @@ impl GaussianLatent {
 #[derive(Debug)]
 #[allow(clippy::large_enum_variant)]
 pub enum Latent {
-    /// No latent transformation (fully quantum AE).
+    /// No latent transformation (the AE variants).
     Identity,
-    /// A latent fully connected layer (hybrid/classical AE variants).
-    Linear(Linear),
     /// Gaussian heads with reparametrized sampling (VAE variants).
     Gaussian(GaussianLatent),
 }
@@ -190,7 +196,6 @@ impl Latent {
     pub fn parameters(&mut self) -> Vec<&mut ParamTensor> {
         match self {
             Latent::Identity => Vec::new(),
-            Latent::Linear(l) => l.parameters(),
             Latent::Gaussian(g) => g.parameters(),
         }
     }
@@ -317,9 +322,37 @@ mod tests {
         let mut id = Latent::Identity;
         assert!(!id.is_variational());
         assert_eq!(id.parameter_count(), 0);
-        let mut lin = Latent::Linear(Linear::new(6, 6, &mut rng));
-        assert_eq!(lin.parameter_count(), 42);
         let g = Latent::Gaussian(GaussianLatent::new(6, 6, 1.0, &mut rng));
         assert!(g.is_variational());
+    }
+
+    #[test]
+    fn the_standard_normal_stream_is_pinned() {
+        // Serving's sample determinism rests on this stream: a fixed seed
+        // draws these bits, in this order, both as `sample_latent` rows and
+        // as the reparametrization noise ε.
+        const PINNED: [u64; 6] = [
+            0xbfef78dbb838b877,
+            0x3fe0f95f78add826,
+            0x40023b418cbd527c,
+            0x3fe0cd3f2f7a6e34,
+            0xbfe39ab2b8f6d822,
+            0xbfd7e890f94c499d,
+        ];
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let lat = GaussianLatent::new(4, 2, 1.0, &mut StdRng::seed_from_u64(0));
+        let mut model = crate::Autoencoder::new(
+            "vae",
+            crate::HybridStack::new(),
+            Latent::Gaussian(lat.clone()),
+            crate::HybridStack::new(),
+        );
+        let z = model.sample_latent(3, &mut StdRng::seed_from_u64(2026));
+        assert_eq!(bits(&z), PINNED);
+        let mut lat = lat;
+        let h = Matrix::filled(3, 4, 0.2);
+        lat.forward_sample(&h, &mut StdRng::seed_from_u64(2026))
+            .unwrap();
+        assert_eq!(bits(&lat.cached.as_ref().unwrap().eps), PINNED);
     }
 }

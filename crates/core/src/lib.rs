@@ -62,7 +62,6 @@ pub use trainer::{
     AnomalyEvent, AnomalyKind, EpochRecord, History, NanGuard, TrainConfig, Trainer,
 };
 
-// Re-exported so downstream users can set `TrainConfig::threads` /
-// `TrainConfig::backend` or build an execution policy without depending on
-// `sqvae-nn` directly.
+// Re-exported so downstream users can set a model's execution policy
+// without depending on `sqvae-nn` directly.
 pub use sqvae_nn::{BackendKind, ExecPolicy, Threads};

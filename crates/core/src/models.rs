@@ -22,6 +22,7 @@ use crate::quantum_layer::{QuantumInput, QuantumLayer, QuantumOutput};
 use rand::Rng;
 use sqvae_nn::{Activation, ActivationKind, Linear};
 use sqvae_quantum::embed::qubits_for_features;
+use sqvae_quantum::MAX_QUBITS;
 
 /// Default KL weight for the VAE variants.
 pub const DEFAULT_KL_WEIGHT: f64 = 1.0;
@@ -36,7 +37,9 @@ pub const DEFAULT_KL_WEIGHT: f64 = 1.0;
 ///
 /// The textual form round-trips through [`std::fmt::Display`] /
 /// [`std::str::FromStr`]: `"sq_vae 64 2 1"` ⇄ `SqVae { input_dim: 64,
-/// p: 2, n_layers: 1 }`.
+/// p: 2, n_layers: 1 }`. Parsing refuses, with an error, every spec whose
+/// factory would panic; a value written in code meets the factory's
+/// construction asserts when it is built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelSpec {
     /// [`classical_ae`].
@@ -146,6 +149,100 @@ impl ModelSpec {
         }
     }
 
+    /// Trainable parameters (both groups) of the model this spec builds;
+    /// `None` when its factory would refuse it — the construction asserts
+    /// of [`patched_latent_dim`], registers of 1 to [`MAX_QUBITS`] qubits,
+    /// non-zero widths — or the count overflows. Pure arithmetic, so a
+    /// checkpoint's spec is checked against the tensors it stores before
+    /// the factory allocates anything.
+    pub(crate) fn parameter_count(&self) -> Option<usize> {
+        // Weights plus biases of an `i → o` fully connected layer.
+        let linear = |i: usize, o: usize| i.checked_mul(o)?.checked_add(o);
+        // Three angles per wire and strongly-entangling layer.
+        let circuit =
+            |n_qubits: usize, n_layers: usize| n_qubits.checked_mul(n_layers)?.checked_mul(3);
+        let register = |n_qubits: usize| (1..=MAX_QUBITS).contains(&n_qubits).then_some(n_qubits);
+        let (stages, latent_dim) = match *self {
+            ModelSpec::ClassicalAe {
+                input_dim,
+                latent_dim,
+            }
+            | ModelSpec::ClassicalVae {
+                input_dim,
+                latent_dim,
+            } => {
+                let (h1, h2) = default_hidden_dims(input_dim);
+                let (i, l) = (input_dim, latent_dim);
+                let mlp = [(i, h1), (h1, h2), (h2, l), (l, h2), (h2, h1), (h1, i)];
+                (
+                    mlp.map(|(a, b)| linear(a, b)).to_vec(),
+                    (i > 0).then_some(l),
+                )
+            }
+            ModelSpec::FBqAe {
+                input_dim,
+                n_layers,
+            }
+            | ModelSpec::FBqVae {
+                input_dim,
+                n_layers,
+            } => {
+                let nq = register(qubits_for_features(input_dim)).filter(|_| input_dim > 0)?;
+                (vec![circuit(nq, n_layers); 2], Some(nq))
+            }
+            ModelSpec::HBqAe {
+                input_dim,
+                n_layers,
+            }
+            | ModelSpec::HBqVae {
+                input_dim,
+                n_layers,
+            } => {
+                let nq = register(qubits_for_features(input_dim)).filter(|_| input_dim > 0)?;
+                let encoder = [circuit(nq, n_layers), linear(nq, nq)];
+                let decoder = [circuit(nq, n_layers), linear(1 << nq, input_dim)];
+                ([encoder, decoder].concat(), Some(nq))
+            }
+            ModelSpec::SqAe {
+                input_dim,
+                p,
+                n_layers,
+            }
+            | ModelSpec::SqVae {
+                input_dim,
+                p,
+                n_layers,
+            } => {
+                if !(input_dim.is_power_of_two() && p.is_power_of_two() && p < input_dim) {
+                    return None;
+                }
+                // p · log2(input_dim / p) < input_dim: no overflow.
+                let lsd = p * register((input_dim / p).trailing_zeros() as usize)?;
+                let encoder = [circuit(lsd, n_layers), linear(lsd, lsd)];
+                let decoder = [circuit(lsd, n_layers), linear(lsd, input_dim)];
+                ([encoder, decoder].concat(), Some(lsd))
+            }
+        };
+        let latent_dim = latent_dim.filter(|&l| l > 0)?;
+        let variational = matches!(
+            self,
+            ModelSpec::ClassicalVae { .. }
+                | ModelSpec::FBqVae { .. }
+                | ModelSpec::HBqVae { .. }
+                | ModelSpec::SqVae { .. }
+        );
+        // The VAEs' Gaussian heads: two `latent_dim → latent_dim` layers.
+        let heads = if variational {
+            linear(latent_dim, latent_dim)?.checked_mul(2)
+        } else {
+            Some(0)
+        };
+        stages
+            .into_iter()
+            .chain([heads])
+            .try_fold(0usize, |sum, n| sum.checked_add(n?))
+    }
+
     /// The feature width the model consumes and reconstructs.
     pub fn input_dim(&self) -> usize {
         match *self {
@@ -224,7 +321,7 @@ impl std::str::FromStr for ModelSpec {
                 ))
             }
         };
-        match kind {
+        let spec = match kind {
             "classical_ae" => {
                 want(2)?;
                 Ok(ModelSpec::ClassicalAe {
@@ -284,6 +381,14 @@ impl std::str::FromStr for ModelSpec {
                 })
             }
             other => Err(format!("unknown model kind '{other}'")),
+        }?;
+        match spec.parameter_count() {
+            Some(_) => Ok(spec),
+            None => Err(format!(
+                "model spec '{spec}' describes no buildable model (powers of two with p < \
+                 input_dim, registers of 1 to {MAX_QUBITS} qubits, non-zero widths, a count \
+                 that fits usize)"
+            )),
         }
     }
 }
@@ -652,8 +757,61 @@ mod tests {
 
     #[test]
     fn bad_spec_strings_are_rejected() {
-        for bad in ["", "warp_ae 4 2", "sq_vae 4", "sq_vae a b c"] {
+        for bad in [
+            "",
+            "warp_ae 4 2",
+            "sq_vae 4",
+            "sq_vae a b c",
+            // Specs no factory builds.
+            "classical_ae 0 2",
+            "classical_vae 16 0",
+            "f_bq_ae 0 1",
+            "h_bq_vae 16777217 1",
+            "f_bq_vae 67108864 1",
+            "sq_vae 64 3 1",
+            "sq_vae 64 64 1",
+            "sq_ae 48 2 1",
+            "sq_ae 16 0 1",
+            "sq_vae 33554432 1 1",
+        ] {
             assert!(bad.parse::<ModelSpec>().is_err(), "{bad:?}");
         }
+        // The largest register and patch the simulator takes still parse.
+        for good in [
+            "f_bq_ae 16777216 1",
+            "sq_ae 33554432 2 1",
+            "classical_ae 1 1",
+        ] {
+            assert!(good.parse::<ModelSpec>().is_ok(), "{good}");
+        }
+    }
+
+    #[test]
+    fn spec_parameter_counts_match_the_built_models() {
+        let mut r = rng();
+        for spec in [
+            "classical_ae 16 3",
+            "classical_vae 64 6",
+            "classical_ae 5 9",
+            "f_bq_ae 16 2",
+            "f_bq_vae 64 3",
+            "h_bq_ae 64 3",
+            "h_bq_vae 20 2",
+            "sq_ae 64 4 2",
+            "sq_vae 128 8 3",
+            "sq_vae 16 2 0",
+        ] {
+            let spec: ModelSpec = spec.parse().unwrap();
+            let built = spec.build(&mut r).parameter_count().total();
+            assert_eq!(spec.parameter_count(), Some(built), "{spec}");
+        }
+        let huge: ModelSpec = "classical_ae 100000 2".parse().unwrap();
+        assert!(huge.parameter_count().unwrap() > 1 << 32);
+        let overflowing = ModelSpec::SqAe {
+            input_dim: 1 << 62,
+            p: 1 << 61,
+            n_layers: 1,
+        };
+        assert_eq!(overflowing.parameter_count(), None);
     }
 }

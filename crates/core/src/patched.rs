@@ -109,7 +109,7 @@ impl PatchedQuantumLayer {
             patches,
             in_per_patch: per_patch,
             out_per_patch: n_qubits,
-            exec: ExecPolicy::default(),
+            exec: ExecPolicy::from_env(),
             kept: None,
         }
     }
@@ -142,7 +142,7 @@ impl PatchedQuantumLayer {
             patches,
             in_per_patch: n_qubits,
             out_per_patch: n_qubits,
-            exec: ExecPolicy::default(),
+            exec: ExecPolicy::from_env(),
             kept: None,
         }
     }
@@ -230,7 +230,16 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sqvae_nn::Threads;
+    use sqvae_nn::{BackendKind, Threads};
+
+    #[test]
+    fn a_new_bank_starts_from_the_environment_policy() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let enc = PatchedQuantumLayer::amplitude_encoder(16, 2, 1, &mut rng);
+        let dec = PatchedQuantumLayer::angle_decoder(6, 2, 1, &mut rng);
+        assert_eq!(enc.exec, ExecPolicy::from_env());
+        assert_eq!(dec.exec, ExecPolicy::from_env());
+    }
 
     #[test]
     fn latent_dims_match_paper() {
@@ -319,7 +328,10 @@ mod tests {
         let bank_with = |threads: Threads| {
             let mut rng = StdRng::seed_from_u64(9);
             let mut bank = PatchedQuantumLayer::amplitude_encoder(16, 2, 2, &mut rng);
-            bank.set_exec_policy(ExecPolicy::default().with_threads(threads));
+            bank.set_exec_policy(ExecPolicy {
+                threads,
+                backend: BackendKind::Dense,
+            });
             bank
         };
         let x = Matrix::from_fn(5, 16, |i, j| 0.05 * (i * 16 + j) as f64 + 0.1);
@@ -349,7 +361,6 @@ mod tests {
     #[test]
     fn kept_register_backward_equals_the_re_executing_oracle_bitwise() {
         use crate::quantum_layer::oracle;
-        use sqvae_nn::BackendKind;
         type Build = fn(&mut StdRng) -> PatchedQuantumLayer;
         let banks: [(&str, Build, usize); 2] = [
             (

@@ -24,9 +24,9 @@
 //!
 //! Batch rows are independent simulations, so all three passes shard rows
 //! on the process-wide compute pool ([`sqvae_nn::parallel`]) according to
-//! the layer's [`ExecPolicy`] threads knob (default
-//! [`sqvae_nn::Threads::Off`]; the trainer propagates its configured
-//! policy). The calling thread and the pool's persistent helpers claim rows
+//! the layer's [`ExecPolicy`] threads knob. A new layer starts from
+//! [`ExecPolicy::from_env`], and [`Module::set_exec_policy`] changes it.
+//! The calling thread and the pool's persistent helpers claim rows
 //! one at a time; no thread is spawned per pass. The shared tape is
 //! immutable and crosses threads by reference. Per-row results land in
 //! preallocated row slots and gradients accumulate in fixed row order, so
@@ -34,9 +34,8 @@
 //!
 //! Which simulator executes the tape is the policy's second knob,
 //! [`BackendKind`]: every row runs on the dense reference register or the
-//! structure-of-arrays SIMD backend (`SQVAE_BACKEND`,
-//! `TrainConfig::backend`, [`sqvae_nn::ExecPolicy`]); the two agree to
-//! ≤ 1e-12. A backward sweeps on the backend its forward ran on.
+//! structure-of-arrays SIMD backend; the two agree to ≤ 1e-12. A backward
+//! sweeps on the backend its forward ran on.
 
 use rand::Rng;
 use sqvae_nn::parallel;
@@ -146,19 +145,8 @@ impl QuantumLayer {
             output_mode,
             params,
             kept: None,
-            exec: ExecPolicy::default(),
+            exec: ExecPolicy::from_env(),
         }
-    }
-
-    /// Builder-style variant of [`Module::set_exec_policy`].
-    pub fn with_exec_policy(mut self, policy: ExecPolicy) -> Self {
-        self.exec = policy;
-        self
-    }
-
-    /// The unified execution policy (threads + backend) in effect.
-    pub fn exec_policy(&self) -> ExecPolicy {
-        self.exec
     }
 
     /// Number of wires.
@@ -608,6 +596,23 @@ mod tests {
         StdRng::seed_from_u64(7)
     }
 
+    fn with_policy(
+        mut layer: QuantumLayer,
+        threads: Threads,
+        backend: BackendKind,
+    ) -> QuantumLayer {
+        layer.set_exec_policy(ExecPolicy { threads, backend });
+        layer
+    }
+
+    #[test]
+    fn a_new_layer_starts_from_the_environment_policy() {
+        for (input, output) in MODES {
+            let layer = QuantumLayer::new(3, 1, input, output, &mut rng());
+            assert_eq!(layer.exec, ExecPolicy::from_env(), "{input:?} {output:?}");
+        }
+    }
+
     #[test]
     fn shapes_for_all_modes() {
         let mut r = rng();
@@ -768,14 +773,14 @@ mod tests {
     fn threaded_passes_are_bit_identical_to_sequential() {
         let layer_with = |threads: Threads| {
             let mut r = rng();
-            QuantumLayer::new(
+            let layer = QuantumLayer::new(
                 3,
                 2,
                 QuantumInput::Angle,
                 QuantumOutput::ExpectationZ,
                 &mut r,
-            )
-            .with_exec_policy(ExecPolicy::default().with_threads(threads))
+            );
+            with_policy(layer, threads, BackendKind::Dense)
         };
         let x = Matrix::from_fn(7, 3, |i, j| 0.3 * (i as f64) - 0.2 * (j as f64));
         let g = Matrix::from_fn(7, 3, |i, j| 0.1 * (i + j) as f64 - 0.4);
@@ -803,8 +808,8 @@ mod tests {
         ] {
             let layer_with = |backend: BackendKind| {
                 let mut r = rng();
-                QuantumLayer::new(3, 2, input, output, &mut r)
-                    .with_exec_policy(ExecPolicy::default().with_backend(backend))
+                let layer = QuantumLayer::new(3, 2, input, output, &mut r);
+                with_policy(layer, Threads::Off, backend)
             };
             let x = Matrix::from_fn(4, input_width(input), |i, j| {
                 0.15 * (i + 1) as f64 + 0.07 * j as f64
@@ -878,8 +883,8 @@ mod tests {
             for backend in [BackendKind::Dense, BackendKind::Soa] {
                 for threads in [Threads::Off, Threads::Fixed(3)] {
                     let mut r = rng();
-                    let mut layer = QuantumLayer::new(3, 2, input, output, &mut r)
-                        .with_exec_policy(ExecPolicy { threads, backend });
+                    let layer = QuantumLayer::new(3, 2, input, output, &mut r);
+                    let mut layer = with_policy(layer, threads, backend);
                     let y = layer.forward(&x).unwrap();
                     let g = Matrix::from_fn(5, y.cols(), |i, j| 0.3 * i as f64 - 0.17 * j as f64);
                     let gin = layer.backward(&g).unwrap();
@@ -900,7 +905,8 @@ mod tests {
             let x = Matrix::from_fn(4, input_width(input), |i, j| 0.1 * (i + 2 * j) as f64);
             let fresh = || {
                 let mut r = rng();
-                QuantumLayer::new(3, 2, input, output, &mut r)
+                let layer = QuantumLayer::new(3, 2, input, output, &mut r);
+                with_policy(layer, Threads::Off, BackendKind::Dense)
             };
             let mut reference = fresh();
             let y = reference.forward(&x).unwrap();
@@ -915,7 +921,10 @@ mod tests {
             stepped.params.grad.fill(0.7);
             Sgd::new(0.5).step(&mut stepped.parameters()).unwrap();
             stepped.zero_grad();
-            stepped.set_exec_policy(ExecPolicy::default().with_backend(BackendKind::Soa));
+            stepped.set_exec_policy(ExecPolicy {
+                threads: Threads::Off,
+                backend: BackendKind::Soa,
+            });
             assert_ne!(stepped.params.value, reference.params.value);
             assert_eq!(stepped.backward(&g).unwrap(), want_gin);
             assert_eq!(stepped.params.grad, reference.params.grad);

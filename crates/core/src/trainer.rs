@@ -4,6 +4,11 @@
 //! of 32, 20 epochs — with one Adam instance per parameter group so quantum
 //! angles and classical weights can use the Fig. 7 optimum (0.03 / 0.01) or
 //! any other combination.
+//!
+//! The trainer runs a model on the model's own execution policy
+//! ([`Autoencoder::exec_policy`]): every model starts from
+//! [`ExecPolicy::from_env`], and only [`Autoencoder::set_exec_policy`]
+//! changes it.
 
 use crate::autoencoder::Autoencoder;
 use crate::checkpoint::ParamSnapshot;
@@ -12,7 +17,7 @@ use crate::hybrid::ParamGroup;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sqvae_datasets::Dataset;
-use sqvae_nn::{loss, Adam, BackendKind, ExecPolicy, Matrix, NnError, Optimizer, Threads};
+use sqvae_nn::{loss, Adam, ExecPolicy, Matrix, NnError, Optimizer};
 
 /// Training hyper-parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,28 +45,13 @@ pub struct TrainConfig {
     /// Early stopping: end training when the test MSE has not improved for
     /// this many consecutive epochs (requires a test set; `None` disables).
     pub early_stop_patience: Option<usize>,
-    /// Batch-row parallelism for the quantum layers: rows of each mini-batch
-    /// are sharded on the shared compute pool ([`sqvae_nn::parallel`])
-    /// during the statevector forward runs and adjoint backward passes.
-    /// Results are bit-identical to sequential execution for any setting.
-    /// Defaults to [`Threads::from_env`] (`SQVAE_THREADS`: `auto`,
-    /// `off`/`0`, or a thread count).
-    pub threads: Threads,
-    /// Simulator backend for the quantum layers: `dense` is the reference
-    /// statevector kernels and the fastest at the paper's 5–7-qubit patches,
-    /// `soa` the split-plane SIMD kernels (same results to ~1e-15, faster
-    /// forward passes at 12–14 qubits). Defaults to
-    /// [`BackendKind::from_env`] (`SQVAE_BACKEND`: `dense` or `soa`; `fused`
-    /// is an alias of `dense`).
-    pub backend: BackendKind,
-    /// Guard rail against divergence: when a batch produces a non-finite
-    /// loss or non-finite gradients, roll the parameters back to the last
-    /// good snapshot, scale the learning rates down, optionally re-derive
-    /// the RNG, record the event in [`History::anomalies`], and keep
-    /// training — instead of silently poisoning every later weight. `None`
-    /// restores the old fail-open behavior. Defaults to
-    /// [`NanGuard::default`].
-    pub nan_guard: Option<NanGuard>,
+    /// Guard rail against divergence, always on: when a batch produces a
+    /// non-finite loss or non-finite gradients, roll the parameters back to
+    /// the last good snapshot, scale the learning rates down, optionally
+    /// re-derive the RNG, record the event in [`History::anomalies`], and
+    /// keep training — instead of silently poisoning every later weight.
+    /// Defaults to [`NanGuard::default`].
+    pub nan_guard: NanGuard,
 }
 
 /// Policy for the trainer's non-finite guard rail (see
@@ -127,9 +117,7 @@ impl Default for TrainConfig {
             max_grad_norm: None,
             kl_warmup_epochs: 0,
             early_stop_patience: None,
-            threads: Threads::from_env(),
-            backend: BackendKind::from_env(),
-            nan_guard: Some(NanGuard::default()),
+            nan_guard: NanGuard::default(),
         }
     }
 }
@@ -145,12 +133,12 @@ impl TrainConfig {
         }
     }
 
-    /// The unified execution policy the trainer installs on the model
-    /// before each run — the [`TrainConfig::threads`] and
-    /// [`TrainConfig::backend`] knobs bundled into one
-    /// [`sqvae_nn::ExecPolicy`] value.
+    /// Always [`ExecPolicy::from_env`], the policy every freshly built model
+    /// starts with; the configuration holds no policy, and the trainer runs
+    /// on the model's own. It exists only because the end-to-end benchmark
+    /// in `perfbench/` calls it; delete it once those calls go.
     pub fn exec_policy(&self) -> ExecPolicy {
-        ExecPolicy::new(self.threads, self.backend)
+        ExecPolicy::from_env()
     }
 }
 
@@ -180,7 +168,7 @@ pub struct History {
     /// the model simply holds the last epoch's weights.
     pub best_epoch: Option<usize>,
     /// Divergence events the non-finite guard rail recovered from, in
-    /// order. Empty on a healthy run (or when the guard was disabled).
+    /// order. Empty on a healthy run.
     pub anomalies: Vec<AnomalyEvent>,
 }
 
@@ -308,6 +296,9 @@ impl Trainer {
     /// run ended mid-ramp (few epochs, or an early stop) does not keep
     /// training with a silently down-weighted KL term on the next run.
     ///
+    /// The run uses the model's own execution policy and leaves it as it
+    /// was.
+    ///
     /// # Errors
     ///
     /// Returns shape/optimizer errors from the underlying stages.
@@ -323,7 +314,6 @@ impl Trainer {
             best_epoch: None,
             anomalies: Vec::new(),
         };
-        model.set_exec_policy(self.config.exec_policy());
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         // (epoch, test MSE, weights) of the best epoch seen so far.
         let mut best: Option<(usize, f64, ParamSnapshot)> = None;
@@ -331,7 +321,7 @@ impl Trainer {
         // Non-finite guard state: the last known-good weights, how many
         // rollbacks have fired, and the cumulative learning-rate scale.
         let guard = self.config.nan_guard;
-        let mut last_good = guard.map(|_| ParamSnapshot::capture(model));
+        let mut last_good = ParamSnapshot::capture(model);
         let mut recoveries = 0usize;
         let mut lr_scale = 1.0f64;
         for epoch in 0..self.config.epochs {
@@ -358,56 +348,50 @@ impl Trainer {
                 // Guard rail: divergence must never reach the optimizer. A
                 // non-finite loss skips backward outright; a finite loss
                 // still gets its gradients screened after backward.
-                if let Some(g) = guard {
-                    let kind = if !mse.is_finite() || !out.kl.is_finite() {
-                        Some(AnomalyKind::NonFiniteLoss)
-                    } else {
-                        model.backward(&grad)?;
-                        if has_non_finite_grads(model) {
-                            Some(AnomalyKind::NonFiniteGradient)
-                        } else {
-                            None
-                        }
-                    };
-                    if let Some(kind) = kind {
-                        recoveries += 1;
-                        last_good
-                            .as_ref()
-                            .expect("guard active implies a snapshot")
-                            .restore(model)
-                            .expect("snapshot was captured from this very model");
-                        model.zero_grad();
-                        if recoveries > g.max_recoveries {
-                            // Budget exhausted: surface a typed error, with
-                            // the model left on its last good weights.
-                            return Err(NnError::NonFinite {
-                                epoch,
-                                recoveries: recoveries - 1,
-                            });
-                        }
-                        lr_scale *= g.lr_decay;
-                        self.quantum_opt
-                            .set_learning_rate(self.config.quantum_lr * lr_scale);
-                        self.classical_opt
-                            .set_learning_rate(self.config.classical_lr * lr_scale);
-                        if g.reseed {
-                            // Deterministic re-derivation: don't replay the
-                            // exact reparametrization noise that blew up.
-                            rng = StdRng::seed_from_u64(
-                                self.config.seed
-                                    ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(recoveries as u64),
-                            );
-                        }
-                        history.anomalies.push(AnomalyEvent {
-                            epoch,
-                            batch: batch_idx,
-                            kind,
-                            lr_scale,
-                        });
-                        continue; // this batch contributes nothing
-                    }
+                let kind = if !mse.is_finite() || !out.kl.is_finite() {
+                    Some(AnomalyKind::NonFiniteLoss)
                 } else {
                     model.backward(&grad)?;
+                    if has_non_finite_grads(model) {
+                        Some(AnomalyKind::NonFiniteGradient)
+                    } else {
+                        None
+                    }
+                };
+                if let Some(kind) = kind {
+                    recoveries += 1;
+                    last_good
+                        .restore(model)
+                        .expect("snapshot was captured from this very model");
+                    model.zero_grad();
+                    if recoveries > guard.max_recoveries {
+                        // Budget exhausted: surface a typed error, with the
+                        // model left on its last good weights.
+                        return Err(NnError::NonFinite {
+                            epoch,
+                            recoveries: recoveries - 1,
+                        });
+                    }
+                    lr_scale *= guard.lr_decay;
+                    self.quantum_opt
+                        .set_learning_rate(self.config.quantum_lr * lr_scale);
+                    self.classical_opt
+                        .set_learning_rate(self.config.classical_lr * lr_scale);
+                    if guard.reseed {
+                        // Deterministic re-derivation: don't replay the exact
+                        // reparametrization noise that blew up.
+                        rng = StdRng::seed_from_u64(
+                            self.config.seed
+                                ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(recoveries as u64),
+                        );
+                    }
+                    history.anomalies.push(AnomalyEvent {
+                        epoch,
+                        batch: batch_idx,
+                        kind,
+                        lr_scale,
+                    });
+                    continue; // this batch contributes nothing
                 }
                 if let Some(max_norm) = self.config.max_grad_norm {
                     clip_gradients(model, max_norm)?;
@@ -423,9 +407,7 @@ impl Trainer {
                 epoch_mse += mse * batch.len() as f64;
                 epoch_kl += out.kl * batch.len() as f64;
                 seen += batch.len();
-                if last_good.is_some() {
-                    last_good = Some(ParamSnapshot::capture(model));
-                }
+                last_good = ParamSnapshot::capture(model);
             }
             let denom = seen.max(1) as f64;
             let test_mse = match test {
@@ -887,11 +869,11 @@ mod tests {
         let mut trainer = Trainer::new(TrainConfig {
             epochs: 4,
             batch_size: 8,
-            nan_guard: Some(NanGuard {
+            nan_guard: NanGuard {
                 max_recoveries: 64,
                 lr_decay: 0.5,
                 reseed: true,
-            }),
+            },
             ..TrainConfig::default()
         });
         let hist = trainer.train(&mut model, &data, None).unwrap();
@@ -924,11 +906,11 @@ mod tests {
         let mut trainer = Trainer::new(TrainConfig {
             epochs: 8,
             batch_size: 8,
-            nan_guard: Some(NanGuard {
+            nan_guard: NanGuard {
                 max_recoveries: 2,
                 lr_decay: 0.5,
                 reseed: false,
-            }),
+            },
             ..TrainConfig::default()
         });
         let err = trainer.train(&mut model, &data, None).unwrap_err();
@@ -945,44 +927,72 @@ mod tests {
     }
 
     #[test]
-    fn nan_guard_off_preserves_the_old_fail_open_behavior() {
-        let data = poisoned_dataset(16, 16, 74);
-        let mut rng = StdRng::seed_from_u64(75);
-        let mut model = models::classical_vae(16, 2, &mut rng);
-        let mut trainer = Trainer::new(TrainConfig {
-            epochs: 3,
-            batch_size: 8,
-            nan_guard: None,
-            ..TrainConfig::default()
-        });
-        let hist = trainer.train(&mut model, &data, None).unwrap();
+    fn nan_guard_is_inert_on_healthy_runs() {
+        // A healthy run is bit for bit the plain step loop: seeded RNG,
+        // per-epoch shuffle, zero_grad, forward_train, MSE, backward, then
+        // the quantum and the classical Adam step. Snapshot upkeep must not
+        // perturb training, and no anomaly is recorded.
+        let data = toy_dataset(24, 16, 2);
+        let cfg = quick_config(3);
+        let build = || models::sq_vae(16, 2, 1, &mut StdRng::seed_from_u64(1));
+        let mut trained = build();
+        let hist = Trainer::new(cfg.clone())
+            .train(&mut trained, &data, None)
+            .unwrap();
         assert!(hist.anomalies.is_empty());
-        assert!(
-            !hist.final_train_mse().unwrap().is_finite(),
-            "without the guard the divergence must poison the loss (the \
-             behavior this guard exists to fix)"
-        );
+
+        let mut model = build();
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let (mut quantum, mut classical) = (Adam::new(cfg.quantum_lr), Adam::new(cfg.classical_lr));
+        for (epoch, record) in hist.records.iter().enumerate() {
+            let shuffled = data.shuffled(cfg.seed.wrapping_add(epoch as u64));
+            let (mut mse_sum, mut kl_sum, mut seen) = (0.0, 0.0, 0usize);
+            for batch in shuffled.batches(cfg.batch_size) {
+                let x = Matrix::from_rows(&batch).unwrap();
+                model.zero_grad();
+                let out = model.forward_train(&x, &mut rng).unwrap();
+                let (mse, grad) = loss::mse(&out.reconstruction, &x).unwrap();
+                model.backward(&grad).unwrap();
+                quantum
+                    .step(&mut model.parameters_of(ParamGroup::Quantum))
+                    .unwrap();
+                classical
+                    .step(&mut model.parameters_of(ParamGroup::Classical))
+                    .unwrap();
+                mse_sum += mse * batch.len() as f64;
+                kl_sum += out.kl * batch.len() as f64;
+                seen += batch.len();
+            }
+            assert_eq!(
+                record.train_mse.to_bits(),
+                (mse_sum / seen as f64).to_bits()
+            );
+            assert_eq!(record.train_kl.to_bits(), (kl_sum / seen as f64).to_bits());
+        }
+        for group in [ParamGroup::Quantum, ParamGroup::Classical] {
+            for (a, b) in trained
+                .parameters_of(group)
+                .iter()
+                .zip(model.parameters_of(group))
+            {
+                assert_eq!(a.value, b.value, "{group:?}");
+            }
+        }
     }
 
     #[test]
-    fn nan_guard_is_inert_on_healthy_runs() {
-        // Same run as classical_ae_loss_decreases, guard on vs. off: the
-        // histories' records must be identical (snapshot upkeep must not
-        // perturb training), with zero anomalies.
-        let run = |guard: Option<NanGuard>| {
-            let mut rng = StdRng::seed_from_u64(1);
-            let mut model = models::classical_ae(16, 4, &mut rng);
-            let data = toy_dataset(64, 16, 2);
-            let mut trainer = Trainer::new(TrainConfig {
-                nan_guard: guard,
-                ..quick_config(4)
-            });
-            trainer.train(&mut model, &data, None).unwrap()
+    fn training_runs_on_the_models_own_policy_and_leaves_it() {
+        use sqvae_nn::{BackendKind, Threads};
+        let policy = ExecPolicy {
+            threads: Threads::Fixed(3),
+            backend: BackendKind::Soa,
         };
-        let on = run(Some(NanGuard::default()));
-        let off = run(None);
-        assert!(on.anomalies.is_empty());
-        assert_eq!(on.records, off.records);
+        let mut model = models::sq_vae(16, 2, 1, &mut StdRng::seed_from_u64(3));
+        model.set_exec_policy(policy);
+        Trainer::new(quick_config(1))
+            .train(&mut model, &toy_dataset(8, 16, 4), None)
+            .unwrap();
+        assert_eq!(model.exec_policy(), policy);
     }
 
     #[test]

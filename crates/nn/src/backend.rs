@@ -2,13 +2,14 @@
 //!
 //! The quantum substrate (`sqvae-quantum`) exposes a `Backend` trait with
 //! two register implementations; *which* one a model's quantum layers use
-//! is a training-time policy, exactly like the [`crate::Threads`]
+//! is an execution policy, exactly like the [`crate::Threads`]
 //! row-parallelism policy that lives next door. [`BackendKind`] names the
-//! available choices, parses from the `SQVAE_BACKEND` environment variable,
-//! `--backend` experiment flags and checkpoint files, and travels inside an
-//! [`crate::ExecPolicy`] through [`crate::Module::set_exec_policy`] from the
-//! trainer down to every quantum stage. Layers without a simulator inside
-//! simply ignore it.
+//! available choices and parses from the `SQVAE_BACKEND` environment
+//! variable (read only by [`crate::ExecPolicy::from_env`]) and from
+//! checkpoint files. It travels inside an [`crate::ExecPolicy`]: every
+//! model starts from the environment's, and
+//! [`crate::Module::set_exec_policy`] changes one model's. Layers without a
+//! simulator inside simply ignore it.
 //!
 //! Both backends compute the same quantities; selections differ only in
 //! wall-clock (and, at the ~1e-15 level, in floating-point rounding, since
@@ -18,16 +19,12 @@
 use std::fmt;
 use std::str::FromStr;
 
-/// Name of the environment variable read by [`BackendKind::from_env`].
-pub const BACKEND_ENV_VAR: &str = "SQVAE_BACKEND";
-
 /// Which simulator backend the quantum layers execute on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendKind {
     /// The dense reference statevector kernels (one pass per gate over
     /// interleaved amplitudes): the fastest to train at the paper's
     /// 5–7-qubit patch sizes.
-    #[default]
     Dense,
     /// Structure-of-arrays dense amplitudes: split re/im `f64` planes whose
     /// branch-free unit-stride kernels autovectorize into packed FMA, with
@@ -37,32 +34,6 @@ pub enum BackendKind {
 }
 
 impl BackendKind {
-    /// Reads the policy from the `SQVAE_BACKEND` environment variable:
-    /// unset, empty, `dense`, or `fused` → [`BackendKind::Dense`]; `soa` →
-    /// [`BackendKind::Soa`]. Unparseable values fall back to the default
-    /// (dense) after a one-time stderr warning (see
-    /// [`BackendKind::from_env_spec`]).
-    pub fn from_env() -> Self {
-        match std::env::var(BACKEND_ENV_VAR) {
-            Ok(v) => Self::from_env_spec(&v),
-            Err(_) => BackendKind::default(),
-        }
-    }
-
-    /// Parses an environment-supplied spec, falling back to the default
-    /// (dense) on an unparseable value — but **warning once** on stderr,
-    /// naming the bad value and the accepted ones, instead of silently
-    /// running a typo like `SQVAE_BACKEND=sao` on the dense backend.
-    pub fn from_env_spec(raw: &str) -> Self {
-        raw.parse().unwrap_or_else(|err| {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| {
-                eprintln!("warning: {BACKEND_ENV_VAR}: {err}; falling back to 'dense'");
-            });
-            BackendKind::default()
-        })
-    }
-
     /// Short lowercase name (`dense` / `soa`), matching what [`FromStr`]
     /// accepts.
     pub fn name(self) -> &'static str {
@@ -83,10 +54,9 @@ impl FromStr for BackendKind {
     type Err = String;
 
     /// Parses `dense` or `soa` (surrounding whitespace ignored; empty means
-    /// the default). `fused` — the name of a removed backend that kept the
-    /// dense backend's interleaved amplitudes — is an alias of `dense`, so
-    /// environment settings, experiment flags and checkpoints that name it
-    /// still load.
+    /// `dense`). `fused` — the name of a removed backend that kept the dense
+    /// backend's interleaved amplitudes — is an alias of `dense`, so
+    /// environment settings and checkpoints that name it still load.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.trim() {
             "" | "dense" | "fused" => Ok(BackendKind::Dense),
@@ -119,18 +89,14 @@ mod tests {
     }
 
     #[test]
-    fn default_is_dense() {
-        assert_eq!(BackendKind::default(), BackendKind::Dense);
-    }
-
-    #[test]
     fn env_spec_typo_falls_back_to_dense() {
-        // The warning is emitted once on stderr; the value still resolves.
-        assert_eq!(BackendKind::from_env_spec("fusd"), BackendKind::Dense);
+        // The environment reader warns once on stderr; the value still resolves.
+        let backend = |spec| crate::ExecPolicy::from_specs(None, Some(spec)).backend;
+        assert_eq!(backend("fusd"), BackendKind::Dense);
         // The `fused` alias parses (no warning path) and means dense.
-        assert_eq!(BackendKind::from_env_spec("fused"), BackendKind::Dense);
-        assert_eq!(BackendKind::from_env_spec("soa"), BackendKind::Soa);
-        assert_eq!(BackendKind::from_env_spec(""), BackendKind::Dense);
+        assert_eq!(backend("fused"), BackendKind::Dense);
+        assert_eq!(backend("soa"), BackendKind::Soa);
+        assert_eq!(backend(""), BackendKind::Dense);
     }
 
     #[test]

@@ -1,22 +1,28 @@
-//! Unified execution policy for quantum-bearing models.
+//! Execution policy for quantum-bearing models.
 //!
 //! [`ExecPolicy`] bundles the two execution knobs — batch-row parallelism
-//! and simulator backend — into one value with one setter
-//! ([`crate::Module::set_exec_policy`]), the only path either knob travels
-//! from a trainer config or experiment flag down through every container
-//! and layer.
+//! and simulator backend — into one value. Every quantum layer and every
+//! autoencoder starts from [`ExecPolicy::from_env`], the only code that
+//! reads `SQVAE_THREADS` and `SQVAE_BACKEND`, and a model's policy changes
+//! only through [`crate::Module::set_exec_policy`], which containers
+//! forward to every layer. Neither knob changes a result: every thread
+//! setting is bit-identical, and the backends agree to ~1e-15.
 
 use crate::backend::BackendKind;
 use crate::parallel::Threads;
+use std::fmt::Debug;
+use std::str::FromStr;
+use std::sync::OnceLock;
+
+/// Environment variable holding the starting [`Threads`].
+const THREADS_ENV_VAR: &str = "SQVAE_THREADS";
+
+/// Environment variable holding the starting [`BackendKind`].
+const BACKEND_ENV_VAR: &str = "SQVAE_BACKEND";
 
 /// How a model executes its quantum workload: batch-row parallelism plus
-/// simulator backend, carried as one value from `TrainConfig` / `ExpArgs`
-/// down to every quantum stage.
-///
-/// The default matches layer construction defaults (sequential, dense);
-/// [`ExecPolicy::from_env`] matches the trainer's environment-driven
-/// defaults (`SQVAE_THREADS`, `SQVAE_BACKEND`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// simulator backend.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecPolicy {
     /// Batch-row parallelism policy.
     pub threads: Threads,
@@ -25,32 +31,42 @@ pub struct ExecPolicy {
 }
 
 impl ExecPolicy {
-    /// Creates a policy from both knobs.
-    pub fn new(threads: Threads, backend: BackendKind) -> Self {
-        ExecPolicy { threads, backend }
+    /// The policy every model starts with, read from the environment once
+    /// per process: `SQVAE_THREADS` (`auto` when unset or empty, `off`/`0`,
+    /// or a thread count) and `SQVAE_BACKEND` (`dense` when unset or empty,
+    /// or `soa`; `fused` is an alias of `dense`). An unparseable value falls
+    /// back to that default after one stderr warning naming it, instead of
+    /// silently running a typo like `SQVAE_THREADS=of`.
+    pub fn from_env() -> Self {
+        static POLICY: OnceLock<ExecPolicy> = OnceLock::new();
+        *POLICY.get_or_init(|| {
+            let var = |name| std::env::var(name).ok();
+            Self::from_specs(
+                var(THREADS_ENV_VAR).as_deref(),
+                var(BACKEND_ENV_VAR).as_deref(),
+            )
+        })
     }
 
-    /// Reads both knobs from the environment (`SQVAE_THREADS`,
-    /// `SQVAE_BACKEND`), warning once on stderr about unparseable values.
-    pub fn from_env() -> Self {
+    /// The policy two environment values select, `None` for an unset one.
+    pub(crate) fn from_specs(threads: Option<&str>, backend: Option<&str>) -> Self {
         ExecPolicy {
-            threads: Threads::from_env(),
-            backend: BackendKind::from_env(),
+            threads: parse_or(THREADS_ENV_VAR, threads, Threads::Auto),
+            backend: parse_or(BACKEND_ENV_VAR, backend, BackendKind::Dense),
         }
     }
+}
 
-    /// Returns the policy with a different thread setting.
-    #[must_use]
-    pub fn with_threads(mut self, threads: Threads) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Returns the policy with a different backend selection.
-    #[must_use]
-    pub fn with_backend(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
-        self
+/// Parses one environment value, warning on stderr and returning
+/// `fallback` when it does not parse.
+fn parse_or<T: FromStr<Err = String> + Debug>(var: &str, raw: Option<&str>, fallback: T) -> T {
+    match raw.map(str::parse) {
+        None => fallback,
+        Some(Ok(v)) => v,
+        Some(Err(err)) => {
+            eprintln!("warning: {var}: {err}; falling back to {fallback:?}");
+            fallback
+        }
     }
 }
 
@@ -59,17 +75,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_matches_layer_construction_defaults() {
-        let p = ExecPolicy::default();
-        assert_eq!(p.threads, Threads::Off);
-        assert_eq!(p.backend, BackendKind::Dense);
-    }
-
-    #[test]
-    fn builders_set_each_knob() {
-        let p = ExecPolicy::default()
-            .with_threads(Threads::Fixed(3))
-            .with_backend(BackendKind::Soa);
-        assert_eq!(p, ExecPolicy::new(Threads::Fixed(3), BackendKind::Soa));
+    fn the_reader_parses_each_value_and_falls_back_on_typos() {
+        let read = ExecPolicy::from_specs;
+        let default = ExecPolicy {
+            threads: Threads::Auto,
+            backend: BackendKind::Dense,
+        };
+        assert_eq!(read(None, None), default);
+        assert_eq!(read(Some(""), Some("")), default);
+        assert_eq!(
+            read(Some("3"), Some("soa")),
+            ExecPolicy {
+                threads: Threads::Fixed(3),
+                backend: BackendKind::Soa,
+            }
+        );
+        assert_eq!(read(Some("off"), Some("fused")).threads, Threads::Off);
+        assert_eq!(read(Some("off"), Some("fused")).backend, BackendKind::Dense);
+        // Typos warn once each and fall back to the unset default, one
+        // variable at a time.
+        assert_eq!(read(Some("of"), Some("sao")), default);
+        assert_eq!(read(Some("of"), Some("soa")).backend, BackendKind::Soa);
+        assert_eq!(read(Some("2"), Some("fusd")).threads, Threads::Fixed(2));
     }
 }

@@ -28,11 +28,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::{self, Thread};
 
-/// Name of the environment variable read by [`Threads::from_env`].
-pub const THREADS_ENV_VAR: &str = "SQVAE_THREADS";
-
 /// Row-parallelism policy for layers that shard batch rows across threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+///
+/// Models start from the `SQVAE_THREADS` environment variable, read only by
+/// [`crate::ExecPolicy::from_env`] (`auto` when unset).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Threads {
     /// One thread per available CPU (capped by the number of rows).
     Auto,
@@ -40,43 +40,14 @@ pub enum Threads {
     /// call by the compute pool's helpers plus the caller); `Fixed(0)` and
     /// `Fixed(1)` run sequentially.
     Fixed(usize),
-    /// Sequential execution on the calling thread: the conservative
-    /// construction-time default (environment-driven callers use
-    /// [`Threads::from_env`], which defaults to [`Threads::Auto`]).
-    #[default]
+    /// Sequential execution on the calling thread.
     Off,
 }
 
 impl Threads {
-    /// Reads the policy from the `SQVAE_THREADS` environment variable:
-    /// unset, empty, or `auto` → [`Threads::Auto`]; `0` or `off` →
-    /// [`Threads::Off`]; a positive integer `n` → [`Threads::Fixed`]`(n)`.
-    /// Unparseable values fall back to [`Threads::Auto`] after a one-time
-    /// stderr warning (see [`Threads::from_env_spec`]).
-    pub fn from_env() -> Self {
-        match std::env::var(THREADS_ENV_VAR) {
-            Ok(v) => Self::from_env_spec(&v),
-            Err(_) => Threads::Auto,
-        }
-    }
-
-    /// Parses an environment-supplied spec, falling back to
-    /// [`Threads::Auto`] on an unparseable value — but **warning once** on
-    /// stderr, naming the bad value and the accepted ones, instead of
-    /// silently ignoring a typo like `SQVAE_THREADS=of`.
-    pub fn from_env_spec(raw: &str) -> Self {
-        raw.parse().unwrap_or_else(|err| {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| {
-                eprintln!("warning: {THREADS_ENV_VAR}: {err}; falling back to 'auto'");
-            });
-            Threads::Auto
-        })
-    }
-
     /// Number of threads to use for `n_rows` independent rows. `Auto`
     /// reads the CPU count once per process; `resolve(usize::MAX)` is the
-    /// uncapped count, which also sizes the serving pool.
+    /// uncapped count.
     pub fn resolve(self, n_rows: usize) -> usize {
         let cap = match self {
             Threads::Off => 1,
@@ -503,10 +474,11 @@ mod tests {
 
     #[test]
     fn env_spec_typo_falls_back_to_auto() {
-        // The warning is emitted once on stderr; the value still resolves.
-        assert_eq!(Threads::from_env_spec("of"), Threads::Auto);
-        assert_eq!(Threads::from_env_spec("3"), Threads::Fixed(3));
-        assert_eq!(Threads::from_env_spec("off"), Threads::Off);
+        // The environment reader warns once on stderr; the value still resolves.
+        let threads = |spec| crate::ExecPolicy::from_specs(Some(spec), None).threads;
+        assert_eq!(threads("of"), Threads::Auto);
+        assert_eq!(threads("3"), Threads::Fixed(3));
+        assert_eq!(threads("off"), Threads::Off);
     }
 
     #[test]

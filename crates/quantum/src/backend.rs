@@ -16,9 +16,10 @@
 //!
 //! The trait is the seam future GPU / sparse / tensor-network backends slot
 //! into; the adjoint engine and trainers never name a concrete register type.
-//! Backend *selection* (the `SQVAE_BACKEND` environment variable and the
-//! `--backend` experiment flag) lives in `sqvae_nn::BackendKind`, next to the
-//! analogous `Threads` policy.
+//! Backend *selection* lives in `sqvae_nn::BackendKind`, next to the
+//! analogous `Threads` policy: the `SQVAE_BACKEND` environment variable sets
+//! every model's starting backend, and a model's execution policy changes
+//! its own.
 
 pub mod soa;
 

@@ -129,8 +129,8 @@ fn phase_block(re: &mut [f64], im: &mut [f64], i0: usize, i1: usize, len: usize,
 /// behind branch-free unit-stride kernels, plus cache-blocked tape
 /// execution for large registers.
 ///
-/// Pick it (`SQVAE_BACKEND=soa`, `--backend soa`,
-/// `BackendKind::Soa`) when register size — not gate count — dominates:
+/// Pick it (`SQVAE_BACKEND=soa` for every model, or `BackendKind::Soa` in
+/// one model's execution policy) when register size — not gate count — dominates:
 /// at 12–14 qubits its packed-FMA forward and readout passes beat the dense
 /// backend's interleaved kernels, and the gap widens with every extra
 /// qubit. At the paper's 5–7-qubit patches dense trains faster.

@@ -35,12 +35,11 @@ fn train_with(
 ) -> (Vec<f64>, Vec<f64>) {
     let mut rng = StdRng::seed_from_u64(11);
     let mut model = make(&mut rng);
+    model.set_exec_policy(ExecPolicy { threads, backend });
     let data = toy_dataset(10, 16, 12);
     let mut trainer = Trainer::new(TrainConfig {
         epochs: 2,
         batch_size: 4,
-        threads,
-        backend,
         ..TrainConfig::default()
     });
     let history = trainer.train(&mut model, &data, None).unwrap();
@@ -85,6 +84,28 @@ fn assert_backend_thread_matrix(make: fn(&mut StdRng) -> Autoencoder) {
 }
 
 #[test]
+fn every_factory_model_starts_from_the_environment_policy() {
+    let mut rng = StdRng::seed_from_u64(1);
+    for model in [
+        models::classical_ae(16, 3, &mut rng),
+        models::classical_vae(16, 3, &mut rng),
+        models::f_bq_ae(16, 1, &mut rng),
+        models::f_bq_vae(16, 1, &mut rng),
+        models::h_bq_ae(16, 1, &mut rng),
+        models::h_bq_vae(16, 1, &mut rng),
+        models::sq_ae(16, 2, 1, &mut rng),
+        models::sq_vae(16, 2, 1, &mut rng),
+    ] {
+        assert_eq!(
+            model.exec_policy(),
+            ExecPolicy::from_env(),
+            "{}",
+            model.name
+        );
+    }
+}
+
+#[test]
 fn hybrid_model_is_invariant_across_the_backend_thread_matrix() {
     assert_backend_thread_matrix(|rng| models::h_bq_ae(16, 1, rng));
 }
@@ -102,7 +123,10 @@ fn evaluation_is_backend_consistent() {
     let evaluate = |backend: BackendKind| {
         let mut rng = StdRng::seed_from_u64(30);
         let mut model = models::sq_vae(16, 2, 1, &mut rng);
-        model.set_exec_policy(ExecPolicy::new(Threads::Fixed(3), backend));
+        model.set_exec_policy(ExecPolicy {
+            threads: Threads::Fixed(3),
+            backend,
+        });
         Trainer::evaluate_batched(&mut model, &data, 4).unwrap()
     };
     let dense = evaluate(BackendKind::Dense);
@@ -131,8 +155,8 @@ fn tape_reuse_matrix_is_deterministic() {
                 QuantumInput::Angle,
                 QuantumOutput::ExpectationZ,
                 &mut rng,
-            )
-            .with_exec_policy(ExecPolicy::new(threads, backend));
+            );
+            layer.set_exec_policy(ExecPolicy { threads, backend });
             let y = layer.forward(&x).unwrap();
             let gin = layer.backward(&g).unwrap();
             let grads = layer.parameters()[0].grad.clone();

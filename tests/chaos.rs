@@ -294,10 +294,10 @@ fn nan_loss_faults_roll_back_and_training_still_converges_on_a_result() {
     let history = Trainer::new(TrainConfig {
         epochs: 4,
         batch_size: 8,
-        nan_guard: Some(NanGuard {
+        nan_guard: NanGuard {
             max_recoveries: 10_000,
             ..NanGuard::default()
-        }),
+        },
         ..TrainConfig::default()
     })
     .train(&mut model, &data, None)

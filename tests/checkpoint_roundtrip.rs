@@ -6,8 +6,10 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sqvae::core::checkpoint::{self, Checkpoint, CheckpointError};
+use sqvae::core::models::ModelSpec;
 use sqvae::core::{models, Autoencoder};
 use sqvae::nn::{BackendKind, ExecPolicy, Matrix, Threads};
+use sqvae::serve::{InferenceServer, Op, Request, ServeError, ServerConfig};
 
 const DIM: usize = 16;
 
@@ -46,7 +48,10 @@ fn every_factory_round_trips_bit_identically_on_all_backends() {
     let x = probe();
     for backend in [BackendKind::Dense, BackendKind::Soa] {
         for (name, mut model) in zoo() {
-            model.set_exec_policy(ExecPolicy::new(Threads::Off, backend));
+            model.set_exec_policy(ExecPolicy {
+                threads: Threads::Off,
+                backend,
+            });
             let want = model.reconstruct(&x).expect("direct reconstruct");
 
             let buf = checkpoint_bytes(&mut model);
@@ -172,4 +177,85 @@ fn restoring_across_architectures_is_rejected() {
     assert!(ckpt.params.restore(&mut other).is_err());
     // ...and is left untouched by the failed restore.
     assert_eq!(before, fingerprint(&mut other));
+}
+
+/// Architecture tags no factory can build without panicking or asking for
+/// tens of gigabytes.
+const IMPOSSIBLE_SPECS: [ModelSpec; 5] = [
+    // A patch count that is not a power of two.
+    ModelSpec::SqVae {
+        input_dim: 64,
+        p: 3,
+        n_layers: 1,
+    },
+    // As many patches as features.
+    ModelSpec::SqVae {
+        input_dim: 64,
+        p: 64,
+        n_layers: 1,
+    },
+    // An input width that is not a power of two.
+    ModelSpec::SqAe {
+        input_dim: 48,
+        p: 2,
+        n_layers: 1,
+    },
+    // A 26-qubit register.
+    ModelSpec::FBqAe {
+        input_dim: 1 << 26,
+        n_layers: 1,
+    },
+    // About 5e9 weights, in a file that stores a few hundred.
+    ModelSpec::ClassicalAe {
+        input_dim: 100_000,
+        latent_dim: 2,
+    },
+];
+
+/// One checkpoint file per impossible spec, each a valid `sq_vae` file
+/// (checksum included) that differs only in its architecture tag.
+fn impossible_files(prefix: &str) -> Vec<String> {
+    let dir = std::env::temp_dir().join("sqvae-ckpt-integration");
+    std::fs::create_dir_all(&dir).unwrap();
+    let valid = Checkpoint::capture(&mut zoo().remove(7).1, 7).unwrap();
+    IMPOSSIBLE_SPECS
+        .iter()
+        .enumerate()
+        .map(|(i, &spec)| {
+            let path = dir.join(format!("{prefix}-impossible-{i}.ckpt"));
+            // No backup generation the server could heal from.
+            let _ = std::fs::remove_file(&path);
+            let _ = std::fs::remove_file(checkpoint::backup_path(&path));
+            Checkpoint {
+                spec,
+                ..valid.clone()
+            }
+            .save(&path)
+            .unwrap();
+            path.to_string_lossy().into_owned()
+        })
+        .collect()
+}
+
+#[test]
+fn impossible_architecture_tags_are_typed_errors() {
+    for (path, spec) in impossible_files("load").iter().zip(IMPOSSIBLE_SPECS) {
+        match checkpoint::load_model(path) {
+            Err(CheckpointError::Corrupt(msg)) => {
+                assert!(msg.contains(&spec.to_string()), "{spec}: {msg}")
+            }
+            other => panic!("{spec}: {:?}", other.map(|m| m.name)),
+        }
+    }
+}
+
+#[test]
+fn serving_an_impossible_architecture_is_a_checkpoint_error() {
+    let server = InferenceServer::start(ServerConfig::default());
+    for path in impossible_files("serve") {
+        let reply = server.request(Request::new(path, Op::Sample { n: 1, seed: 0 }));
+        assert!(matches!(reply, Err(ServeError::Checkpoint(_))), "{reply:?}");
+    }
+    assert_eq!(server.health().respawns, 0);
+    server.shutdown();
 }

@@ -9,7 +9,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sqvae_core::{models, Autoencoder, History, ParamGroup, Threads, TrainConfig, Trainer};
+use sqvae_core::{
+    models, Autoencoder, ExecPolicy, History, ParamGroup, Threads, TrainConfig, Trainer,
+};
 use sqvae_datasets::Dataset;
 
 fn toy_dataset(n: usize, width: usize, seed: u64) -> Dataset {
@@ -34,12 +36,15 @@ struct RunArtifacts {
 fn train_with(make: fn(&mut StdRng) -> Autoencoder, threads: Threads) -> RunArtifacts {
     let mut rng = StdRng::seed_from_u64(7);
     let mut model = make(&mut rng);
+    model.set_exec_policy(ExecPolicy {
+        threads,
+        ..ExecPolicy::from_env()
+    });
     let data = toy_dataset(12, 16, 8);
     let (train, test) = data.shuffle_split(0.75, 0);
     let mut trainer = Trainer::new(TrainConfig {
         epochs: 2,
         batch_size: 4,
-        threads,
         ..TrainConfig::default()
     });
     let history = trainer.train(&mut model, &train, Some(&test)).unwrap();
@@ -110,7 +115,10 @@ fn evaluation_is_thread_count_invariant() {
     let evaluate = |threads: Threads| {
         let mut rng = StdRng::seed_from_u64(20);
         let mut model = models::h_bq_ae(16, 1, &mut rng);
-        model.set_exec_policy(sqvae_core::ExecPolicy::default().with_threads(threads));
+        model.set_exec_policy(ExecPolicy {
+            threads,
+            ..ExecPolicy::from_env()
+        });
         Trainer::evaluate_batched(&mut model, &data, 4).unwrap()
     };
     let seq = evaluate(Threads::Off);
