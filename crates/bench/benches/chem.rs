@@ -1,10 +1,12 @@
-//! Cheminformatics-substrate benchmarks: matrix codec, sanitization, and
-//! the Table II property scorers.
+//! Cheminformatics-substrate benchmarks: matrix codec, ring perception,
+//! fingerprints, sanitization, and the Table II property scorers.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sqvae_chem::fingerprint::fingerprint;
 use sqvae_chem::properties::DrugProperties;
+use sqvae_chem::rings::perceive_rings;
 use sqvae_chem::{sanitize, smiles, MoleculeMatrix};
 use sqvae_datasets::molgen::{grow_molecule, GrowthConfig};
 
@@ -18,6 +20,22 @@ fn bench_chem(c: &mut Criterion) {
             for m in &mols {
                 let mm = MoleculeMatrix::encode(m, 32).unwrap();
                 let _ = mm.decode();
+            }
+        })
+    });
+
+    c.bench_function("perceive_rings_32", |b| {
+        b.iter(|| {
+            for m in &mols {
+                black_box(perceive_rings(m));
+            }
+        })
+    });
+
+    c.bench_function("fingerprint_32", |b| {
+        b.iter(|| {
+            for m in &mols {
+                black_box(fingerprint(m));
             }
         })
     });

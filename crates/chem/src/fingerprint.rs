@@ -100,18 +100,19 @@ pub fn fingerprint_with_radius(mol: &Molecule, radius: usize) -> Fingerprint {
         fp.set((*id % FINGERPRINT_BITS as u64) as usize);
     }
     // Iterative neighborhood absorption.
+    let mut contrib: Vec<u64> = Vec::new();
     for round in 0..radius {
         let mut next = ids.clone();
         for i in 0..mol.n_atoms() {
             // Sort neighbor contributions for order invariance.
-            let mut contrib: Vec<u64> = mol
-                .neighbors(i)
-                .into_iter()
-                .map(|(n, order)| mix(ids[n], order.matrix_code() as u64))
-                .collect();
+            contrib.clear();
+            contrib.extend(
+                mol.neighbors(i)
+                    .map(|(n, order)| mix(ids[n], order.matrix_code() as u64)),
+            );
             contrib.sort_unstable();
             let mut h = mix(ids[i], round as u64 + 1);
-            for c in contrib {
+            for &c in &contrib {
                 h = mix(h, c);
             }
             next[i] = h;

@@ -1,9 +1,23 @@
 //! The molecular graph.
+//!
+//! A [`Molecule`] holds its atoms, its bonds, and one adjacency index: for
+//! every atom, the indices into [`Molecule::bonds`] of the bonds that touch
+//! it, in bond order ([`Molecule::bond_indices`]). Every per-atom query
+//! reads that index, so [`Molecule::neighbors`], [`Molecule::degree`],
+//! [`Molecule::explicit_valence`] and [`Molecule::bond_between`] cost
+//! O(degree) rather than a scan of every bond, and a breadth-first search
+//! over the whole graph ([`Molecule::connected_components`],
+//! [`Molecule::is_connected`]) costs O(atoms + bonds). Because each list keeps
+//! bond order, an atom's neighbors come out in the order a scan of the bond
+//! list would meet them, and sums over them add in that same order.
+//!
+//! [`Molecule::add_atom`], [`Molecule::add_bond`], [`Molecule::from_parts`]
+//! and [`Molecule::subgraph`] are the only ways to build or grow a molecule,
+//! and each keeps the index in step with the bond list.
 
 use crate::bond::BondOrder;
 use crate::element::Element;
 use crate::error::{ChemError, Result};
-use std::collections::VecDeque;
 
 /// A bond between two heavy atoms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -37,6 +51,9 @@ impl Bond {
 
 /// An undirected molecular graph over heavy atoms with implicit hydrogens.
 ///
+/// Two molecules are equal when they have the same atoms and the same bonds
+/// in the same order; the adjacency index follows from those.
+///
 /// # Examples
 ///
 /// Ethanol (CCO):
@@ -52,14 +69,26 @@ impl Bond {
 /// mol.add_bond(c2, o, BondOrder::Single)?;
 /// assert_eq!(mol.implicit_hydrogens(c1), 3);
 /// assert_eq!(mol.implicit_hydrogens(o), 1);
+/// let around_c2: Vec<_> = mol.neighbors(c2).collect();
+/// assert_eq!(around_c2, [(c1, BondOrder::Single), (o, BondOrder::Single)]);
 /// assert!(mol.is_connected());
 /// # Ok::<(), sqvae_chem::ChemError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Molecule {
     atoms: Vec<Element>,
     bonds: Vec<Bond>,
+    /// Per atom, the indices into `bonds` of its bonds, ascending.
+    incident: Vec<Vec<usize>>,
 }
+
+impl PartialEq for Molecule {
+    fn eq(&self, other: &Self) -> bool {
+        self.atoms == other.atoms && self.bonds == other.bonds
+    }
+}
+
+impl Eq for Molecule {}
 
 impl Molecule {
     /// An empty molecule.
@@ -67,7 +96,8 @@ impl Molecule {
         Molecule::default()
     }
 
-    /// Builds a molecule from parts, validating every bond.
+    /// Builds a molecule from parts, validating every bond. Bonds keep the
+    /// given order; each duplicate check walks one atom's bond list.
     ///
     /// # Errors
     ///
@@ -77,6 +107,7 @@ impl Molecule {
         bonds: impl IntoIterator<Item = (usize, usize, BondOrder)>,
     ) -> Result<Self> {
         let mut mol = Molecule {
+            incident: vec![Vec::new(); atoms.len()],
             atoms,
             bonds: Vec::new(),
         };
@@ -89,10 +120,12 @@ impl Molecule {
     /// Appends an atom, returning its index.
     pub fn add_atom(&mut self, element: Element) -> usize {
         self.atoms.push(element);
+        self.incident.push(Vec::new());
         self.atoms.len() - 1
     }
 
-    /// Adds a bond between two distinct existing atoms.
+    /// Adds a bond between two distinct existing atoms, as the last bond.
+    /// The duplicate check costs O(degree).
     ///
     /// # Errors
     ///
@@ -115,8 +148,16 @@ impl Molecule {
             let (a, b) = if a <= b { (a, b) } else { (b, a) };
             return Err(ChemError::DuplicateBond { a, b });
         }
-        self.bonds.push(Bond::new(a, b, order));
+        self.push_bond(Bond::new(a, b, order));
         Ok(())
+    }
+
+    /// Appends a bond known to be new and in range, indexing it at both ends.
+    fn push_bond(&mut self, bond: Bond) {
+        let idx = self.bonds.len();
+        self.incident[bond.a].push(idx);
+        self.incident[bond.b].push(idx);
+        self.bonds.push(bond);
     }
 
     /// Number of heavy atoms.
@@ -153,31 +194,58 @@ impl Molecule {
         &self.bonds
     }
 
-    /// The bond between `a` and `b`, if any.
-    pub fn bond_between(&self, a: usize, b: usize) -> Option<&Bond> {
-        let key = Bond::new(a, b, BondOrder::Single);
-        self.bonds.iter().find(|bd| bd.a == key.a && bd.b == key.b)
+    /// Indices into [`bonds`](Self::bonds) of the bonds at atom `i`, in
+    /// bond order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` is out of range.
+    pub fn bond_indices(&self, i: usize) -> &[usize] {
+        &self.incident[i]
     }
 
-    /// Neighbor atoms of `i` with the connecting bond order.
-    pub fn neighbors(&self, i: usize) -> Vec<(usize, BondOrder)> {
-        self.bonds
+    /// The bond between `a` and `b`, if any (`None` when either index is out
+    /// of range). Walks `a`'s bond list.
+    pub fn bond_between(&self, a: usize, b: usize) -> Option<&Bond> {
+        self.incident
+            .get(a)?
             .iter()
-            .filter_map(|bd| bd.other(i).map(|o| (o, bd.order)))
-            .collect()
+            .map(|&idx| &self.bonds[idx])
+            .find(|bd| bd.other(a) == Some(b))
+    }
+
+    /// Neighbor atoms of `i` with the connecting bond order, in bond order.
+    /// Allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` is out of range.
+    pub fn neighbors(&self, i: usize) -> impl Iterator<Item = (usize, BondOrder)> + '_ {
+        self.incident[i].iter().map(move |&idx| {
+            let bd = &self.bonds[idx];
+            (if bd.a == i { bd.b } else { bd.a }, bd.order)
+        })
     }
 
     /// Number of heavy-atom neighbors of `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` is out of range.
     pub fn degree(&self, i: usize) -> usize {
-        self.bonds.iter().filter(|bd| bd.other(i).is_some()).count()
+        self.incident[i].len()
     }
 
-    /// Sum of bond-order valence contributions at atom `i` (aromatic = 1.5).
+    /// Sum of bond-order valence contributions at atom `i` (aromatic = 1.5),
+    /// added in bond order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` is out of range.
     pub fn explicit_valence(&self, i: usize) -> f64 {
-        self.bonds
+        self.incident[i]
             .iter()
-            .filter(|bd| bd.other(i).is_some())
-            .map(|bd| bd.order.valence_contribution())
+            .map(|&idx| self.bonds[idx].order.valence_contribution())
             .sum()
     }
 
@@ -208,10 +276,26 @@ impl Molecule {
     /// Whether every atom is reachable from atom 0 (empty molecules count as
     /// disconnected).
     pub fn is_connected(&self) -> bool {
-        if self.atoms.is_empty() {
-            return false;
+        let n = self.atoms.len();
+        n > 0 && self.flood(0, &mut vec![false; n]).len() == n
+    }
+
+    /// Breadth-first flood from `start` over atoms not yet `seen`, marking
+    /// and returning them in visiting order.
+    fn flood(&self, start: usize, seen: &mut [bool]) -> Vec<usize> {
+        let mut comp = vec![start];
+        seen[start] = true;
+        let mut head = 0;
+        while let Some(&u) = comp.get(head) {
+            head += 1;
+            for (v, _) in self.neighbors(u) {
+                if !seen[v] {
+                    seen[v] = true;
+                    comp.push(v);
+                }
+            }
         }
-        self.connected_components().len() == 1
+        comp
     }
 
     /// Connected components as lists of atom indices (each sorted).
@@ -223,18 +307,7 @@ impl Molecule {
             if seen[start] {
                 continue;
             }
-            let mut comp = Vec::new();
-            let mut queue = VecDeque::from([start]);
-            seen[start] = true;
-            while let Some(u) = queue.pop_front() {
-                comp.push(u);
-                for (v, _) in self.neighbors(u) {
-                    if !seen[v] {
-                        seen[v] = true;
-                        queue.push_back(v);
-                    }
-                }
-            }
+            let mut comp = self.flood(start, &mut seen);
             comp.sort_unstable();
             components.push(comp);
         }
@@ -264,19 +337,21 @@ impl Molecule {
             atoms.push(self.atoms[old]);
         }
         let mut out = Molecule {
+            incident: vec![Vec::new(); atoms.len()],
             atoms,
             bonds: Vec::new(),
         };
         for bd in &self.bonds {
             if remap[bd.a] != usize::MAX && remap[bd.b] != usize::MAX {
-                out.bonds
-                    .push(Bond::new(remap[bd.a], remap[bd.b], bd.order));
+                out.push_bond(Bond::new(remap[bd.a], remap[bd.b], bd.order));
             }
         }
         Ok(out)
     }
 
-    /// The largest connected component (ties broken by lowest first index).
+    /// The largest connected component. Among components of equal size the
+    /// one whose lowest atom index is highest wins (the last of them in
+    /// [`connected_components`](Self::connected_components) order).
     ///
     /// # Errors
     ///
@@ -417,6 +492,20 @@ mod tests {
     }
 
     #[test]
+    fn largest_fragment_ties_keep_the_last_component() {
+        // C–O and N–S are both two atoms; the later component (N–S) wins.
+        let mut m = Molecule::new();
+        for e in [Element::C, Element::O, Element::N, Element::S] {
+            m.add_atom(e);
+        }
+        m.add_bond(0, 1, BondOrder::Single).unwrap();
+        m.add_bond(2, 3, BondOrder::Single).unwrap();
+        let frag = m.largest_fragment().unwrap();
+        assert_eq!(frag.atoms(), [Element::N, Element::S]);
+        assert_eq!(frag.bonds(), [Bond::new(0, 1, BondOrder::Single)]);
+    }
+
+    #[test]
     fn subgraph_remaps_bonds() {
         let m = benzene();
         let sub = m.subgraph(&[1, 2, 3]).unwrap();
@@ -429,9 +518,9 @@ mod tests {
     fn degree_and_neighbors() {
         let m = benzene();
         assert_eq!(m.degree(0), 2);
-        let nb = m.neighbors(0);
-        assert_eq!(nb.len(), 2);
-        assert!(nb.iter().all(|&(_, o)| o == BondOrder::Aromatic));
+        let nb: Vec<_> = m.neighbors(0).collect();
+        assert_eq!(nb, [(1, BondOrder::Aromatic), (5, BondOrder::Aromatic)]);
+        assert_eq!(m.bond_indices(0), [0, 5]);
     }
 
     #[test]

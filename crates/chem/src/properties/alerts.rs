@@ -35,8 +35,7 @@ pub fn count_alerts(mol: &Molecule, rings: &RingInfo) -> usize {
         }
         let doubles = mol
             .neighbors(i)
-            .iter()
-            .filter(|&&(_, o)| o == BondOrder::Double)
+            .filter(|&(_, o)| o == BondOrder::Double)
             .count();
         if doubles >= 2 {
             alerts += 1;
@@ -55,11 +54,10 @@ pub fn count_alerts(mol: &Molecule, rings: &RingInfo) -> usize {
         if mol.element(i) != Element::C {
             continue;
         }
-        let nbrs = mol.neighbors(i);
-        let has_carbonyl = nbrs
-            .iter()
-            .any(|&(n, o)| mol.element(n) == Element::O && o == BondOrder::Double);
-        let has_f = nbrs.iter().any(|&(n, _)| mol.element(n) == Element::F);
+        let has_carbonyl = mol
+            .neighbors(i)
+            .any(|(n, o)| mol.element(n) == Element::O && o == BondOrder::Double);
+        let has_f = mol.neighbors(i).any(|(n, _)| mol.element(n) == Element::F);
         if has_carbonyl && has_f {
             alerts += 1;
         }
@@ -84,8 +82,7 @@ fn long_chain_alerts(mol: &Molecule, rings: &RingInfo) -> usize {
                 && mol.degree(i) == 2
                 && mol
                     .neighbors(i)
-                    .iter()
-                    .all(|&(n, o)| mol.element(n) == Element::C && o == BondOrder::Single)
+                    .all(|(n, o)| mol.element(n) == Element::C && o == BondOrder::Single)
         })
         .collect();
     let mut best = 0usize;

@@ -33,16 +33,12 @@ pub fn hb_donors(mol: &Molecule) -> usize {
 
 /// Whether atom `i` participates in any aromatic bond.
 fn is_aromatic_atom(mol: &Molecule, i: usize) -> bool {
-    mol.neighbors(i)
-        .iter()
-        .any(|&(_, o)| o == BondOrder::Aromatic)
+    mol.neighbors(i).any(|(_, o)| o == BondOrder::Aromatic)
 }
 
 /// Whether atom `i` has a double bond.
 fn has_double_bond(mol: &Molecule, i: usize) -> bool {
-    mol.neighbors(i)
-        .iter()
-        .any(|&(_, o)| o == BondOrder::Double)
+    mol.neighbors(i).any(|(_, o)| o == BondOrder::Double)
 }
 
 /// Topological polar surface area (Ertl-style, reduced table), in Å².

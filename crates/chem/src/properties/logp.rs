@@ -73,12 +73,10 @@ const H_ON_HETERO: f64 = -0.2677;
 
 /// Classifies atom `i`.
 pub fn crippen_type(mol: &Molecule, i: usize) -> CrippenType {
-    let nbrs = mol.neighbors(i);
-    let aromatic = nbrs.iter().any(|&(_, o)| o == BondOrder::Aromatic);
-    let unsaturated = nbrs
-        .iter()
-        .any(|&(_, o)| matches!(o, BondOrder::Double | BondOrder::Triple));
-    let hetero_neighbor = nbrs.iter().any(|&(n, _)| mol.element(n) != Element::C);
+    let nbrs = || mol.neighbors(i);
+    let aromatic = nbrs().any(|(_, o)| o == BondOrder::Aromatic);
+    let unsaturated = nbrs().any(|(_, o)| matches!(o, BondOrder::Double | BondOrder::Triple));
+    let hetero_neighbor = nbrs().any(|(n, _)| mol.element(n) != Element::C);
     match mol.element(i) {
         Element::C => {
             if aromatic {
@@ -103,7 +101,7 @@ pub fn crippen_type(mol: &Molecule, i: usize) -> CrippenType {
         Element::O => {
             if aromatic {
                 CrippenType::OAromatic
-            } else if nbrs.iter().any(|&(_, o)| o == BondOrder::Double) {
+            } else if nbrs().any(|(_, o)| o == BondOrder::Double) {
                 CrippenType::OCarbonyl
             } else if mol.implicit_hydrogens(i) > 0 {
                 CrippenType::OHydroxyl

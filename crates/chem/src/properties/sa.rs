@@ -21,9 +21,8 @@ use crate::rings::{perceive_rings, RingInfo};
 fn environment_commonness(mol: &Molecule, i: usize) -> f64 {
     let e = mol.element(i);
     let degree = mol.degree(i);
-    let nbrs = mol.neighbors(i);
-    let aromatic = nbrs.iter().any(|&(_, o)| o == BondOrder::Aromatic);
-    let triple = nbrs.iter().any(|&(_, o)| o == BondOrder::Triple);
+    let aromatic = mol.neighbors(i).any(|(_, o)| o == BondOrder::Aromatic);
+    let triple = mol.neighbors(i).any(|(_, o)| o == BondOrder::Triple);
     let valence = mol.explicit_valence(i);
 
     let mut score: f64 = match e {

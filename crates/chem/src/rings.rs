@@ -4,10 +4,17 @@
 //! penalty, rotatable-bond exclusion) need ring membership. For the ≤32-atom
 //! ligands of this reproduction, an SSSR approximation via per-bond shortest
 //! cycles is accurate and fast.
+//!
+//! [`perceive_rings`] runs one breadth-first search per bond, from one end to
+//! the other with that bond left out. Each search walks the molecule's
+//! per-atom bond lists ([`Molecule::bond_indices`]), so it costs
+//! O(atoms + bonds) and the whole perception O(bonds · (atoms + bonds)). One
+//! set of search buffers serves every bond. The lists keep bond order, so
+//! each search visits atoms in the order a scan of the bond list would, and
+//! finds the same shortest path.
 
 use crate::bond::BondOrder;
 use crate::molecule::Molecule;
-use std::collections::VecDeque;
 
 /// Ring information for a molecule.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -74,7 +81,6 @@ fn ring_is_aromatic(mol: &Molecule, ring: &[usize]) -> bool {
     for &a in ring {
         let aromatic_in_ring = mol
             .neighbors(a)
-            .into_iter()
             .filter(|&(n, o)| ring.binary_search(&n).is_ok() && o == BondOrder::Aromatic)
             .count();
         if aromatic_in_ring < 2 {
@@ -98,23 +104,28 @@ pub fn perceive_rings(mol: &Molecule) -> RingInfo {
     let mut rings: Vec<Vec<usize>> = Vec::new();
     let mut atom_in_ring = vec![false; n];
     let mut bond_in_ring = vec![false; mol.n_bonds()];
+    let mut search = PathSearch::new(n);
 
     for (bidx, bond) in mol.bonds().iter().enumerate() {
-        if let Some(path) = shortest_path_excluding(mol, bond.a, bond.b, bidx) {
-            // path goes a → … → b; together with the bond it is a cycle.
-            let mut ring = path;
-            ring.sort_unstable();
-            ring.dedup();
-            bond_in_ring[bidx] = true;
-            for &a in &ring {
-                atom_in_ring[a] = true;
-            }
-            if !rings.contains(&ring) {
-                rings.push(ring);
-            }
+        // A bond at a terminal atom closes no cycle.
+        if mol.degree(bond.a) < 2 || mol.degree(bond.b) < 2 {
+            continue;
+        }
+        if !search.shortest_path_excluding(mol, bond.a, bond.b, bidx) {
+            continue;
+        }
+        // The path and the bond form a cycle.
+        let ring = &mut search.path;
+        ring.sort_unstable();
+        bond_in_ring[bidx] = true;
+        for &a in ring.iter() {
+            atom_in_ring[a] = true;
+        }
+        if !rings.contains(ring) {
+            rings.push(ring.clone());
         }
     }
-    rings.sort_by_key(|r| (r.len(), r.clone()));
+    rings.sort_by(|x, y| x.len().cmp(&y.len()).then_with(|| x.cmp(y)));
     RingInfo {
         rings,
         atom_in_ring,
@@ -122,42 +133,75 @@ pub fn perceive_rings(mol: &Molecule) -> RingInfo {
     }
 }
 
-/// BFS shortest path from `src` to `dst` not using bond `skip_bond`.
-fn shortest_path_excluding(
-    mol: &Molecule,
-    src: usize,
-    dst: usize,
-    skip_bond: usize,
-) -> Option<Vec<usize>> {
-    let n = mol.n_atoms();
-    let mut prev = vec![usize::MAX; n];
-    let mut seen = vec![false; n];
-    let mut queue = VecDeque::from([src]);
-    seen[src] = true;
-    while let Some(u) = queue.pop_front() {
-        if u == dst {
-            let mut path = vec![dst];
-            let mut cur = dst;
-            while cur != src {
-                cur = prev[cur];
-                path.push(cur);
-            }
-            return Some(path);
+/// Breadth-first search buffers, reused across searches. After a search
+/// only the atoms it queued are marked, and the next search clears just
+/// those.
+struct PathSearch {
+    prev: Vec<usize>,
+    seen: Vec<bool>,
+    /// Atoms in the order they were queued; the search reads it from a head
+    /// index.
+    queue: Vec<usize>,
+    /// The last path found, from its destination back to its source.
+    path: Vec<usize>,
+}
+
+impl PathSearch {
+    fn new(n_atoms: usize) -> Self {
+        PathSearch {
+            prev: vec![usize::MAX; n_atoms],
+            seen: vec![false; n_atoms],
+            queue: Vec::with_capacity(n_atoms),
+            path: Vec::new(),
         }
-        for (bidx, bd) in mol.bonds().iter().enumerate() {
-            if bidx == skip_bond {
-                continue;
-            }
-            if let Some(v) = bd.other(u) {
-                if !seen[v] {
-                    seen[v] = true;
-                    prev[v] = u;
-                    queue.push_back(v);
+    }
+
+    /// BFS shortest path from `src` to `dst` not using bond `skip_bond`.
+    /// Returns whether one exists and, if so, leaves it in `path`.
+    fn shortest_path_excluding(
+        &mut self,
+        mol: &Molecule,
+        src: usize,
+        dst: usize,
+        skip_bond: usize,
+    ) -> bool {
+        for &a in &self.queue {
+            self.seen[a] = false;
+        }
+        self.queue.clear();
+        self.queue.push(src);
+        self.seen[src] = true;
+        let mut head = 0;
+        while let Some(&u) = self.queue.get(head) {
+            head += 1;
+            for &bidx in mol.bond_indices(u) {
+                if bidx == skip_bond {
+                    continue;
+                }
+                let bd = &mol.bonds()[bidx];
+                let v = if bd.a == u { bd.b } else { bd.a };
+                if self.seen[v] {
+                    continue;
+                }
+                self.seen[v] = true;
+                self.prev[v] = u;
+                self.queue.push(v);
+                if v == dst {
+                    // `prev` is fixed once an atom is first reached, so
+                    // stopping here gives the path a full search would.
+                    self.path.clear();
+                    self.path.push(dst);
+                    let mut cur = dst;
+                    while cur != src {
+                        cur = self.prev[cur];
+                        self.path.push(cur);
+                    }
+                    return true;
                 }
             }
         }
+        false
     }
-    None
 }
 
 #[cfg(test)]

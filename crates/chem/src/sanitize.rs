@@ -5,11 +5,19 @@
 //! inherits (and MolGAN's post-processing), sanitization (1) demotes or
 //! drops bonds at overloaded atoms until valences fit, then (2) keeps the
 //! largest connected fragment.
+//!
+//! The repairs run in place on a copy of the bond list and a per-atom
+//! valence array read once from the molecule's adjacency index. Each repair
+//! updates the valences of its bond's two atoms, so it costs O(atoms) to
+//! find the worst atom plus one pass over the bonds to pick the bond to
+//! repair; no molecule is rebuilt until the repairs are done. Bond-order
+//! contributions (1, 1.5, 2, 3) are multiples of 0.5, so the running valence
+//! sums are exact and equal a fresh sum over the repaired bonds.
 
 use crate::bond::BondOrder;
 use crate::error::Result;
 use crate::molecule::{Bond, Molecule};
-use crate::valence::valences_ok;
+use crate::valence::is_valid;
 
 /// Outcome of sanitizing one decoded molecule.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,25 +39,28 @@ pub struct Sanitized {
 /// Strategy: while some atom exceeds its maximum valence, pick the
 /// highest-order bond at the worst offender and demote it one step
 /// (triple→double→single); a single/aromatic bond that still overloads the
-/// atom is removed entirely. Afterwards, only the largest connected
-/// component is kept.
+/// atom is removed entirely (`swap_remove`, so the last bond takes its
+/// slot). The worst offender is the first atom with the largest excess, and
+/// of its highest-order bonds the last in bond order goes first.
+/// Afterwards, only the largest connected component is kept.
 ///
 /// # Errors
 ///
 /// Returns [`crate::ChemError::EmptyMolecule`] when the input has no atoms.
 pub fn sanitize(mol: &Molecule) -> Result<Sanitized> {
-    let was_valid = !mol.is_empty() && mol.is_connected() && valences_ok(mol);
-    let mut atoms = mol.atoms().to_vec();
+    let was_valid = is_valid(mol);
     let mut bonds: Vec<Bond> = mol.bonds().to_vec();
+    let mut valence: Vec<f64> = (0..mol.n_atoms())
+        .map(|i| mol.explicit_valence(i))
+        .collect();
     let mut removed = 0usize;
     let mut demoted = 0usize;
 
     loop {
-        let work = Molecule::from_parts(atoms.clone(), bonds.iter().map(|b| (b.a, b.b, b.order)))?;
-        // Find the worst offender.
+        // Find the worst offender (the first one on ties).
         let mut worst: Option<(usize, f64)> = None;
-        for i in 0..work.n_atoms() {
-            let excess = work.explicit_valence(i) - work.element(i).max_valence() as f64;
+        for (i, &v) in valence.iter().enumerate() {
+            let excess = v - mol.element(i).max_valence() as f64;
             if excess > 1e-9 && worst.map_or(true, |(_, e)| excess > e) {
                 worst = Some((i, excess));
             }
@@ -57,7 +68,7 @@ pub fn sanitize(mol: &Molecule) -> Result<Sanitized> {
         let Some((atom, _)) = worst else {
             break;
         };
-        // Highest-order bond at that atom.
+        // Highest-order bond at that atom (the last one on ties).
         let (bidx, _) = bonds
             .iter()
             .enumerate()
@@ -65,21 +76,25 @@ pub fn sanitize(mol: &Molecule) -> Result<Sanitized> {
             .max_by(|(_, x), (_, y)| {
                 x.order
                     .valence_contribution()
-                    .partial_cmp(&y.order.valence_contribution())
-                    .expect("finite")
+                    .total_cmp(&y.order.valence_contribution())
             })
             .expect("an overloaded atom has at least one bond");
-        let order = bonds[bidx].order;
-        match order {
-            BondOrder::Triple => {
-                bonds[bidx].order = BondOrder::Double;
+        let bond = &mut bonds[bidx];
+        let lowered = match bond.order {
+            BondOrder::Triple => Some(BondOrder::Double),
+            BondOrder::Double => Some(BondOrder::Single),
+            BondOrder::Single | BondOrder::Aromatic => None,
+        };
+        let drop = bond.order.valence_contribution()
+            - lowered.map_or(0.0, BondOrder::valence_contribution);
+        valence[bond.a] -= drop;
+        valence[bond.b] -= drop;
+        match lowered {
+            Some(order) => {
+                bond.order = order;
                 demoted += 1;
             }
-            BondOrder::Double => {
-                bonds[bidx].order = BondOrder::Single;
-                demoted += 1;
-            }
-            BondOrder::Single | BondOrder::Aromatic => {
+            None => {
                 bonds.swap_remove(bidx);
                 removed += 1;
             }
@@ -87,7 +102,7 @@ pub fn sanitize(mol: &Molecule) -> Result<Sanitized> {
     }
 
     let repaired = Molecule::from_parts(
-        std::mem::take(&mut atoms),
+        mol.atoms().to_vec(),
         bonds.iter().map(|b| (b.a, b.b, b.order)),
     )?;
     let fragment = repaired.largest_fragment()?;

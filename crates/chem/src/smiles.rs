@@ -85,7 +85,7 @@ fn dfs_tree(
 ) {
     seen[u] = true;
     order.push(u);
-    let mut nbrs = mol.neighbors(u);
+    let mut nbrs: Vec<(usize, BondOrder)> = mol.neighbors(u).collect();
     nbrs.sort_by_key(|&(v, _)| v);
     for (v, _) in nbrs {
         if !seen[v] {
@@ -112,7 +112,7 @@ fn write_atom(
     visited[u] = true;
     out.push_str(mol.element(u).symbol());
 
-    let mut nbrs = mol.neighbors(u);
+    let mut nbrs: Vec<(usize, BondOrder)> = mol.neighbors(u).collect();
     nbrs.sort_by_key(|&(v, _)| v);
 
     // Emit ring-closure digits at this atom.
@@ -215,14 +215,15 @@ pub fn parse(s: &str) -> Result<Molecule> {
             }
             '0'..='9' | '%' => {
                 let (digit, consumed) = if c == '%' {
-                    if i + 3 > bytes.len() {
-                        return Err(err(i, "truncated %nn ring closure"));
+                    // Read bytes, not a `str` slice: a multi-byte character
+                    // may follow the `%`.
+                    match (bytes.get(i + 1), bytes.get(i + 2)) {
+                        (Some(&hi), Some(&lo)) if hi.is_ascii_digit() && lo.is_ascii_digit() => {
+                            (usize::from((hi - b'0') * 10 + (lo - b'0')), 3)
+                        }
+                        (Some(_), Some(_)) => return Err(err(i, "malformed %nn ring closure")),
+                        _ => return Err(err(i, "truncated %nn ring closure")),
                     }
-                    let two = &s[i + 1..i + 3];
-                    let d: usize = two
-                        .parse()
-                        .map_err(|_| err(i, "malformed %nn ring closure"))?;
-                    (d, 3)
                 } else {
                     ((c as u8 - b'0') as usize, 1)
                 };
@@ -365,6 +366,8 @@ mod tests {
         assert!(parse("C1CC%1").is_err()); // truncated %nn ring closure
         assert!(parse("C1CC%").is_err());
         assert!(parse("C%ab").is_err()); // non-digit %nn closure
+        assert!(parse("C%1\u{e9}").is_err()); // multi-byte character after %n
+        assert!(parse("C%\u{e9}").is_err());
     }
 
     #[test]

@@ -47,6 +47,69 @@ fn arb_valid_molecule() -> impl Strategy<Value = Molecule> {
         })
 }
 
+/// SMILES symbols, stray letters and multi-byte characters (2, 3 and 4
+/// bytes in UTF-8).
+const SMILES_FUZZ_ALPHABET: &str = "CNOFS-=#:().% 012359cXH[]@\u{e9}\u{df}\u{20ac}\u{1d11e}";
+
+fn fuzz_char(k: usize) -> char {
+    let alphabet: Vec<char> = SMILES_FUZZ_ALPHABET.chars().collect();
+    alphabet[k % alphabet.len()]
+}
+
+/// Strategy: arbitrary short strings over [`SMILES_FUZZ_ALPHABET`].
+fn arb_smiles_like() -> impl Strategy<Value = String> {
+    proptest::collection::vec(0usize..64, 0..24)
+        .prop_map(|idx| idx.into_iter().map(fuzz_char).collect())
+}
+
+/// Strategy: a written SMILES with one to three characters inserted,
+/// deleted or replaced.
+fn arb_mutated_smiles() -> impl Strategy<Value = String> {
+    (
+        arb_valid_molecule(),
+        proptest::collection::vec((0u8..3, 0usize..64, 0usize..64), 1..4),
+    )
+        .prop_map(|(mol, edits)| {
+            let mut chars: Vec<char> = smiles::write(&mol).unwrap().chars().collect();
+            for (kind, pos, sym) in edits {
+                let at = pos % (chars.len() + 1);
+                let sym = fuzz_char(sym);
+                match kind {
+                    0 => chars.insert(at, sym),
+                    1 if at < chars.len() => {
+                        chars.remove(at);
+                    }
+                    _ if at < chars.len() => chars[at] = sym,
+                    _ => chars.push(sym),
+                }
+            }
+            chars.into_iter().collect()
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// `smiles::parse` never panics: arbitrary and mutated strings get a
+    /// molecule or a typed error, and every molecule it returns survives
+    /// `write` → `parse`.
+    #[test]
+    fn smiles_parse_never_panics(
+        s in prop_oneof![arb_smiles_like(), arb_mutated_smiles()],
+    ) {
+        let parsed = std::panic::catch_unwind(|| smiles::parse(&s));
+        prop_assert!(parsed.is_ok(), "parse panicked on {:?}", s);
+        if let Ok(Ok(mol)) = parsed {
+            let written = smiles::write(&mol).unwrap();
+            let back = smiles::parse(&written);
+            prop_assert!(back.is_ok(), "{:?} parsed but its rewrite {:?} did not", s, written);
+            let back = back.unwrap();
+            prop_assert_eq!(back.formula(), mol.formula());
+            prop_assert_eq!(back.n_bonds(), mol.n_bonds());
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

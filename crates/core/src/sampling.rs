@@ -42,7 +42,9 @@ pub struct SampledMolecules {
 ///
 /// # Errors
 ///
-/// Returns shape errors from the decoder.
+/// Returns shape errors from the decoder, and
+/// [`NnError::ShapeMismatch`] (before any molecule is decoded) when the
+/// model's output width is not `size * size`.
 pub fn sample_molecules(
     model: &mut Autoencoder,
     n: usize,
@@ -59,6 +61,12 @@ pub fn sample_molecules(
         });
     }
     let features = model.sample(n, rng)?;
+    if size == 0 || features.cols() != size * size {
+        return Err(NnError::ShapeMismatch {
+            expected: (n, size * size),
+            actual: features.shape(),
+        });
+    }
     let mut molecules = Vec::new();
     let mut valid = 0usize;
     for r in 0..features.rows() {
@@ -68,8 +76,8 @@ pub fn sample_molecules(
                 *v *= s;
             }
         }
-        let matrix = MoleculeMatrix::from_values(size, row)
-            .expect("sample width equals size*size by construction");
+        let matrix =
+            MoleculeMatrix::from_values(size, row).expect("sample width checked to be size*size");
         let decoded = matrix.decode();
         if decoded.is_empty() {
             continue;
@@ -230,6 +238,37 @@ mod tests {
         // The RNG must be untouched — nothing was decoded.
         use rand::RngCore;
         assert_eq!(srng.next_u64(), StdRng::seed_from_u64(8).next_u64());
+    }
+
+    #[test]
+    fn sampling_rejects_a_size_that_does_not_match_the_decoder() {
+        // The decoder emits 64 features (8×8); 32×32 asks for 1024.
+        let mut rng = StdRng::seed_from_u64(10);
+        let mut model = models::sq_vae(64, 2, 1, &mut rng);
+        let err =
+            sample_molecules(&mut model, 4, 32, None, &mut StdRng::seed_from_u64(11)).unwrap_err();
+        assert_eq!(
+            err,
+            NnError::ShapeMismatch {
+                expected: (4, 1024),
+                actual: (4, 64),
+            }
+        );
+        assert!(sample_molecules(&mut model, 4, 0, None, &mut StdRng::seed_from_u64(11)).is_err());
+    }
+
+    #[test]
+    fn reconstruction_rejects_a_size_that_does_not_match_the_model() {
+        use sqvae_chem::{BondOrder, Element};
+        let mut mol = Molecule::new();
+        let a = mol.add_atom(Element::C);
+        let b = mol.add_atom(Element::N);
+        mol.add_bond(a, b, BondOrder::Double).unwrap();
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut model = models::sq_vae(64, 2, 1, &mut rng);
+        // A 4×4 matrix has 16 features; the encoder takes 64.
+        let err = reconstruct_molecule(&mut model, &mol, 4, false, None).unwrap_err();
+        assert!(matches!(err, NnError::ShapeMismatch { .. }), "{err:?}");
     }
 
     #[test]
