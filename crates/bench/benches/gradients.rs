@@ -1,14 +1,14 @@
 //! Adjoint vs parameter-shift gradient cost — the ablation justifying the
 //! adjoint engine as the training path (parameter-shift re-executes the
 //! circuit twice per parameter; adjoint is one backward sweep) — plus
-//! sequential vs row-sharded batched adjoint passes (the quantum layers'
-//! backward hot path after PR 2).
+//! sequential vs row-sharded batches of compiled-tape adjoint passes (the
+//! quantum layers' backward hot path).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sqvae_nn::parallel::{self, Threads};
 use sqvae_quantum::grad::{adjoint, paramshift};
 use sqvae_quantum::templates::{strongly_entangling_layers, EntangleRange};
-use sqvae_quantum::Circuit;
+use sqvae_quantum::{Circuit, DenseBackend};
 
 fn circuit(n_qubits: usize, layers: usize) -> (Circuit, Vec<f64>, Vec<f64>) {
     let mut c = Circuit::new(n_qubits).expect("valid register");
@@ -35,8 +35,9 @@ fn bench_adjoint_vs_paramshift(c: &mut Criterion) {
     group.finish();
 }
 
-/// A batch of 32 independent adjoint passes, sequential vs sharded across
-/// threads — the per-batch backward cost of a quantum layer.
+/// A batch of 32 adjoint passes against one compiled tape, sequential vs
+/// sharded across threads: a quantum layer compiles its circuit once per
+/// batch, then executes and sweeps the tape per row.
 fn bench_batched_adjoint(c: &mut Criterion) {
     let (circ, params, upstream) = circuit(6, 3);
     let rows = 32usize;
@@ -44,8 +45,15 @@ fn bench_batched_adjoint(c: &mut Criterion) {
     for (name, threads) in [("seq", Threads::Off), ("auto", Threads::Auto)] {
         group.bench_function(format!("{name}_x{rows}"), |b| {
             b.iter(|| {
+                let tape = circ.compile(&params).unwrap();
                 parallel::map_rows(rows, threads, |_r| {
-                    adjoint::backward_expectations_z(&circ, &params, &[], None, &upstream).unwrap()
+                    adjoint::backward_expectations_z_tape::<DenseBackend>(
+                        &tape,
+                        &[],
+                        None,
+                        &upstream,
+                    )
+                    .unwrap()
                 })
             })
         });

@@ -117,13 +117,6 @@ pub trait Backend: Clone + std::fmt::Debug {
     /// Returns [`QuantumError::WireOutOfRange`] for an invalid wire.
     fn apply_single_qubit(&mut self, wire: usize, m: &[[C64; 2]; 2]) -> Result<()>;
 
-    /// Applies a single-qubit unitary to `target`, controlled on `control`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for invalid wires or `control == target`.
-    fn apply_controlled(&mut self, control: usize, target: usize, m: &[[C64; 2]; 2]) -> Result<()>;
-
     /// Applies a CNOT with the given control and target wires.
     ///
     /// # Errors
@@ -212,13 +205,6 @@ pub trait Backend: Clone + std::fmt::Debug {
     {
         match op {
             TapeOp::OneQ { wire, m } => self.apply_single_qubit(*wire, m),
-            TapeOp::Controlled { control, target, m } => {
-                self.apply_controlled(*control, *target, m)
-            }
-            TapeOp::Phase { control, target, d } => {
-                let m = [[d[0], C64::ZERO], [C64::ZERO, d[1]]];
-                self.apply_controlled(*control, *target, &m)
-            }
             TapeOp::CnotRun(pairs) => {
                 for &(c, t) in pairs {
                     self.apply_cnot(c, t)?;
@@ -281,6 +267,28 @@ pub trait Backend: Clone + std::fmt::Debug {
     ) -> Result<[[C64; 2]; 2]>
     where
         Self: Sized;
+}
+
+/// The register an executor starts from: a clone of `initial`, checked
+/// against an `n_qubits`-wide register, or `|0…0⟩`. Every executor (circuit
+/// runs, tapes, parameter shifts, adjoint sweeps, noisy trajectories) starts
+/// here, so an embedded state of the wrong width is the same typed error
+/// everywhere.
+///
+/// # Errors
+///
+/// [`QuantumError::DimensionMismatch`] when `initial` has another width.
+pub(crate) fn start_state<B: Backend>(n_qubits: usize, initial: Option<&B>) -> Result<B> {
+    match initial {
+        Some(s) if s.n_qubits() != n_qubits => Err(QuantumError::DimensionMismatch {
+            expected: 1 << n_qubits,
+            actual: s.dim(),
+        }),
+        Some(s) => Ok(s.clone()),
+        // Circuits and tapes validate their width at construction, so this
+        // cannot fail for them, but it stays a typed error, not a panic.
+        None => B::zero_state(n_qubits),
+    }
 }
 
 /// [`Backend::adjoint_block_stop`] over the dense backend's interleaved
@@ -352,10 +360,6 @@ impl Backend for StateVector {
 
     fn apply_single_qubit(&mut self, wire: usize, m: &[[C64; 2]; 2]) -> Result<()> {
         StateVector::apply_single_qubit(self, wire, m)
-    }
-
-    fn apply_controlled(&mut self, control: usize, target: usize, m: &[[C64; 2]; 2]) -> Result<()> {
-        StateVector::apply_controlled(self, control, target, m)
     }
 
     fn apply_cnot(&mut self, control: usize, target: usize) -> Result<()> {
@@ -453,7 +457,6 @@ mod tests {
         let mut d = DenseBackend::zero_state(2).unwrap();
         assert!(Backend::apply_cnot(&mut d, 0, 0).is_err());
         assert!(Backend::apply_cnot(&mut d, 0, 5).is_err());
-        assert!(Backend::apply_controlled(&mut d, 3, 0, &pauli_x()).is_err());
         let bad_run = TapeOp::CnotRun(vec![(0, 1), (1, 1)]);
         assert!(d.apply_tape_op(&bad_run, &[]).is_err());
         let mut bra = d.clone();

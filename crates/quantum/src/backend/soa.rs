@@ -9,11 +9,11 @@
 //!
 //! Two traversal strategies stack on top of the layout:
 //!
-//! * **Pair-block kernels** — every single-qubit / controlled / phase pass
-//!   is decomposed into disjoint `(lo, hi)` slice pairs obtained with
-//!   `split_at_mut`, so the innermost loop is pure `a[k]`/`b[k]` indexing
-//!   over equal-length slices (no index arithmetic, no bounds-check
-//!   residue, no branches).
+//! * **Pair-block kernels** — every single-qubit pass and every CNOT
+//!   half-space swap is decomposed into disjoint `(lo, hi)` slice pairs
+//!   obtained with `split_at_mut`, so the innermost loop is pure
+//!   `a[k]`/`b[k]` indexing over equal-length slices (no index arithmetic,
+//!   no bounds-check residue, no branches).
 //! * **Cache-blocked run execution** — [`Backend::execute_tape`] applies a
 //!   run of consecutive single-qubit tape ops on *distinct* wires (they
 //!   commute) one L1-sized tile at a time: each tile of amplitudes is
@@ -104,27 +104,6 @@ fn swap_block(re: &mut [f64], im: &mut [f64], i0: usize, i1: usize, len: usize) 
     il[i0..i0 + len].swap_with_slice(&mut ih[..len]);
 }
 
-/// Multiplies the block starting at `i0` by `d0` and the block at `i1` by
-/// `d1` (a controlled diagonal phase: one complex scalar per half-space).
-#[inline]
-fn phase_block(re: &mut [f64], im: &mut [f64], i0: usize, i1: usize, len: usize, d0: C64, d1: C64) {
-    debug_assert!(i0 + len <= i1);
-    let (rl, rh) = re.split_at_mut(i1);
-    let (il, ih) = im.split_at_mut(i1);
-    let r0 = &mut rl[i0..i0 + len];
-    let m0 = &mut il[i0..i0 + len];
-    let r1 = &mut rh[..len];
-    let m1 = &mut ih[..len];
-    for k in 0..len {
-        let (ar, ai) = (r0[k], m0[k]);
-        r0[k] = d0.re * ar - d0.im * ai;
-        m0[k] = d0.re * ai + d0.im * ar;
-        let (br, bi) = (r1[k], m1[k]);
-        r1[k] = d1.re * br - d1.im * bi;
-        m1[k] = d1.re * bi + d1.im * br;
-    }
-}
-
 /// Dense amplitudes in structure-of-arrays form: split re/im `f64` planes
 /// behind branch-free unit-stride kernels, plus cache-blocked tape
 /// execution for large registers.
@@ -179,7 +158,7 @@ impl PartialEq for SoaDenseBackend {
 }
 
 impl SoaDenseBackend {
-    /// Validates a controlled gate's wires.
+    /// Validates a CNOT's wires.
     fn check_controlled(&self, control: usize, target: usize) -> Result<()> {
         self.check_wire(control)?;
         self.check_wire(target)?;
@@ -414,17 +393,6 @@ impl Backend for SoaDenseBackend {
         Ok(())
     }
 
-    fn apply_controlled(&mut self, control: usize, target: usize, m: &[[C64; 2]; 2]) -> Result<()> {
-        self.check_controlled(control, target)?;
-        let cbit = self.bit_of_wire(control);
-        let tbit = self.bit_of_wire(target);
-        let m = M2::new(m);
-        self.for_each_controlled_block(cbit, tbit, |re, im, i0, i1, len| {
-            pair_block(re, im, i0, i1, len, &m);
-        });
-        Ok(())
-    }
-
     fn apply_cnot(&mut self, control: usize, target: usize) -> Result<()> {
         self.check_controlled(control, target)?;
         let cbit = self.bit_of_wire(control);
@@ -509,21 +477,6 @@ impl Backend for SoaDenseBackend {
     fn apply_tape_op(&mut self, op: &TapeOp, inputs: &[f64]) -> Result<()> {
         match op {
             TapeOp::OneQ { wire, m } => self.apply_single_qubit(*wire, m),
-            TapeOp::Controlled { control, target, m } => {
-                Backend::apply_controlled(self, *control, *target, m)
-            }
-            // Controlled diagonal phases touch two amplitudes per pair with
-            // one complex scalar each — no 2×2 matmul needed.
-            TapeOp::Phase { control, target, d } => {
-                self.check_controlled(*control, *target)?;
-                let cbit = self.bit_of_wire(*control);
-                let tbit = self.bit_of_wire(*target);
-                let d = *d;
-                self.for_each_controlled_block(cbit, tbit, |re, im, i0, i1, len| {
-                    phase_block(re, im, i0, i1, len, d[0], d[1]);
-                });
-                Ok(())
-            }
             TapeOp::CnotRun(pairs) => self.apply_cnot_run(pairs),
             TapeOp::Late { gate, index } => {
                 let theta = *inputs.get(*index).ok_or(QuantumError::InputCountMismatch {
@@ -637,7 +590,6 @@ mod tests {
 
     #[test]
     fn controlled_and_cnot_match_dense_on_every_wire_pair() {
-        let m = ry_matrix(1.1);
         for n in 2..=4 {
             for c in 0..n {
                 for t in 0..n {
@@ -646,16 +598,10 @@ mod tests {
                     }
                     let mut dense = busy_state(n);
                     let mut soa = SoaDenseBackend::from_statevector(dense.clone());
-                    dense.apply_controlled(c, t, &m).unwrap();
-                    Backend::apply_controlled(&mut soa, c, t, &m).unwrap();
-                    assert_states_close(&dense, &soa.to_statevector(), 1e-14);
-
-                    let mut dense2 = busy_state(n);
-                    let mut soa2 = SoaDenseBackend::from_statevector(dense2.clone());
-                    dense2.apply_cnot(c, t).unwrap();
-                    Backend::apply_cnot(&mut soa2, c, t).unwrap();
+                    dense.apply_cnot(c, t).unwrap();
+                    Backend::apply_cnot(&mut soa, c, t).unwrap();
                     // A CNOT only moves amplitudes: exact match.
-                    assert_eq!(dense2, soa2.to_statevector());
+                    assert_eq!(dense, soa.to_statevector());
                 }
             }
         }
@@ -732,7 +678,6 @@ mod tests {
         assert!(Backend::apply_single_qubit(&mut s, 5, &pauli_x()).is_err());
         assert!(Backend::apply_cnot(&mut s, 0, 0).is_err());
         assert!(Backend::apply_cnot(&mut s, 0, 5).is_err());
-        assert!(Backend::apply_controlled(&mut s, 3, 0, &pauli_x()).is_err());
         assert!(s.apply_cnot_run(&[(0, 1), (1, 1)]).is_err());
     }
 

@@ -190,24 +190,6 @@ impl Circuit {
         self.push(Gate::CNOT(control, target))
     }
 
-    /// Appends a controlled-Z.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for invalid wires or `control == target`.
-    pub fn cz(&mut self, control: usize, target: usize) -> Result<()> {
-        self.push(Gate::CZ(control, target))
-    }
-
-    /// Appends a controlled `RZ` rotation.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for invalid wires or `control == target`.
-    pub fn crz(&mut self, control: usize, target: usize, angle: Param) -> Result<()> {
-        self.push(Gate::CRZ(control, target, angle))
-    }
-
     /// Checks caller-supplied binding vectors against the circuit's needs.
     pub(crate) fn check_bindings(&self, params: &[f64], inputs: &[f64]) -> Result<()> {
         if params.len() < self.n_params {
@@ -225,31 +207,10 @@ impl Circuit {
         Ok(())
     }
 
-    /// Produces the register execution starts from: a dimension-checked
-    /// clone of `initial`, or `|0…0⟩`. Centralized so every executor (runs,
-    /// parameter shifts, adjoint sweeps) validates embedded states the same
-    /// way and returns the same typed error on a width mismatch.
-    pub(crate) fn start_state<B: Backend>(&self, initial: Option<&B>) -> Result<B> {
-        match initial {
-            Some(s) => {
-                if s.n_qubits() != self.n_qubits {
-                    return Err(QuantumError::DimensionMismatch {
-                        expected: 1 << self.n_qubits,
-                        actual: s.dim(),
-                    });
-                }
-                Ok(s.clone())
-            }
-            // The register size was validated at construction; this cannot
-            // fail, but stays a typed error rather than a panic path.
-            None => B::zero_state(self.n_qubits),
-        }
-    }
-
     /// Lowers the circuit against one trainable-parameter vector into a
     /// [`CompiledTape`]: rotation matrices resolve and fuse, consecutive
-    /// CNOTs group into one run op, controlled phases become diagonal ops,
-    /// and input-bound embedding gates stay behind as late slots.
+    /// CNOTs group into one run op, and input-bound embedding gates stay
+    /// behind as late slots.
     ///
     /// The tape also carries the pre-lowered adjoint program the gradient
     /// sweeps in [`crate::grad::adjoint`] replay. Callers executing

@@ -37,7 +37,7 @@ pub fn qubits_for_features(n_features: usize) -> usize {
 /// # Errors
 ///
 /// * [`QuantumError::DimensionMismatch`] if more features than `2^n_qubits`.
-/// * [`QuantumError::ZeroNorm`] if every feature is (numerically) zero.
+/// * [`QuantumError::ZeroNorm`] if every feature is zero.
 ///
 /// # Examples
 ///
@@ -156,6 +156,27 @@ mod tests {
     fn amplitude_embedding_rejects_zero_vector() {
         assert_eq!(
             amplitude_embedding(&[0.0; 4], 2).unwrap_err(),
+            QuantumError::ZeroNorm
+        );
+    }
+
+    #[test]
+    fn amplitude_embedding_normalizes_extreme_magnitudes() {
+        // 1e155² overflows, 1e-160² is subnormal, 1e-170² underflows to 0.
+        for x in [1e155, 1e-160, 1e-170] {
+            let s = amplitude_embedding(&[x, x, 0.0, x], 2).unwrap();
+            for (i, p) in s.probabilities().into_iter().enumerate() {
+                let want = if i == 2 { 0.0 } else { 1.0 / 3.0 };
+                assert!((p - want).abs() <= 1e-15, "x = {x}: p[{i}] = {p}");
+            }
+            assert!(
+                (s.norm() - 1.0).abs() <= 1e-15,
+                "x = {x}: norm {}",
+                s.norm()
+            );
+        }
+        assert_eq!(
+            amplitude_embedding(&[0.0, -0.0, 0.0, 0.0], 2).unwrap_err(),
             QuantumError::ZeroNorm
         );
     }

@@ -32,13 +32,17 @@ impl Param {
     }
 }
 
-/// A quantum gate acting on one or two wires.
+/// A quantum gate acting on one or two wires: the gates the paper's circuits
+/// are built from.
 ///
-/// The parametrized rotations follow the PennyLane conventions used by the
-/// paper: `RY(θ) = exp(-iθY/2)`, `RZ(θ) = exp(-iθZ/2)`,
-/// `CRZ(θ) = diag(1, 1, e^{-iθ/2}, e^{iθ/2})`. The three-parameter rotation
-/// `R(φ, θ, ω) = RZ(ω)·RY(θ)·RZ(φ)` is expressed as three consecutive
-/// single-parameter gates by [`crate::circuit::Circuit::rot`].
+/// Every circuit the models build is an amplitude or `RY` angle embedding
+/// followed by strongly-entangling layers of `Rot` and a CNOT ring. The
+/// fixed Paulis and the Hadamard serve the depolarizing noise model and the
+/// tests. The parametrized rotations follow the PennyLane conventions used
+/// by the paper: `RY(θ) = exp(-iθY/2)`, `RZ(θ) = exp(-iθZ/2)`. The
+/// three-parameter rotation `R(φ, θ, ω) = RZ(ω)·RY(θ)·RZ(φ)` is expressed as
+/// three consecutive single-parameter gates by
+/// [`crate::circuit::Circuit::rot`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Gate {
     /// Pauli-X on a wire.
@@ -55,48 +59,18 @@ pub enum Gate {
     RY(usize, Param),
     /// Z-rotation `exp(-iθZ/2)`.
     RZ(usize, Param),
-    /// Phase gate `S = diag(1, i)`.
-    S(usize),
-    /// T gate `diag(1, e^{iπ/4})`.
-    T(usize),
-    /// Controlled X-rotation (control, target, angle).
-    CRX(usize, usize, Param),
-    /// Controlled Y-rotation (control, target, angle).
-    CRY(usize, usize, Param),
-    /// Controlled Z-rotation (control, target, angle).
-    CRZ(usize, usize, Param),
     /// Controlled-NOT (control, target).
     CNOT(usize, usize),
-    /// Controlled-Z (control, target).
-    CZ(usize, usize),
-    /// SWAP of two wires.
-    SWAP(usize, usize),
 }
 
 impl Gate {
-    /// The parameter binding, when this gate is parametrized.
+    /// The parameter binding, when this gate is parametrized. Only the
+    /// single-qubit rotations are.
     pub fn param(&self) -> Option<Param> {
         match *self {
-            Gate::RX(_, p)
-            | Gate::RY(_, p)
-            | Gate::RZ(_, p)
-            | Gate::CRX(_, _, p)
-            | Gate::CRY(_, _, p)
-            | Gate::CRZ(_, _, p) => Some(p),
+            Gate::RX(_, p) | Gate::RY(_, p) | Gate::RZ(_, p) => Some(p),
             _ => None,
         }
-    }
-
-    /// Whether this is a controlled rotation (differentiable with the
-    /// four-term parameter-shift rule).
-    pub fn is_controlled_rotation(&self) -> bool {
-        matches!(self, Gate::CRX(..) | Gate::CRY(..) | Gate::CRZ(..))
-    }
-
-    /// Whether this gate's angle is differentiable with the two-term
-    /// parameter-shift rule (generator eigenvalues ±1/2).
-    pub fn is_single_qubit_rotation(&self) -> bool {
-        matches!(self, Gate::RX(..) | Gate::RY(..) | Gate::RZ(..))
     }
 
     /// All wires the gate touches.
@@ -106,17 +80,10 @@ impl Gate {
             | Gate::PauliY(w)
             | Gate::PauliZ(w)
             | Gate::Hadamard(w)
-            | Gate::S(w)
-            | Gate::T(w)
             | Gate::RX(w, _)
             | Gate::RY(w, _)
             | Gate::RZ(w, _) => vec![w],
-            Gate::CRX(c, t, _)
-            | Gate::CRY(c, t, _)
-            | Gate::CRZ(c, t, _)
-            | Gate::CNOT(c, t)
-            | Gate::CZ(c, t)
-            | Gate::SWAP(c, t) => vec![c, t],
+            Gate::CNOT(c, t) => vec![c, t],
         }
     }
 
@@ -131,42 +98,33 @@ impl Gate {
                 return Err(QuantumError::WireOutOfRange { wire: w, n_qubits });
             }
         }
-        if let Gate::CRX(c, t, _)
-        | Gate::CRY(c, t, _)
-        | Gate::CRZ(c, t, _)
-        | Gate::CNOT(c, t)
-        | Gate::CZ(c, t)
-        | Gate::SWAP(c, t) = *self
-        {
-            if c == t {
-                return Err(QuantumError::ControlEqualsTarget { wire: c });
-            }
+        match *self {
+            Gate::CNOT(c, t) if c == t => Err(QuantumError::ControlEqualsTarget { wire: c }),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
-    /// The wire and 2×2 matrix of a purely single-qubit gate (with `theta`
-    /// as the resolved angle), or `None` for multi-qubit gates. Backends use
-    /// this to fuse runs of adjacent single-qubit gates on one wire into a
-    /// single kernel pass.
+    /// The wire and 2×2 matrix of a single-qubit gate (with `theta` as the
+    /// resolved angle), or `None` for the CNOT. The tape compiler uses this
+    /// to fuse runs of adjacent single-qubit gates on one wire into a single
+    /// kernel pass.
     pub fn single_qubit_matrix(&self, theta: f64) -> Option<(usize, [[C64; 2]; 2])> {
         match *self {
             Gate::PauliX(w) => Some((w, pauli_x())),
             Gate::PauliY(w) => Some((w, pauli_y())),
             Gate::PauliZ(w) => Some((w, pauli_z())),
             Gate::Hadamard(w) => Some((w, hadamard())),
-            Gate::S(w) => Some((w, s_matrix())),
-            Gate::T(w) => Some((w, t_matrix())),
             Gate::RX(w, _) => Some((w, rx_matrix(theta))),
             Gate::RY(w, _) => Some((w, ry_matrix(theta))),
             Gate::RZ(w, _) => Some((w, rz_matrix(theta))),
-            _ => None,
+            Gate::CNOT(..) => None,
         }
     }
 
     /// The wire and Pauli generator `G` (from `U(θ) = exp(-iθG/2)`) of a
-    /// single-qubit rotation, or `None` for every other gate. The tape
-    /// compiler conjugates these into the frames of adjoint rotation blocks.
+    /// rotation, or `None` for every fixed gate. The tape compiler conjugates
+    /// these into the frames of adjoint rotation blocks, and the adjoint
+    /// sweep contracts input rotations with them.
     pub(crate) fn single_qubit_generator(&self) -> Option<(usize, [[C64; 2]; 2])> {
         match *self {
             Gate::RX(w, _) => Some((w, pauli_x())),
@@ -189,22 +147,10 @@ impl Gate {
             Gate::PauliY(w) => state.apply_single_qubit(w, &pauli_y()),
             Gate::PauliZ(w) => state.apply_single_qubit(w, &pauli_z()),
             Gate::Hadamard(w) => state.apply_single_qubit(w, &hadamard()),
-            Gate::S(w) => state.apply_single_qubit(w, &s_matrix()),
-            Gate::T(w) => state.apply_single_qubit(w, &t_matrix()),
             Gate::RX(w, _) => state.apply_single_qubit(w, &rx_matrix(theta)),
             Gate::RY(w, _) => state.apply_single_qubit(w, &ry_matrix(theta)),
             Gate::RZ(w, _) => state.apply_single_qubit(w, &rz_matrix(theta)),
-            Gate::CRX(c, t, _) => state.apply_controlled(c, t, &rx_matrix(theta)),
-            Gate::CRY(c, t, _) => state.apply_controlled(c, t, &ry_matrix(theta)),
-            Gate::CRZ(c, t, _) => state.apply_controlled(c, t, &rz_matrix(theta)),
             Gate::CNOT(c, t) => state.apply_cnot(c, t),
-            Gate::CZ(c, t) => state.apply_controlled(c, t, &pauli_z()),
-            Gate::SWAP(a, b) => {
-                // SWAP = CNOT(a,b)·CNOT(b,a)·CNOT(a,b).
-                state.apply_cnot(a, b)?;
-                state.apply_cnot(b, a)?;
-                state.apply_cnot(a, b)
-            }
         }
     }
 
@@ -215,24 +161,14 @@ impl Gate {
     /// Propagates wire-validation errors from the state kernels.
     pub fn apply_inverse<B: Backend>(&self, state: &mut B, theta: f64) -> Result<()> {
         match *self {
-            // Self-inverse gates.
+            // Rotations invert by negating the angle.
+            Gate::RX(..) | Gate::RY(..) | Gate::RZ(..) => self.apply(state, -theta),
+            // Every fixed gate is self-inverse.
             Gate::PauliX(_)
             | Gate::PauliY(_)
             | Gate::PauliZ(_)
             | Gate::Hadamard(_)
-            | Gate::CNOT(..)
-            | Gate::CZ(..)
-            | Gate::SWAP(..) => self.apply(state, theta),
-            // Fixed phase gates invert by conjugating the phase.
-            Gate::S(w) => state.apply_single_qubit(w, &s_dagger_matrix()),
-            Gate::T(w) => state.apply_single_qubit(w, &t_dagger_matrix()),
-            // Rotations invert by negating the angle.
-            Gate::RX(..)
-            | Gate::RY(..)
-            | Gate::RZ(..)
-            | Gate::CRX(..)
-            | Gate::CRY(..)
-            | Gate::CRZ(..) => self.apply(state, -theta),
+            | Gate::CNOT(..) => self.apply(state, theta),
         }
     }
 
@@ -245,48 +181,12 @@ impl Gate {
     /// Propagates wire-validation errors. Returns `Ok(false)` (leaving the
     /// state untouched) for non-parametrized gates.
     pub fn apply_generator<B: Backend>(&self, state: &mut B) -> Result<bool> {
-        if let Some((w, g)) = self.single_qubit_generator() {
-            state.apply_single_qubit(w, &g)?;
-            return Ok(true);
-        }
-        match *self {
-            Gate::CRZ(c, t, _) => {
-                // Generator is |1⟩⟨1|_c ⊗ Z_t: zero out control-clear
-                // amplitudes and apply Z on the target within the
-                // control-set subspace. Implemented as a diagonal.
-                state.check_wire(c)?;
-                state.check_wire(t)?;
-                let cmask = 1usize << state.bit_of_wire(c);
-                let tmask = 1usize << state.bit_of_wire(t);
-                let dim = state.dim();
-                let mut d = vec![0.0f64; dim];
-                for (i, di) in d.iter_mut().enumerate() {
-                    if i & cmask != 0 {
-                        *di = if i & tmask == 0 { 1.0 } else { -1.0 };
-                    }
-                }
-                state.apply_diagonal_real(&d);
+        match self.single_qubit_generator() {
+            Some((w, g)) => {
+                state.apply_single_qubit(w, &g)?;
                 Ok(true)
             }
-            Gate::CRX(c, t, _) | Gate::CRY(c, t, _) => {
-                // Generator |1⟩⟨1|_c ⊗ P_t: apply the Pauli on the target
-                // within the control-set subspace, then project out the
-                // control-clear subspace.
-                let pauli = if matches!(self, Gate::CRX(..)) {
-                    pauli_x()
-                } else {
-                    pauli_y()
-                };
-                state.apply_controlled(c, t, &pauli)?;
-                let cmask = 1usize << state.bit_of_wire(c);
-                let dim = state.dim();
-                let d: Vec<f64> = (0..dim)
-                    .map(|i| if i & cmask != 0 { 1.0 } else { 0.0 })
-                    .collect();
-                state.apply_diagonal_real(&d);
-                Ok(true)
-            }
-            _ => Ok(false),
+            None => Ok(false),
         }
     }
 }
@@ -310,35 +210,6 @@ pub fn pauli_z() -> [[C64; 2]; 2] {
 pub fn hadamard() -> [[C64; 2]; 2] {
     let h = C64::real(std::f64::consts::FRAC_1_SQRT_2);
     [[h, h], [h, -h]]
-}
-
-/// Phase gate `S = diag(1, i)`.
-pub fn s_matrix() -> [[C64; 2]; 2] {
-    [[C64::ONE, C64::ZERO], [C64::ZERO, C64::I]]
-}
-
-/// `S† = diag(1, -i)`.
-pub fn s_dagger_matrix() -> [[C64; 2]; 2] {
-    [[C64::ONE, C64::ZERO], [C64::ZERO, -C64::I]]
-}
-
-/// T gate `diag(1, e^{iπ/4})`.
-pub fn t_matrix() -> [[C64; 2]; 2] {
-    [
-        [C64::ONE, C64::ZERO],
-        [C64::ZERO, C64::from_polar(1.0, std::f64::consts::FRAC_PI_4)],
-    ]
-}
-
-/// `T† = diag(1, e^{-iπ/4})`.
-pub fn t_dagger_matrix() -> [[C64; 2]; 2] {
-    [
-        [C64::ONE, C64::ZERO],
-        [
-            C64::ZERO,
-            C64::from_polar(1.0, -std::f64::consts::FRAC_PI_4),
-        ],
-    ]
 }
 
 /// `RX(θ) = exp(-iθX/2)`.
@@ -417,13 +288,8 @@ mod tests {
             Gate::RY(1, Param::Fixed(-0.7)),
             Gate::RZ(0, Param::Fixed(1.9)),
             Gate::CNOT(0, 1),
-            Gate::CRZ(0, 1, Param::Fixed(0.4)),
-            Gate::CRX(0, 1, Param::Fixed(0.8)),
-            Gate::CRY(1, 0, Param::Fixed(-1.1)),
-            Gate::CZ(1, 0),
-            Gate::S(0),
-            Gate::T(1),
-            Gate::SWAP(0, 1),
+            Gate::PauliZ(0),
+            Gate::PauliX(1),
             Gate::PauliY(1),
         ];
         let mut s = fresh(2);
@@ -445,35 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn crz_matches_paper_matrix() {
-        // CRZ(φ) = diag(1, 1, e^{-iφ/2}, e^{iφ/2}) with control = wire 0.
-        let theta = 0.9;
-        for (basis, expected) in [
-            (0b00, C64::ONE),
-            (0b01, C64::ONE),
-            (0b10, C64::from_polar(1.0, -theta / 2.0)),
-            (0b11, C64::from_polar(1.0, theta / 2.0)),
-        ] {
-            let mut s = fresh(2);
-            // Prepare |basis⟩.
-            if basis & 0b10 != 0 {
-                Gate::PauliX(0).apply(&mut s, 0.0).unwrap();
-            }
-            if basis & 0b01 != 0 {
-                Gate::PauliX(1).apply(&mut s, 0.0).unwrap();
-            }
-            Gate::CRZ(0, 1, Param::Fixed(theta))
-                .apply(&mut s, theta)
-                .unwrap();
-            assert!(
-                s.amplitude(basis).approx_eq(expected, 1e-12),
-                "basis {basis:02b}: {} != {expected}",
-                s.amplitude(basis)
-            );
-        }
-    }
-
-    #[test]
     fn generator_matches_finite_difference_of_gate() {
         // dU/dθ |ψ⟩ ≈ (U(θ+ε) - U(θ-ε))|ψ⟩ / (2ε) must equal (-i/2)·G·U(θ)|ψ⟩.
         let theta = 0.77;
@@ -482,9 +319,6 @@ mod tests {
             Gate::RX(0, Param::Fixed(theta)),
             Gate::RY(0, Param::Fixed(theta)),
             Gate::RZ(0, Param::Fixed(theta)),
-            Gate::CRX(0, 1, Param::Fixed(theta)),
-            Gate::CRY(0, 1, Param::Fixed(theta)),
-            Gate::CRZ(0, 1, Param::Fixed(theta)),
         ] {
             let mut base = fresh(2);
             Gate::Hadamard(0).apply(&mut base, 0.0).unwrap();

@@ -6,9 +6,9 @@
 //! * [`adjoint`] — reverse-mode vector-Jacobian products against diagonal
 //!   observables in a single backward sweep; the production path used by the
 //!   hybrid training loop (exact, O(gates · dim)).
-//! * [`paramshift`] — the hardware-compatible parameter-shift rule (two-term
-//!   for single-qubit rotations, four-term for controlled rotations); the
-//!   method the reproduction notes call out for manual gradients.
+//! * [`paramshift`] — the hardware-compatible two-term parameter-shift rule
+//!   (every parametrized gate is a single-qubit rotation); the method the
+//!   reproduction notes call out for manual gradients.
 //! * [`finite_diff`] — central differences, used only as a test oracle.
 //!
 //! All three agree to high precision; the test suites of each module and the

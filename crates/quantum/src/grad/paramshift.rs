@@ -1,15 +1,14 @@
 //! Parameter-shift differentiation.
 //!
 //! The hardware-compatible gradient rule: for a gate `U(θ) = exp(-iθG/2)`
-//! whose generator has eigenvalues `±1/2` (all single-qubit rotations),
+//! whose generator has eigenvalues `±1/2`,
 //!
 //! ```text
 //! d⟨M⟩/dθ = [⟨M⟩(θ + π/2) − ⟨M⟩(θ − π/2)] / 2 .
 //! ```
 //!
-//! Controlled rotations (`CRZ`) have generator eigenvalues `{0, ±1/2}` and
-//! need the four-term rule with shifts `π/2` and `3π/2` and coefficients
-//! `c± = (√2 ± 1)/(4√2)`.
+//! Every parametrized gate is a single-qubit rotation with a Pauli
+//! generator, so this two-term rule covers every angle.
 //!
 //! A parameter shared by several gates is differentiated gate-by-gate and
 //! summed (the product rule). This engine re-executes the circuit per shift,
@@ -17,7 +16,7 @@
 //! hardware can evaluate; the paper's training relies on exactly this rule on
 //! the PennyLane simulator.
 
-use crate::backend::Backend;
+use crate::backend::{start_state, Backend};
 use crate::circuit::Circuit;
 use crate::error::Result;
 use crate::gate::Param;
@@ -28,13 +27,9 @@ use std::f64::consts::FRAC_PI_2;
 /// Jacobian pair `(jac_params, jac_inputs)` with `jac[p][o] = ∂out_o/∂θ_p`.
 pub type JacobianPair = (Vec<Vec<f64>>, Vec<Vec<f64>>);
 
-/// Shift coefficients for the four-term controlled-rotation rule.
-const FOUR_TERM_C_PLUS: f64 = (std::f64::consts::SQRT_2 + 1.0) / (4.0 * std::f64::consts::SQRT_2);
-const FOUR_TERM_C_MINUS: f64 = (std::f64::consts::SQRT_2 - 1.0) / (4.0 * std::f64::consts::SQRT_2);
-
 /// Executes `circuit` with gate `gate_idx`'s angle replaced by
-/// `override_theta`. The starting register goes through
-/// `Circuit::start_state`, so a mismatched `initial` width is a typed
+/// `override_theta`. The starting register goes through the shared
+/// `backend::start_state`, so a mismatched `initial` width is a typed
 /// dimension error here exactly as it is in `Circuit::run_on`.
 fn run_with_override<B: Backend>(
     circuit: &Circuit,
@@ -45,7 +40,7 @@ fn run_with_override<B: Backend>(
     override_theta: f64,
 ) -> Result<B> {
     circuit.check_bindings(params, inputs)?;
-    let mut state = circuit.start_state(initial)?;
+    let mut state = start_state(circuit.n_qubits(), initial)?;
     for (i, g) in circuit.ops().iter().enumerate() {
         let theta = if i == gate_idx {
             override_theta
@@ -104,32 +99,15 @@ where
             )?))
         };
 
-        let grad: Vec<f64> = if gate.is_single_qubit_rotation() {
-            let plus = eval(theta + FRAC_PI_2)?;
-            let minus = eval(theta - FRAC_PI_2)?;
-            plus.iter()
-                .zip(&minus)
-                .map(|(p, m)| (p - m) / 2.0)
-                .collect()
-        } else if gate.is_controlled_rotation() {
-            let p1 = eval(theta + FRAC_PI_2)?;
-            let m1 = eval(theta - FRAC_PI_2)?;
-            let p2 = eval(theta + 3.0 * FRAC_PI_2)?;
-            let m2 = eval(theta - 3.0 * FRAC_PI_2)?;
-            (0..n_out)
-                .map(|o| FOUR_TERM_C_PLUS * (p1[o] - m1[o]) - FOUR_TERM_C_MINUS * (p2[o] - m2[o]))
-                .collect()
-        } else {
-            continue;
-        };
-
+        let plus = eval(theta + FRAC_PI_2)?;
+        let minus = eval(theta - FRAC_PI_2)?;
         let target = if is_train {
             &mut jac_params[idx]
         } else {
             &mut jac_inputs[idx]
         };
-        for (t, g) in target.iter_mut().zip(&grad) {
-            *t += g;
+        for (t, (p, m)) in target.iter_mut().zip(plus.iter().zip(&minus)) {
+            *t += (p - m) / 2.0;
         }
     }
     Ok((jac_params, jac_inputs))
@@ -222,21 +200,6 @@ mod tests {
         let theta = 0.9;
         let (jp, _) = jacobian_expectations_z(&c, &[theta], &[], None).unwrap();
         assert!((jp[0][0] + theta.sin()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn four_term_rule_on_crz_matches_finite_difference() {
-        let mut c = Circuit::new(2).unwrap();
-        c.h(0).unwrap();
-        c.h(1).unwrap();
-        c.crz(0, 1, Param::Train(0)).unwrap();
-        c.h(1).unwrap();
-        let theta = 1.17;
-        let (jp, _) = jacobian_expectations_z(&c, &[theta], &[], None).unwrap();
-        let f = |t: f64| c.run_expectations_z(&[t], &[], None).unwrap()[1];
-        let eps = 1e-6;
-        let fd = (f(theta + eps) - f(theta - eps)) / (2.0 * eps);
-        assert!((jp[0][1] - fd).abs() < 1e-6, "ps={} fd={fd}", jp[0][1]);
     }
 
     #[test]

@@ -9,18 +9,20 @@
 //! ## What it provides
 //!
 //! * [`StateVector`] — dense `2^n`-amplitude register with single-qubit,
-//!   controlled, and diagonal kernels plus `⟨Z⟩`/probability measurements.
+//!   CNOT, and diagonal kernels plus `⟨Z⟩`/probability measurements.
 //! * [`backend`] — the simulator [`Backend`] trait behind every executor:
 //!   [`DenseBackend`] (the reference semantics and default) and
 //!   [`SoaDenseBackend`] (split re/im planes + cache-blocked SIMD-friendly
 //!   kernels); the seam future GPU/sparse/tensor-network backends plug into.
 //! * [`Circuit`] — a gate list with deferred [`Param`] binding (trainable
-//!   parameters vs. embedded input features).
+//!   parameters vs. embedded input features) over the [`Gate`] set the
+//!   paper's circuits use: `RX`/`RY`/`RZ` rotations, the CNOT, and the
+//!   fixed Paulis and Hadamard.
 //! * [`tape`] — the batch-compiled execution pipeline: [`Circuit::compile`]
 //!   lowers the gate list against one parameter vector into a
-//!   [`CompiledTape`] (pre-fused matrices, CNOT-run permutations, diagonal
-//!   phases, late-bound embedding slots) that every row of a mini-batch
-//!   reuses; every `run_*` convenience wraps it.
+//!   [`CompiledTape`] (pre-fused matrices, CNOT-run permutations, late-bound
+//!   embedding slots) that every row of a mini-batch reuses; every `run_*`
+//!   convenience wraps it.
 //! * [`embed`] — amplitude and angle embeddings (§II-C of the paper).
 //! * [`templates`] — the paper's repeatable hidden layer
 //!   (strongly-entangling `Rot` + CNOT-ring layers).
@@ -72,10 +74,7 @@ pub use backend::{Backend, DenseBackend, SoaDenseBackend};
 pub use circuit::Circuit;
 pub use complex::C64;
 pub use error::{QuantumError, Result};
-pub use gate::{
-    hadamard, pauli_x, pauli_y, pauli_z, rx_matrix, ry_matrix, rz_matrix, s_dagger_matrix,
-    s_matrix, t_dagger_matrix, t_matrix,
-};
+pub use gate::{hadamard, pauli_x, pauli_y, pauli_z, rx_matrix, ry_matrix, rz_matrix};
 pub use gate::{Gate, Param};
 pub use state::{StateVector, MAX_QUBITS};
 pub use tape::CompiledTape;

@@ -7,6 +7,7 @@
 //! / Monte-Carlo wave-function method). Averaging expectations over
 //! trajectories converges to the density-matrix result.
 
+use crate::backend::start_state;
 use crate::circuit::Circuit;
 use crate::error::Result;
 use crate::gate::Gate;
@@ -44,7 +45,8 @@ impl NoiseModel {
 ///
 /// # Errors
 ///
-/// Returns circuit-execution errors.
+/// Returns binding-count errors, a typed dimension mismatch if `initial`
+/// has a different width, or gate-application errors.
 pub fn run_trajectory(
     circuit: &Circuit,
     params: &[f64],
@@ -54,10 +56,7 @@ pub fn run_trajectory(
     rng: &mut impl Rng,
 ) -> Result<StateVector> {
     circuit.check_bindings(params, inputs)?;
-    let mut state = match initial {
-        Some(s) => s.clone(),
-        None => StateVector::zero_state(circuit.n_qubits())?,
-    };
+    let mut state = start_state(circuit.n_qubits(), initial)?;
     for g in circuit.ops() {
         let theta = g.param().map_or(0.0, |p| p.resolve(params, inputs));
         g.apply(&mut state, theta)?;
@@ -112,6 +111,7 @@ pub fn noisy_expectations_z(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::QuantumError;
     use crate::gate::Param;
     use crate::templates::{strongly_entangling_layers, EntangleRange};
     use rand::rngs::StdRng;
@@ -199,6 +199,31 @@ mod tests {
             )
             .unwrap();
             assert!((s.norm() - 1.0).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn mismatched_initial_is_a_typed_error() {
+        // A 2-qubit circuit started from a wider or a narrower register.
+        let mut c = Circuit::new(2).unwrap();
+        c.ry(0, Param::Fixed(0.7)).unwrap();
+        c.cnot(0, 1).unwrap();
+        let noise = NoiseModel::depolarizing(0.1);
+        let mut rng = StdRng::seed_from_u64(6);
+        for n in [3, 1] {
+            let initial = StateVector::zero_state(n).unwrap();
+            let mismatch = QuantumError::DimensionMismatch {
+                expected: 4,
+                actual: 1 << n,
+            };
+            assert_eq!(
+                run_trajectory(&c, &[], &[], Some(&initial), noise, &mut rng),
+                Err(mismatch.clone())
+            );
+            assert_eq!(
+                noisy_expectations_z(&c, &[], &[], Some(&initial), noise, 4, &mut rng),
+                Err(mismatch)
+            );
         }
     }
 

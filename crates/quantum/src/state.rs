@@ -153,15 +153,39 @@ impl StateVector {
 
     /// Rescales amplitudes to unit norm.
     ///
+    /// Finite amplitudes of any magnitude normalize: when the plain sum of
+    /// squared magnitudes is not a normal float (it overflowed, or its
+    /// squares lost bits or vanished below ~1e-154), the amplitudes are
+    /// first divided by the largest magnitude, which leaves their direction
+    /// and brings the sum into `[1, dim]`. Amplitudes whose plain sum is
+    /// normal take the plain arithmetic unchanged. Non-finite amplitudes
+    /// are not checked for: they propagate into non-finite amplitudes.
+    ///
     /// # Errors
     ///
-    /// Returns [`QuantumError::ZeroNorm`] when the norm is numerically zero.
+    /// Returns [`QuantumError::ZeroNorm`] when every amplitude is zero.
     pub fn normalize(&mut self) -> Result<()> {
-        let n = self.norm();
-        if n < 1e-300 {
-            return Err(QuantumError::ZeroNorm);
+        let sum_sqr = |amps: &[C64]| amps.iter().map(|a| a.norm_sqr()).sum::<f64>();
+        let mut sum = sum_sqr(&self.amps);
+        if !sum.is_normal()
+            && self
+                .amps
+                .iter()
+                .all(|a| a.re.is_finite() && a.im.is_finite())
+        {
+            let max = self
+                .amps
+                .iter()
+                .fold(0.0f64, |m, a| m.max(a.re.abs()).max(a.im.abs()));
+            if max == 0.0 {
+                return Err(QuantumError::ZeroNorm);
+            }
+            for a in &mut self.amps {
+                *a = C64::new(a.re / max, a.im / max);
+            }
+            sum = sum_sqr(&self.amps);
         }
-        let inv = 1.0 / n;
+        let inv = 1.0 / sum.sqrt();
         for a in &mut self.amps {
             *a = a.scale(inv);
         }
@@ -221,41 +245,6 @@ impl StateVector {
                 self.amps[i1] = m[1][0] * a0 + m[1][1] * a1;
             }
             base += stride << 1;
-        }
-        Ok(())
-    }
-
-    /// Applies a single-qubit unitary to `target`, controlled on `control`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for invalid wires or `control == target`.
-    pub fn apply_controlled(
-        &mut self,
-        control: usize,
-        target: usize,
-        m: &[[C64; 2]; 2],
-    ) -> Result<()> {
-        self.check_wire(control)?;
-        self.check_wire(target)?;
-        if control == target {
-            return Err(QuantumError::ControlEqualsTarget { wire: control });
-        }
-        let cbit = self.bit_of_wire(control);
-        let tbit = self.bit_of_wire(target);
-        let cmask = 1usize << cbit;
-        let tmask = 1usize << tbit;
-        let dim = self.dim();
-        for i in 0..dim {
-            // Visit each (i0, i1) pair exactly once: require control set and
-            // target clear.
-            if i & cmask != 0 && i & tmask == 0 {
-                let j = i | tmask;
-                let a0 = self.amps[i];
-                let a1 = self.amps[j];
-                self.amps[i] = m[0][0] * a0 + m[0][1] * a1;
-                self.amps[j] = m[1][0] * a0 + m[1][1] * a1;
-            }
         }
         Ok(())
     }
@@ -539,20 +528,6 @@ mod tests {
         let d = vec![1.0, 1.0, -1.0, -1.0];
         let ez = s.expectation_z(0).unwrap();
         assert!((s.expectation_diagonal(&d) - ez).abs() < 1e-12);
-    }
-
-    #[test]
-    fn controlled_gate_acts_only_when_control_set() {
-        let x = [[C64::ZERO, C64::ONE], [C64::ONE, C64::ZERO]];
-        // Control clear: nothing happens.
-        let mut s = StateVector::zero_state(2).unwrap();
-        s.apply_controlled(0, 1, &x).unwrap();
-        assert!((s.probability(0b00) - 1.0).abs() < 1e-12);
-        // Control set: target flips.
-        let mut s = StateVector::zero_state(2).unwrap();
-        s.apply_single_qubit(0, &x).unwrap(); // |10>
-        s.apply_controlled(0, 1, &x).unwrap(); // -> |11>
-        assert!((s.probability(0b11) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -10,10 +10,7 @@
 //! * runs of single-qubit gates **pre-fuse** into one 2×2 matrix per wire
 //!   (fusing across gates on *other* wires too, since disjoint single-qubit
 //!   unitaries commute);
-//! * consecutive CNOTs (and SWAPs, as three CNOTs) collapse into one
-//!   [`TapeOp::CnotRun`] permutation;
-//! * controlled phases (`CZ`, `CRZ`) become two pre-resolved **diagonal
-//!   phases** per controlled pair;
+//! * consecutive CNOTs collapse into one [`TapeOp::CnotRun`] permutation;
 //! * input-dependent embedding gates stay behind as **late-bound**
 //!   [`TapeOp::Late`] slots, resolved per row at execution time.
 //!
@@ -24,10 +21,12 @@
 //! pre-fused the same way, and every maximal run of trainable single-qubit
 //! rotations on one wire (the template's `Rot(φ, θ, ω)`) becomes one
 //! [`RotationBlock`], differentiated in a single traversal of both
-//! registers. `crate::grad::adjoint` consumes it for the batched backward
-//! pass. Callers that only run forward compile with
-//! [`Circuit::compile_forward`] and skip the adjoint lowering; the adjoint
-//! entry points reject such a tape with
+//! registers. Every parametrized gate is a single-qubit rotation, so every
+//! stop of the sweep — a block, or an input rotation — runs the one block
+//! kernel, [`Backend::adjoint_block_stop`]. `crate::grad::adjoint`
+//! consumes the program for the batched backward pass. Callers that only
+//! run forward compile with [`Circuit::compile_forward`] and skip the
+//! adjoint lowering; the adjoint entry points reject such a tape with
 //! [`QuantumError::ForwardOnlyTape`].
 //!
 //! This is the compile-once/execute-many split of PennyLane-style adjoint
@@ -51,11 +50,11 @@
 //! # Ok::<(), sqvae_quantum::QuantumError>(())
 //! ```
 
-use crate::backend::{matmul2, Backend};
+use crate::backend::{matmul2, start_state, Backend};
 use crate::circuit::Circuit;
 use crate::complex::C64;
 use crate::error::{QuantumError, Result};
-use crate::gate::{rx_matrix, ry_matrix, s_dagger_matrix, t_dagger_matrix, Gate, Param};
+use crate::gate::{Gate, Param};
 
 /// A pre-resolved operation on a compiled tape.
 ///
@@ -70,27 +69,6 @@ pub enum TapeOp {
         wire: usize,
         /// The fused 2×2 matrix.
         m: [[C64; 2]; 2],
-    },
-    /// A controlled single-qubit unitary with a pre-resolved matrix.
-    Controlled {
-        /// Control wire.
-        control: usize,
-        /// Target wire.
-        target: usize,
-        /// The 2×2 matrix applied on the target within the control-set
-        /// half-space.
-        m: [[C64; 2]; 2],
-    },
-    /// A controlled diagonal phase (`CZ`, `CRZ`): within the control-set
-    /// half-space, target-clear amplitudes scale by `d[0]` and target-set
-    /// amplitudes by `d[1]`.
-    Phase {
-        /// Control wire.
-        control: usize,
-        /// Target wire.
-        target: usize,
-        /// The two diagonal phases.
-        d: [C64; 2],
     },
     /// A run of consecutive CNOTs (the template's ring entangler), applied
     /// as one basis-state permutation by backends that support it.
@@ -123,25 +101,14 @@ pub enum AdjointStep {
 pub enum AdjointStop {
     /// A run of trainable single-qubit rotations on one wire.
     Block(RotationBlock),
-    /// A gate bound to a per-row input feature; its inverse is resolved at
-    /// execution time. Single-qubit input rotations run through the block
-    /// kernel as one-gate blocks; controlled ones take the clone fallback.
+    /// A rotation bound to a per-row input feature. Its inverse is resolved
+    /// at execution time, and it runs through the block kernel as a
+    /// one-gate block.
     Input {
         /// The original gate (source of the generator).
         gate: Gate,
         /// Index into the input-feature vector.
         index: usize,
-    },
-    /// A controlled rotation bound to a trainable parameter, differentiated
-    /// through the clone-based generator fallback; its inverse was
-    /// pre-resolved at compile time.
-    Controlled {
-        /// The original gate (source of the generator).
-        gate: Gate,
-        /// Index into the trainable-parameter vector.
-        index: usize,
-        /// The pre-resolved inverse op.
-        inv: TapeOp,
     },
 }
 
@@ -249,23 +216,6 @@ impl CompiledTape {
         self.adjoint.as_deref().ok_or(QuantumError::ForwardOnlyTape)
     }
 
-    /// The register execution starts from: a dimension-checked clone of
-    /// `initial`, or `|0…0⟩` (mirrors `Circuit::start_state`).
-    pub(crate) fn start_state<B: Backend>(&self, initial: Option<&B>) -> Result<B> {
-        match initial {
-            Some(s) => {
-                if s.n_qubits() != self.n_qubits {
-                    return Err(QuantumError::DimensionMismatch {
-                        expected: 1 << self.n_qubits,
-                        actual: s.dim(),
-                    });
-                }
-                Ok(s.clone())
-            }
-            None => B::zero_state(self.n_qubits),
-        }
-    }
-
     /// Executes the tape for one row and returns the final register.
     ///
     /// `inputs` resolves the late-bound embedding slots; `initial` lets the
@@ -277,7 +227,7 @@ impl CompiledTape {
     /// references, or a typed dimension mismatch if `initial` has a
     /// different width.
     pub fn execute_on<B: Backend>(&self, inputs: &[f64], initial: Option<&B>) -> Result<B> {
-        let mut state = self.start_state(initial)?;
+        let mut state = start_state(self.n_qubits, initial)?;
         state.execute_tape(self, inputs)?;
         Ok(state)
     }
@@ -361,102 +311,17 @@ impl Lowerer {
         }
     }
 
-    /// Pushes a controlled diagonal phase, fusing into an adjacent phase op
-    /// on the same wire pair.
-    fn push_phase(&mut self, control: usize, target: usize, d: [C64; 2]) {
-        if let Some(TapeOp::Phase {
-            control: c,
-            target: t,
-            d: acc,
-        }) = self.ops.last_mut()
-        {
-            if *c == control && *t == target {
-                acc[0] *= d[0];
-                acc[1] *= d[1];
-                return;
-            }
-        }
-        self.ops.push(TapeOp::Phase { control, target, d });
-    }
-
     /// Lowers one gate with its resolved angle.
     fn lower(&mut self, gate: &Gate, theta: f64) {
-        if let Some((w, m)) = gate.single_qubit_matrix(theta) {
-            self.push_single(w, m);
-            return;
-        }
-        match *gate {
-            Gate::CNOT(c, t) => self.push_cnot(c, t),
-            // SWAP = CNOT(a,b)·CNOT(b,a)·CNOT(a,b) merges into the run.
-            Gate::SWAP(a, b) => {
-                self.push_cnot(a, b);
-                self.push_cnot(b, a);
-                self.push_cnot(a, b);
+        match gate.single_qubit_matrix(theta) {
+            Some((w, m)) => self.push_single(w, m),
+            None => {
+                let Gate::CNOT(c, t) = *gate else {
+                    unreachable!("every gate but the CNOT has a 2x2 matrix")
+                };
+                self.push_cnot(c, t);
             }
-            Gate::CZ(c, t) => self.push_phase(c, t, [C64::ONE, -C64::ONE]),
-            Gate::CRZ(c, t, _) => self.push_phase(
-                c,
-                t,
-                [
-                    C64::from_polar(1.0, -theta / 2.0),
-                    C64::from_polar(1.0, theta / 2.0),
-                ],
-            ),
-            Gate::CRX(c, t, _) => self.ops.push(TapeOp::Controlled {
-                control: c,
-                target: t,
-                m: rx_matrix(theta),
-            }),
-            Gate::CRY(c, t, _) => self.ops.push(TapeOp::Controlled {
-                control: c,
-                target: t,
-                m: ry_matrix(theta),
-            }),
-            // Every other gate kind reports a single-qubit matrix above.
-            _ => unreachable!("gate {gate:?} has no tape lowering"),
         }
-    }
-
-    /// Lowers the inverse of a fixed-segment gate (no `Train`/`Input`
-    /// binding; `theta` is the gate's fixed angle, if any).
-    fn lower_inverse(&mut self, gate: &Gate, theta: f64) {
-        match *gate {
-            Gate::S(w) => self.push_single(w, s_dagger_matrix()),
-            Gate::T(w) => self.push_single(w, t_dagger_matrix()),
-            Gate::RX(..)
-            | Gate::RY(..)
-            | Gate::RZ(..)
-            | Gate::CRX(..)
-            | Gate::CRY(..)
-            | Gate::CRZ(..) => self.lower(gate, -theta),
-            // Paulis, Hadamard, CNOT, CZ, SWAP are self-inverse.
-            _ => self.lower(gate, theta),
-        }
-    }
-}
-
-/// The pre-resolved inverse op of a trainable controlled-rotation stop.
-fn controlled_inverse_op(gate: &Gate, theta: f64) -> TapeOp {
-    match *gate {
-        Gate::CRX(c, t, _) => TapeOp::Controlled {
-            control: c,
-            target: t,
-            m: rx_matrix(-theta),
-        },
-        Gate::CRY(c, t, _) => TapeOp::Controlled {
-            control: c,
-            target: t,
-            m: ry_matrix(-theta),
-        },
-        Gate::CRZ(c, t, _) => TapeOp::Phase {
-            control: c,
-            target: t,
-            d: [
-                C64::from_polar(1.0, theta / 2.0),
-                C64::from_polar(1.0, -theta / 2.0),
-            ],
-        },
-        _ => unreachable!("single-qubit rotations lower into rotation blocks"),
     }
 }
 
@@ -480,8 +345,11 @@ fn lower_adjoint(circuit: &Circuit, params: &[f64]) -> Vec<AdjointStep> {
             }
         };
     for gate in circuit.ops().iter().rev() {
-        match (gate.param(), gate.single_qubit_generator()) {
-            (Some(Param::Train(index)), Some((wire, generator))) => {
+        match gate.param() {
+            Some(Param::Train(index)) => {
+                let (wire, generator) = gate
+                    .single_qubit_generator()
+                    .expect("parametrized gates are single-qubit rotations");
                 if !matches!(&block, Some(b) if b.wire == wire) {
                     close(&mut block, &mut seg, &mut steps);
                 }
@@ -492,27 +360,21 @@ fn lower_adjoint(circuit: &Circuit, params: &[f64]) -> Vec<AdjointStep> {
                     .get_or_insert_with(|| RotationBlock::new(wire))
                     .push(index, &generator, &inv);
             }
-            (Some(Param::Train(index)), None) => {
-                close(&mut block, &mut seg, &mut steps);
-                steps.push(AdjointStep::Stop(AdjointStop::Controlled {
-                    gate: *gate,
-                    index,
-                    inv: controlled_inverse_op(gate, params[index]),
-                }));
-            }
-            (Some(Param::Input(index)), _) => {
+            Some(Param::Input(index)) => {
                 close(&mut block, &mut seg, &mut steps);
                 steps.push(AdjointStep::Stop(AdjointStop::Input { gate: *gate, index }));
             }
-            (fixed, _) => {
+            fixed => {
                 if let Some(b) = block.take() {
                     steps.push(AdjointStep::Stop(AdjointStop::Block(b)));
                 }
+                // Fixed rotations invert by negating the angle; every other
+                // fixed gate is self-inverse.
                 let theta = match fixed {
-                    Some(Param::Fixed(v)) => v,
+                    Some(Param::Fixed(v)) => -v,
                     _ => 0.0,
                 };
-                seg.lower_inverse(gate, theta);
+                seg.lower(gate, theta);
             }
         }
     }
@@ -559,8 +421,9 @@ pub(crate) fn compile(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{DenseBackend, SoaDenseBackend};
+    use crate::backend::DenseBackend;
     use crate::embed::{angle_embedding_gates, RotationAxis};
+    use crate::gate::ry_matrix;
     use crate::templates::{strongly_entangling_layers, EntangleRange};
     use crate::StateVector;
 
@@ -592,7 +455,6 @@ mod tests {
                     assert_eq!(pairs.len(), n);
                     runs += 1;
                 }
-                other => panic!("unexpected op {other:?}"),
             }
         }
         assert_eq!(late, n);
@@ -614,51 +476,6 @@ mod tests {
         let mut reference = StateVector::zero_state(2).unwrap();
         reference.apply_ops(c.ops(), &[], &[]).unwrap();
         for (a, b) in state.amplitudes().iter().zip(reference.amplitudes()) {
-            assert!(a.approx_eq(*b, 1e-15), "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn swap_joins_the_cnot_run() {
-        let mut c = Circuit::new(3).unwrap();
-        c.cnot(0, 1).unwrap();
-        c.push(Gate::SWAP(1, 2)).unwrap();
-        c.cnot(2, 0).unwrap();
-        let tape = c.compile(&[]).unwrap();
-        assert_eq!(tape.forward_ops().len(), 1);
-        assert!(matches!(&tape.forward_ops()[0], TapeOp::CnotRun(p) if p.len() == 5));
-    }
-
-    #[test]
-    fn adjacent_phases_fuse() {
-        let mut c = Circuit::new(2).unwrap();
-        c.cz(0, 1).unwrap();
-        c.crz(0, 1, Param::Fixed(0.7)).unwrap();
-        let tape = c.compile(&[]).unwrap();
-        assert_eq!(tape.forward_ops().len(), 1);
-        // The structure-of-arrays backend runs the fused phase through its
-        // own diagonal kernel; the dense reference applies the gates eagerly.
-        let taped: SoaDenseBackend = {
-            let mut s = SoaDenseBackend::zero_state(2).unwrap();
-            for w in 0..2 {
-                s.apply_single_qubit(w, &crate::gate::hadamard()).unwrap();
-            }
-            s.execute_tape(&tape, &[]).unwrap();
-            s
-        };
-        let mut dense = StateVector::zero_state(2).unwrap();
-        for w in 0..2 {
-            dense
-                .apply_single_qubit(w, &crate::gate::hadamard())
-                .unwrap();
-        }
-        dense.apply_ops(c.ops(), &[], &[]).unwrap();
-        for (a, b) in taped
-            .to_statevector()
-            .amplitudes()
-            .iter()
-            .zip(dense.amplitudes())
-        {
             assert!(a.approx_eq(*b, 1e-15), "{a} vs {b}");
         }
     }

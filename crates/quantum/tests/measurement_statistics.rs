@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use sqvae_quantum::{
-    hadamard, pauli_x, pauli_y, pauli_z, rx_matrix, ry_matrix, rz_matrix, Circuit, Gate, Param,
+    hadamard, pauli_x, pauli_y, pauli_z, rx_matrix, ry_matrix, rz_matrix, Circuit, Param,
     StateVector, C64,
 };
 
@@ -81,26 +81,6 @@ fn ghz_state_statistics() {
 }
 
 #[test]
-fn cz_phase_is_basis_dependent() {
-    // CZ flips the sign of |11⟩ only.
-    for basis in 0..4usize {
-        let mut s = StateVector::zero_state(2).unwrap();
-        if basis & 0b10 != 0 {
-            Gate::PauliX(0).apply(&mut s, 0.0).unwrap();
-        }
-        if basis & 0b01 != 0 {
-            Gate::PauliX(1).apply(&mut s, 0.0).unwrap();
-        }
-        Gate::CZ(0, 1).apply(&mut s, 0.0).unwrap();
-        let expected = if basis == 0b11 { -C64::ONE } else { C64::ONE };
-        assert!(
-            s.amplitude(basis).approx_eq(expected, 1e-12),
-            "basis {basis:02b}"
-        );
-    }
-}
-
-#[test]
 fn global_phase_does_not_change_measurements() {
     // RZ on |0⟩ is a pure phase: probabilities and ⟨Z⟩ unchanged.
     let mut c = Circuit::new(2).unwrap();
@@ -118,66 +98,6 @@ fn global_phase_does_not_change_measurements() {
     }
     for (a, b) in before.probabilities().iter().zip(after.probabilities()) {
         assert!((a - b).abs() < 1e-12);
-    }
-}
-
-#[test]
-fn swap_exchanges_wire_states() {
-    // Prepare |10⟩, swap, expect |01⟩.
-    let mut s = StateVector::zero_state(2).unwrap();
-    Gate::PauliX(0).apply(&mut s, 0.0).unwrap();
-    Gate::SWAP(0, 1).apply(&mut s, 0.0).unwrap();
-    assert!((s.probability(0b01) - 1.0).abs() < 1e-12);
-}
-
-#[test]
-fn s_gate_squared_is_z() {
-    let mut c = Circuit::new(1).unwrap();
-    c.h(0).unwrap();
-    c.push(Gate::S(0)).unwrap();
-    c.push(Gate::S(0)).unwrap();
-    c.h(0).unwrap();
-    // H·Z·H = X: |0⟩ → |1⟩.
-    let p = c.run_probabilities(&[], &[], None).unwrap();
-    assert!((p[1] - 1.0).abs() < 1e-12);
-}
-
-#[test]
-fn t_gate_fourth_power_is_z() {
-    let mut c = Circuit::new(1).unwrap();
-    c.h(0).unwrap();
-    for _ in 0..4 {
-        c.push(Gate::T(0)).unwrap();
-    }
-    c.h(0).unwrap();
-    let p = c.run_probabilities(&[], &[], None).unwrap();
-    assert!((p[1] - 1.0).abs() < 1e-12);
-}
-
-#[test]
-fn controlled_rotations_gradcheck_via_paramshift() {
-    use sqvae_quantum::grad::{adjoint, paramshift};
-    for gate in [
-        Gate::CRX(0, 1, Param::Train(0)),
-        Gate::CRY(0, 1, Param::Train(0)),
-    ] {
-        let mut c = Circuit::new(2).unwrap();
-        c.h(0).unwrap();
-        c.push(gate).unwrap();
-        let theta = [0.83];
-        let upstream = [0.0, 1.0];
-        let adj = adjoint::backward_expectations_z(&c, &theta, &[], None, &upstream).unwrap();
-        let ps = paramshift::vjp_expectations_z(&c, &theta, &[], None, &upstream).unwrap();
-        assert!(
-            (adj.params[0] - ps.params[0]).abs() < 1e-10,
-            "{gate:?}: adjoint {} vs paramshift {}",
-            adj.params[0],
-            ps.params[0]
-        );
-        assert!(
-            adj.params[0].abs() > 1e-3,
-            "{gate:?} gradient should be non-trivial"
-        );
     }
 }
 

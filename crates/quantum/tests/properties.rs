@@ -14,7 +14,7 @@ fn arb_gate(n: usize, np: usize) -> impl Strategy<Value = Gate> {
         (-3.0..3.0f64).prop_map(Param::Fixed),
         (0..np).prop_map(Param::Train),
     ];
-    (wire, wire2, param, 0..7u8).prop_map(move |(w, w2, p, kind)| {
+    (wire, wire2, param, 0..8u8).prop_map(move |(w, w2, p, kind)| {
         let w2 = if w2 == w { (w + 1) % n } else { w2 };
         match kind {
             0 => Gate::Hadamard(w),
@@ -23,7 +23,8 @@ fn arb_gate(n: usize, np: usize) -> impl Strategy<Value = Gate> {
             3 => Gate::RZ(w, p),
             4 => Gate::PauliX(w),
             5 if n > 1 => Gate::CNOT(w, w2),
-            6 if n > 1 => Gate::CRZ(w, w2, p),
+            6 => Gate::PauliY(w),
+            7 => Gate::PauliZ(w),
             _ => Gate::RY(w, p),
         }
     })

@@ -1,0 +1,231 @@
+//! Bit-level digests of the quantum models and the compiled adjoint sweep.
+//!
+//! Each digest folds every output of a model pass, bit for bit, into an
+//! FNV-1a hash, and each test compares it with a value recorded before the
+//! gate set was cut to the gates the models build. A change that alters any
+//! amplitude a model reads out, any gradient or any tape the sweep replays
+//! changes a hash.
+//!
+//! Every factory runs at a small shape on `dense` and on `soa`, sequentially
+//! (`Threads::Off`), whatever `SQVAE_BACKEND`/`SQVAE_THREADS` select: one
+//! seeded training forward, a backward of the MSE gradient into both
+//! parameter groups, and an evaluation reconstruction.
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use sqvae::core::{models, Autoencoder, BackendKind, ExecPolicy, ParamGroup, Threads};
+use sqvae::nn::Matrix;
+use sqvae::quantum::embed::{angle_embedding_gates, RotationAxis};
+use sqvae::quantum::grad::adjoint;
+use sqvae::quantum::templates::{strongly_entangling_layers, EntangleRange};
+use sqvae::quantum::{Backend, Circuit, DenseBackend, SoaDenseBackend};
+
+/// FNV-1a over the little-endian bytes of 64-bit words.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn f64s(&mut self, xs: &[f64]) {
+        self.word(xs.len() as u64);
+        for &x in xs {
+            self.word(x.to_bits());
+        }
+    }
+}
+
+/// Asserts a digest equals its recorded value, printing the new value.
+fn check(what: &str, got: u64, want: u64) {
+    assert_eq!(got, want, "{what} digest is now {got:#018x}");
+}
+
+const BACKENDS: [BackendKind; 2] = [BackendKind::Dense, BackendKind::Soa];
+
+/// Four rows of 16 features in [0.05, 1.05): positive, so every amplitude
+/// embedding is well defined.
+fn batch() -> Matrix {
+    let mut rng = StdRng::seed_from_u64(41);
+    Matrix::from_fn(4, 16, |_, _| 0.05 + rng.gen_range(0.0..1.0))
+}
+
+/// Digests of one training step and one evaluation pass of `model` on
+/// `backend`: the forward reconstruction, both gradient groups after the
+/// backward of the MSE gradient, and the reconstruction.
+fn model_digests(mut model: Autoencoder, backend: BackendKind) -> [u64; 3] {
+    model.set_exec_policy(ExecPolicy {
+        threads: Threads::Off,
+        backend,
+    });
+    let x = batch();
+    let out = model
+        .forward_train(&x, &mut StdRng::seed_from_u64(43))
+        .expect("forward");
+    let mut fwd = Digest::new();
+    fwd.f64s(out.reconstruction.as_slice());
+    fwd.word(out.kl.to_bits());
+
+    let scale = 2.0 / x.len() as f64;
+    let grad = out.reconstruction.zip_map(&x, |r, t| scale * (r - t));
+    model.zero_grad();
+    model.backward(&grad).expect("backward");
+    let mut grads = Digest::new();
+    for group in [ParamGroup::Quantum, ParamGroup::Classical] {
+        for p in model.parameters_of(group) {
+            grads.f64s(p.grad.as_slice());
+        }
+    }
+
+    let mut recon = Digest::new();
+    recon.f64s(model.reconstruct(&x).expect("reconstruct").as_slice());
+    [fwd.0, grads.0, recon.0]
+}
+
+/// Builds a model from a seeded RNG.
+type Factory = fn(&mut StdRng) -> Autoencoder;
+
+/// The six quantum factories at 16 features: 4-qubit baselines, and
+/// scalable models of two 3-qubit patches.
+fn factories() -> Vec<(&'static str, Factory)> {
+    vec![
+        ("f_bq_ae", |r| models::f_bq_ae(16, 2, r)),
+        ("f_bq_vae", |r| models::f_bq_vae(16, 2, r)),
+        ("h_bq_ae", |r| models::h_bq_ae(16, 2, r)),
+        ("h_bq_vae", |r| models::h_bq_vae(16, 2, r)),
+        ("sq_ae", |r| models::sq_ae(16, 2, 2, r)),
+        ("sq_vae", |r| models::sq_vae(16, 2, 2, r)),
+    ]
+}
+
+/// Recorded `[forward, gradients, reconstruct]` digests, per factory in
+/// [`factories`] order, on `dense` then `soa`.
+const MODEL_DIGESTS: [[[u64; 3]; 2]; 6] = [
+    [
+        [
+            0xea11_abd5_4ab4_4411,
+            0x27dd_a4d4_e6ff_7bd2,
+            0x2bc0_7c3d_3ade_1bf1,
+        ],
+        [
+            0xa2b9_b046_4eee_6abc,
+            0x6366_71ee_6f50_a73d,
+            0x94d2_31a0_9fb5_ab3c,
+        ],
+    ],
+    [
+        [
+            0x893c_1b9c_d104_c22c,
+            0x5dc7_aba0_1e03_0b25,
+            0x39ee_32a1_de49_0451,
+        ],
+        [
+            0xffe0_4718_588a_6c37,
+            0xc735_8b9b_f7a6_317b,
+            0x5afd_c057_82d5_e800,
+        ],
+    ],
+    [
+        [
+            0x2606_2c33_2516_6dfe,
+            0xacc2_a883_e55e_bbab,
+            0x7479_5800_7377_3a3e,
+        ],
+        [
+            0x7511_4187_0d8b_a0cd,
+            0x7636_f53d_a3e7_6949,
+            0x30de_5768_ed32_792d,
+        ],
+    ],
+    [
+        [
+            0x82b1_a4d0_eb5c_74c0,
+            0x8ae9_dd7c_de50_230b,
+            0xae28_685b_b495_d3ed,
+        ],
+        [
+            0x7825_31a8_0f13_de6f,
+            0x4c73_1c28_edb7_edbe,
+            0x3eb7_a0fa_c20b_4b67,
+        ],
+    ],
+    [
+        [
+            0x72b2_7c8b_ca99_e38d,
+            0x1e31_4d04_b669_20d5,
+            0x4064_9474_2777_e3ed,
+        ],
+        [
+            0xe27b_cf5d_6b6e_c389,
+            0x537c_19e4_cf11_1e25,
+            0xc6e4_b599_1af5_dc69,
+        ],
+    ],
+    [
+        [
+            0x822d_ded1_e8d8_eef2,
+            0x886b_a6a9_3790_b500,
+            0x34d0_1cc6_a17e_e46d,
+        ],
+        [
+            0xfca6_e8a7_1fd6_024e,
+            0xf583_c94a_f0df_75fe,
+            0xb5b6_ce37_c81b_ba36,
+        ],
+    ],
+];
+
+#[test]
+fn quantum_models_match_recorded_digests() {
+    for ((name, make), want) in factories().into_iter().zip(MODEL_DIGESTS) {
+        for (backend, want) in BACKENDS.into_iter().zip(want) {
+            let got = model_digests(make(&mut StdRng::seed_from_u64(42)), backend);
+            for (stage, (g, w)) in ["forward_train", "backward", "reconstruct"]
+                .into_iter()
+                .zip(got.into_iter().zip(want))
+            {
+                check(&format!("{name} {backend:?} {stage}"), g, w);
+            }
+        }
+    }
+}
+
+/// Digest of one compiled adjoint sweep of the paper template (RY angle
+/// embedding + three strongly-entangling layers on five wires) on `B`.
+fn template_adjoint_digest<B: Backend>() -> u64 {
+    let n = 5;
+    let mut c = Circuit::new(n).unwrap();
+    c.extend(angle_embedding_gates(n, RotationAxis::Y, 0))
+        .unwrap();
+    c.extend(strongly_entangling_layers(n, 3, 0, EntangleRange::Ring).unwrap())
+        .unwrap();
+    let params: Vec<f64> = (0..c.n_params()).map(|i| 0.07 * i as f64 - 1.3).collect();
+    let inputs: Vec<f64> = (0..n).map(|i| 0.35 * i as f64 - 0.6).collect();
+    let upstream: Vec<f64> = (0..n).map(|i| 0.9 - 0.45 * i as f64).collect();
+    let tape = c.compile(&params).unwrap();
+    let g = adjoint::backward_expectations_z_tape::<B>(&tape, &inputs, None, &upstream).unwrap();
+    let mut d = Digest::new();
+    d.f64s(&g.params);
+    d.f64s(&g.inputs);
+    d.0
+}
+
+#[test]
+fn template_adjoint_sweep_matches_recorded_digests() {
+    check(
+        "dense template adjoint",
+        template_adjoint_digest::<DenseBackend>(),
+        0xbdac_8253_1a5b_1746,
+    );
+    check(
+        "soa template adjoint",
+        template_adjoint_digest::<SoaDenseBackend>(),
+        0x4979_2816_4577_8705,
+    );
+}
