@@ -26,6 +26,18 @@ impl ParameterCount {
 ///
 /// Built by the factory functions in [`crate::models`]; this type owns the
 /// forward/backward plumbing shared by every variant in the paper.
+///
+/// **Non-finite values.** The evaluation calls ([`Autoencoder::encode`],
+/// [`Autoencoder::decode`], [`Autoencoder::reconstruct`]) do not check
+/// their inputs: a NaN or infinite cell propagates, and its row comes back
+/// NaN. The two outside boundaries reject such values with typed errors
+/// instead: the inference server refuses the payload at submission
+/// (`sqvae::serve::ServeError::NonFinite`), and a checkpoint with a
+/// non-finite parameter is neither saved nor loaded
+/// ([`crate::checkpoint::CheckpointError::NonFinite`]). Training has its
+/// own guard ([`crate::NanGuard`]): a non-finite loss or gradient
+/// never reaches the optimizer, and the trainer rolls back to its last good
+/// weights.
 #[derive(Debug)]
 pub struct Autoencoder {
     /// Human-readable variant name (e.g. `"SQ-VAE(p=8)"`).
@@ -143,6 +155,8 @@ impl Autoencoder {
     ///
     /// Like every evaluation path here, this runs [`Module::infer`], so the
     /// stacks keep nothing (no simulator registers, no layer inputs).
+    /// Non-finite inputs are not checked; they propagate (see the
+    /// [type docs](Autoencoder)).
     ///
     /// # Errors
     ///
@@ -156,7 +170,8 @@ impl Autoencoder {
     }
 
     /// Evaluation-mode reconstruction: VAEs use the posterior mean `μ`
-    /// instead of sampling.
+    /// instead of sampling. Non-finite inputs propagate (see the
+    /// [type docs](Autoencoder)).
     ///
     /// # Errors
     ///
@@ -184,7 +199,8 @@ impl Autoencoder {
 
     /// Decodes latent vectors into data space (the generation path of
     /// Fig. 2(a)'s red box). Works for every variant; only VAEs have a
-    /// *meaningful* prior to sample from.
+    /// *meaningful* prior to sample from. Non-finite latents propagate (see
+    /// the [type docs](Autoencoder)).
     ///
     /// # Errors
     ///

@@ -23,7 +23,9 @@
 //! [`CheckpointError::ChecksumMismatch`], format drift as
 //! [`CheckpointError::UnsupportedVersion`]. An architecture tag no factory
 //! can build, or one implying more parameters than the file stores, is
-//! [`CheckpointError::Corrupt`] before any model is allocated.
+//! [`CheckpointError::Corrupt`] before any model is allocated. A NaN or
+//! infinite parameter is [`CheckpointError::NonFinite`]: it is refused on
+//! load, and no save writes one.
 //!
 //! Saves are **crash-safe**: [`Checkpoint::save`] writes a temp sibling,
 //! fsyncs it, and renames it into place, keeping the previous generation
@@ -111,6 +113,18 @@ pub enum CheckpointError {
         /// Shape found in the snapshot.
         found: (usize, usize),
     },
+    /// A parameter is NaN or infinite. A model holding it answers every
+    /// input with NaN, so no checkpoint with one is written or loaded.
+    NonFinite {
+        /// Which optimizer group the tensor belongs to.
+        group: ParamGroup,
+        /// Index of the tensor within its group.
+        index: usize,
+        /// Row of the first non-finite value in the tensor.
+        row: usize,
+        /// Column of the first non-finite value in the tensor.
+        col: usize,
+    },
     /// The snapshot holds a different number of tensors than the target.
     TensorCountMismatch {
         /// Which optimizer group mismatched.
@@ -148,6 +162,15 @@ impl std::fmt::Display for CheckpointError {
                 f,
                 "{group:?} tensor {index}: model expects {}x{}, checkpoint has {}x{}",
                 expected.0, expected.1, found.0, found.1
+            ),
+            CheckpointError::NonFinite {
+                group,
+                index,
+                row,
+                col,
+            } => write!(
+                f,
+                "{group:?} tensor {index}: value at ({row}, {col}) is not finite"
             ),
             CheckpointError::TensorCountMismatch {
                 group,
@@ -257,6 +280,30 @@ impl ParamSnapshot {
         Ok(())
     }
 
+    /// Checks that every stored value is finite.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::NonFinite`] naming the first NaN or infinity.
+    fn check_finite(&self) -> Result<(), CheckpointError> {
+        for (group, tensors) in [
+            (ParamGroup::Quantum, &self.quantum),
+            (ParamGroup::Classical, &self.classical),
+        ] {
+            for (index, m) in tensors.iter().enumerate() {
+                if let Some(i) = m.as_slice().iter().position(|v| !v.is_finite()) {
+                    return Err(CheckpointError::NonFinite {
+                        group,
+                        index,
+                        row: i / m.cols(),
+                        col: i % m.cols(),
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
+
     fn write_group(w: &mut impl Write, group: &[Matrix]) -> io::Result<()> {
         write_u32(w, group.len() as u32)?;
         for m in group {
@@ -344,8 +391,10 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// Propagates writer errors.
+    /// [`CheckpointError::NonFinite`] (before anything is written) when a
+    /// parameter is NaN or infinite; otherwise propagates writer errors.
     pub fn write_to(&self, mut w: impl Write) -> Result<(), CheckpointError> {
+        self.params.check_finite()?;
         let mut body = Vec::new();
         write_string(&mut body, &self.name)?;
         write_string(&mut body, &self.spec.to_string())?;
@@ -369,7 +418,8 @@ impl Checkpoint {
     /// [`CheckpointError::BadMagic`], [`CheckpointError::UnsupportedVersion`],
     /// [`CheckpointError::ChecksumMismatch`], [`CheckpointError::Corrupt`]
     /// (also for a spec no factory builds, or one implying more parameters
-    /// than the file stores), or [`CheckpointError::Io`] (truncation →
+    /// than the file stores), [`CheckpointError::NonFinite`] for a NaN or
+    /// infinite parameter, or [`CheckpointError::Io`] (truncation →
     /// `UnexpectedEof`).
     pub fn read_from(mut r: impl Read) -> Result<Self, CheckpointError> {
         let mut magic = [0u8; 8];
@@ -417,12 +467,14 @@ impl Checkpoint {
                 "model spec '{spec}' implies more parameters than the {stored} stored"
             )));
         }
+        let params = ParamSnapshot { quantum, classical };
+        params.check_finite()?;
         Ok(Checkpoint {
             name,
             spec,
             backend,
             seed,
-            params: ParamSnapshot { quantum, classical },
+            params,
         })
     }
 
@@ -435,9 +487,12 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors; a failed save leaves the previous
-    /// checkpoint at `path` untouched.
+    /// [`CheckpointError::NonFinite`] (before any file is touched) when a
+    /// parameter is NaN or infinite; otherwise propagates filesystem
+    /// errors. A failed save leaves the previous checkpoint at `path`
+    /// untouched.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
+        self.params.check_finite()?;
         let path = path.as_ref();
         let tmp = tmp_path(path);
         {
@@ -517,12 +572,15 @@ pub enum RecoverySource {
 impl CheckpointError {
     /// Whether this error means the file's *content* is damaged (as opposed
     /// to absent, unreadable for I/O reasons, or architecturally
-    /// incompatible) — the class of failure a `.bak` generation can heal.
+    /// incompatible) — the class of failure a `.bak` generation can heal. A
+    /// non-finite parameter counts: the previous generation may predate the
+    /// divergence that wrote it.
     pub fn is_corruption(&self) -> bool {
         match self {
             CheckpointError::BadMagic
             | CheckpointError::ChecksumMismatch
-            | CheckpointError::Corrupt(_) => true,
+            | CheckpointError::Corrupt(_)
+            | CheckpointError::NonFinite { .. } => true,
             // A truncated file runs out of bytes mid-read.
             CheckpointError::Io(e) => e.kind() == io::ErrorKind::UnexpectedEof,
             _ => false,
@@ -692,6 +750,60 @@ mod tests {
         let y1 = rebuilt.reconstruct(&x).unwrap();
         for (a, b) in y0.as_slice().iter().zip(y1.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    #[test]
+    fn non_finite_parameters_are_neither_written_nor_loaded() {
+        let mut m = model();
+        let healthy = Checkpoint::capture(&mut m, 5).unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut ckpt = healthy.clone();
+            ckpt.params.classical[1].set(0, 2, bad);
+            let want = |e: &CheckpointError| {
+                matches!(
+                    e,
+                    CheckpointError::NonFinite {
+                        group: ParamGroup::Classical,
+                        index: 1,
+                        row: 0,
+                        col: 2,
+                    }
+                )
+            };
+            let mut bytes = Vec::new();
+            let err = ckpt.write_to(&mut bytes).unwrap_err();
+            assert!(want(&err), "{bad}: {err:?}");
+            assert!(bytes.is_empty(), "nothing is written");
+            assert!(err.is_corruption());
+
+            let dir = std::env::temp_dir().join(format!(
+                "sqvae-ckpt-nonfinite-{}-{}",
+                std::process::id(),
+                bad
+            ));
+            let _ = fs::remove_dir_all(&dir);
+            fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("m.ckpt");
+            assert!(want(&ckpt.save(&path).unwrap_err()));
+            assert_eq!(fs::read_dir(&dir).unwrap().count(), 0, "no file is created");
+            fs::remove_dir_all(&dir).unwrap();
+
+            // Bytes an older writer produced load as a typed error.
+            let mut body = Vec::new();
+            write_string(&mut body, &ckpt.name).unwrap();
+            write_string(&mut body, &ckpt.spec.to_string()).unwrap();
+            write_string(&mut body, ckpt.backend.name()).unwrap();
+            write_u64(&mut body, ckpt.seed).unwrap();
+            ParamSnapshot::write_group(&mut body, &ckpt.params.quantum).unwrap();
+            ParamSnapshot::write_group(&mut body, &ckpt.params.classical).unwrap();
+            let mut bytes = MAGIC.to_vec();
+            write_u32(&mut bytes, FORMAT_VERSION).unwrap();
+            write_u64(&mut bytes, body.len() as u64).unwrap();
+            bytes.extend_from_slice(&body);
+            write_u64(&mut bytes, fnv1a64(&body)).unwrap();
+            let err = Checkpoint::read_from(&bytes[..]).unwrap_err();
+            assert!(want(&err), "{bad}: {err:?}");
         }
     }
 

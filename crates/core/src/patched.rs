@@ -8,17 +8,20 @@
 //! `LSD = p · log2(1024/p)` — 18, 32, 56, 96 for p = 2, 4, 8, 16 — instead
 //! of the baseline's 10.
 //!
-//! The sub-circuits are small (7 qubits at p = 8), so one `(patch, row)`
-//! simulation costs microseconds. The bank therefore runs its whole
-//! patch × row grid as one call on the process-wide compute pool
+//! The sub-circuits are small (7 qubits at p = 8), and every row of a patch
+//! replays the same tape. Each patch's rows therefore run in chunks, each
+//! chunk as the lanes of one [`sqvae_quantum::RegisterBank`] (on the dense
+//! policy), and the bank of patches maps its whole list of `(patch,
+//! chunk)` items as one call on the process-wide compute pool
 //! ([`sqvae_nn::parallel`]), whose persistent helpers and calling thread
-//! claim work items one at a time; no thread is spawned per pass, and the
-//! results are bit-identical to the sequential loop.
+//! claim items one at a time; no thread is spawned per pass, and the
+//! results are bit-identical to the per-row simulator for any chunking
+//! and thread count.
 //!
-//! Like a single [`QuantumLayer`], the bank's training forward compiles
-//! one tape per patch, with its adjoint program, simulates every work item
-//! once, and keeps each item's final register (2 KiB at 7 qubits); its
-//! backward runs only the adjoint sweeps from those registers and consumes
+//! Like a single [`QuantumLayer`], the training forward compiles one tape
+//! per patch, with its adjoint program, simulates every row once, and
+//! keeps each chunk's final register bank (2 KiB per row at 7 qubits); its
+//! backward runs only the adjoint sweeps over those banks and consumes
 //! them. The evaluation forward ([`Module::infer`]) keeps nothing.
 
 use crate::quantum_layer::{self, Kept, QuantumInput, QuantumLayer, QuantumOutput};
@@ -175,13 +178,13 @@ impl PatchedQuantumLayer {
 
 impl Module for PatchedQuantumLayer {
     /// Training forward: each patch circuit is compiled once into a
-    /// [`sqvae_quantum::CompiledTape`] with its adjoint program, then every
-    /// `(patch, row)` pair is an independent replay of its patch's tape, so
-    /// the bank flattens the whole patch × batch grid into one patch-major
-    /// work list and shards it on the compute pool — one pool call over
-    /// both axes, no nesting. Outputs land in fixed `(patch, row)` slots, so
-    /// parallel execution is bit-identical to sequential, and every work
-    /// item's final register is kept for [`Module::backward`].
+    /// [`sqvae_quantum::CompiledTape`] with its adjoint program, then each
+    /// patch's rows split into chunks that replay its tape as the lanes of
+    /// one register bank. The layer flattens the patch × chunk grid into
+    /// one patch-major work list and shards it on the compute pool — one
+    /// pool call over both axes, no nesting. Outputs land in fixed `(patch,
+    /// row)` slots, so parallel execution is bit-identical to sequential,
+    /// and every chunk's final bank is kept for [`Module::backward`].
     fn forward(&mut self, input: &Matrix) -> Result<Matrix, NnError> {
         self.check_width(input)?;
         self.kept = None;
@@ -195,10 +198,9 @@ impl Module for PatchedQuantumLayer {
         Ok(quantum_layer::infer_bank(&self.patches, input, self.exec))
     }
 
-    /// Backward pass: the adjoint sweeps of the kept registers, sharded
-    /// like [`PatchedQuantumLayer::forward`]. Gradients accumulate per
-    /// patch in fixed row order, preserving the bit-identical determinism
-    /// guarantee.
+    /// Backward pass: the adjoint sweeps of the kept banks, sharded like
+    /// [`PatchedQuantumLayer::forward`]. Gradients accumulate per patch in
+    /// fixed row order, preserving the bit-identical determinism guarantee.
     fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix, NnError> {
         let width = self.out_features();
         let kept = Kept::take_for(&mut self.kept, grad_output, width)?;
@@ -218,7 +220,7 @@ impl Module for PatchedQuantumLayer {
     }
 
     fn set_exec_policy(&mut self, policy: ExecPolicy) {
-        // The bank shards the flattened patch × row grid itself and picks
+        // The bank shards the flattened patch × chunk grid itself and picks
         // the backend for every patch, so its own policy is the only one
         // its passes read.
         self.exec = policy;
@@ -374,24 +376,38 @@ mod tests {
                 9,
             ),
         ];
-        for (name, build, width) in banks {
-            let x = Matrix::from_fn(5, width, |i, j| 0.07 * (i * width + j) as f64 - 0.4);
-            for backend in [BackendKind::Dense, BackendKind::Soa] {
-                for threads in [Threads::Off, Threads::Fixed(3)] {
-                    let mut bank = build(&mut StdRng::seed_from_u64(12));
-                    bank.set_exec_policy(ExecPolicy { threads, backend });
-                    let y = bank.forward(&x).unwrap();
-                    let g = Matrix::from_fn(5, y.cols(), |i, j| 0.25 * i as f64 - 0.05 * j as f64);
-                    let gin = bank.backward(&g).unwrap();
-                    let (params, want_gin) = oracle::bank_gradients(&bank.patches, backend, &x, &g);
-                    let case = format!("{name} {backend:?} {threads:?}");
-                    let got: Vec<Vec<f64>> = bank
-                        .parameters()
-                        .iter()
-                        .map(|p| p.grad.as_slice().to_vec())
-                        .collect();
-                    assert_eq!(got, params, "{case}");
-                    assert_eq!(gin, want_gin, "{case}");
+        // 0 rows, one lane per patch, odd chunks, and one row past a
+        // 32-lane chunk.
+        for rows in [0, 1, 3, 5, 33] {
+            for (name, build, width) in banks {
+                let x = Matrix::from_fn(rows, width, |i, j| {
+                    0.07 * ((i % 6) * width + j) as f64 - 0.4
+                });
+                for backend in [BackendKind::Dense, BackendKind::Soa] {
+                    for threads in [Threads::Off, Threads::Fixed(3)] {
+                        let mut bank = build(&mut StdRng::seed_from_u64(12));
+                        bank.set_exec_policy(ExecPolicy { threads, backend });
+                        let case = format!("{rows} rows {name} {backend:?} {threads:?}");
+                        let y = bank.forward(&x).unwrap();
+                        assert_eq!(y.shape(), (rows, bank.out_features()), "{case}");
+                        assert_eq!(bank.infer(&x).unwrap(), y, "{case}");
+                        if backend == BackendKind::Dense {
+                            assert_eq!(y, oracle::bank_outputs(&bank.patches, &x), "{case}");
+                        }
+                        let g = Matrix::from_fn(rows, y.cols(), |i, j| {
+                            0.25 * (i % 4) as f64 - 0.05 * j as f64
+                        });
+                        let gin = bank.backward(&g).unwrap();
+                        let (params, want_gin) =
+                            oracle::bank_gradients(&bank.patches, backend, &x, &g);
+                        let got: Vec<Vec<f64>> = bank
+                            .parameters()
+                            .iter()
+                            .map(|p| p.grad.as_slice().to_vec())
+                            .collect();
+                        assert_eq!(got, params, "{case}");
+                        assert_eq!(gin, want_gin, "{case}");
+                    }
                 }
             }
         }

@@ -9,33 +9,45 @@
 //! row then replays that tape, so the per-gate lowering work is paid once
 //! instead of once per row.
 //!
+//! **Rows run as lanes of a register bank.** Every row of a patch replays
+//! the same tape, so on the dense policy a pass splits each patch's rows
+//! into chunks of at most 32 and runs each chunk as the lanes of one
+//! [`RegisterBank`]: a batch-major register whose kernels loop over rows
+//! with unit stride. Each lane does exactly the `f64` operations the
+//! per-row [`StateVector`] does on its row, so outputs and gradients are
+//! bit-identical to the per-row simulator for any chunking.
+//!
 //! **Forward keeps, backward sweeps.** The training forward
 //! ([`Module::forward`]) compiles the tape with its adjoint program and
-//! simulates each row once. It reads the outputs off each row's final
-//! register, then keeps the tape, every row's final register (about
-//! `2^n × 16` bytes each) and, for angle input, the angles the tape's input
-//! stops read. [`Module::backward`] runs only the adjoint sweep from those
-//! registers, against the upstream-weighted diagonal observable, and
-//! consumes them: it neither recompiles nor re-simulates, and it
-//! differentiates the angles the forward ran with even if the optimizer
-//! stepped them since. The next forward drops whatever is still kept
-//! before it simulates. The evaluation forward ([`Module::infer`]) compiles
-//! a forward-only tape and keeps nothing.
+//! simulates each row once. It reads the outputs off each chunk's final
+//! bank, then keeps the tape, every chunk's bank (about `2^n × 16` bytes
+//! per row) and, for angle input, the angles the tape's input stops read.
+//! [`Module::backward`] runs only the adjoint sweep over those banks
+//! ([`adjoint::backward_expectations_z_bank`]), against each row's
+//! upstream-weighted diagonal observable, and consumes them: it neither
+//! recompiles nor re-simulates, and it differentiates the angles the
+//! forward ran with even if the optimizer stepped them since. The next
+//! forward drops whatever is still kept before it simulates. The
+//! evaluation forward ([`Module::infer`]) compiles a forward-only tape and
+//! keeps nothing.
 //!
-//! Batch rows are independent simulations, so all three passes shard rows
-//! on the process-wide compute pool ([`sqvae_nn::parallel`]) according to
-//! the layer's [`ExecPolicy`] threads knob. A new layer starts from
-//! [`ExecPolicy::from_env`], and [`Module::set_exec_policy`] changes it.
-//! The calling thread and the pool's persistent helpers claim rows
-//! one at a time; no thread is spawned per pass. The shared tape is
-//! immutable and crosses threads by reference. Per-row results land in
-//! preallocated row slots and gradients accumulate in fixed row order, so
-//! the parallel path is bit-identical to the sequential one.
+//! Chunks are independent simulations, so all three passes map
+//! `(patch, chunk)` items on the process-wide compute pool
+//! ([`sqvae_nn::parallel`]) according to the layer's [`ExecPolicy`]
+//! threads knob: each patch splits into `max(⌈seats / patches⌉, ⌈rows /
+//! 32⌉)` chunks (never more than its rows), `seats` being the threads the
+//! pass takes part with. A new layer starts from [`ExecPolicy::from_env`],
+//! and [`Module::set_exec_policy`] changes it. The calling thread and the
+//! pool's persistent helpers claim items one at a time, each with its own
+//! reused scratch; no thread is spawned per pass. The shared tape is
+//! immutable and crosses threads by reference. Results land in
+//! preallocated item slots and gradients accumulate per patch in fixed row
+//! order, so the parallel path is bit-identical to the sequential one.
 //!
 //! Which simulator executes the tape is the policy's second knob,
-//! [`BackendKind`]: every row runs on the dense reference register or the
-//! structure-of-arrays SIMD backend; the two agree to ≤ 1e-12. A backward
-//! sweeps on the backend its forward ran on.
+//! [`BackendKind`]: the dense policy runs the banks, and `soa` runs every
+//! row on its own structure-of-arrays register; the two agree to ≤ 1e-12.
+//! A backward sweeps on the backend its forward ran on.
 
 use rand::Rng;
 use sqvae_nn::parallel;
@@ -46,7 +58,10 @@ use sqvae_quantum::embed::{
 use sqvae_quantum::grad::adjoint;
 use sqvae_quantum::grad::CircuitGradients;
 use sqvae_quantum::templates::{strongly_entangling_layers, EntangleRange};
-use sqvae_quantum::{Backend, Circuit, CompiledTape, SoaDenseBackend, StateVector};
+use sqvae_quantum::{
+    Backend, BankScratch, Circuit, CompiledTape, RegisterBank, SoaDenseBackend, StateVector,
+};
+use std::ops::Range;
 
 /// How classical data enters the circuit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -245,6 +260,47 @@ impl QuantumLayer {
         }
     }
 
+    /// Loads patch `k`'s share of rows `rows` of `input`, for the work item
+    /// `(k, rows)`, into the lanes of `bank`, which holds `|0…0⟩` in
+    /// `rows.len()` lanes, and runs `tape` on it. An
+    /// amplitude-input row is embedded into its lane; an angle-input lane
+    /// starts from `|0…0⟩` and its row is the angles `tape` reads.
+    /// `lanes` is reused to hold the per-lane input rows.
+    fn run_chunk<'a>(
+        &self,
+        tape: &CompiledTape,
+        input: &'a Matrix,
+        (k, rows): (usize, Range<usize>),
+        bank: &mut RegisterBank,
+        lanes: &mut Vec<&'a [f64]>,
+        sim: &mut BankScratch,
+    ) {
+        let in_w = self.in_features();
+        lanes.clear();
+        for (l, r) in rows.enumerate() {
+            let x = patch_cols(input.row(r), k, in_w);
+            match self.input_mode {
+                QuantumInput::Amplitude { .. } => {
+                    bank.set_lane(l, &self.embedded_initial(x))
+                        .expect("the embedding has the layer's width");
+                    lanes.push(&[]);
+                }
+                QuantumInput::Angle => lanes.push(x),
+            }
+        }
+        bank.execute_tape(tape, lanes, sim)
+            .expect("validated circuit");
+    }
+
+    /// Writes the layer's readout of every lane of `bank` into `out`,
+    /// lane-major (cleared first, capacity reused).
+    fn read_out_bank(&self, bank: &RegisterBank, out: &mut Vec<f64>, sim: &mut BankScratch) {
+        match self.output_mode {
+            QuantumOutput::ExpectationZ => bank.expectations_z_into(out, sim),
+            QuantumOutput::Probabilities => bank.probabilities_into(out),
+        }
+    }
+
     /// Adds one row's parameter gradients into the accumulated gradient, in
     /// caller-chosen order (the determinism guarantee lives with the caller).
     fn accumulate_param_grads(&mut self, row_grads: &[f64]) {
@@ -259,9 +315,12 @@ impl QuantumLayer {
 ///
 /// The forward passes here run a **bank** of structurally identical
 /// sub-circuits ([`crate::PatchedQuantumLayer`]; a lone [`QuantumLayer`] is
-/// a bank of one) as one patch-major grid of `(patch, row)` work items.
-/// Patch `k` reads columns `k·in..(k+1)·in` of each input row and writes
-/// columns `k·out..(k+1)·out` of each output row.
+/// a bank of one) as one patch-major list of work items. Patch `k` reads
+/// columns `k·in..(k+1)·in` of each input row and writes columns
+/// `k·out..(k+1)·out` of each output row. On the dense policy an item is a
+/// `(patch, chunk)` pair whose rows run as the lanes of one
+/// [`RegisterBank`], and the forward keeps one bank per item; on `soa` an
+/// item is a `(patch, row)` pair with its own register.
 #[derive(Debug, Clone)]
 pub(crate) struct Kept {
     /// Per patch, the tape the forward executed, adjoint program included.
@@ -273,11 +332,95 @@ pub(crate) struct Kept {
     registers: Registers,
 }
 
-/// Every work item's final register, on the backend that produced it.
+/// Every work item's final state, on the backend that produced it.
 #[derive(Debug, Clone)]
 enum Registers {
-    Dense(Vec<StateVector>),
+    /// One bank per `(patch, chunk)` item, patch-major.
+    Dense(Vec<RegisterBank>),
+    /// One register per `(patch, row)` item, patch-major.
     Soa(Vec<SoaDenseBackend>),
+}
+
+/// The most rows one [`RegisterBank`] runs as lanes. In a sweep of 8, 16,
+/// 32 and 64 lanes at 7 qubits × 256 rows (EXPERIMENTS.md), 32 and 64
+/// lanes tied as the fastest, ahead of 8 and 16; 32 keeps half the
+/// scratch and leaves more chunks to balance across threads.
+const LANES: usize = 32;
+
+/// How a dense pass splits each patch's rows into chunks, each run as the
+/// lanes of one [`RegisterBank`]: `c = max(⌈seats / patches⌉, ⌈rows /
+/// LANES⌉)` chunks of near-equal length, never more than the rows, where
+/// `seats` is the threads the pass takes part with. Lanes never read each
+/// other, so results are bit-identical for any chunking.
+#[derive(Debug, Clone, Copy)]
+struct Chunks {
+    rows: usize,
+    /// `c`, the chunks of each patch (0 for an empty batch).
+    per_patch: usize,
+}
+
+impl Chunks {
+    fn new(rows: usize, patches: usize, threads: Threads) -> Self {
+        let seats = parallel::seats(patches * rows, threads);
+        let per_patch = seats.div_ceil(patches).max(rows.div_ceil(LANES)).min(rows);
+        Chunks { rows, per_patch }
+    }
+
+    /// The split a forward used, from the banks it kept.
+    fn of_kept(rows: usize, patches: usize, banks: usize) -> Self {
+        Chunks {
+            rows,
+            per_patch: banks / patches,
+        }
+    }
+
+    /// Number of `(patch, chunk)` work items.
+    fn items(&self, patches: usize) -> usize {
+        patches * self.per_patch
+    }
+
+    /// The longest chunk's row count.
+    fn max_len(&self) -> usize {
+        self.rows.div_ceil(self.per_patch.max(1))
+    }
+
+    /// Splits a patch-major work-item index into its patch and its rows.
+    fn item(&self, idx: usize) -> (usize, Range<usize>) {
+        let (k, j) = (idx / self.per_patch, idx % self.per_patch);
+        let start = |j: usize| j * self.rows / self.per_patch;
+        (k, start(j)..start(j + 1))
+    }
+}
+
+/// One thread's working storage for the dense passes: the simulator's
+/// scratch, the per-lane row views of the chunk in hand, and (for
+/// evaluation) a reused bank and readout buffer.
+struct BankWork<'a> {
+    sim: BankScratch,
+    inputs: Vec<&'a [f64]>,
+    upstream: Vec<&'a [f64]>,
+    bank: Option<RegisterBank>,
+    out: Vec<f64>,
+}
+
+impl BankWork<'_> {
+    fn new() -> Self {
+        BankWork {
+            sim: BankScratch::default(),
+            inputs: Vec::new(),
+            upstream: Vec::new(),
+            bank: None,
+            out: Vec::new(),
+        }
+    }
+}
+
+/// Writes a chunk's lane-major readout `y` (`width` values per lane) into
+/// rows `rows`, columns `k·width..(k+1)·width`, of `out`.
+fn scatter(out: &mut Matrix, y: &[f64], k: usize, rows: Range<usize>, width: usize) {
+    for (r, y) in rows.zip(y.chunks_exact(width)) {
+        out.row_mut(r)[k * width..(k + 1) * width].copy_from_slice(y);
+    }
 }
 
 impl Kept {
@@ -333,8 +476,8 @@ pub(crate) fn forward_bank(
     let tapes: Vec<CompiledTape> = bank.iter().map(QuantumLayer::compile_tape).collect();
     let (out, registers) = match exec.backend {
         BackendKind::Dense => {
-            let (out, regs) = forward_on(bank, &tapes, input, exec.threads);
-            (out, Registers::Dense(regs))
+            let (out, banks) = forward_banks(bank, &tapes, input, exec.threads);
+            (out, Registers::Dense(banks))
         }
         BackendKind::Soa => {
             let (out, regs) = forward_on(bank, &tapes, input, exec.threads);
@@ -349,6 +492,51 @@ pub(crate) fn forward_bank(
         registers,
     };
     (out, kept)
+}
+
+/// The dense training forward: every `(patch, chunk)` item runs its rows
+/// as the lanes of a new bank, which it keeps.
+fn forward_banks(
+    bank: &[QuantumLayer],
+    tapes: &[CompiledTape],
+    input: &Matrix,
+    threads: Threads,
+) -> (Matrix, Vec<RegisterBank>) {
+    let rows = input.rows();
+    let chunks = Chunks::new(rows, bank.len(), threads);
+    let items = parallel::map_rows_with(
+        chunks.items(bank.len()),
+        threads,
+        BankWork::new,
+        |idx, work| {
+            let (k, range) = chunks.item(idx);
+            let mut regs =
+                RegisterBank::zero_state(bank[k].n_qubits(), range.len()).expect("valid register");
+            bank[k].run_chunk(
+                &tapes[k],
+                input,
+                (k, range),
+                &mut regs,
+                &mut work.inputs,
+                &mut work.sim,
+            );
+            let mut y = Vec::new();
+            bank[k].read_out_bank(&regs, &mut y, &mut work.sim);
+            (regs, y)
+        },
+    );
+    let out_w = bank[0].out_features();
+    let mut out = Matrix::zeros(rows, bank.len() * out_w);
+    let banks = items
+        .into_iter()
+        .enumerate()
+        .map(|(idx, (regs, y))| {
+            let (k, range) = chunks.item(idx);
+            scatter(&mut out, &y, k, range, out_w);
+            regs
+        })
+        .collect();
+    (out, banks)
 }
 
 fn forward_on<B: Backend + Send>(
@@ -387,9 +575,55 @@ pub(crate) fn infer_bank(bank: &[QuantumLayer], input: &Matrix, exec: ExecPolicy
         .map(QuantumLayer::compile_forward_tape)
         .collect();
     match exec.backend {
-        BackendKind::Dense => infer_on::<StateVector>(bank, &tapes, input, exec.threads),
+        BackendKind::Dense => infer_banks(bank, &tapes, input, exec.threads),
         BackendKind::Soa => infer_on::<SoaDenseBackend>(bank, &tapes, input, exec.threads),
     }
+}
+
+/// The dense evaluation forward: every `(patch, chunk)` item runs its rows
+/// as the lanes of one reused bank per thread and writes its readout into
+/// a slot sized for the longest chunk.
+fn infer_banks(
+    bank: &[QuantumLayer],
+    tapes: &[CompiledTape],
+    input: &Matrix,
+    threads: Threads,
+) -> Matrix {
+    let rows = input.rows();
+    let chunks = Chunks::new(rows, bank.len(), threads);
+    let out_w = bank[0].out_features();
+    let slot_len = chunks.max_len() * out_w;
+    let mut results = vec![0.0; chunks.items(bank.len()) * slot_len];
+    parallel::fill_rows(
+        &mut results,
+        slot_len,
+        threads,
+        BankWork::new,
+        |idx, work, slot| {
+            let (k, range) = chunks.item(idx);
+            let n = bank[k].n_qubits();
+            let regs = work
+                .bank
+                .get_or_insert_with(|| RegisterBank::zero_state(n, 0).expect("valid register"));
+            regs.reset(n, range.len()).expect("valid register");
+            bank[k].run_chunk(
+                &tapes[k],
+                input,
+                (k, range),
+                regs,
+                &mut work.inputs,
+                &mut work.sim,
+            );
+            bank[k].read_out_bank(regs, &mut work.out, &mut work.sim);
+            slot[..work.out.len()].copy_from_slice(&work.out);
+        },
+    );
+    let mut out = Matrix::zeros(rows, bank.len() * out_w);
+    for (idx, y) in results.chunks_exact(slot_len.max(1)).enumerate() {
+        let (k, range) = chunks.item(idx);
+        scatter(&mut out, y, k, range, out_w);
+    }
+    out
 }
 
 fn infer_on<B: Backend>(
@@ -433,8 +667,8 @@ pub(crate) fn backward_bank(
         registers,
     } = kept;
     let per = match registers {
-        Registers::Dense(regs) => {
-            sweep_on(bank, &tapes, inputs.as_ref(), regs, grad_output, threads)
+        Registers::Dense(banks) => {
+            sweep_banks(bank, &tapes, inputs.as_ref(), banks, grad_output, threads)
         }
         Registers::Soa(regs) => sweep_on(bank, &tapes, inputs.as_ref(), regs, grad_output, threads),
     };
@@ -452,6 +686,44 @@ pub(crate) fn backward_bank(
     grad_input
 }
 
+/// The dense backward: sweeps every kept bank against its rows' share of
+/// `grad_output`, and returns the gradients per `(patch, row)`,
+/// patch-major, like [`sweep_on`].
+fn sweep_banks(
+    bank: &[QuantumLayer],
+    tapes: &[CompiledTape],
+    inputs: Option<&Matrix>,
+    banks: Vec<RegisterBank>,
+    grad_output: &Matrix,
+    threads: Threads,
+) -> Vec<CircuitGradients> {
+    let chunks = Chunks::of_kept(grad_output.rows(), bank.len(), banks.len());
+    let (in_w, out_w) = (bank[0].in_features(), bank[0].out_features());
+    let per_item = parallel::map_items(banks, threads, BankWork::new, |idx, mut ket, work| {
+        let (k, range) = chunks.item(idx);
+        work.inputs.clear();
+        work.upstream.clear();
+        for r in range {
+            let x = inputs.map_or(&[][..], |m| patch_cols(m.row(r), k, in_w));
+            work.inputs.push(x);
+            work.upstream.push(patch_cols(grad_output.row(r), k, out_w));
+        }
+        let sweep = match bank[k].output_mode {
+            QuantumOutput::ExpectationZ => adjoint::backward_expectations_z_bank,
+            QuantumOutput::Probabilities => adjoint::backward_probabilities_bank,
+        };
+        sweep(
+            &tapes[k],
+            &work.inputs,
+            &mut ket,
+            &work.upstream,
+            &mut work.sim,
+        )
+        .expect("a kept bank matches its tape")
+    });
+    per_item.into_iter().flatten().collect()
+}
+
 fn sweep_on<B: Backend + Send>(
     bank: &[QuantumLayer],
     tapes: &[CompiledTape],
@@ -462,20 +734,25 @@ fn sweep_on<B: Backend + Send>(
 ) -> Vec<CircuitGradients> {
     let rows = grad_output.rows();
     let (in_w, out_w) = (bank[0].in_features(), bank[0].out_features());
-    parallel::map_items(registers, threads, |idx, ket| {
-        let (k, r) = item(idx, rows);
-        let x = inputs.map_or(&[][..], |m| patch_cols(m.row(r), k, in_w));
-        let upstream = patch_cols(grad_output.row(r), k, out_w);
-        match bank[k].output_mode {
-            QuantumOutput::ExpectationZ => {
-                adjoint::backward_expectations_z_from(&tapes[k], x, ket, upstream)
+    parallel::map_items(
+        registers,
+        threads,
+        || (),
+        |idx, ket, ()| {
+            let (k, r) = item(idx, rows);
+            let x = inputs.map_or(&[][..], |m| patch_cols(m.row(r), k, in_w));
+            let upstream = patch_cols(grad_output.row(r), k, out_w);
+            match bank[k].output_mode {
+                QuantumOutput::ExpectationZ => {
+                    adjoint::backward_expectations_z_from(&tapes[k], x, ket, upstream)
+                }
+                QuantumOutput::Probabilities => {
+                    adjoint::backward_probabilities_from(&tapes[k], x, ket, upstream)
+                }
             }
-            QuantumOutput::Probabilities => {
-                adjoint::backward_probabilities_from(&tapes[k], x, ket, upstream)
-            }
-        }
-        .expect("a kept register matches its tape")
-    })
+            .expect("a kept register matches its tape")
+        },
+    )
 }
 
 impl Module for QuantumLayer {
@@ -513,10 +790,27 @@ impl Module for QuantumLayer {
     }
 }
 
-/// The re-executing oracle the kept-register backward is tested against.
+/// The per-row oracles the bank passes are tested against.
 #[cfg(test)]
 pub(crate) mod oracle {
     use super::*;
+
+    /// A bank's forward outputs, one `StateVector` per `(patch, row)`, read
+    /// out row by row.
+    pub(crate) fn bank_outputs(bank: &[QuantumLayer], input: &Matrix) -> Matrix {
+        let (in_w, out_w) = (bank[0].in_features(), bank[0].out_features());
+        let mut out = Matrix::zeros(input.rows(), bank.len() * out_w);
+        let mut y = Vec::new();
+        for (k, layer) in bank.iter().enumerate() {
+            let tape = layer.compile_forward_tape();
+            for r in 0..input.rows() {
+                let state: StateVector = layer.run_row(&tape, patch_cols(input.row(r), k, in_w));
+                layer.read_out(&state, &mut y);
+                out.row_mut(r)[k * out_w..(k + 1) * out_w].copy_from_slice(&y);
+            }
+        }
+        out
+    }
 
     /// A bank's gradients from `adjoint::backward_*_tape` on
     /// `Circuit::compile(angles)`, which re-executes every row: per patch,
@@ -876,23 +1170,35 @@ mod tests {
 
     #[test]
     fn kept_register_backward_equals_the_re_executing_oracle_bitwise() {
-        for (input, output) in MODES {
-            let x = Matrix::from_fn(5, input_width(input), |i, j| {
-                0.21 * (i + 1) as f64 - 0.13 * j as f64
-            });
-            for backend in [BackendKind::Dense, BackendKind::Soa] {
-                for threads in [Threads::Off, Threads::Fixed(3)] {
-                    let mut r = rng();
-                    let layer = QuantumLayer::new(3, 2, input, output, &mut r);
-                    let mut layer = with_policy(layer, threads, backend);
-                    let y = layer.forward(&x).unwrap();
-                    let g = Matrix::from_fn(5, y.cols(), |i, j| 0.3 * i as f64 - 0.17 * j as f64);
-                    let gin = layer.backward(&g).unwrap();
-                    let (params, want_gin) =
-                        oracle::bank_gradients(std::slice::from_ref(&layer), backend, &x, &g);
-                    let case = format!("{input:?} {output:?} {backend:?} {threads:?}");
-                    assert_eq!(layer.params.grad.as_slice(), &params[0][..], "{case}");
-                    assert_eq!(gin, want_gin, "{case}");
+        // 0 rows, one lane, odd chunks, and one row past a 32-lane chunk.
+        for rows in [0, 1, 3, 5, 33] {
+            for (input, output) in MODES {
+                let x = Matrix::from_fn(rows, input_width(input), |i, j| {
+                    0.21 * (i % 7 + 1) as f64 - 0.13 * j as f64
+                });
+                for backend in [BackendKind::Dense, BackendKind::Soa] {
+                    for threads in [Threads::Off, Threads::Fixed(3)] {
+                        let mut r = rng();
+                        let layer = QuantumLayer::new(3, 2, input, output, &mut r);
+                        let mut layer = with_policy(layer, threads, backend);
+                        let case =
+                            format!("{rows} rows {input:?} {output:?} {backend:?} {threads:?}");
+                        let y = layer.forward(&x).unwrap();
+                        assert_eq!(y.shape(), (rows, layer.out_features()), "{case}");
+                        assert_eq!(layer.infer(&x).unwrap(), y, "{case}");
+                        if backend == BackendKind::Dense {
+                            let want_y = oracle::bank_outputs(std::slice::from_ref(&layer), &x);
+                            assert_eq!(y, want_y, "{case}");
+                        }
+                        let g = Matrix::from_fn(rows, y.cols(), |i, j| {
+                            0.3 * (i % 5) as f64 - 0.17 * j as f64
+                        });
+                        let gin = layer.backward(&g).unwrap();
+                        let (params, want_gin) =
+                            oracle::bank_gradients(std::slice::from_ref(&layer), backend, &x, &g);
+                        assert_eq!(layer.params.grad.as_slice(), &params[0][..], "{case}");
+                        assert_eq!(gin, want_gin, "{case}");
+                    }
                 }
             }
         }

@@ -2,9 +2,10 @@
 //!
 //! Every quantum layer simulates batch rows independently, so the batch
 //! dimension is an embarrassingly parallel axis. [`map_rows`],
-//! [`map_items`] and [`fill_rows`] hand a call's rows to one process-wide
-//! pool of helper threads (standard library only, matching the offline
-//! build environment). The pool holds `max(cpus, 2) − 1` helpers, started
+//! [`map_rows_with`], [`map_items`] and [`fill_rows`] hand a call's rows
+//! (or the quantum layers' chunks of rows) to one process-wide pool of
+//! helper threads (standard library only, matching the offline build
+//! environment). The pool holds `max(cpus, 2) − 1` helpers, started
 //! on the first parallel call with the CPU count read once, and lives for
 //! the process. Training, every quantum layer and the serving engine
 //! submit into the same pool, so serving shares one set of threads with
@@ -111,17 +112,48 @@ where
         .collect()
 }
 
+/// [`map_rows`] with per-thread scratch: computes `f(row, scratch)` for
+/// every row and returns the results in row order. Each participating
+/// thread builds one `scratch` value with `init`, on its first row, and
+/// reuses it for every further row it claims in the call, so per-row
+/// working buffers amortize to one allocation per thread. Results are
+/// bit-identical to the sequential loop as long as `f`'s result does not
+/// depend on what an earlier row left in the scratch.
+///
+/// # Panics
+///
+/// Re-raises the first panic raised by `init` or `f` as [`map_rows`] does.
+pub fn map_rows_with<S, R, G, F>(n_rows: usize, threads: Threads, init: G, f: F) -> Vec<R>
+where
+    S: Send,
+    R: Send,
+    G: Fn() -> S + Sync,
+    F: Fn(usize, &mut S) -> R + Sync,
+{
+    let slots: Vec<Mutex<Option<R>>> = (0..n_rows).map(|_| Mutex::new(None)).collect();
+    run_with(n_rows, threads, init, |row, scratch| {
+        *lock(&slots[row]) = Some(f(row, scratch));
+    });
+    slots
+        .into_iter()
+        .map(|s| {
+            s.into_inner()
+                .expect("a row slot is never locked across a panic")
+                .expect("every row slot is filled by the row that claimed it")
+        })
+        .collect()
+}
+
 /// Fills the row-major buffer `out` (`out.len() / row_len` rows of
 /// `row_len` values) by calling `f(row, scratch, slot)` for every row, on
 /// the compute pool exactly like [`map_rows`].
 ///
 /// Unlike [`map_rows`], results are written straight into the caller's
 /// preallocated storage — no per-row `Vec` is ever allocated — and each
-/// participating thread builds one `scratch` value with `init`, on its first
-/// row, and reuses it for every further row it claims in the call, so
-/// per-row working buffers amortize to one allocation per thread. Row order
-/// is still deterministic: each slot is written by exactly one thread, so
-/// the output is bit-identical to the sequential loop.
+/// participating thread builds one `scratch` value with `init`, as
+/// [`map_rows_with`] does. Row order is still deterministic: each slot is
+/// written by exactly one thread, so the output is bit-identical to the
+/// sequential loop.
 ///
 /// # Panics
 ///
@@ -139,38 +171,49 @@ where
     }
     assert_eq!(out.len() % row_len, 0, "output is not whole rows");
     let n_rows = out.len() / row_len;
-    let seats = seats(n_rows, threads);
-    let scratch: Vec<Mutex<Option<S>>> = (0..seats).map(|_| Mutex::new(None)).collect();
     let slots: Vec<Mutex<&mut [f64]>> = out.chunks_mut(row_len).map(Mutex::new).collect();
-    run(n_rows, seats, &|row, seat| {
-        let mut scratch = lock(&scratch[seat]);
-        f(
-            row,
-            scratch.get_or_insert_with(&init),
-            &mut lock(&slots[row]),
-        );
+    run_with(n_rows, threads, init, |row, scratch| {
+        f(row, scratch, &mut lock(&slots[row]));
     });
 }
 
-/// [`map_rows`] over owned inputs: computes `f(row, items[row])` for every
-/// row on the compute pool, handing each item by value to the thread that
-/// claims its row, and returns the results in row order (bit-identical to
-/// the sequential `items.into_iter().enumerate().map(..)`).
+/// [`map_rows_with`] over owned inputs: computes `f(row, items[row],
+/// scratch)` for every row on the compute pool, handing each item by value
+/// to the thread that claims its row, with that thread's scratch, and
+/// returns the results in row order (bit-identical to the sequential
+/// `items.into_iter().enumerate().map(..)`).
 ///
 /// # Panics
 ///
-/// Re-raises the first panic raised by `f` as [`map_rows`] does.
-pub fn map_items<T, R, F>(items: Vec<T>, threads: Threads, f: F) -> Vec<R>
+/// Re-raises the first panic raised by `init` or `f` as [`map_rows`] does.
+pub fn map_items<T, S, R, G, F>(items: Vec<T>, threads: Threads, init: G, f: F) -> Vec<R>
 where
     T: Send,
+    S: Send,
     R: Send,
-    F: Fn(usize, T) -> R + Sync,
+    G: Fn() -> S + Sync,
+    F: Fn(usize, T, &mut S) -> R + Sync,
 {
     let items: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    map_rows(items.len(), threads, |row| {
+    map_rows_with(items.len(), threads, init, |row, scratch| {
         let item = lock(&items[row]).take();
-        f(row, item.expect("every row is claimed once"))
+        f(row, item.expect("every row is claimed once"), scratch)
     })
+}
+
+/// Runs `body(row, scratch)` for every row on the compute pool, with one
+/// `scratch` per participating thread, built by `init` on its first row.
+fn run_with<S, G, B>(n_rows: usize, threads: Threads, init: G, body: B)
+where
+    S: Send,
+    G: Fn() -> S + Sync,
+    B: Fn(usize, &mut S) + Sync,
+{
+    let seats = seats(n_rows, threads);
+    let scratch: Vec<Mutex<Option<S>>> = (0..seats).map(|_| Mutex::new(None)).collect();
+    run(n_rows, seats, &|row, seat| {
+        body(row, lock(&scratch[seat]).get_or_insert_with(&init));
+    });
 }
 
 /// Locks a row or scratch slot. Each is locked by one thread at a time, and
@@ -187,8 +230,9 @@ fn lock<T>(slot: &Mutex<T>) -> MutexGuard<'_, T> {
 type RowBody<'a> = dyn Fn(usize, usize) + Sync + 'a;
 
 /// Threads taking part in one call over `n_rows` rows: the policy's count,
-/// capped by the pool's helpers plus the caller.
-fn seats(n_rows: usize, threads: Threads) -> usize {
+/// capped by the rows and by the pool's helpers plus the caller. Callers
+/// that split their own work into chunks size them with it.
+pub fn seats(n_rows: usize, threads: Threads) -> usize {
     match threads.resolve(n_rows) {
         0 | 1 => 1,
         want => want.min(helpers() + 1),
@@ -545,7 +589,8 @@ mod tests {
             .map(|(r, v)| (r, v.iter().sum::<f64>().to_bits()))
             .collect();
         for threads in [Threads::Off, Threads::Fixed(3)] {
-            let got = map_items(items.clone(), threads, |r, v: Vec<f64>| {
+            let got = map_items(items.clone(), threads, Vec::new, |r, v: Vec<f64>, seen| {
+                seen.push(r);
                 (r, v.into_iter().sum::<f64>().to_bits())
             });
             assert_eq!(got, expected, "{threads:?}");

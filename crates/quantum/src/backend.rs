@@ -14,12 +14,15 @@
 //!   unit-stride loop the autovectorizer packs into FMA, with cache-blocked
 //!   tape execution for large registers (see [`soa`]).
 //!
-//! The trait is the seam future GPU / sparse / tensor-network backends slot
-//! into; the adjoint engine and trainers never name a concrete register type.
-//! Backend *selection* lives in `sqvae_nn::BackendKind`, next to the
-//! analogous `Threads` policy: the `SQVAE_BACKEND` environment variable sets
-//! every model's starting backend, and a model's execution policy changes
-//! its own.
+//! The trait is the per-row seam: the eager and tape executors, the
+//! gradient oracles and the `soa` policy of the quantum layers are generic
+//! over it. On the dense policy the layers run many rows at once on a
+//! [`crate::RegisterBank`] instead, whose lanes do exactly the
+//! [`StateVector`] arithmetic, so `StateVector` stays the reference the
+//! bank is tested against bit for bit. Backend *selection* lives in
+//! `sqvae_nn::BackendKind`, next to the analogous `Threads` policy: the
+//! `SQVAE_BACKEND` environment variable sets every model's starting
+//! backend, and a model's execution policy changes its own.
 
 pub mod soa;
 

@@ -25,14 +25,17 @@
 //! single-qubit rotation, so every stop of the tape sweep, trainable block
 //! or input rotation, runs one kernel: [`Backend::adjoint_block_stop`].
 //!
-//! The tape sweep has two entry points. The `*_from` functions start from
-//! a caller-supplied final register: batched training compiles once per
-//! mini-batch, keeps every row's register from its forward pass, and
-//! sweeps from it. The `*_tape` functions execute the tape first and then
-//! run the same sweep; they are the re-executing oracle the layers are
-//! tested against.
+//! The tape sweep has three entry points. The `*_from` functions start
+//! from a caller-supplied final register. The `*_tape` functions execute
+//! the tape first and then run the same sweep; they are the re-executing
+//! oracle the layers are tested against. The `*_bank` functions sweep every
+//! lane of a [`RegisterBank`] at once, each lane bit-identical to the
+//! `*_from` sweep of its row: batched training compiles once per
+//! mini-batch, keeps each chunk of rows as a bank from its forward pass,
+//! and sweeps the bank.
 
 use crate::backend::{start_state, Backend};
+use crate::bank::{check_lane_count, BankScratch, RegisterBank};
 use crate::circuit::Circuit;
 use crate::complex::C64;
 use crate::error::{QuantumError, Result};
@@ -284,6 +287,115 @@ fn sweep<B: Backend>(
         }
     }
     Ok(grads)
+}
+
+/// The backward sweep over every lane of a [`RegisterBank`] at once, each
+/// lane swept against the diagonal `diag_of` builds from its own upstream
+/// row. Lane `l` does exactly the `f64` operations [`sweep`] does on that
+/// row (the same program, the same block-stop order, and
+/// `grads[index] += contract_im(h, c)` in sweep order), so its gradients are
+/// bit-identical to [`vjp_diagonal_from`]'s.
+fn vjp_bank(
+    tape: &CompiledTape,
+    inputs: &[&[f64]],
+    ket: &mut RegisterBank,
+    upstream: &[&[f64]],
+    scratch: &mut BankScratch,
+    diag_of: impl Fn(&[f64]) -> Result<Vec<f64>>,
+) -> Result<Vec<CircuitGradients>> {
+    let steps = tape.adjoint_program()?;
+    ket.check_tape(tape)?;
+    check_lane_count(upstream.len(), ket.lanes())?;
+    ket.check_inputs(inputs, tape.n_inputs())?;
+    let BankScratch { work, bra, diag } = scratch;
+    let lanes = ket.lanes();
+    diag.clear();
+    diag.resize(lanes << tape.n_qubits(), 0.0);
+    for (l, row) in upstream.iter().enumerate() {
+        let d = diag_of(row)?;
+        checked_program(tape, &d)?;
+        for (i, v) in d.into_iter().enumerate() {
+            diag[i * lanes + l] = v;
+        }
+    }
+    bra.scaled_from(ket, diag);
+
+    let mut grads = vec![CircuitGradients::zeros(tape.n_params(), tape.n_inputs()); lanes];
+    for step in steps {
+        match step {
+            AdjointStep::Unapply(ops) => {
+                for op in ops {
+                    ket.apply_op(op, inputs, work)?;
+                    bra.apply_op(op, inputs, work)?;
+                }
+            }
+            AdjointStep::Stop(AdjointStop::Block(block)) => {
+                ket.block_stop(bra, block.wire, &block.inv, work)?;
+                for (l, g) in grads.iter_mut().enumerate() {
+                    let c = work.cross(l);
+                    for (index, h) in &block.angles {
+                        g.params[*index] += contract_im(h, &c);
+                    }
+                }
+            }
+            AdjointStep::Stop(AdjointStop::Input { gate, index }) => {
+                let (_, generator) = gate
+                    .single_qubit_generator()
+                    .expect("parametrized gates are single-qubit rotations");
+                ket.input_stop(bra, gate, *index, inputs, work)?;
+                for (l, g) in grads.iter_mut().enumerate() {
+                    g.inputs[*index] += contract_im(&generator, &work.cross(l));
+                }
+            }
+        }
+    }
+    Ok(grads)
+}
+
+/// [`backward_expectations_z_from`] for every lane of a [`RegisterBank`]:
+/// sweeps the bank `ket` that `tape`'s forward program produced (lane `l`
+/// with `inputs[l]`) against each lane's upstream row `upstream[l]`, and
+/// returns one [`CircuitGradients`] per lane, each bit-identical to the
+/// per-row sweep of that lane. The sweep un-applies the circuit from `ket`
+/// in place; `scratch` holds the bra and the kernels' working planes.
+///
+/// # Errors
+///
+/// Returns [`QuantumError::ForwardOnlyTape`] for a tape compiled without
+/// its adjoint program, a dimension error if `ket` has another width than
+/// the tape, if `inputs` or `upstream` does not hold one row per lane, or
+/// if an upstream row is not `n_qubits` long, and an input-count error if a
+/// lane's inputs are shorter than the tape's. All are checked before the
+/// sweep starts.
+pub fn backward_expectations_z_bank(
+    tape: &CompiledTape,
+    inputs: &[&[f64]],
+    ket: &mut RegisterBank,
+    upstream: &[&[f64]],
+    scratch: &mut BankScratch,
+) -> Result<Vec<CircuitGradients>> {
+    let n = tape.n_qubits();
+    vjp_bank(tape, inputs, ket, upstream, scratch, |u| z_diagonal(n, u))
+}
+
+/// [`backward_probabilities_from`] for every lane of a [`RegisterBank`]
+/// (see [`backward_expectations_z_bank`]); each upstream row holds
+/// `2^n_qubits` values.
+///
+/// # Errors
+///
+/// See [`backward_expectations_z_bank`].
+pub fn backward_probabilities_bank(
+    tape: &CompiledTape,
+    inputs: &[&[f64]],
+    ket: &mut RegisterBank,
+    upstream: &[&[f64]],
+    scratch: &mut BankScratch,
+) -> Result<Vec<CircuitGradients>> {
+    let n = tape.n_qubits();
+    vjp_bank(tape, inputs, ket, upstream, scratch, |u| {
+        probability_diagonal(n, u)
+    })
 }
 
 /// The upstream-weighted `⟨Z⟩` diagonal `Σ_w upstream[w]·Z_w` on `n` wires.

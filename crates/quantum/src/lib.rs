@@ -10,10 +10,15 @@
 //!
 //! * [`StateVector`] — dense `2^n`-amplitude register with single-qubit,
 //!   CNOT, and diagonal kernels plus `⟨Z⟩`/probability measurements.
-//! * [`backend`] — the simulator [`Backend`] trait behind every executor:
-//!   [`DenseBackend`] (the reference semantics and default) and
+//! * [`backend`] — the per-row simulator [`Backend`] trait behind every
+//!   executor: [`DenseBackend`] (the reference semantics and default) and
 //!   [`SoaDenseBackend`] (split re/im planes + cache-blocked SIMD-friendly
-//!   kernels); the seam future GPU/sparse/tensor-network backends plug into.
+//!   kernels).
+//! * [`bank`] — [`RegisterBank`], many rows of one circuit as the lanes of
+//!   one batch-major register: it runs a [`CompiledTape`]'s forward and
+//!   adjoint programs over every lane with unit-stride kernels, each lane
+//!   bit-identical to a [`StateVector`] run of its row. The quantum layers
+//!   run their rows on it.
 //! * [`Circuit`] — a gate list with deferred [`Param`] binding (trainable
 //!   parameters vs. embedded input features) over the [`Gate`] set the
 //!   paper's circuits use: `RX`/`RY`/`RZ` rotations, the CNOT, and the
@@ -26,9 +31,10 @@
 //! * [`embed`] — amplitude and angle embeddings (§II-C of the paper).
 //! * [`templates`] — the paper's repeatable hidden layer
 //!   (strongly-entangling `Rot` + CNOT-ring layers).
-//! * [`grad`] — adjoint reverse-mode differentiation (production path),
-//!   the parameter-shift rule (hardware-compatible path), and a
-//!   finite-difference oracle, all cross-validated.
+//! * [`grad`] — adjoint reverse-mode differentiation (production path,
+//!   per row or over a register bank), the parameter-shift rule
+//!   (hardware-compatible path), and a finite-difference oracle, all
+//!   cross-validated.
 //!
 //! ## Example: a trainable circuit and its gradient
 //!
@@ -63,6 +69,7 @@ mod gate;
 mod state;
 
 pub mod backend;
+pub mod bank;
 pub mod embed;
 pub mod grad;
 pub mod noise;
@@ -71,6 +78,7 @@ pub mod tape;
 pub mod templates;
 
 pub use backend::{Backend, DenseBackend, SoaDenseBackend};
+pub use bank::{BankScratch, RegisterBank};
 pub use circuit::Circuit;
 pub use complex::C64;
 pub use error::{QuantumError, Result};

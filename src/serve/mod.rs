@@ -39,6 +39,9 @@
 //! * **Bounded payloads.** A request with more rows than one batch may hold
 //!   is refused at submission with [`ServeError::TooManyRows`], before any
 //!   allocation sized by its row count.
+//! * **Finite payloads.** A payload holding a NaN or an infinity is
+//!   refused at submission with [`ServeError::NonFinite`], so a bad row
+//!   never joins a coalesced batch.
 //! * **Poison recovery.** Every lock acquisition recovers from mutex
 //!   poisoning, so one panic never cascades into aborts elsewhere.
 //! * **Checkpoint healing.** Models load through
@@ -107,6 +110,14 @@ pub enum ServeError {
         /// The server's [`ServerConfig::max_batch_rows`].
         max_batch_rows: usize,
     },
+    /// A payload cell is NaN or infinite. Every model maps such a row to
+    /// NaN outputs, so the server refuses it at submission.
+    NonFinite {
+        /// Row of the first non-finite cell.
+        row: usize,
+        /// Column of the first non-finite cell.
+        col: usize,
+    },
     /// The referenced checkpoint could not be loaded (message from
     /// [`sqvae_core::checkpoint::CheckpointError`]).
     Checkpoint(String),
@@ -149,6 +160,9 @@ impl std::fmt::Display for ServeError {
                 f,
                 "request carries {rows} rows, over the batch row budget of {max_batch_rows}"
             ),
+            ServeError::NonFinite { row, col } => {
+                write!(f, "payload cell ({row}, {col}) is not finite")
+            }
             ServeError::Checkpoint(msg) => write!(f, "checkpoint load failed: {msg}"),
             ServeError::Model(e) => write!(f, "model error: {e}"),
             ServeError::DeadlineExceeded => {
@@ -196,6 +210,19 @@ impl Op {
         match self {
             Op::Encode(m) | Op::Decode(m) | Op::Reconstruct(m) => m.rows(),
             Op::Sample { n, .. } => *n,
+        }
+    }
+
+    /// The `(row, column)` of the payload's first non-finite cell, in
+    /// row-major order (`None` for a finite payload or a `Sample`).
+    fn first_non_finite(&self) -> Option<(usize, usize)> {
+        match self {
+            Op::Encode(m) | Op::Decode(m) | Op::Reconstruct(m) => m
+                .as_slice()
+                .iter()
+                .position(|v| !v.is_finite())
+                .map(|i| (i / m.cols(), i % m.cols())),
+            Op::Sample { .. } => None,
         }
     }
 
@@ -697,6 +724,7 @@ mod tests {
         }
         .is_retryable());
         assert!(!ServeError::UnknownTicket { id: 0 }.is_retryable());
+        assert!(!ServeError::NonFinite { row: 0, col: 0 }.is_retryable());
     }
 
     #[test]

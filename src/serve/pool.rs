@@ -364,10 +364,11 @@ impl InferenceServer {
     ///
     /// # Errors
     ///
-    /// [`ServeError::EmptyRequest`] for zero-row payloads and
+    /// [`ServeError::EmptyRequest`] for zero-row payloads,
     /// [`ServeError::TooManyRows`] for payloads over
-    /// [`ServerConfig::max_batch_rows`] (both rejected eagerly, before a
-    /// queue slot or an allocation), [`ServeError::QueueFull`] when the
+    /// [`ServerConfig::max_batch_rows`] and [`ServeError::NonFinite`] for
+    /// payloads holding a NaN or an infinity (all rejected eagerly, before
+    /// a queue slot or an allocation), [`ServeError::QueueFull`] when the
     /// bounded queue is at capacity (backpressure — retry later), and
     /// [`ServeError::ShuttingDown`] after [`InferenceServer::shutdown`]
     /// began.
@@ -381,6 +382,9 @@ impl InferenceServer {
                 rows,
                 max_batch_rows: self.config.max_batch_rows,
             });
+        }
+        if let Some((row, col)) = req.op.first_non_finite() {
+            return Err(ServeError::NonFinite { row, col });
         }
         self.supervise();
         // Chaos hook: models a burst that saturated the queue before us.

@@ -9,7 +9,9 @@
 //! Every factory runs at a small shape on `dense` and on `soa`, sequentially
 //! (`Threads::Off`), whatever `SQVAE_BACKEND`/`SQVAE_THREADS` select: one
 //! seeded training forward, a backward of the MSE gradient into both
-//! parameter groups, and an evaluation reconstruction.
+//! parameter groups, and an evaluation reconstruction. The dense digests
+//! are checked again on two and three threads, where each patch's rows
+//! split into several register-bank chunks across the compute pool.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -57,13 +59,10 @@ fn batch() -> Matrix {
 }
 
 /// Digests of one training step and one evaluation pass of `model` on
-/// `backend`: the forward reconstruction, both gradient groups after the
-/// backward of the MSE gradient, and the reconstruction.
-fn model_digests(mut model: Autoencoder, backend: BackendKind) -> [u64; 3] {
-    model.set_exec_policy(ExecPolicy {
-        threads: Threads::Off,
-        backend,
-    });
+/// `backend` and `threads`: the forward reconstruction, both gradient
+/// groups after the backward of the MSE gradient, and the reconstruction.
+fn model_digests(mut model: Autoencoder, backend: BackendKind, threads: Threads) -> [u64; 3] {
+    model.set_exec_policy(ExecPolicy { threads, backend });
     let x = batch();
     let out = model
         .forward_train(&x, &mut StdRng::seed_from_u64(43))
@@ -181,17 +180,40 @@ const MODEL_DIGESTS: [[[u64; 3]; 2]; 6] = [
     ],
 ];
 
+/// Checks one factory's digests on `backend` and `threads`.
+fn check_model(name: &str, make: Factory, backend: BackendKind, threads: Threads, want: [u64; 3]) {
+    let got = model_digests(make(&mut StdRng::seed_from_u64(42)), backend, threads);
+    for (stage, (g, w)) in ["forward_train", "backward", "reconstruct"]
+        .into_iter()
+        .zip(got.into_iter().zip(want))
+    {
+        check(&format!("{name} {backend:?} {threads:?} {stage}"), g, w);
+    }
+}
+
 #[test]
 fn quantum_models_match_recorded_digests() {
     for ((name, make), want) in factories().into_iter().zip(MODEL_DIGESTS) {
         for (backend, want) in BACKENDS.into_iter().zip(want) {
-            let got = model_digests(make(&mut StdRng::seed_from_u64(42)), backend);
-            for (stage, (g, w)) in ["forward_train", "backward", "reconstruct"]
-                .into_iter()
-                .zip(got.into_iter().zip(want))
-            {
-                check(&format!("{name} {backend:?} {stage}"), g, w);
-            }
+            check_model(name, make, backend, Threads::Off, want);
+        }
+    }
+}
+
+/// Chunks run on the pool, and the dense digests hold. The pool has
+/// `max(cpus, 2) − 1` helpers, so what splits depends on the host. The
+/// single-register `f_bq_*` and `h_bq_*` layers split the four-row batch
+/// into two chunks at `Fixed(2)`, and into three at `Fixed(3)` on three or
+/// more CPUs (two on fewer). The two-patch `sq_*` layers keep one chunk per
+/// patch, their two patches running as two pool items, except at
+/// `Fixed(3)` on three or more CPUs, where each patch splits in two. The
+/// 33-row kept-register oracle tests in `patched.rs` and `quantum_layer.rs`
+/// split every patch on any host, since 33 rows exceed one bank's lanes.
+#[test]
+fn dense_digests_hold_when_chunks_split_across_the_pool() {
+    for ((name, make), [want, _]) in factories().into_iter().zip(MODEL_DIGESTS) {
+        for threads in [Threads::Fixed(2), Threads::Fixed(3)] {
+            check_model(name, make, BackendKind::Dense, threads, want);
         }
     }
 }

@@ -3,7 +3,9 @@
 //!
 //! The payloads are empty, mis-sized, non-finite and huge rows for
 //! `Encode`, `Decode` and `Reconstruct`, plus `Sample` requests, against a
-//! running server holding an SQ-VAE(16, p=2, L=1) checkpoint.
+//! running server holding an SQ-VAE(16, p=2, L=1) checkpoint. A NaN or
+//! infinite cell is refused at submission with `ServeError::NonFinite`,
+//! naming the first bad cell; a finite row of huge values is served.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,19 +45,47 @@ fn serve_payloads_resolve_to_results_or_typed_errors() {
         .chain([Op::Sample { n: 0, seed: 1 }, Op::Sample { n: 3, seed: 2 }]);
     for op in ops {
         let what = format!("{op:?}");
-        let want_rows = match &op {
-            Op::Encode(m) | Op::Decode(m) | Op::Reconstruct(m) => m.rows(),
-            Op::Sample { n, .. } => *n,
+        let (want_rows, finite) = match &op {
+            Op::Encode(m) | Op::Decode(m) | Op::Reconstruct(m) => {
+                (m.rows(), m.as_slice().iter().all(|v| v.is_finite()))
+            }
+            Op::Sample { n, .. } => (*n, true),
         };
         let reply = catch_unwind(AssertUnwindSafe(|| {
             server.request(Request::new(path.clone(), op))
         }))
         .unwrap_or_else(|_| panic!("{what} panicked in the client"));
         match reply {
-            Ok(out) => assert_eq!(out.rows(), want_rows, "{what}"),
-            Err(ServeError::EmptyRequest | ServeError::Model(_)) => {}
-            Err(other) => panic!("{what}: unexpected error {other:?}"),
+            Ok(out) if finite => assert_eq!(out.rows(), want_rows, "{what}"),
+            Err(ServeError::NonFinite { row: 0, col: 0 }) if !finite => {}
+            Err(ServeError::EmptyRequest | ServeError::Model(_)) if finite => {}
+            other => panic!("{what}: unexpected reply {other:?}"),
         }
+    }
+
+    // The error names the first non-finite cell in row-major order, for
+    // every payload op.
+    let mut bad = Matrix::filled(3, 16, 0.5);
+    bad.set(2, 0, f64::NAN);
+    bad.set(1, 7, f64::NEG_INFINITY);
+    let mut bad_latent = Matrix::filled(2, latent, 0.1);
+    bad_latent.set(1, latent - 1, f64::INFINITY);
+    for (op, want) in [
+        (Op::Encode(bad.clone()), (1, 7)),
+        (Op::Reconstruct(bad), (1, 7)),
+        (Op::Decode(bad_latent), (1, latent - 1)),
+    ] {
+        let what = format!("{op:?}");
+        let err = server.request(Request::new(path.clone(), op)).unwrap_err();
+        assert_eq!(
+            err,
+            ServeError::NonFinite {
+                row: want.0,
+                col: want.1
+            },
+            "{what}"
+        );
+        assert!(!err.is_retryable());
     }
 
     // A finite row of huge values encodes in its direction: like a row of
