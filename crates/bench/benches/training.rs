@@ -1,14 +1,16 @@
 //! Train-step throughput per model family (one forward+backward+step over a
 //! small batch) — the cost model behind the experiment harness's quick/full
 //! scales — plus sequential-vs-parallel batching at batch size 32 (the
-//! PR 2 row-sharding path; `Threads::Auto` should win wall-clock on any
-//! multi-core runner while staying bit-identical).
+//! row-sharding path; `Threads::Auto` should win wall-clock on any
+//! multi-core runner while staying bit-identical), and the SQ-VAE(1024)
+//! decoder's `Linear(56, 1024)` on one thread and on the compute pool.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sqvae_core::{models, Autoencoder, ExecPolicy, Threads, TrainConfig, Trainer};
 use sqvae_datasets::Dataset;
+use sqvae_nn::{Linear, Matrix, Module};
 
 fn toy_dataset(n: usize, width: usize) -> Dataset {
     Dataset::from_samples(
@@ -83,9 +85,41 @@ fn bench_parallel_batching(c: &mut Criterion) {
     group.finish();
 }
 
+/// The SQ-VAE(1024) decoder's `Linear(56, 1024)`: the forward of a
+/// 256-latent screening batch and the backward of a 32-row training batch,
+/// sequential (`off`) and under the default policy (`default`, the compute
+/// pool for these shapes). The pair's ratio is the sharding's gain.
+fn bench_linear(c: &mut Criterion) {
+    let mut group = c.benchmark_group("linear");
+    let x256 = Matrix::filled(256, 56, 0.5);
+    let x32 = Matrix::filled(32, 56, 0.5);
+    let g32 = Matrix::filled(32, 1024, 0.01);
+    for (name, policy) in [
+        (
+            "off",
+            ExecPolicy {
+                threads: Threads::Off,
+                ..ExecPolicy::from_env()
+            },
+        ),
+        ("default", ExecPolicy::from_env()),
+    ] {
+        let mut layer = Linear::new(56, 1024, &mut StdRng::seed_from_u64(0));
+        layer.set_exec_policy(policy);
+        group.bench_function(format!("fwd_56x1024_x256_{name}"), |b| {
+            b.iter(|| layer.infer(&x256).expect("shapes match"))
+        });
+        layer.forward(&x32).expect("shapes match");
+        group.bench_function(format!("bwd_56x1024_x32_{name}"), |b| {
+            b.iter(|| layer.backward(&g32).expect("a forward ran"))
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_training_steps, bench_parallel_batching
+    targets = bench_training_steps, bench_parallel_batching, bench_linear
 }
 criterion_main!(benches);

@@ -64,30 +64,37 @@ impl DrugProperties {
             sa: normalized_sa(s),
         }
     }
+
+    /// Mean of each metric over `props`, summed in iteration order (no
+    /// properties → zeros). [`mean_properties`] and callers that score
+    /// molecules elsewhere, such as on a thread pool, share this one
+    /// summation.
+    pub fn mean(props: impl IntoIterator<Item = DrugProperties>) -> Self {
+        let mut acc = DrugProperties::default();
+        let mut n = 0usize;
+        for p in props {
+            acc.qed += p.qed;
+            acc.logp_raw += p.logp_raw;
+            acc.logp += p.logp;
+            acc.sa_raw += p.sa_raw;
+            acc.sa += p.sa;
+            n += 1;
+        }
+        if n > 0 {
+            let inv = 1.0 / n as f64;
+            acc.qed *= inv;
+            acc.logp_raw *= inv;
+            acc.logp *= inv;
+            acc.sa_raw *= inv;
+            acc.sa *= inv;
+        }
+        acc
+    }
 }
 
 /// Mean Table II metrics over a batch of molecules (empty batch → zeros).
 pub fn mean_properties<'a>(mols: impl IntoIterator<Item = &'a Molecule>) -> DrugProperties {
-    let mut acc = DrugProperties::default();
-    let mut n = 0usize;
-    for mol in mols {
-        let p = DrugProperties::compute(mol);
-        acc.qed += p.qed;
-        acc.logp_raw += p.logp_raw;
-        acc.logp += p.logp;
-        acc.sa_raw += p.sa_raw;
-        acc.sa += p.sa;
-        n += 1;
-    }
-    if n > 0 {
-        let inv = 1.0 / n as f64;
-        acc.qed *= inv;
-        acc.logp_raw *= inv;
-        acc.logp *= inv;
-        acc.sa_raw *= inv;
-        acc.sa *= inv;
-    }
-    acc
+    DrugProperties::mean(mols.into_iter().map(DrugProperties::compute))
 }
 
 #[cfg(test)]

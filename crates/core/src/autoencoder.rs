@@ -263,12 +263,16 @@ impl Autoencoder {
     }
 
     /// Sets the execution policy — batch-row parallelism and simulator
-    /// backend — on every quantum stage (classical stages and latent heads
-    /// ignore it). This is the only way a model's policy changes: the
-    /// trainer runs on whatever policy the model has.
+    /// backend — on every stage and on the latent heads: quantum stages
+    /// apply both knobs, and `Linear` stages and heads shard their products
+    /// under its threads. This is the only way a model's policy changes:
+    /// the trainer runs on whatever policy the model has.
     pub fn set_exec_policy(&mut self, policy: ExecPolicy) {
         self.exec = policy;
         self.encoder.set_exec_policy(policy);
+        if let Latent::Gaussian(g) = &mut self.latent {
+            g.set_exec_policy(policy);
+        }
         self.decoder.set_exec_policy(policy);
     }
 
@@ -361,6 +365,26 @@ mod tests {
             .map(|p| p.grad.frobenius_norm())
             .sum();
         assert_eq!(norm, 0.0);
+    }
+
+    #[test]
+    fn exec_policy_reaches_the_latent_heads() {
+        // Two settings in turn, so the second is a change whatever the
+        // environment's starting policy is.
+        let mut m = tiny_vae(7);
+        for n in [2, 3] {
+            let policy = ExecPolicy {
+                threads: sqvae_nn::Threads::Fixed(n),
+                ..ExecPolicy::from_env()
+            };
+            m.set_exec_policy(policy);
+            assert_eq!(m.exec_policy(), policy);
+            let Latent::Gaussian(g) = &m.latent else {
+                panic!("tiny_vae is variational");
+            };
+            assert_eq!(g.mu_head.exec_policy(), policy);
+            assert_eq!(g.logvar_head.exec_policy(), policy);
+        }
     }
 
     #[test]

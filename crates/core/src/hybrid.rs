@@ -82,29 +82,33 @@ impl HybridStack {
     }
 }
 
+/// Feeds `input` through `stages` in order, the first stage reading the
+/// caller's matrix itself; an empty chain returns a copy of `input`.
+fn chain<S>(
+    input: &Matrix,
+    stages: impl Iterator<Item = S>,
+    mut step: impl FnMut(S, &Matrix) -> Result<Matrix, NnError>,
+) -> Result<Matrix, NnError> {
+    let mut x: Option<Matrix> = None;
+    for stage in stages {
+        x = Some(step(stage, x.as_ref().unwrap_or(input))?);
+    }
+    Ok(x.unwrap_or_else(|| input.clone()))
+}
+
 impl Module for HybridStack {
     fn forward(&mut self, input: &Matrix) -> Result<Matrix, NnError> {
-        let mut x = input.clone();
-        for (_, stage) in &mut self.stages {
-            x = stage.forward(&x)?;
-        }
-        Ok(x)
+        chain(input, self.stages.iter_mut(), |(_, s), x| s.forward(x))
     }
 
     fn infer(&self, input: &Matrix) -> Result<Matrix, NnError> {
-        let mut x = input.clone();
-        for (_, stage) in &self.stages {
-            x = stage.infer(&x)?;
-        }
-        Ok(x)
+        chain(input, self.stages.iter(), |(_, s), x| s.infer(x))
     }
 
     fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix, NnError> {
-        let mut g = grad_output.clone();
-        for (_, stage) in self.stages.iter_mut().rev() {
-            g = stage.backward(&g)?;
-        }
-        Ok(g)
+        chain(grad_output, self.stages.iter_mut().rev(), |(_, s), g| {
+            s.backward(g)
+        })
     }
 
     fn parameters(&mut self) -> Vec<&mut ParamTensor> {

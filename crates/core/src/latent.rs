@@ -8,7 +8,7 @@
 //! stage of the encoder stack.
 
 use rand::Rng;
-use sqvae_nn::{loss, Linear, Matrix, Module, NnError, ParamTensor};
+use sqvae_nn::{loss, ExecPolicy, Linear, Matrix, Module, NnError, ParamTensor};
 
 /// A `rows × cols` matrix of standard normal draws, filled row-major by
 /// Box–Muller with two uniform draws per entry — the one stream behind both
@@ -25,8 +25,8 @@ pub(crate) fn standard_normals(rows: usize, cols: usize, rng: &mut impl Rng) -> 
 /// Gaussian latent head with reparametrized sampling.
 #[derive(Debug, Clone)]
 pub struct GaussianLatent {
-    mu_head: Linear,
-    logvar_head: Linear,
+    pub(crate) mu_head: Linear,
+    pub(crate) logvar_head: Linear,
     cached: Option<LatentCache>,
     kl_weight: f64,
     kl_scale: f64,
@@ -164,6 +164,12 @@ impl GaussianLatent {
         let mut v = self.mu_head.parameters();
         v.extend(self.logvar_head.parameters());
         v
+    }
+
+    /// Sets both heads' execution policy.
+    pub fn set_exec_policy(&mut self, policy: ExecPolicy) {
+        self.mu_head.set_exec_policy(policy);
+        self.logvar_head.set_exec_policy(policy);
     }
 
     /// Total scalar parameters.

@@ -4,14 +4,19 @@
 //! Gaussian noise is decoded into molecule-matrix features, rounded into
 //! graphs, sanitized (valence repair + largest fragment), and scored with
 //! the QED / logP / SA metrics.
+//!
+//! Each molecule's chem work runs on the compute pool
+//! ([`sqvae_nn::parallel`]), and every count, set and mean is then taken on
+//! the calling thread in sample order, so the results are bit-identical for
+//! any thread count.
 
 use crate::autoencoder::Autoencoder;
 use rand::Rng;
 use sqvae_chem::fingerprint::{diversity, fingerprint, Fingerprint};
 use sqvae_chem::properties::lipinski::RuleOfFive;
-use sqvae_chem::properties::{mean_properties, DrugProperties};
+use sqvae_chem::properties::DrugProperties;
 use sqvae_chem::{sanitize, valence, Molecule, MoleculeMatrix};
-use sqvae_nn::NnError;
+use sqvae_nn::{parallel, ExecPolicy, NnError};
 use std::collections::HashSet;
 
 /// Result of sampling a batch of molecules from a generative model.
@@ -28,7 +33,8 @@ pub struct SampledMolecules {
 }
 
 /// Draws `n` latent samples from `model`, decodes them into `size × size`
-/// molecule matrices, and scores them.
+/// molecule matrices, and scores them. The per-sample chem work runs on the
+/// compute pool under the model's [`ExecPolicy`] threads.
 ///
 /// `rescale` multiplies decoded features before rounding — use it for fully
 /// quantum models whose probability outputs live on the normalized scale
@@ -56,7 +62,7 @@ pub fn sample_molecules(
         return Ok(SampledMolecules {
             molecules: Vec::new(),
             validity: 0.0,
-            properties: mean_properties(std::iter::empty()),
+            properties: DrugProperties::default(),
             attempted: 0,
         });
     }
@@ -67,35 +73,57 @@ pub fn sample_molecules(
             actual: features.shape(),
         });
     }
+    let screened = parallel::map_rows(features.rows(), model.exec_policy().threads, |r| {
+        screen_sample(features.row(r), size, rescale)
+    });
     let mut molecules = Vec::new();
+    let mut properties = Vec::new();
     let mut valid = 0usize;
-    for r in 0..features.rows() {
-        let mut row = features.row(r).to_vec();
-        if let Some(s) = rescale {
-            for v in &mut row {
-                *v *= s;
-            }
-        }
-        let matrix =
-            MoleculeMatrix::from_values(size, row).expect("sample width checked to be size*size");
-        let decoded = matrix.decode();
-        if decoded.is_empty() {
-            continue;
-        }
-        if valence::is_valid(&decoded) {
-            valid += 1;
-        }
-        if let Ok(s) = sanitize::sanitize(&decoded) {
-            molecules.push(s.molecule);
+    for s in screened.into_iter().flatten() {
+        valid += usize::from(s.valid);
+        if let Some((molecule, p)) = s.sanitized {
+            molecules.push(molecule);
+            properties.push(p);
         }
     }
-    let properties = mean_properties(molecules.iter());
     Ok(SampledMolecules {
         validity: valid as f64 / n as f64,
-        properties,
+        properties: DrugProperties::mean(properties),
         molecules,
         attempted: n,
     })
+}
+
+/// One decoded sample's chem results.
+struct Screened {
+    /// Whether the decoded molecule was valid before sanitization.
+    valid: bool,
+    /// The sanitized molecule and its properties, when sanitization
+    /// succeeded.
+    sanitized: Option<(Molecule, DrugProperties)>,
+}
+
+/// One sample's chem work: rescale, decode, valence check, sanitize and
+/// score. `None` when the sample decodes to no atoms.
+fn screen_sample(values: &[f64], size: usize, rescale: Option<f64>) -> Option<Screened> {
+    let mut row = values.to_vec();
+    if let Some(s) = rescale {
+        for v in &mut row {
+            *v *= s;
+        }
+    }
+    let decoded = MoleculeMatrix::from_values(size, row)
+        .expect("sample width checked to be size*size")
+        .decode();
+    if decoded.is_empty() {
+        return None;
+    }
+    let valid = valence::is_valid(&decoded);
+    let sanitized = sanitize::sanitize(&decoded).ok().map(|s| {
+        let p = DrugProperties::compute(&s.molecule);
+        (s.molecule, p)
+    });
+    Some(Screened { valid, sanitized })
 }
 
 /// Generation-quality metrics in the MolGAN tradition: how valid, unique,
@@ -116,7 +144,10 @@ pub struct GenerationMetrics {
     pub lipinski: f64,
 }
 
-/// Scores a sample batch against its training set.
+/// Scores a sample batch against its training set. Fingerprints and rule
+/// of five checks run per molecule on the compute pool under
+/// [`ExecPolicy::from_env`] threads; the sets, counts and diversity are
+/// taken in molecule order.
 pub fn generation_metrics(sampled: &SampledMolecules, training: &[Molecule]) -> GenerationMetrics {
     let n = sampled.molecules.len();
     if n == 0 {
@@ -125,15 +156,23 @@ pub fn generation_metrics(sampled: &SampledMolecules, training: &[Molecule]) -> 
             ..GenerationMetrics::default()
         };
     }
-    let fps: Vec<Fingerprint> = sampled.molecules.iter().map(fingerprint).collect();
-    let train_fps: HashSet<Fingerprint> = training.iter().map(fingerprint).collect();
+    let threads = ExecPolicy::from_env().threads;
+    let mols = &sampled.molecules;
+    let (fps, passes): (Vec<Fingerprint>, Vec<bool>) = parallel::map_rows(n, threads, |i| {
+        (
+            fingerprint(&mols[i]),
+            RuleOfFive::compute(&mols[i]).passes(),
+        )
+    })
+    .into_iter()
+    .unzip();
+    let train_fps: HashSet<Fingerprint> =
+        parallel::map_rows(training.len(), threads, |i| fingerprint(&training[i]))
+            .into_iter()
+            .collect();
     let unique: HashSet<&Fingerprint> = fps.iter().collect();
     let novel = fps.iter().filter(|fp| !train_fps.contains(fp)).count();
-    let lipinski_pass = sampled
-        .molecules
-        .iter()
-        .filter(|m| RuleOfFive::compute(m).passes())
-        .count();
+    let lipinski_pass = passes.iter().filter(|&&p| p).count();
     GenerationMetrics {
         validity: sampled.validity,
         uniqueness: unique.len() as f64 / n as f64,

@@ -1,12 +1,14 @@
-//! Execution policy for quantum-bearing models.
+//! Execution policy for every model.
 //!
 //! [`ExecPolicy`] bundles the two execution knobs — batch-row parallelism
-//! and simulator backend — into one value. Every quantum layer and every
-//! autoencoder starts from [`ExecPolicy::from_env`], the only code that
-//! reads `SQVAE_THREADS` and `SQVAE_BACKEND`, and a model's policy changes
-//! only through [`crate::Module::set_exec_policy`], which containers
-//! forward to every layer. Neither knob changes a result: every thread
-//! setting is bit-identical, and the backends agree to ~1e-15.
+//! and simulator backend — into one value. Every quantum layer, every
+//! `Linear` and every autoencoder starts from [`ExecPolicy::from_env`], the
+//! only code that reads `SQVAE_THREADS` and `SQVAE_BACKEND`, and a model's
+//! policy changes only through [`crate::Module::set_exec_policy`], which
+//! containers forward to every layer. Quantum layers apply both knobs;
+//! `Linear` shards its products under the threads. Neither knob changes a
+//! result: every thread setting is bit-identical, and the backends agree
+//! to ~1e-15.
 
 use crate::backend::BackendKind;
 use crate::parallel::Threads;
@@ -20,8 +22,8 @@ const THREADS_ENV_VAR: &str = "SQVAE_THREADS";
 /// Environment variable holding the starting [`BackendKind`].
 const BACKEND_ENV_VAR: &str = "SQVAE_BACKEND";
 
-/// How a model executes its quantum workload: batch-row parallelism plus
-/// simulator backend.
+/// How a model executes: batch-row parallelism (quantum rows and classical
+/// products) plus simulator backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecPolicy {
     /// Batch-row parallelism policy.

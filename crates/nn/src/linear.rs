@@ -1,12 +1,17 @@
 //! Fully connected layer.
 
 use crate::error::{NnError, Result};
+use crate::exec::ExecPolicy;
 use crate::init;
 use crate::matrix::Matrix;
 use crate::module::{Module, ParamTensor};
 use rand::Rng;
 
 /// A dense affine layer `y = x·W + b` with `W: [in, out]`, `b: [1, out]`.
+///
+/// Its products shard their output rows over the compute pool under the
+/// layer's [`ExecPolicy`] threads (see [`Matrix::matmul_sharded`]); every
+/// thread count gives the same bits.
 ///
 /// # Examples
 ///
@@ -26,15 +31,18 @@ pub struct Linear {
     weight: ParamTensor,
     bias: ParamTensor,
     cached_input: Option<Matrix>,
+    exec: ExecPolicy,
 }
 
 impl Linear {
-    /// Creates a layer with Xavier-uniform weights and zero bias.
+    /// Creates a layer with Xavier-uniform weights and zero bias. Its
+    /// execution policy starts as [`ExecPolicy::from_env`].
     pub fn new(in_features: usize, out_features: usize, rng: &mut impl Rng) -> Self {
         Linear {
             weight: ParamTensor::new(init::xavier_uniform(in_features, out_features, rng)),
             bias: ParamTensor::new(Matrix::zeros(1, out_features)),
             cached_input: None,
+            exec: ExecPolicy::from_env(),
         }
     }
 
@@ -54,6 +62,7 @@ impl Linear {
             weight: ParamTensor::new(weight),
             bias: ParamTensor::new(bias),
             cached_input: None,
+            exec: ExecPolicy::from_env(),
         })
     }
 
@@ -76,6 +85,12 @@ impl Linear {
     pub fn bias(&self) -> &ParamTensor {
         &self.bias
     }
+
+    /// The layer's execution policy: [`ExecPolicy::from_env`] until
+    /// [`Module::set_exec_policy`] changes it.
+    pub fn exec_policy(&self) -> ExecPolicy {
+        self.exec
+    }
 }
 
 impl Module for Linear {
@@ -86,9 +101,9 @@ impl Module for Linear {
     }
 
     fn infer(&self, input: &Matrix) -> Result<Matrix> {
-        input
-            .matmul(&self.weight.value)?
-            .add_row_broadcast(&self.bias.value)
+        let mut out = input.matmul_sharded(&self.weight.value, self.exec.threads)?;
+        out.add_row_broadcast(&self.bias.value)?;
+        Ok(out)
     }
 
     fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix> {
@@ -97,14 +112,19 @@ impl Module for Linear {
             .as_ref()
             .ok_or(NnError::BackwardBeforeForward)?;
         // dW = xᵀ · g ; db = column sums of g ; dx = g · Wᵀ.
-        let grad_w = input.transpose_matmul(grad_output)?;
+        let threads = self.exec.threads;
+        let grad_w = input.transpose_matmul_sharded(grad_output, threads)?;
         self.weight.grad.add_scaled(&grad_w, 1.0)?;
         self.bias.grad.add_scaled(&grad_output.column_sums(), 1.0)?;
-        grad_output.matmul_transpose(&self.weight.value)
+        grad_output.matmul_transpose_sharded(&self.weight.value, threads)
     }
 
     fn parameters(&mut self) -> Vec<&mut ParamTensor> {
         vec![&mut self.weight, &mut self.bias]
+    }
+
+    fn set_exec_policy(&mut self, policy: ExecPolicy) {
+        self.exec = policy;
     }
 }
 

@@ -4,6 +4,7 @@
 //! `[batch, features]` matrices and parameters are `[in, out]` matrices.
 
 use crate::error::{NnError, Result};
+use crate::parallel::{self, Threads};
 use std::fmt;
 
 /// A dense row-major matrix of `f64`.
@@ -26,6 +27,13 @@ pub struct Matrix {
 }
 
 impl Matrix {
+    /// Fewest multiply-adds in one compute-pool item of a `*_sharded`
+    /// product: output rows are grouped into items of at least this much
+    /// work, and a product of one item runs inline. A pool call costs a few
+    /// µs, and so does each claimed item, so smaller shares cost more than
+    /// they save.
+    pub const SHARD_GRAIN: usize = 1 << 17;
+
     /// A `rows × cols` matrix of zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         Matrix {
@@ -292,12 +300,25 @@ impl Matrix {
         }
     }
 
-    /// Matrix product `self · other`.
+    /// Matrix product `self · other`, on the calling thread.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] when inner dimensions disagree.
     pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
+        self.matmul_sharded(other, Threads::Off)
+    }
+
+    /// [`Matrix::matmul`] with its output rows on the compute pool under
+    /// `threads`, in items of at least [`Matrix::SHARD_GRAIN`]
+    /// multiply-adds (a smaller product runs inline). Each output element
+    /// is folded by one thread in the sequential order, so the bits do not
+    /// depend on `threads`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::ShapeMismatch`] when inner dimensions disagree.
+    pub fn matmul_sharded(&self, other: &Matrix, threads: Threads) -> Result<Matrix> {
         if self.cols != other.rows {
             return Err(NnError::ShapeMismatch {
                 expected: (self.cols, other.cols),
@@ -305,28 +326,35 @@ impl Matrix {
             });
         }
         let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                let orow = &other.data[k * other.cols..(k + 1) * other.cols];
-                let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for (o, &b) in out_row.iter_mut().zip(orow) {
-                    *o += a * b;
-                }
-            }
-        }
+        out.fill_rows_of_product(
+            self.cols,
+            threads,
+            || (),
+            |i, (), row| {
+                fold_rows(self.row(i), &other.data, row);
+            },
+        );
         Ok(out)
     }
 
-    /// `selfᵀ · other` without materializing the transpose.
+    /// `selfᵀ · other` without materializing the transpose, on the calling
+    /// thread.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] when row counts disagree.
     pub fn transpose_matmul(&self, other: &Matrix) -> Result<Matrix> {
+        self.transpose_matmul_sharded(other, Threads::Off)
+    }
+
+    /// [`Matrix::transpose_matmul`] with its output rows on the compute
+    /// pool, under the same grain and with the same bits as
+    /// [`Matrix::matmul_sharded`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::ShapeMismatch`] when row counts disagree.
+    pub fn transpose_matmul_sharded(&self, other: &Matrix, threads: Threads) -> Result<Matrix> {
         if self.rows != other.rows {
             return Err(NnError::ShapeMismatch {
                 expected: (self.rows, other.cols),
@@ -334,28 +362,33 @@ impl Matrix {
             });
         }
         let mut out = Matrix::zeros(self.cols, other.cols);
-        for r in 0..self.rows {
-            let arow = self.row(r);
-            let brow = other.row(r);
-            for (i, &a) in arow.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for (o, &b) in out_row.iter_mut().zip(brow) {
-                    *o += a * b;
-                }
-            }
-        }
+        out.fill_rows_of_product(self.rows, threads, Vec::new, |i, column, row| {
+            // Output row i folds column i of `self` over the rows of `other`.
+            column.clear();
+            column.extend(self.data.iter().skip(i).step_by(self.cols));
+            fold_rows(column, &other.data, row);
+        });
         Ok(out)
     }
 
-    /// `self · otherᵀ` without materializing the transpose.
+    /// `self · otherᵀ` without materializing the transpose, on the calling
+    /// thread.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] when column counts disagree.
     pub fn matmul_transpose(&self, other: &Matrix) -> Result<Matrix> {
+        self.matmul_transpose_sharded(other, Threads::Off)
+    }
+
+    /// [`Matrix::matmul_transpose`] with its output rows on the compute
+    /// pool, under the same grain and with the same bits as
+    /// [`Matrix::matmul_sharded`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::ShapeMismatch`] when column counts disagree.
+    pub fn matmul_transpose_sharded(&self, other: &Matrix, threads: Threads) -> Result<Matrix> {
         if self.cols != other.cols {
             return Err(NnError::ShapeMismatch {
                 expected: (self.rows, other.rows),
@@ -363,14 +396,49 @@ impl Matrix {
             });
         }
         let mut out = Matrix::zeros(self.rows, other.rows);
-        for i in 0..self.rows {
-            let arow = self.row(i);
-            for j in 0..other.rows {
-                let brow = other.row(j);
-                out.data[i * other.rows + j] = arow.iter().zip(brow).map(|(&a, &b)| a * b).sum();
-            }
-        }
+        out.fill_rows_of_product(
+            self.cols,
+            threads,
+            || (),
+            |i, (), row| {
+                dot_rows(self.row(i), &other.data, row);
+            },
+        );
         Ok(out)
+    }
+
+    /// Fills this product's rows with `f(row index, scratch, row)`, where
+    /// each output element takes `inner` multiply-adds. Rows are grouped
+    /// into items of at least [`Matrix::SHARD_GRAIN`] multiply-adds; a
+    /// product of one item, or one under a one-thread policy, runs on the
+    /// calling thread, and a larger one hands its items to the compute pool
+    /// under `threads`. Each row is written by one thread, so its bits do
+    /// not depend on the grouping.
+    fn fill_rows_of_product<S: Send>(
+        &mut self,
+        inner: usize,
+        threads: Threads,
+        init: impl Fn() -> S + Sync,
+        f: impl Fn(usize, &mut S, &mut [f64]) + Sync,
+    ) {
+        if self.data.is_empty() {
+            return;
+        }
+        let cols = self.cols;
+        let rows_per_item = Self::SHARD_GRAIN.div_ceil((inner * cols).max(1));
+        if self.rows <= rows_per_item || parallel::seats(self.rows, threads) == 1 {
+            let mut scratch = init();
+            for (i, row) in self.data.chunks_exact_mut(cols).enumerate() {
+                f(i, &mut scratch, row);
+            }
+            return;
+        }
+        let items: Vec<&mut [f64]> = self.data.chunks_mut(rows_per_item * cols).collect();
+        parallel::map_items(items, threads, init, |item, rows, scratch| {
+            for (r, row) in rows.chunks_exact_mut(cols).enumerate() {
+                f(item * rows_per_item + r, scratch, row);
+            }
+        });
     }
 
     /// The transposed matrix.
@@ -378,25 +446,24 @@ impl Matrix {
         Matrix::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
     }
 
-    /// Adds a `1 × cols` row vector to every row (bias broadcast).
+    /// Adds a `1 × cols` row vector to every row in place (bias broadcast).
     ///
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] when the vector width differs.
-    pub fn add_row_broadcast(&self, row: &Matrix) -> Result<Matrix> {
+    pub fn add_row_broadcast(&mut self, row: &Matrix) -> Result<()> {
         if row.rows != 1 || row.cols != self.cols {
             return Err(NnError::ShapeMismatch {
                 expected: (1, self.cols),
                 actual: row.shape(),
             });
         }
-        let mut out = self.clone();
-        for r in 0..out.rows {
-            for (o, &b) in out.row_mut(r).iter_mut().zip(&row.data) {
+        for r in 0..self.rows {
+            for (o, &b) in self.row_mut(r).iter_mut().zip(&row.data) {
                 *o += b;
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Column sums as a `1 × cols` row vector (bias gradient).
@@ -525,6 +592,74 @@ impl Matrix {
     }
 }
 
+/// Adds `Σₖ coeffs[k] · b[k]` into `out`, where `b[k]` is row k of the
+/// row-major `b` (rows `out.len()` wide): in ascending k, skipping a zero
+/// coefficient. A run of four non-zero coefficients shares one pass over
+/// `out`, each element taking its four additions in the order four single
+/// passes would, so the bits equal the per-k loop's.
+fn fold_rows(coeffs: &[f64], b: &[f64], out: &mut [f64]) {
+    let n = out.len();
+    let b_row = |k: usize| &b[k * n..(k + 1) * n];
+    let mut quads = coeffs.chunks_exact(4);
+    for (q, x) in (&mut quads).enumerate() {
+        let k = 4 * q;
+        if x.iter().all(|&c| c != 0.0) {
+            let (b0, b1, b2, b3) = (b_row(k), b_row(k + 1), b_row(k + 2), b_row(k + 3));
+            for ((((o, &v0), &v1), &v2), &v3) in out.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
+                *o = *o + x[0] * v0 + x[1] * v1 + x[2] * v2 + x[3] * v3;
+            }
+        } else {
+            for (j, &c) in x.iter().enumerate() {
+                axpy(c, b_row(k + j), out);
+            }
+        }
+    }
+    let k = coeffs.len() - quads.remainder().len();
+    for (j, &c) in quads.remainder().iter().enumerate() {
+        axpy(c, b_row(k + j), out);
+    }
+}
+
+/// `out += c · b`, skipped when `c` is zero.
+fn axpy(c: f64, b: &[f64], out: &mut [f64]) {
+    if c == 0.0 {
+        return;
+    }
+    for (o, &v) in out.iter_mut().zip(b) {
+        *o += c * v;
+    }
+}
+
+/// `out[j] = Σₖ a[k] · b[j][k]`, where `b[j]` is row j of the row-major `b`
+/// (rows `a.len()` wide). Each sum starts at −0.0, as `Iterator::sum` does,
+/// and adds every product in ascending k with no zero skip. Four outputs run
+/// at once, each in its own accumulator.
+fn dot_rows(a: &[f64], b: &[f64], out: &mut [f64]) {
+    let (k, n) = (a.len(), out.len());
+    let b_row = |j: usize| &b[j * k..(j + 1) * k];
+    let mut quads = out.chunks_exact_mut(4);
+    for (q, o) in (&mut quads).enumerate() {
+        let j = 4 * q;
+        let (b0, b1, b2, b3) = (b_row(j), b_row(j + 1), b_row(j + 2), b_row(j + 3));
+        let mut s = [-0.0f64; 4];
+        for ((((&x, &v0), &v1), &v2), &v3) in a.iter().zip(b0).zip(b1).zip(b2).zip(b3) {
+            s[0] += x * v0;
+            s[1] += x * v1;
+            s[2] += x * v2;
+            s[3] += x * v3;
+        }
+        o.copy_from_slice(&s);
+    }
+    let rest = quads.into_remainder();
+    let j = n - rest.len();
+    for (q, o) in rest.iter_mut().enumerate() {
+        *o = a
+            .iter()
+            .zip(b_row(j + q))
+            .fold(-0.0, |s, (&x, &v)| s + x * v);
+    }
+}
+
 impl fmt::Display for Matrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for r in 0..self.rows {
@@ -608,7 +743,8 @@ mod tests {
     fn broadcast_and_column_sums_are_adjoint() {
         let x = Matrix::from_fn(3, 2, |r, c| (r * 2 + c) as f64);
         let b = Matrix::row_vector(&[10.0, 20.0]);
-        let y = x.add_row_broadcast(&b).unwrap();
+        let mut y = x.clone();
+        y.add_row_broadcast(&b).unwrap();
         assert_eq!(y.get(2, 1), 5.0 + 20.0);
         let sums = y.column_sums();
         assert_eq!(sums.shape(), (1, 2));

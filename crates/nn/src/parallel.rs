@@ -1,15 +1,18 @@
 //! Row-sharded parallel execution on one persistent compute pool.
 //!
-//! Every quantum layer simulates batch rows independently, so the batch
-//! dimension is an embarrassingly parallel axis. [`map_rows`],
-//! [`map_rows_with`], [`map_items`] and [`fill_rows`] hand a call's rows
-//! (or the quantum layers' chunks of rows) to one process-wide pool of
+//! Every quantum layer simulates batch rows independently, every output
+//! row of a `Matrix` product is its own fold, and screening scores each
+//! sampled molecule on its own, so each of these is an embarrassingly
+//! parallel axis. [`map_rows`], [`map_rows_with`], [`map_items`] and
+//! [`fill_rows`] hand a call's rows (or the quantum layers' chunks of rows,
+//! or a product's groups of output rows) to one process-wide pool of
 //! helper threads (standard library only, matching the offline build
 //! environment). The pool holds `max(cpus, 2) − 1` helpers, started
 //! on the first parallel call with the CPU count read once, and lives for
-//! the process. Training, every quantum layer and the serving engine
-//! submit into the same pool, so serving shares one set of threads with
-//! row sharding instead of multiplying it.
+//! the process. Training, every quantum layer, the `Linear` products, the
+//! screening chem work and the serving engine submit into the same pool,
+//! so serving shares one set of threads with row sharding instead of
+//! multiplying it.
 //!
 //! The calling thread always takes part: it and any helper that joins claim
 //! rows one at a time from one atomic counter, and each row's result lands

@@ -50,8 +50,7 @@ pub fn qubits_for_features(n_features: usize) -> usize {
 /// # Ok::<(), sqvae_quantum::QuantumError>(())
 /// ```
 pub fn amplitude_embedding(features: &[f64], n_qubits: usize) -> Result<StateVector> {
-    // Validate register size via the canonical constructor.
-    StateVector::zero_state(n_qubits)?;
+    StateVector::validate_register(n_qubits)?;
     let dim = 1usize << n_qubits;
     if features.len() > dim {
         return Err(QuantumError::DimensionMismatch {

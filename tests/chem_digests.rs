@@ -20,7 +20,7 @@ use sqvae::core::sampling::{generation_metrics, sample_molecules};
 use sqvae::datasets::pdbbind::{self, PdbbindConfig, PDBBIND_MATRIX_SIZE};
 use sqvae::datasets::qm9::{self, Qm9Config};
 use sqvae::datasets::Dataset;
-use sqvae::nn::{BackendKind, ExecPolicy};
+use sqvae::nn::{BackendKind, ExecPolicy, Threads};
 
 /// Asserts a digest equals its recorded value, printing the new value.
 fn check(stage: &str, got: u64, want: u64) {
@@ -199,45 +199,50 @@ fn molecular_datasets_match_recorded_digests() {
 /// 32×32. The untrained decoder's outputs are rescaled into the code range
 /// so the batch holds large, mostly invalid molecules. The digest was
 /// recorded on the `dense` backend; `soa` agrees only to 1e-12, so the
-/// model is pinned to `dense` whatever the environment selects.
+/// model is pinned to `dense` whatever the environment selects. The batch
+/// runs sequentially and on two and three threads: its 64 × 56 × 1024
+/// decoder product and its 64 samples' chem work are both split over the
+/// compute pool, and every split gives the recorded bits.
 #[test]
 fn sampled_batch_matches_recorded_digest() {
     let mut model = models::sq_vae(1024, 8, 1, &mut StdRng::seed_from_u64(5));
-    model.set_exec_policy(ExecPolicy {
-        backend: BackendKind::Dense,
-        ..ExecPolicy::from_env()
-    });
     let training = ligands();
-    let sampled = sample_molecules(
-        &mut model,
-        64,
-        PDBBIND_MATRIX_SIZE,
-        Some(8.0),
-        &mut StdRng::seed_from_u64(6),
-    )
-    .expect("decoder width is 32x32");
-    let metrics = generation_metrics(&sampled, &training);
-    let mut d = Digest::new();
-    for m in &sampled.molecules {
-        d.molecule(m);
+    for threads in [Threads::Off, Threads::Fixed(2), Threads::Fixed(3)] {
+        model.set_exec_policy(ExecPolicy {
+            threads,
+            backend: BackendKind::Dense,
+        });
+        let sampled = sample_molecules(
+            &mut model,
+            64,
+            PDBBIND_MATRIX_SIZE,
+            Some(8.0),
+            &mut StdRng::seed_from_u64(6),
+        )
+        .expect("decoder width is 32x32");
+        let metrics = generation_metrics(&sampled, &training);
+        let mut d = Digest::new();
+        for m in &sampled.molecules {
+            d.molecule(m);
+        }
+        let p = sampled.properties;
+        for x in [sampled.validity, p.qed, p.logp_raw, p.logp, p.sa_raw, p.sa] {
+            d.f64(x);
+        }
+        for x in [
+            metrics.validity,
+            metrics.uniqueness,
+            metrics.novelty,
+            metrics.diversity,
+            metrics.lipinski,
+        ] {
+            d.f64(x);
+        }
+        assert_eq!(sampled.molecules.len(), 63, "{threads:?}");
+        check(
+            &format!("sample_molecules + generation_metrics ({threads:?})"),
+            d.0,
+            0x81e5_f47f_ae13_3e87,
+        );
     }
-    let p = sampled.properties;
-    for x in [sampled.validity, p.qed, p.logp_raw, p.logp, p.sa_raw, p.sa] {
-        d.f64(x);
-    }
-    for x in [
-        metrics.validity,
-        metrics.uniqueness,
-        metrics.novelty,
-        metrics.diversity,
-        metrics.lipinski,
-    ] {
-        d.f64(x);
-    }
-    assert_eq!(sampled.molecules.len(), 63);
-    check(
-        "sample_molecules + generation_metrics",
-        d.0,
-        0x81e5_f47f_ae13_3e87,
-    );
 }
