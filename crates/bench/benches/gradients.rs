@@ -9,7 +9,7 @@ use sqvae_nn::parallel::{self, Threads};
 use sqvae_quantum::embed::{angle_embedding_gates, RotationAxis};
 use sqvae_quantum::grad::{adjoint, paramshift};
 use sqvae_quantum::templates::{strongly_entangling_layers, EntangleRange};
-use sqvae_quantum::{BankScratch, Circuit, DenseBackend, RegisterBank, StateVector};
+use sqvae_quantum::{BankScratch, Circuit, RegisterBank, StateVector};
 
 fn circuit(n_qubits: usize, layers: usize) -> (Circuit, Vec<f64>, Vec<f64>) {
     let mut c = Circuit::new(n_qubits).expect("valid register");
@@ -38,8 +38,8 @@ fn bench_adjoint_vs_paramshift(c: &mut Criterion) {
 
 /// A batch of 32 re-executing adjoint passes against one compiled tape
 /// (`adjoint::*_tape`, the per-row oracle the layers are tested against),
-/// sequential vs sharded across threads. The dense layers no longer run
-/// this path: they sweep register banks (the `register_bank` group).
+/// sequential vs sharded across threads. The layers no longer run this
+/// path: they sweep register banks (the `register_bank` group).
 fn bench_batched_adjoint(c: &mut Criterion) {
     let (circ, params, upstream) = circuit(6, 3);
     let rows = 32usize;
@@ -49,13 +49,7 @@ fn bench_batched_adjoint(c: &mut Criterion) {
             b.iter(|| {
                 let tape = circ.compile(&params).unwrap();
                 parallel::map_rows(rows, threads, |_r| {
-                    adjoint::backward_expectations_z_tape::<DenseBackend>(
-                        &tape,
-                        &[],
-                        None,
-                        &upstream,
-                    )
-                    .unwrap()
+                    adjoint::backward_expectations_z_tape(&tape, &[], None, &upstream).unwrap()
                 })
             })
         });

@@ -1,12 +1,10 @@
-//! Backend scaling sweep: forward readout, probability readout, and a
-//! batched tape adjoint pass over 4–14 qubits on both simulator backends
-//! (dense, soa). EXPERIMENTS.md records the measured sweep; the SoA
-//! backend's packed split-plane kernels pull ahead of the dense interleaved
-//! kernels on forward passes and readouts as the register outgrows the
-//! cache (12–14 qubits).
+//! Register scaling sweep: per-row forward readout, probability readout,
+//! and a batch of four re-executing tape adjoint passes over 4–14 qubits on
+//! the dense statevector simulator. EXPERIMENTS.md records the measured
+//! sweep: each pass takes about 4.5–5× longer per two added qubits (four
+//! times the amplitudes, and more gates per layer).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sqvae_quantum::backend::{Backend, DenseBackend, SoaDenseBackend};
 use sqvae_quantum::embed::{angle_embedding_gates, RotationAxis};
 use sqvae_quantum::grad::adjoint;
 use sqvae_quantum::templates::{strongly_entangling_layers, EntangleRange};
@@ -36,50 +34,15 @@ fn circuit(n: usize) -> (Circuit, Vec<f64>, Vec<Vec<f64>>) {
     (c, params, rows)
 }
 
-fn bench_forward_on<B: Backend>(group: &mut criterion::BenchmarkGroup<'_>, n: usize) {
-    let (c, params, rows) = circuit(n);
-    let tape = c.compile(&params).unwrap();
-    group.bench_function(format!("{}/{n}q", B::NAME), |b| {
-        b.iter(|| tape.expectations_z_on::<B>(&rows[0], None).unwrap())
-    });
-}
-
-fn bench_probabilities_on<B: Backend>(group: &mut criterion::BenchmarkGroup<'_>, n: usize) {
-    let (c, params, rows) = circuit(n);
-    let tape = c.compile(&params).unwrap();
-    let mut out = Vec::new();
-    group.bench_function(format!("{}/{n}q", B::NAME), |b| {
-        b.iter(|| {
-            tape.probabilities_into_on::<B>(&rows[0], None, &mut out)
-                .unwrap();
-            out.last().copied()
-        })
-    });
-}
-
-fn bench_adjoint_on<B: Backend>(group: &mut criterion::BenchmarkGroup<'_>, n: usize) {
-    let (c, params, rows) = circuit(n);
-    let tape = c.compile(&params).unwrap();
-    let upstream = vec![1.0f64; n];
-    group.bench_function(format!("{}/{n}q", B::NAME), |b| {
-        b.iter(|| {
-            rows.iter()
-                .map(|row| {
-                    adjoint::backward_expectations_z_tape::<B>(&tape, row, None, &upstream)
-                        .unwrap()
-                        .params[0]
-                })
-                .sum::<f64>()
-        })
-    });
-}
-
 fn bench_scaling_forward(c: &mut Criterion) {
     let mut group = c.benchmark_group("scaling_forward");
     group.sample_size(10);
     for n in QUBITS {
-        bench_forward_on::<DenseBackend>(&mut group, n);
-        bench_forward_on::<SoaDenseBackend>(&mut group, n);
+        let (circ, params, rows) = circuit(n);
+        let tape = circ.compile(&params).unwrap();
+        group.bench_function(format!("dense/{n}q"), |b| {
+            b.iter(|| tape.expectations_z_on(&rows[0], None).unwrap())
+        });
     }
     group.finish();
 }
@@ -88,8 +51,17 @@ fn bench_scaling_probabilities(c: &mut Criterion) {
     let mut group = c.benchmark_group("scaling_probabilities");
     group.sample_size(10);
     for n in QUBITS {
-        bench_probabilities_on::<DenseBackend>(&mut group, n);
-        bench_probabilities_on::<SoaDenseBackend>(&mut group, n);
+        let (circ, params, rows) = circuit(n);
+        let tape = circ.compile(&params).unwrap();
+        let mut out = Vec::new();
+        group.bench_function(format!("dense/{n}q"), |b| {
+            b.iter(|| {
+                tape.execute_on(&rows[0], None)
+                    .unwrap()
+                    .probabilities_into(&mut out);
+                out.last().copied()
+            })
+        });
     }
     group.finish();
 }
@@ -98,8 +70,20 @@ fn bench_scaling_adjoint(c: &mut Criterion) {
     let mut group = c.benchmark_group("scaling_adjoint_batch4");
     group.sample_size(10);
     for n in QUBITS {
-        bench_adjoint_on::<DenseBackend>(&mut group, n);
-        bench_adjoint_on::<SoaDenseBackend>(&mut group, n);
+        let (circ, params, rows) = circuit(n);
+        let tape = circ.compile(&params).unwrap();
+        let upstream = vec![1.0f64; n];
+        group.bench_function(format!("dense/{n}q"), |b| {
+            b.iter(|| {
+                rows.iter()
+                    .map(|row| {
+                        adjoint::backward_expectations_z_tape(&tape, row, None, &upstream)
+                            .unwrap()
+                            .params[0]
+                    })
+                    .sum::<f64>()
+            })
+        });
     }
     group.finish();
 }

@@ -19,7 +19,7 @@
 //! runs. Results print as aligned text tables; EXPERIMENTS.md records the
 //! measured numbers next to the paper's. Like every other entry point, the
 //! binaries run each model on the execution policy it starts with, which
-//! `SQVAE_THREADS` and `SQVAE_BACKEND` set (see `sqvae_nn::ExecPolicy`).
+//! `SQVAE_THREADS` sets (see `sqvae_nn::ExecPolicy`).
 
 use sqvae_core::checkpoint;
 use sqvae_core::Autoencoder;

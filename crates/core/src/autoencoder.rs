@@ -262,11 +262,11 @@ impl Autoencoder {
         v
     }
 
-    /// Sets the execution policy — batch-row parallelism and simulator
-    /// backend — on every stage and on the latent heads: quantum stages
-    /// apply both knobs, and `Linear` stages and heads shard their products
-    /// under its threads. This is the only way a model's policy changes:
-    /// the trainer runs on whatever policy the model has.
+    /// Sets the execution policy (batch-row parallelism) on every stage and
+    /// on the latent heads: quantum stages shard their register-bank chunks
+    /// under it, and `Linear` stages and heads their products. This is the
+    /// only way a model's policy changes: the trainer runs on whatever
+    /// policy the model has.
     pub fn set_exec_policy(&mut self, policy: ExecPolicy) {
         self.exec = policy;
         self.encoder.set_exec_policy(policy);

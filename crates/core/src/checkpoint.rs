@@ -11,9 +11,11 @@
 //! ```
 //!
 //! The body carries the model name, the [`ModelSpec`] architecture tag (so
-//! loading can call the same `models::*` factory that built the model), the
-//! simulator backend it ran on, the RNG seed recorded at save time, and the
-//! parameter tensors of both optimizer groups. Floats travel as IEEE-754
+//! loading can call the same `models::*` factory that built the model), a
+//! simulator tag (written as `dense`; the tags of removed backends load as
+//! aliases of it, see [`BackendKind`], and any other tag is corrupt), the
+//! RNG seed recorded at save time, and the parameter tensors of both
+//! optimizer groups. Floats travel as IEEE-754
 //! bit patterns ([`sqvae_nn::serialize`]), so a save → load round trip
 //! reconstructs **bit-identically** — `reconstruct` on the loaded model
 //! produces the same bits as on the original.
@@ -64,7 +66,7 @@ use rand::SeedableRng;
 use sqvae_nn::serialize::{
     read_matrix, read_string, read_u32, read_u64, write_matrix, write_string, write_u32, write_u64,
 };
-use sqvae_nn::{BackendKind, ExecPolicy, Matrix};
+use sqvae_nn::{BackendKind, Matrix};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -336,9 +338,6 @@ pub struct Checkpoint {
     /// Architecture descriptor; [`Checkpoint::build_model`] feeds it back
     /// through the factory that built the original.
     pub spec: ModelSpec,
-    /// The model's own simulator backend; restored on load. (Threads are
-    /// machine-local: a loaded model takes them from the environment.)
-    pub backend: BackendKind,
     /// RNG seed recorded by the caller at save time (provenance metadata —
     /// e.g. the training seed; not consumed on load).
     pub seed: u64,
@@ -358,16 +357,16 @@ impl Checkpoint {
         Ok(Checkpoint {
             name: model.name.clone(),
             spec,
-            backend: model.exec_policy().backend,
             seed,
             params: ParamSnapshot::capture(model),
         })
     }
 
     /// Rebuilds the model this checkpoint describes: factory-construct from
-    /// the spec, overwrite every parameter with the saved tensors, restore
-    /// the saved backend (threads come from [`ExecPolicy::from_env`] — a
-    /// machine-local choice).
+    /// the spec and overwrite every parameter with the saved tensors. Like
+    /// every factory-built model, it starts from
+    /// [`sqvae_nn::ExecPolicy::from_env`]: threads are a machine-local
+    /// choice.
     ///
     /// # Errors
     ///
@@ -380,10 +379,6 @@ impl Checkpoint {
         // deterministic anyway.
         let mut model = self.spec.build(&mut StdRng::seed_from_u64(self.seed));
         self.params.restore(&mut model)?;
-        model.set_exec_policy(ExecPolicy {
-            backend: self.backend,
-            ..ExecPolicy::from_env()
-        });
         Ok(model)
     }
 
@@ -398,7 +393,7 @@ impl Checkpoint {
         let mut body = Vec::new();
         write_string(&mut body, &self.name)?;
         write_string(&mut body, &self.spec.to_string())?;
-        write_string(&mut body, self.backend.name())?;
+        write_string(&mut body, BackendKind::Dense.name())?;
         write_u64(&mut body, self.seed)?;
         ParamSnapshot::write_group(&mut body, &self.params.quantum)?;
         ParamSnapshot::write_group(&mut body, &self.params.classical)?;
@@ -448,10 +443,10 @@ impl Checkpoint {
         let name = read_string(&mut b)?;
         let spec_tag = read_string(&mut b)?;
         let spec: ModelSpec = spec_tag.parse().map_err(CheckpointError::Corrupt)?;
-        let backend_tag = read_string(&mut b)?;
-        let backend: BackendKind = backend_tag
-            .parse()
-            .map_err(|e: String| CheckpointError::Corrupt(e))?;
+        // Every tag `BackendKind` parses names the one simulator there is.
+        read_string(&mut b)?
+            .parse::<BackendKind>()
+            .map_err(CheckpointError::Corrupt)?;
         let seed = read_u64(&mut b)?;
         let quantum = ParamSnapshot::read_group(&mut b)?;
         let classical = ParamSnapshot::read_group(&mut b)?;
@@ -472,7 +467,6 @@ impl Checkpoint {
         Ok(Checkpoint {
             name,
             spec,
-            backend,
             seed,
             params,
         })
@@ -678,15 +672,41 @@ pub fn load_model_or_recover(
 mod tests {
     use super::*;
     use crate::models;
+    use sqvae_nn::ExecPolicy;
 
-    /// A dense model: the bytes these tests write record its backend.
     fn model() -> Autoencoder {
-        let mut m = models::sq_vae(16, 2, 1, &mut StdRng::seed_from_u64(3));
-        m.set_exec_policy(ExecPolicy {
-            backend: BackendKind::Dense,
-            ..ExecPolicy::from_env()
-        });
-        m
+        models::sq_vae(16, 2, 1, &mut StdRng::seed_from_u64(3))
+    }
+
+    /// The bytes of `ckpt` with `tag` as its simulator tag, as a writer that
+    /// records that tag (and no finiteness check) produces them.
+    fn bytes_tagged(ckpt: &Checkpoint, tag: &str) -> Vec<u8> {
+        let mut body = Vec::new();
+        write_string(&mut body, &ckpt.name).unwrap();
+        write_string(&mut body, &ckpt.spec.to_string()).unwrap();
+        write_string(&mut body, tag).unwrap();
+        write_u64(&mut body, ckpt.seed).unwrap();
+        ParamSnapshot::write_group(&mut body, &ckpt.params.quantum).unwrap();
+        ParamSnapshot::write_group(&mut body, &ckpt.params.classical).unwrap();
+        let mut bytes = MAGIC.to_vec();
+        write_u32(&mut bytes, FORMAT_VERSION).unwrap();
+        write_u64(&mut bytes, body.len() as u64).unwrap();
+        bytes.extend_from_slice(&body);
+        write_u64(&mut bytes, fnv1a64(&body)).unwrap();
+        bytes
+    }
+
+    /// Loads `bytes` and checks that the rebuilt model reconstructs
+    /// bit-identically to `m`.
+    fn assert_rebuilds_bit_identically(m: &mut Autoencoder, bytes: &[u8]) {
+        let mut rebuilt = Checkpoint::read_from(bytes).unwrap().build_model().unwrap();
+        assert_eq!(rebuilt.exec_policy(), ExecPolicy::from_env());
+        let x = Matrix::from_fn(3, 16, |r, c| (r * 16 + c) as f64 / 48.0);
+        let y0 = m.reconstruct(&x).unwrap();
+        let y1 = rebuilt.reconstruct(&x).unwrap();
+        for (a, b) in y0.as_slice().iter().zip(y1.as_slice()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
     }
 
     fn checkpoint_bytes() -> Vec<u8> {
@@ -709,17 +729,12 @@ mod tests {
         assert_eq!(back.name, m.name);
         assert_eq!(back.spec, m.spec().unwrap());
         assert_eq!(back.seed, 42);
-        assert_eq!(back.backend, BackendKind::Dense);
         for (a, b) in ckpt.params.quantum.iter().zip(&back.params.quantum) {
             assert_eq!(a, b);
         }
-        let mut rebuilt = back.build_model().unwrap();
-        let x = Matrix::from_fn(3, 16, |r, c| (r * 16 + c) as f64 / 48.0);
-        let y0 = m.reconstruct(&x).unwrap();
-        let y1 = rebuilt.reconstruct(&x).unwrap();
-        for (a, b) in y0.as_slice().iter().zip(y1.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        // The writer records the `dense` tag, so the bytes are unchanged.
+        assert_eq!(bytes, bytes_tagged(&ckpt, "dense"));
+        assert_rebuilds_bit_identically(&mut m, &bytes);
     }
 
     #[test]
@@ -728,28 +743,27 @@ mod tests {
         // bytes below are what such a build produced for this model.
         let mut m = model();
         let ckpt = Checkpoint::capture(&mut m, 4).unwrap();
-        let mut body = Vec::new();
-        write_string(&mut body, &ckpt.name).unwrap();
-        write_string(&mut body, &ckpt.spec.to_string()).unwrap();
-        write_string(&mut body, "fused").unwrap();
-        write_u64(&mut body, ckpt.seed).unwrap();
-        ParamSnapshot::write_group(&mut body, &ckpt.params.quantum).unwrap();
-        ParamSnapshot::write_group(&mut body, &ckpt.params.classical).unwrap();
-        let mut bytes = MAGIC.to_vec();
-        write_u32(&mut bytes, FORMAT_VERSION).unwrap();
-        write_u64(&mut bytes, body.len() as u64).unwrap();
-        bytes.extend_from_slice(&body);
-        write_u64(&mut bytes, fnv1a64(&body)).unwrap();
+        assert_rebuilds_bit_identically(&mut m, &bytes_tagged(&ckpt, "fused"));
+    }
 
-        let back = Checkpoint::read_from(&bytes[..]).unwrap();
-        assert_eq!(back.backend, BackendKind::Dense);
-        let mut rebuilt = back.build_model().unwrap();
-        assert_eq!(rebuilt.exec_policy().backend, BackendKind::Dense);
-        let x = Matrix::from_fn(3, 16, |r, c| (r * 16 + c) as f64 / 48.0);
-        let y0 = m.reconstruct(&x).unwrap();
-        let y1 = rebuilt.reconstruct(&x).unwrap();
-        for (a, b) in y0.as_slice().iter().zip(y1.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
+    #[test]
+    fn soa_backend_tag_loads_as_dense() {
+        // Builds with the `soa` backend wrote that name into the body.
+        let mut m = model();
+        let ckpt = Checkpoint::capture(&mut m, 4).unwrap();
+        assert_rebuilds_bit_identically(&mut m, &bytes_tagged(&ckpt, "soa"));
+    }
+
+    #[test]
+    fn unknown_backend_tag_is_corrupt() {
+        let mut m = model();
+        let ckpt = Checkpoint::capture(&mut m, 4).unwrap();
+        for tag in ["gpu", "Dense", "soa2"] {
+            let err = Checkpoint::read_from(&bytes_tagged(&ckpt, tag)[..]).unwrap_err();
+            assert!(
+                matches!(&err, CheckpointError::Corrupt(msg) if msg.contains(tag)),
+                "{tag}: {err:?}"
+            );
         }
     }
 
@@ -790,19 +804,7 @@ mod tests {
             fs::remove_dir_all(&dir).unwrap();
 
             // Bytes an older writer produced load as a typed error.
-            let mut body = Vec::new();
-            write_string(&mut body, &ckpt.name).unwrap();
-            write_string(&mut body, &ckpt.spec.to_string()).unwrap();
-            write_string(&mut body, ckpt.backend.name()).unwrap();
-            write_u64(&mut body, ckpt.seed).unwrap();
-            ParamSnapshot::write_group(&mut body, &ckpt.params.quantum).unwrap();
-            ParamSnapshot::write_group(&mut body, &ckpt.params.classical).unwrap();
-            let mut bytes = MAGIC.to_vec();
-            write_u32(&mut bytes, FORMAT_VERSION).unwrap();
-            write_u64(&mut bytes, body.len() as u64).unwrap();
-            bytes.extend_from_slice(&body);
-            write_u64(&mut bytes, fnv1a64(&body)).unwrap();
-            let err = Checkpoint::read_from(&bytes[..]).unwrap_err();
+            let err = Checkpoint::read_from(&bytes_tagged(&ckpt, "dense")[..]).unwrap_err();
             assert!(want(&err), "{bad}: {err:?}");
         }
     }

@@ -199,7 +199,7 @@ impl FaultPlan {
 
     /// Reads the plan from `SQVAE_FAULTS`. Unset → `None`; a malformed
     /// value warns once on stderr and counts as unset (matching the
-    /// `SQVAE_THREADS` / `SQVAE_BACKEND` typo policy).
+    /// `SQVAE_THREADS` typo policy).
     pub fn from_env() -> Option<Self> {
         let spec = std::env::var("SQVAE_FAULTS").ok()?;
         match FaultPlan::parse(&spec) {

@@ -188,14 +188,18 @@ impl Module for PatchedQuantumLayer {
     fn forward(&mut self, input: &Matrix) -> Result<Matrix, NnError> {
         self.check_width(input)?;
         self.kept = None;
-        let (out, kept) = quantum_layer::forward_bank(&self.patches, input, self.exec);
+        let (out, kept) = quantum_layer::forward_bank(&self.patches, input, self.exec.threads);
         self.kept = Some(kept);
         Ok(out)
     }
 
     fn infer(&self, input: &Matrix) -> Result<Matrix, NnError> {
         self.check_width(input)?;
-        Ok(quantum_layer::infer_bank(&self.patches, input, self.exec))
+        Ok(quantum_layer::infer_bank(
+            &self.patches,
+            input,
+            self.exec.threads,
+        ))
     }
 
     /// Backward pass: the adjoint sweeps of the kept banks, sharded like
@@ -220,9 +224,8 @@ impl Module for PatchedQuantumLayer {
     }
 
     fn set_exec_policy(&mut self, policy: ExecPolicy) {
-        // The bank shards the flattened patch × chunk grid itself and picks
-        // the backend for every patch, so its own policy is the only one
-        // its passes read.
+        // The bank shards the flattened patch × chunk grid itself, so its
+        // own policy is the only one its passes read.
         self.exec = policy;
     }
 }
@@ -232,7 +235,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sqvae_nn::{BackendKind, Threads};
+    use sqvae_nn::Threads;
 
     #[test]
     fn a_new_bank_starts_from_the_environment_policy() {
@@ -332,7 +335,7 @@ mod tests {
             let mut bank = PatchedQuantumLayer::amplitude_encoder(16, 2, 2, &mut rng);
             bank.set_exec_policy(ExecPolicy {
                 threads,
-                backend: BackendKind::Dense,
+                ..ExecPolicy::from_env()
             });
             bank
         };
@@ -376,38 +379,37 @@ mod tests {
                 9,
             ),
         ];
-        // 0 rows, one lane per patch, odd chunks, and one row past a
-        // 32-lane chunk.
-        for rows in [0, 1, 3, 5, 33] {
+        // 0 rows, one lane per patch, odd chunks, one row past a 32-lane
+        // chunk, and 65 rows: three uneven chunks (21/22/22) per patch on
+        // every policy and host.
+        for rows in [0, 1, 3, 5, 33, 65] {
             for (name, build, width) in banks {
                 let x = Matrix::from_fn(rows, width, |i, j| {
                     0.07 * ((i % 6) * width + j) as f64 - 0.4
                 });
-                for backend in [BackendKind::Dense, BackendKind::Soa] {
-                    for threads in [Threads::Off, Threads::Fixed(3)] {
-                        let mut bank = build(&mut StdRng::seed_from_u64(12));
-                        bank.set_exec_policy(ExecPolicy { threads, backend });
-                        let case = format!("{rows} rows {name} {backend:?} {threads:?}");
-                        let y = bank.forward(&x).unwrap();
-                        assert_eq!(y.shape(), (rows, bank.out_features()), "{case}");
-                        assert_eq!(bank.infer(&x).unwrap(), y, "{case}");
-                        if backend == BackendKind::Dense {
-                            assert_eq!(y, oracle::bank_outputs(&bank.patches, &x), "{case}");
-                        }
-                        let g = Matrix::from_fn(rows, y.cols(), |i, j| {
-                            0.25 * (i % 4) as f64 - 0.05 * j as f64
-                        });
-                        let gin = bank.backward(&g).unwrap();
-                        let (params, want_gin) =
-                            oracle::bank_gradients(&bank.patches, backend, &x, &g);
-                        let got: Vec<Vec<f64>> = bank
-                            .parameters()
-                            .iter()
-                            .map(|p| p.grad.as_slice().to_vec())
-                            .collect();
-                        assert_eq!(got, params, "{case}");
-                        assert_eq!(gin, want_gin, "{case}");
-                    }
+                for threads in [Threads::Off, Threads::Fixed(3)] {
+                    let mut bank = build(&mut StdRng::seed_from_u64(12));
+                    bank.set_exec_policy(ExecPolicy {
+                        threads,
+                        ..ExecPolicy::from_env()
+                    });
+                    let case = format!("{rows} rows {name} {threads:?}");
+                    let y = bank.forward(&x).unwrap();
+                    assert_eq!(y.shape(), (rows, bank.out_features()), "{case}");
+                    assert_eq!(bank.infer(&x).unwrap(), y, "{case}");
+                    assert_eq!(y, oracle::bank_outputs(&bank.patches, &x), "{case}");
+                    let g = Matrix::from_fn(rows, y.cols(), |i, j| {
+                        0.25 * (i % 4) as f64 - 0.05 * j as f64
+                    });
+                    let gin = bank.backward(&g).unwrap();
+                    let (params, want_gin) = oracle::bank_gradients(&bank.patches, &x, &g);
+                    let got: Vec<Vec<f64>> = bank
+                        .parameters()
+                        .iter()
+                        .map(|p| p.grad.as_slice().to_vec())
+                        .collect();
+                    assert_eq!(got, params, "{case}");
+                    assert_eq!(gin, want_gin, "{case}");
                 }
             }
         }

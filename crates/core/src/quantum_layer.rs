@@ -10,11 +10,11 @@
 //! instead of once per row.
 //!
 //! **Rows run as lanes of a register bank.** Every row of a patch replays
-//! the same tape, so on the dense policy a pass splits each patch's rows
-//! into chunks of at most 32 and runs each chunk as the lanes of one
-//! [`RegisterBank`]: a batch-major register whose kernels loop over rows
-//! with unit stride. Each lane does exactly the `f64` operations the
-//! per-row [`StateVector`] does on its row, so outputs and gradients are
+//! the same tape, so a pass splits each patch's rows into chunks of at
+//! most 32 and runs each chunk as the lanes of one [`RegisterBank`]: a
+//! batch-major register whose kernels loop over rows with unit stride.
+//! Each lane does exactly the `f64` operations the per-row
+//! [`StateVector`] does on its row, so outputs and gradients are
 //! bit-identical to the per-row simulator for any chunking.
 //!
 //! **Forward keeps, backward sweeps.** The training forward
@@ -42,25 +42,18 @@
 //! reused scratch; no thread is spawned per pass. The shared tape is
 //! immutable and crosses threads by reference. Results land in
 //! preallocated item slots and gradients accumulate per patch in fixed row
-//! order, so the parallel path is bit-identical to the sequential one.
-//!
-//! Which simulator executes the tape is the policy's second knob,
-//! [`BackendKind`]: the dense policy runs the banks, and `soa` runs every
-//! row on its own structure-of-arrays register; the two agree to ≤ 1e-12.
-//! A backward sweeps on the backend its forward ran on.
+//! order, so the parallel path is bit-identical to the sequential one. A
+//! backward keeps its forward's chunks, whatever the policy says since.
 
 use rand::Rng;
 use sqvae_nn::parallel;
-use sqvae_nn::{init, BackendKind, ExecPolicy, Matrix, Module, NnError, ParamTensor, Threads};
+use sqvae_nn::{init, ExecPolicy, Matrix, Module, NnError, ParamTensor, Threads};
 use sqvae_quantum::embed::{
     amplitude_embedding, angle_embedding_gates, qubits_for_features, RotationAxis,
 };
 use sqvae_quantum::grad::adjoint;
-use sqvae_quantum::grad::CircuitGradients;
 use sqvae_quantum::templates::{strongly_entangling_layers, EntangleRange};
-use sqvae_quantum::{
-    Backend, BankScratch, Circuit, CompiledTape, RegisterBank, SoaDenseBackend, StateVector,
-};
+use sqvae_quantum::{BankScratch, Circuit, CompiledTape, RegisterBank, StateVector};
 use std::ops::Range;
 
 /// How classical data enters the circuit.
@@ -232,34 +225,6 @@ impl QuantumLayer {
             .expect("validated circuit")
     }
 
-    /// Simulates one row: builds its start state and executes `tape` on it
-    /// in place. An amplitude-input row becomes the start state; an
-    /// angle-input row starts from `|0…0⟩` and is the angles `tape` reads.
-    fn run_row<B: Backend>(&self, tape: &CompiledTape, row: &[f64]) -> B {
-        let (mut state, angles) = match self.input_mode {
-            QuantumInput::Amplitude { .. } => {
-                (B::from_statevector(self.embedded_initial(row)), &[][..])
-            }
-            QuantumInput::Angle => (B::zero_state(self.n_qubits()).expect("valid register"), row),
-        };
-        state.execute_tape(tape, angles).expect("validated circuit");
-        state
-    }
-
-    /// Writes the layer's readout of a final register into `out` (cleared
-    /// first, capacity reused).
-    fn read_out<B: Backend>(&self, state: &B, out: &mut Vec<f64>) {
-        match self.output_mode {
-            QuantumOutput::ExpectationZ => {
-                out.clear();
-                out.extend(
-                    (0..self.n_qubits()).map(|w| state.expectation_z(w).expect("wire in range")),
-                );
-            }
-            QuantumOutput::Probabilities => state.probabilities_into(out),
-        }
-    }
-
     /// Loads patch `k`'s share of rows `rows` of `input`, for the work item
     /// `(k, rows)`, into the lanes of `bank`, which holds `|0…0⟩` in
     /// `rows.len()` lanes, and runs `tape` on it. An
@@ -317,10 +282,9 @@ impl QuantumLayer {
 /// sub-circuits ([`crate::PatchedQuantumLayer`]; a lone [`QuantumLayer`] is
 /// a bank of one) as one patch-major list of work items. Patch `k` reads
 /// columns `k·in..(k+1)·in` of each input row and writes columns
-/// `k·out..(k+1)·out` of each output row. On the dense policy an item is a
-/// `(patch, chunk)` pair whose rows run as the lanes of one
-/// [`RegisterBank`], and the forward keeps one bank per item; on `soa` an
-/// item is a `(patch, row)` pair with its own register.
+/// `k·out..(k+1)·out` of each output row. An item is a `(patch, chunk)`
+/// pair whose rows run as the lanes of one [`RegisterBank`], and the
+/// forward keeps one bank per item.
 #[derive(Debug, Clone)]
 pub(crate) struct Kept {
     /// Per patch, the tape the forward executed, adjoint program included.
@@ -329,16 +293,8 @@ pub(crate) struct Kept {
     /// it; the sweep never reads amplitude-embedded data.
     inputs: Option<Matrix>,
     rows: usize,
-    registers: Registers,
-}
-
-/// Every work item's final state, on the backend that produced it.
-#[derive(Debug, Clone)]
-enum Registers {
-    /// One bank per `(patch, chunk)` item, patch-major.
-    Dense(Vec<RegisterBank>),
-    /// One register per `(patch, row)` item, patch-major.
-    Soa(Vec<SoaDenseBackend>),
+    /// Every `(patch, chunk)` item's final bank, patch-major.
+    banks: Vec<RegisterBank>,
 }
 
 /// The most rows one [`RegisterBank`] runs as lanes. In a sweep of 8, 16,
@@ -347,7 +303,7 @@ enum Registers {
 /// scratch and leaves more chunks to balance across threads.
 const LANES: usize = 32;
 
-/// How a dense pass splits each patch's rows into chunks, each run as the
+/// How a pass splits each patch's rows into chunks, each run as the
 /// lanes of one [`RegisterBank`]: `c = max(⌈seats / patches⌉, ⌈rows /
 /// LANES⌉)` chunks of near-equal length, never more than the rows, where
 /// `seats` is the threads the pass takes part with. Lanes never read each
@@ -392,7 +348,7 @@ impl Chunks {
     }
 }
 
-/// One thread's working storage for the dense passes: the simulator's
+/// One thread's working storage for the passes: the simulator's
 /// scratch, the per-lane row views of the chunk in hand, and (for
 /// evaluation) a reused bank and readout buffer.
 struct BankWork<'a> {
@@ -444,64 +400,21 @@ impl Kept {
     }
 }
 
-/// Splits a patch-major work-item index into `(patch, row)`.
-fn item(idx: usize, rows: usize) -> (usize, usize) {
-    (idx / rows, idx % rows)
-}
-
 /// Columns `k·width..(k+1)·width` of a row: patch `k`'s share of it.
 fn patch_cols(row: &[f64], k: usize, width: usize) -> &[f64] {
     &row[k * width..(k + 1) * width]
 }
 
-/// Scatters patch-major readouts (`width` values per work item) into a
-/// `rows × (patches · width)` output matrix.
-fn to_rows(results: &[f64], rows: usize, patches: usize, width: usize) -> Matrix {
-    let mut out = Matrix::zeros(rows, patches * width);
-    for (idx, y) in results.chunks_exact(width).enumerate() {
-        let (k, r) = item(idx, rows);
-        out.row_mut(r)[k * width..(k + 1) * width].copy_from_slice(y);
-    }
-    out
-}
-
 /// The training forward of a bank: compiles every patch's tape with its
-/// adjoint program, simulates each work item once, and returns the outputs
-/// with what [`backward_bank`] sweeps from.
+/// adjoint program, runs every `(patch, chunk)` item's rows as the lanes of
+/// a new bank, and returns the outputs with what [`backward_bank`] sweeps
+/// from: the tapes and every item's bank.
 pub(crate) fn forward_bank(
     bank: &[QuantumLayer],
     input: &Matrix,
-    exec: ExecPolicy,
+    threads: Threads,
 ) -> (Matrix, Kept) {
     let tapes: Vec<CompiledTape> = bank.iter().map(QuantumLayer::compile_tape).collect();
-    let (out, registers) = match exec.backend {
-        BackendKind::Dense => {
-            let (out, banks) = forward_banks(bank, &tapes, input, exec.threads);
-            (out, Registers::Dense(banks))
-        }
-        BackendKind::Soa => {
-            let (out, regs) = forward_on(bank, &tapes, input, exec.threads);
-            (out, Registers::Soa(regs))
-        }
-    };
-    let inputs = matches!(bank[0].input_mode, QuantumInput::Angle).then(|| input.clone());
-    let kept = Kept {
-        tapes,
-        inputs,
-        rows: input.rows(),
-        registers,
-    };
-    (out, kept)
-}
-
-/// The dense training forward: every `(patch, chunk)` item runs its rows
-/// as the lanes of a new bank, which it keeps.
-fn forward_banks(
-    bank: &[QuantumLayer],
-    tapes: &[CompiledTape],
-    input: &Matrix,
-    threads: Threads,
-) -> (Matrix, Vec<RegisterBank>) {
     let rows = input.rows();
     let chunks = Chunks::new(rows, bank.len(), threads);
     let items = parallel::map_rows_with(
@@ -536,59 +449,25 @@ fn forward_banks(
             regs
         })
         .collect();
-    (out, banks)
+    let inputs = matches!(bank[0].input_mode, QuantumInput::Angle).then(|| input.clone());
+    let kept = Kept {
+        tapes,
+        inputs,
+        rows,
+        banks,
+    };
+    (out, kept)
 }
 
-fn forward_on<B: Backend + Send>(
-    bank: &[QuantumLayer],
-    tapes: &[CompiledTape],
-    input: &Matrix,
-    threads: Threads,
-) -> (Matrix, Vec<B>) {
-    let rows = input.rows();
-    let (in_w, out_w) = (bank[0].in_features(), bank[0].out_features());
-    let items = parallel::map_rows(bank.len() * rows, threads, |idx| {
-        let (k, r) = item(idx, rows);
-        let mut state: B = bank[k].run_row(&tapes[k], patch_cols(input.row(r), k, in_w));
-        let mut y = Vec::with_capacity(out_w);
-        bank[k].read_out(&state, &mut y);
-        state.release_scratch();
-        (state, y)
-    });
-    let mut results = Vec::with_capacity(items.len() * out_w);
-    let registers = items
-        .into_iter()
-        .map(|(state, y)| {
-            results.extend_from_slice(&y);
-            state
-        })
-        .collect();
-    (to_rows(&results, rows, bank.len(), out_w), registers)
-}
-
-/// The evaluation forward of a bank: forward-only tapes, each work item
-/// simulated and read out through one reused buffer per thread, nothing
-/// kept. Bit-identical to [`forward_bank`]'s outputs.
-pub(crate) fn infer_bank(bank: &[QuantumLayer], input: &Matrix, exec: ExecPolicy) -> Matrix {
+/// The evaluation forward of a bank: forward-only tapes, every
+/// `(patch, chunk)` item run as the lanes of one reused bank per thread
+/// and read out into a slot sized for the longest chunk, nothing kept.
+/// Bit-identical to [`forward_bank`]'s outputs.
+pub(crate) fn infer_bank(bank: &[QuantumLayer], input: &Matrix, threads: Threads) -> Matrix {
     let tapes: Vec<CompiledTape> = bank
         .iter()
         .map(QuantumLayer::compile_forward_tape)
         .collect();
-    match exec.backend {
-        BackendKind::Dense => infer_banks(bank, &tapes, input, exec.threads),
-        BackendKind::Soa => infer_on::<SoaDenseBackend>(bank, &tapes, input, exec.threads),
-    }
-}
-
-/// The dense evaluation forward: every `(patch, chunk)` item runs its rows
-/// as the lanes of one reused bank per thread and writes its readout into
-/// a slot sized for the longest chunk.
-fn infer_banks(
-    bank: &[QuantumLayer],
-    tapes: &[CompiledTape],
-    input: &Matrix,
-    threads: Threads,
-) -> Matrix {
     let rows = input.rows();
     let chunks = Chunks::new(rows, bank.len(), threads);
     let out_w = bank[0].out_features();
@@ -626,33 +505,9 @@ fn infer_banks(
     out
 }
 
-fn infer_on<B: Backend>(
-    bank: &[QuantumLayer],
-    tapes: &[CompiledTape],
-    input: &Matrix,
-    threads: Threads,
-) -> Matrix {
-    let rows = input.rows();
-    let (in_w, out_w) = (bank[0].in_features(), bank[0].out_features());
-    let mut results = vec![0.0; bank.len() * rows * out_w];
-    parallel::fill_rows(
-        &mut results,
-        out_w,
-        threads,
-        Vec::new,
-        |idx, scratch, slot| {
-            let (k, r) = item(idx, rows);
-            let state: B = bank[k].run_row(&tapes[k], patch_cols(input.row(r), k, in_w));
-            bank[k].read_out(&state, scratch);
-            slot.copy_from_slice(scratch);
-        },
-    );
-    to_rows(&results, rows, bank.len(), out_w)
-}
-
-/// The backward of a bank: sweeps every kept register against its share of
-/// `grad_output` (shape-checked by [`Kept::take_for`]), consuming it, then
-/// accumulates parameter gradients per patch in fixed row order and
+/// The backward of a bank: sweeps every kept bank against its rows' share
+/// of `grad_output` (shape-checked by [`Kept::take_for`]), consuming it,
+/// then accumulates parameter gradients per patch in fixed row order and
 /// returns the input gradient (zeros for amplitude-embedded raw data).
 pub(crate) fn backward_bank(
     bank: &mut [QuantumLayer],
@@ -664,15 +519,35 @@ pub(crate) fn backward_bank(
         tapes,
         inputs,
         rows,
-        registers,
+        banks,
     } = kept;
-    let per = match registers {
-        Registers::Dense(banks) => {
-            sweep_banks(bank, &tapes, inputs.as_ref(), banks, grad_output, threads)
+    let (layers, inputs) = (&*bank, inputs.as_ref());
+    let chunks = Chunks::of_kept(rows, layers.len(), banks.len());
+    let (in_w, out_w) = (layers[0].in_features(), layers[0].out_features());
+    let per_item = parallel::map_items(banks, threads, BankWork::new, |idx, mut ket, work| {
+        let (k, range) = chunks.item(idx);
+        work.inputs.clear();
+        work.upstream.clear();
+        for r in range {
+            let x = inputs.map_or(&[][..], |m| patch_cols(m.row(r), k, in_w));
+            work.inputs.push(x);
+            work.upstream.push(patch_cols(grad_output.row(r), k, out_w));
         }
-        Registers::Soa(regs) => sweep_on(bank, &tapes, inputs.as_ref(), regs, grad_output, threads),
-    };
-    let in_w = bank[0].in_features();
+        let sweep = match layers[k].output_mode {
+            QuantumOutput::ExpectationZ => adjoint::backward_expectations_z_bank,
+            QuantumOutput::Probabilities => adjoint::backward_probabilities_bank,
+        };
+        sweep(
+            &tapes[k],
+            &work.inputs,
+            &mut ket,
+            &work.upstream,
+            &mut work.sim,
+        )
+        .expect("a kept bank matches its tape")
+    });
+    // Per `(patch, row)`, patch-major.
+    let per: Vec<_> = per_item.into_iter().flatten().collect();
     let mut grad_input = Matrix::zeros(rows, bank.len() * in_w);
     for (k, layer) in bank.iter_mut().enumerate() {
         for r in 0..rows {
@@ -686,87 +561,22 @@ pub(crate) fn backward_bank(
     grad_input
 }
 
-/// The dense backward: sweeps every kept bank against its rows' share of
-/// `grad_output`, and returns the gradients per `(patch, row)`,
-/// patch-major, like [`sweep_on`].
-fn sweep_banks(
-    bank: &[QuantumLayer],
-    tapes: &[CompiledTape],
-    inputs: Option<&Matrix>,
-    banks: Vec<RegisterBank>,
-    grad_output: &Matrix,
-    threads: Threads,
-) -> Vec<CircuitGradients> {
-    let chunks = Chunks::of_kept(grad_output.rows(), bank.len(), banks.len());
-    let (in_w, out_w) = (bank[0].in_features(), bank[0].out_features());
-    let per_item = parallel::map_items(banks, threads, BankWork::new, |idx, mut ket, work| {
-        let (k, range) = chunks.item(idx);
-        work.inputs.clear();
-        work.upstream.clear();
-        for r in range {
-            let x = inputs.map_or(&[][..], |m| patch_cols(m.row(r), k, in_w));
-            work.inputs.push(x);
-            work.upstream.push(patch_cols(grad_output.row(r), k, out_w));
-        }
-        let sweep = match bank[k].output_mode {
-            QuantumOutput::ExpectationZ => adjoint::backward_expectations_z_bank,
-            QuantumOutput::Probabilities => adjoint::backward_probabilities_bank,
-        };
-        sweep(
-            &tapes[k],
-            &work.inputs,
-            &mut ket,
-            &work.upstream,
-            &mut work.sim,
-        )
-        .expect("a kept bank matches its tape")
-    });
-    per_item.into_iter().flatten().collect()
-}
-
-fn sweep_on<B: Backend + Send>(
-    bank: &[QuantumLayer],
-    tapes: &[CompiledTape],
-    inputs: Option<&Matrix>,
-    registers: Vec<B>,
-    grad_output: &Matrix,
-    threads: Threads,
-) -> Vec<CircuitGradients> {
-    let rows = grad_output.rows();
-    let (in_w, out_w) = (bank[0].in_features(), bank[0].out_features());
-    parallel::map_items(
-        registers,
-        threads,
-        || (),
-        |idx, ket, ()| {
-            let (k, r) = item(idx, rows);
-            let x = inputs.map_or(&[][..], |m| patch_cols(m.row(r), k, in_w));
-            let upstream = patch_cols(grad_output.row(r), k, out_w);
-            match bank[k].output_mode {
-                QuantumOutput::ExpectationZ => {
-                    adjoint::backward_expectations_z_from(&tapes[k], x, ket, upstream)
-                }
-                QuantumOutput::Probabilities => {
-                    adjoint::backward_probabilities_from(&tapes[k], x, ket, upstream)
-                }
-            }
-            .expect("a kept register matches its tape")
-        },
-    )
-}
-
 impl Module for QuantumLayer {
     fn forward(&mut self, input: &Matrix) -> Result<Matrix, NnError> {
         self.check_width(input)?;
         self.kept = None;
-        let (out, kept) = forward_bank(std::slice::from_ref(self), input, self.exec);
+        let (out, kept) = forward_bank(std::slice::from_ref(self), input, self.exec.threads);
         self.kept = Some(kept);
         Ok(out)
     }
 
     fn infer(&self, input: &Matrix) -> Result<Matrix, NnError> {
         self.check_width(input)?;
-        Ok(infer_bank(std::slice::from_ref(self), input, self.exec))
+        Ok(infer_bank(
+            std::slice::from_ref(self),
+            input,
+            self.exec.threads,
+        ))
     }
 
     fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix, NnError> {
@@ -795,17 +605,32 @@ impl Module for QuantumLayer {
 pub(crate) mod oracle {
     use super::*;
 
+    /// The start state and angles of one row: an amplitude-input row
+    /// becomes the start state; an angle-input row starts from `|0…0⟩` and
+    /// is the angles the tape reads.
+    fn row_start<'a>(layer: &QuantumLayer, row: &'a [f64]) -> (StateVector, &'a [f64]) {
+        match layer.input_mode {
+            QuantumInput::Amplitude { .. } => (layer.embedded_initial(row), &[]),
+            QuantumInput::Angle => (StateVector::zero_state(layer.n_qubits()).unwrap(), row),
+        }
+    }
+
     /// A bank's forward outputs, one `StateVector` per `(patch, row)`, read
     /// out row by row.
     pub(crate) fn bank_outputs(bank: &[QuantumLayer], input: &Matrix) -> Matrix {
         let (in_w, out_w) = (bank[0].in_features(), bank[0].out_features());
         let mut out = Matrix::zeros(input.rows(), bank.len() * out_w);
-        let mut y = Vec::new();
         for (k, layer) in bank.iter().enumerate() {
             let tape = layer.compile_forward_tape();
             for r in 0..input.rows() {
-                let state: StateVector = layer.run_row(&tape, patch_cols(input.row(r), k, in_w));
-                layer.read_out(&state, &mut y);
+                let (mut state, angles) = row_start(layer, patch_cols(input.row(r), k, in_w));
+                state.execute_tape(&tape, angles).unwrap();
+                let y = match layer.output_mode {
+                    QuantumOutput::ExpectationZ => (0..layer.n_qubits())
+                        .map(|w| state.expectation_z(w).unwrap())
+                        .collect(),
+                    QuantumOutput::Probabilities => state.probabilities(),
+                };
                 out.row_mut(r)[k * out_w..(k + 1) * out_w].copy_from_slice(&y);
             }
         }
@@ -817,18 +642,6 @@ pub(crate) mod oracle {
     /// the parameter gradients summed over rows in row order, and the input
     /// gradient matrix.
     pub(crate) fn bank_gradients(
-        bank: &[QuantumLayer],
-        backend: BackendKind,
-        input: &Matrix,
-        grad_output: &Matrix,
-    ) -> (Vec<Vec<f64>>, Matrix) {
-        match backend {
-            BackendKind::Dense => on::<StateVector>(bank, input, grad_output),
-            BackendKind::Soa => on::<SoaDenseBackend>(bank, input, grad_output),
-        }
-    }
-
-    fn on<B: Backend>(
         bank: &[QuantumLayer],
         input: &Matrix,
         grad_output: &Matrix,
@@ -843,29 +656,13 @@ pub(crate) mod oracle {
                 .unwrap();
             let mut sum = vec![0.0; tape.n_params()];
             for r in 0..input.rows() {
-                let x = &input.row(r)[k * in_w..(k + 1) * in_w];
-                let upstream = &grad_output.row(r)[k * out_w..(k + 1) * out_w];
-                let (inputs, initial): (&[f64], Option<B>) = match layer.input_mode {
-                    QuantumInput::Amplitude { .. } => {
-                        (&[], Some(B::from_statevector(layer.embedded_initial(x))))
-                    }
-                    QuantumInput::Angle => (x, None),
+                let (initial, inputs) = row_start(layer, patch_cols(input.row(r), k, in_w));
+                let upstream = patch_cols(grad_output.row(r), k, out_w);
+                let sweep = match layer.output_mode {
+                    QuantumOutput::ExpectationZ => adjoint::backward_expectations_z_tape,
+                    QuantumOutput::Probabilities => adjoint::backward_probabilities_tape,
                 };
-                let g = match layer.output_mode {
-                    QuantumOutput::ExpectationZ => adjoint::backward_expectations_z_tape(
-                        &tape,
-                        inputs,
-                        initial.as_ref(),
-                        upstream,
-                    ),
-                    QuantumOutput::Probabilities => adjoint::backward_probabilities_tape(
-                        &tape,
-                        inputs,
-                        initial.as_ref(),
-                        upstream,
-                    ),
-                }
-                .unwrap();
+                let g = sweep(&tape, inputs, Some(&initial), upstream).unwrap();
                 for (acc, v) in sum.iter_mut().zip(&g.params) {
                     *acc += v;
                 }
@@ -890,12 +687,11 @@ mod tests {
         StdRng::seed_from_u64(7)
     }
 
-    fn with_policy(
-        mut layer: QuantumLayer,
-        threads: Threads,
-        backend: BackendKind,
-    ) -> QuantumLayer {
-        layer.set_exec_policy(ExecPolicy { threads, backend });
+    fn with_threads(mut layer: QuantumLayer, threads: Threads) -> QuantumLayer {
+        layer.set_exec_policy(ExecPolicy {
+            threads,
+            ..ExecPolicy::from_env()
+        });
         layer
     }
 
@@ -1074,7 +870,7 @@ mod tests {
                 QuantumOutput::ExpectationZ,
                 &mut r,
             );
-            with_policy(layer, threads, BackendKind::Dense)
+            with_threads(layer, threads)
         };
         let x = Matrix::from_fn(7, 3, |i, j| 0.3 * (i as f64) - 0.2 * (j as f64));
         let g = Matrix::from_fn(7, 3, |i, j| 0.1 * (i + j) as f64 - 0.4);
@@ -1088,45 +884,6 @@ mod tests {
             assert_eq!(par.forward(&x).unwrap(), y_seq, "{threads:?}");
             assert_eq!(par.backward(&g).unwrap(), gi_seq, "{threads:?}");
             assert_eq!(par.params.grad, seq.params.grad, "{threads:?}");
-        }
-    }
-
-    #[test]
-    fn soa_backend_matches_dense_numerically() {
-        for (input, output) in [
-            (
-                QuantumInput::Amplitude { in_features: 8 },
-                QuantumOutput::ExpectationZ,
-            ),
-            (QuantumInput::Angle, QuantumOutput::Probabilities),
-        ] {
-            let layer_with = |backend: BackendKind| {
-                let mut r = rng();
-                let layer = QuantumLayer::new(3, 2, input, output, &mut r);
-                with_policy(layer, Threads::Off, backend)
-            };
-            let x = Matrix::from_fn(4, input_width(input), |i, j| {
-                0.15 * (i + 1) as f64 + 0.07 * j as f64
-            });
-            let mut dense = layer_with(BackendKind::Dense);
-            let yd = dense.forward(&x).unwrap();
-            let g = Matrix::from_fn(4, yd.cols(), |i, j| 0.3 * (i as f64) - 0.1 * (j as f64));
-            dense.backward(&g).unwrap();
-            let mut soa = layer_with(BackendKind::Soa);
-            let ys = soa.forward(&x).unwrap();
-            for (a, b) in yd.as_slice().iter().zip(ys.as_slice()) {
-                assert!((a - b).abs() < 1e-12, "soa forward {a} vs {b}");
-            }
-            soa.backward(&g).unwrap();
-            for (a, b) in dense
-                .params
-                .grad
-                .as_slice()
-                .iter()
-                .zip(soa.params.grad.as_slice())
-            {
-                assert!((a - b).abs() < 1e-12, "soa grad {a} vs {b}");
-            }
         }
     }
 
@@ -1170,35 +927,31 @@ mod tests {
 
     #[test]
     fn kept_register_backward_equals_the_re_executing_oracle_bitwise() {
-        // 0 rows, one lane, odd chunks, and one row past a 32-lane chunk.
-        for rows in [0, 1, 3, 5, 33] {
+        // 0 rows, one lane, odd chunks, one row past a 32-lane chunk, and 65
+        // rows: three uneven chunks (21/22/22) on every policy and host.
+        for rows in [0, 1, 3, 5, 33, 65] {
             for (input, output) in MODES {
                 let x = Matrix::from_fn(rows, input_width(input), |i, j| {
                     0.21 * (i % 7 + 1) as f64 - 0.13 * j as f64
                 });
-                for backend in [BackendKind::Dense, BackendKind::Soa] {
-                    for threads in [Threads::Off, Threads::Fixed(3)] {
-                        let mut r = rng();
-                        let layer = QuantumLayer::new(3, 2, input, output, &mut r);
-                        let mut layer = with_policy(layer, threads, backend);
-                        let case =
-                            format!("{rows} rows {input:?} {output:?} {backend:?} {threads:?}");
-                        let y = layer.forward(&x).unwrap();
-                        assert_eq!(y.shape(), (rows, layer.out_features()), "{case}");
-                        assert_eq!(layer.infer(&x).unwrap(), y, "{case}");
-                        if backend == BackendKind::Dense {
-                            let want_y = oracle::bank_outputs(std::slice::from_ref(&layer), &x);
-                            assert_eq!(y, want_y, "{case}");
-                        }
-                        let g = Matrix::from_fn(rows, y.cols(), |i, j| {
-                            0.3 * (i % 5) as f64 - 0.17 * j as f64
-                        });
-                        let gin = layer.backward(&g).unwrap();
-                        let (params, want_gin) =
-                            oracle::bank_gradients(std::slice::from_ref(&layer), backend, &x, &g);
-                        assert_eq!(layer.params.grad.as_slice(), &params[0][..], "{case}");
-                        assert_eq!(gin, want_gin, "{case}");
-                    }
+                for threads in [Threads::Off, Threads::Fixed(3)] {
+                    let mut r = rng();
+                    let layer = QuantumLayer::new(3, 2, input, output, &mut r);
+                    let mut layer = with_threads(layer, threads);
+                    let case = format!("{rows} rows {input:?} {output:?} {threads:?}");
+                    let y = layer.forward(&x).unwrap();
+                    assert_eq!(y.shape(), (rows, layer.out_features()), "{case}");
+                    assert_eq!(layer.infer(&x).unwrap(), y, "{case}");
+                    let want_y = oracle::bank_outputs(std::slice::from_ref(&layer), &x);
+                    assert_eq!(y, want_y, "{case}");
+                    let g = Matrix::from_fn(rows, y.cols(), |i, j| {
+                        0.3 * (i % 5) as f64 - 0.17 * j as f64
+                    });
+                    let gin = layer.backward(&g).unwrap();
+                    let (params, want_gin) =
+                        oracle::bank_gradients(std::slice::from_ref(&layer), &x, &g);
+                    assert_eq!(layer.params.grad.as_slice(), &params[0][..], "{case}");
+                    assert_eq!(gin, want_gin, "{case}");
                 }
             }
         }
@@ -1212,25 +965,22 @@ mod tests {
             let fresh = || {
                 let mut r = rng();
                 let layer = QuantumLayer::new(3, 2, input, output, &mut r);
-                with_policy(layer, Threads::Off, BackendKind::Dense)
+                with_threads(layer, Threads::Off)
             };
             let mut reference = fresh();
             let y = reference.forward(&x).unwrap();
             let g = Matrix::from_fn(4, y.cols(), |i, j| 0.2 * i as f64 - 0.1 * j as f64);
             let want_gin = reference.backward(&g).unwrap();
 
-            // Neither an optimizer step nor a backend switch between
+            // Neither an optimizer step nor a policy change between
             // forward and backward leaks into the gradients: backward
-            // sweeps the forward's (dense) registers with its tape.
+            // sweeps the forward's banks with its tape.
             let mut stepped = fresh();
             stepped.forward(&x).unwrap();
             stepped.params.grad.fill(0.7);
             Sgd::new(0.5).step(&mut stepped.parameters()).unwrap();
             stepped.zero_grad();
-            stepped.set_exec_policy(ExecPolicy {
-                threads: Threads::Off,
-                backend: BackendKind::Soa,
-            });
+            stepped = with_threads(stepped, Threads::Fixed(3));
             assert_ne!(stepped.params.value, reference.params.value);
             assert_eq!(stepped.backward(&g).unwrap(), want_gin);
             assert_eq!(stepped.params.grad, reference.params.grad);

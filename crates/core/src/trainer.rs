@@ -982,10 +982,10 @@ mod tests {
 
     #[test]
     fn training_runs_on_the_models_own_policy_and_leaves_it() {
-        use sqvae_nn::{BackendKind, Threads};
+        use sqvae_nn::Threads;
         let policy = ExecPolicy {
             threads: Threads::Fixed(3),
-            backend: BackendKind::Soa,
+            ..ExecPolicy::from_env()
         };
         let mut model = models::sq_vae(16, 2, 1, &mut StdRng::seed_from_u64(3));
         model.set_exec_policy(policy);

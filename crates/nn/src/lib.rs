@@ -12,26 +12,27 @@
 //! ## Example: one training step of a tiny regressor
 //!
 //! ```
-//! use sqvae_nn::{loss, Activation, ActivationKind, Adam, Linear, Matrix, Module,
-//!                Optimizer, Sequential};
+//! use sqvae_nn::{loss, Activation, ActivationKind, Adam, Linear, Matrix, Module, Optimizer};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! # fn main() -> Result<(), sqvae_nn::NnError> {
 //! let mut rng = StdRng::seed_from_u64(0);
-//! let mut model = Sequential::new();
-//! model.push(Linear::new(2, 8, &mut rng));
-//! model.push(Activation::new(ActivationKind::Relu));
-//! model.push(Linear::new(8, 1, &mut rng));
+//! let mut hidden = Linear::new(2, 8, &mut rng);
+//! let mut relu = Activation::new(ActivationKind::Relu);
+//! let mut out = Linear::new(8, 1, &mut rng);
 //!
 //! let x = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]])?;
 //! let target = Matrix::from_rows(&[&[1.0], &[0.0]])?;
 //!
-//! let mut opt = Adam::new(0.01);
-//! model.zero_grad();
-//! let pred = model.forward(&x)?;
+//! // Forward through each layer, then backward in reverse order.
+//! let h = relu.forward(&hidden.forward(&x)?)?;
+//! let pred = out.forward(&h)?;
 //! let (_, grad) = loss::mse(&pred, &target)?;
-//! model.backward(&grad)?;
-//! let mut params = model.parameters();
+//! hidden.backward(&relu.backward(&out.backward(&grad)?)?)?;
+//!
+//! let mut opt = Adam::new(0.01);
+//! let mut params = hidden.parameters();
+//! params.extend(out.parameters());
 //! opt.step(&mut params)?;
 //! # Ok(())
 //! # }
@@ -45,7 +46,6 @@ mod linear;
 mod matrix;
 mod module;
 mod optim;
-mod sequential;
 
 pub mod backend;
 pub mod exec;
@@ -63,4 +63,3 @@ pub use matrix::Matrix;
 pub use module::{Module, ParamTensor};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use parallel::Threads;
-pub use sequential::Sequential;

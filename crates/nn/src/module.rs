@@ -105,11 +105,11 @@ pub trait Module {
         }
     }
 
-    /// Sets the unified execution policy — batch-row parallelism and
-    /// simulator backend in one value. Quantum stages apply both knobs,
-    /// [`crate::Linear`] shards its products under the threads, and
-    /// containers forward it to their children; the default does nothing,
-    /// which is right for layers with no rows to shard (activations).
+    /// Sets the execution policy (batch-row parallelism). Quantum stages
+    /// shard their register-bank chunks under it, [`crate::Linear`] its
+    /// products, and containers forward it to their children; the default
+    /// does nothing, which is right for layers with no rows to shard
+    /// (activations).
     fn set_exec_policy(&mut self, _policy: ExecPolicy) {}
 }
 

@@ -522,7 +522,7 @@ mod tests {
     #[test]
     fn env_spec_typo_falls_back_to_auto() {
         // The environment reader warns once on stderr; the value still resolves.
-        let threads = |spec| crate::ExecPolicy::from_specs(Some(spec), None).threads;
+        let threads = |spec| crate::ExecPolicy::from_spec(Some(spec)).threads;
         assert_eq!(threads("of"), Threads::Auto);
         assert_eq!(threads("3"), Threads::Fixed(3));
         assert_eq!(threads("off"), Threads::Off);

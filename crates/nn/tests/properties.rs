@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sqvae_nn::{loss, Activation, ActivationKind, Linear, Matrix, Module, Sequential};
+use sqvae_nn::{loss, Activation, ActivationKind, Linear, Matrix, Module};
 
 fn arb_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     proptest::collection::vec(-2.0..2.0f64, rows * cols)
@@ -74,16 +74,16 @@ proptest! {
     /// small factor keeps outputs finite and deterministic.
     #[test]
     fn mlp_forward_is_deterministic(x in arb_matrix(3, 4), seed in 0u64..100) {
-        let build = || {
+        let forward = || {
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut s = Sequential::new();
-            s.push(Linear::new(4, 6, &mut rng));
-            s.push(Activation::new(ActivationKind::Relu));
-            s.push(Linear::new(6, 2, &mut rng));
-            s
+            let mut hidden = Linear::new(4, 6, &mut rng);
+            let mut relu = Activation::new(ActivationKind::Relu);
+            let mut out = Linear::new(6, 2, &mut rng);
+            let h = relu.forward(&hidden.forward(&x).unwrap()).unwrap();
+            out.forward(&h).unwrap()
         };
-        let y1 = build().forward(&x).unwrap();
-        let y2 = build().forward(&x).unwrap();
+        let y1 = forward();
+        let y2 = forward();
         prop_assert_eq!(y1, y2);
     }
 }

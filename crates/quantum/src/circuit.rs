@@ -1,6 +1,5 @@
 //! Parametrized circuit container and executor.
 
-use crate::backend::Backend;
 use crate::error::{QuantumError, Result};
 use crate::gate::{Gate, Param};
 use crate::state::StateVector;
@@ -43,8 +42,8 @@ impl Circuit {
     ///
     /// Returns [`QuantumError::UnsupportedRegisterSize`] for 0 or > 24 qubits.
     pub fn new(n_qubits: usize) -> Result<Self> {
-        // Validate the register size once, here; `run`/`run_on` rely on this
-        // and never re-check it.
+        // Validate the register size once, here; `run` relies on this and
+        // never re-checks it.
         StateVector::validate_register(n_qubits)?;
         Ok(Circuit {
             n_qubits,
@@ -239,8 +238,7 @@ impl Circuit {
         tape::compile(self, params, false)
     }
 
-    /// Executes the circuit on a chosen simulator [`Backend`] and returns
-    /// the final register.
+    /// Executes the circuit and returns the final register.
     ///
     /// A documented wrapper over the compile-then-execute pipeline:
     /// [`Circuit::compile_forward`] followed by [`CompiledTape::execute_on`].
@@ -251,30 +249,14 @@ impl Circuit {
     ///
     /// Returns binding-count errors, a typed dimension mismatch if `initial`
     /// has a different width, or gate-application errors.
-    pub fn run_on<B: Backend>(
-        &self,
-        params: &[f64],
-        inputs: &[f64],
-        initial: Option<&B>,
-    ) -> Result<B> {
-        self.check_bindings(params, inputs)?;
-        self.compile_forward(params)?.execute_on(inputs, initial)
-    }
-
-    /// Executes the circuit on the dense reference backend
-    /// ([`Circuit::run_on`] with `B = StateVector`): a documented wrapper
-    /// over [`Circuit::compile_forward`] + [`CompiledTape::execute_on`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Circuit::run_on`].
     pub fn run(
         &self,
         params: &[f64],
         inputs: &[f64],
         initial: Option<&StateVector>,
     ) -> Result<StateVector> {
-        self.run_on(params, inputs, initial)
+        self.check_bindings(params, inputs)?;
+        self.compile_forward(params)?.execute_on(inputs, initial)
     }
 
     /// Per-wire `⟨Z⟩` for every wire, the measurement layer of the paper's
@@ -283,7 +265,7 @@ impl Circuit {
     /// # Errors
     ///
     /// Returns an error if `state` has a different register width.
-    pub fn expectations_z_all<B: Backend>(&self, state: &B) -> Result<Vec<f64>> {
+    pub fn expectations_z_all(&self, state: &StateVector) -> Result<Vec<f64>> {
         if state.n_qubits() != self.n_qubits {
             return Err(QuantumError::DimensionMismatch {
                 expected: 1 << self.n_qubits,

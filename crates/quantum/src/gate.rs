@@ -5,9 +5,9 @@
 //! (`Param::Input`) without rebuilding the op list — the same role PennyLane's
 //! QNode plays in the paper's stack.
 
-use crate::backend::Backend;
 use crate::complex::C64;
 use crate::error::{QuantumError, Result};
+use crate::state::StateVector;
 
 /// Where a gate angle comes from when the circuit is executed.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -135,13 +135,12 @@ impl Gate {
     }
 
     /// Applies the gate to `state` with `theta` as the resolved angle (ignored
-    /// for non-parametrized gates). Generic over the simulator [`Backend`];
-    /// plain [`crate::StateVector`] registers use the dense reference kernels.
+    /// for non-parametrized gates).
     ///
     /// # Errors
     ///
     /// Propagates wire-validation errors from the state kernels.
-    pub fn apply<B: Backend>(&self, state: &mut B, theta: f64) -> Result<()> {
+    pub fn apply(&self, state: &mut StateVector, theta: f64) -> Result<()> {
         match *self {
             Gate::PauliX(w) => state.apply_single_qubit(w, &pauli_x()),
             Gate::PauliY(w) => state.apply_single_qubit(w, &pauli_y()),
@@ -159,7 +158,7 @@ impl Gate {
     /// # Errors
     ///
     /// Propagates wire-validation errors from the state kernels.
-    pub fn apply_inverse<B: Backend>(&self, state: &mut B, theta: f64) -> Result<()> {
+    pub fn apply_inverse(&self, state: &mut StateVector, theta: f64) -> Result<()> {
         match *self {
             // Rotations invert by negating the angle.
             Gate::RX(..) | Gate::RY(..) | Gate::RZ(..) => self.apply(state, -theta),
@@ -180,7 +179,7 @@ impl Gate {
     ///
     /// Propagates wire-validation errors. Returns `Ok(false)` (leaving the
     /// state untouched) for non-parametrized gates.
-    pub fn apply_generator<B: Backend>(&self, state: &mut B) -> Result<bool> {
+    pub fn apply_generator(&self, state: &mut StateVector) -> Result<bool> {
         match self.single_qubit_generator() {
             Some((w, g)) => {
                 state.apply_single_qubit(w, &g)?;
@@ -239,7 +238,6 @@ pub fn rz_matrix(theta: f64) -> [[C64; 2]; 2] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::StateVector;
     use std::f64::consts::PI;
 
     fn fresh(n: usize) -> StateVector {

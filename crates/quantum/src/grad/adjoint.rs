@@ -17,13 +17,14 @@
 //! *upstream-weighted* diagonal yields `dL/dθ` and `dL/dx` directly — the
 //! quantum layer's `backward()`.
 //!
-//! Two sweeps are provided per readout: the eager gate-by-gate `*_on`
-//! functions (the reference semantics), and the sweep that replays a
-//! [`CompiledTape`]'s pre-lowered adjoint program — pre-inverted fused
-//! fixed segments, and rotation blocks whose angles are all differentiated
-//! in one traversal of the ket and bra. Every parametrized gate is a
-//! single-qubit rotation, so every stop of the tape sweep, trainable block
-//! or input rotation, runs one kernel: [`Backend::adjoint_block_stop`].
+//! Two sweeps are provided per readout: the eager gate-by-gate functions
+//! over a [`Circuit`] (the reference semantics), and the sweep that
+//! replays a [`CompiledTape`]'s pre-lowered adjoint program — pre-inverted
+//! fused fixed segments, and rotation blocks whose angles are all
+//! differentiated in one traversal of the ket and bra. Every parametrized
+//! gate is a single-qubit rotation, so every stop of the tape sweep,
+//! trainable block or input rotation, runs one kernel:
+//! [`StateVector::adjoint_block_stop`].
 //!
 //! The tape sweep has three entry points. The `*_from` functions start
 //! from a caller-supplied final register. The `*_tape` functions execute
@@ -34,7 +35,6 @@
 //! mini-batch, keeps each chunk of rows as a bank from its forward pass,
 //! and sweeps the bank.
 
-use crate::backend::{start_state, Backend};
 use crate::bank::{check_lane_count, BankScratch, RegisterBank};
 use crate::circuit::Circuit;
 use crate::complex::C64;
@@ -42,31 +42,30 @@ use crate::error::{QuantumError, Result};
 use crate::gate::Param;
 use crate::grad::CircuitGradients;
 use crate::observable::{probability_diagonal, weighted_z_sum_diagonal};
-use crate::state::StateVector;
+use crate::state::{start_state, StateVector};
 use crate::tape::{AdjointStep, AdjointStop, CompiledTape};
 
 /// Vector-Jacobian product of `E = ⟨ψ|diag|ψ⟩` with respect to trainable
-/// parameters and embedded inputs, on the simulator [`Backend`] `B`: the
-/// forward run, the backward un-application sweep, and the generator inner
-/// products all execute on `B`'s kernels.
+/// parameters and embedded inputs.
 ///
 /// `initial` is the embedded starting state (`None` = `|0…0⟩`). The returned
 /// gradients accumulate over every gate sharing a parameter index.
 ///
 /// This is the **eager, gate-by-gate** reference sweep. The production
-/// training path compiles the circuit once per batch and sweeps each row's
-/// kept register with [`vjp_diagonal_from`] instead; the tape sweep is
+/// training path compiles the circuit once per batch and sweeps each
+/// chunk's kept register bank with [`backward_expectations_z_bank`] or
+/// [`backward_probabilities_bank`] instead; the tape sweep is
 /// property-tested against this one at ≤ 1e-12.
 ///
 /// # Errors
 ///
 /// Returns binding-count or dimension errors from circuit execution, and a
 /// dimension error if `diag` does not match the register.
-pub fn vjp_diagonal_on<B: Backend>(
+pub fn vjp_diagonal(
     circuit: &Circuit,
     params: &[f64],
     inputs: &[f64],
-    initial: Option<&B>,
+    initial: Option<&StateVector>,
     diag: &[f64],
 ) -> Result<CircuitGradients> {
     circuit.check_bindings(params, inputs)?;
@@ -78,7 +77,7 @@ pub fn vjp_diagonal_on<B: Backend>(
         });
     }
 
-    // Forward pass, deliberately eager ([`Backend::apply_ops`], not the
+    // Forward pass, deliberately eager ([`StateVector::apply_ops`], not the
     // compiled tape) so this function stays a tape-independent oracle.
     let mut ket = start_state(circuit.n_qubits(), initial)?;
     ket.apply_ops(circuit.ops(), params, inputs)?;
@@ -110,29 +109,13 @@ pub fn vjp_diagonal_on<B: Backend>(
     Ok(grads)
 }
 
-/// [`backward_expectations_z`] generalized over the simulator [`Backend`].
-///
-/// # Errors
-///
-/// Returns a dimension error if `upstream.len() != n_qubits`, plus execution
-/// errors.
-pub fn backward_expectations_z_on<B: Backend>(
-    circuit: &Circuit,
-    params: &[f64],
-    inputs: &[f64],
-    initial: Option<&B>,
-    upstream: &[f64],
-) -> Result<CircuitGradients> {
-    let diag = z_diagonal(circuit.n_qubits(), upstream)?;
-    vjp_diagonal_on(circuit, params, inputs, initial, &diag)
-}
-
 /// Backward pass for a per-wire `⟨Z⟩` readout: given the upstream gradient
 /// `dL/d⟨Z_w⟩` for every wire `w`, returns `dL/dθ` and `dL/dx`.
 ///
 /// # Errors
 ///
-/// See [`backward_expectations_z_on`].
+/// Returns a dimension error if `upstream.len() != n_qubits`, plus execution
+/// errors.
 pub fn backward_expectations_z(
     circuit: &Circuit,
     params: &[f64],
@@ -140,26 +123,27 @@ pub fn backward_expectations_z(
     initial: Option<&StateVector>,
     upstream: &[f64],
 ) -> Result<CircuitGradients> {
-    backward_expectations_z_on(circuit, params, inputs, initial, upstream)
+    let diag = z_diagonal(circuit.n_qubits(), upstream)?;
+    vjp_diagonal(circuit, params, inputs, initial, &diag)
 }
 
-/// Backward pass for a basis-state probability readout on the simulator
-/// [`Backend`] `B`: given the upstream gradient `dL/dp_i` for every basis
-/// state `i`, returns `dL/dθ` and `dL/dx`.
+/// Backward pass for a basis-state probability readout: given the upstream
+/// gradient `dL/dp_i` for every basis state `i`, returns `dL/dθ` and
+/// `dL/dx`.
 ///
 /// # Errors
 ///
 /// Returns a dimension error if `upstream.len() != 2^n_qubits`, plus
 /// execution errors.
-pub fn backward_probabilities_on<B: Backend>(
+pub fn backward_probabilities(
     circuit: &Circuit,
     params: &[f64],
     inputs: &[f64],
-    initial: Option<&B>,
+    initial: Option<&StateVector>,
     upstream: &[f64],
 ) -> Result<CircuitGradients> {
     let diag = probability_diagonal(circuit.n_qubits(), upstream)?;
-    vjp_diagonal_on(circuit, params, inputs, initial, &diag)
+    vjp_diagonal(circuit, params, inputs, initial, &diag)
 }
 
 /// `Im Σ_ab H[a][b]·C[a][b]`: one rotation's gradient `Im⟨bra|H|ket⟩` from
@@ -168,24 +152,24 @@ fn contract_im(h: &[[C64; 2]; 2], c: &[[C64; 2]; 2]) -> f64 {
     (h[0][0] * c[0][0] + h[0][1] * c[0][1] + h[1][0] * c[1][0] + h[1][1] * c[1][1]).im
 }
 
-/// [`vjp_diagonal_on`] against a pre-compiled tape: executes the tape for
+/// [`vjp_diagonal`] against a pre-compiled tape: executes the tape for
 /// the row, then runs [`vjp_diagonal_from`]'s sweep from the final
 /// register.
 ///
-/// Training does not call this: the quantum layers keep every row's final
-/// register from their forward pass and sweep from it directly. This
-/// re-executing form is the oracle those layers are tested against, and
-/// what the benchmarks time as one row's full adjoint cost.
+/// Training does not call this: the quantum layers keep every chunk's
+/// final register bank from their forward pass and sweep from it directly.
+/// This re-executing form is the oracle those layers are tested against,
+/// and what the benchmarks time as one row's full adjoint cost.
 ///
 /// # Errors
 ///
 /// Returns [`QuantumError::ForwardOnlyTape`] for a tape compiled without
 /// its adjoint program, input-count or dimension errors from tape
 /// execution, and a dimension error if `diag` does not match the register.
-pub fn vjp_diagonal_tape<B: Backend>(
+pub fn vjp_diagonal_tape(
     tape: &CompiledTape,
     inputs: &[f64],
-    initial: Option<&B>,
+    initial: Option<&StateVector>,
     diag: &[f64],
 ) -> Result<CircuitGradients> {
     let steps = checked_program(tape, diag)?;
@@ -201,9 +185,10 @@ pub fn vjp_diagonal_tape<B: Backend>(
 /// segments between parametrized stops are already inverted and fused,
 /// and each run of trainable single-qubit rotations on one wire is a
 /// [`RotationBlock`] whose gradients all come from one
-/// [`Backend::adjoint_block_stop`] traversal. Input rotations take the same
-/// kernel as one-gate blocks with a per-row inverse. Starting from the same
-/// register bits, the result is bit-identical to [`vjp_diagonal_tape`].
+/// [`StateVector::adjoint_block_stop`] traversal. Input rotations take the
+/// same kernel as one-gate blocks with a per-row inverse. Starting from the
+/// same register bits, the result is bit-identical to
+/// [`vjp_diagonal_tape`].
 ///
 /// [`RotationBlock`]: crate::tape::RotationBlock
 ///
@@ -213,10 +198,10 @@ pub fn vjp_diagonal_tape<B: Backend>(
 /// its adjoint program, a dimension error if `ket` or `diag` does not match
 /// the tape's register, and an input-count error if `inputs` is shorter
 /// than the tape's input stops reference.
-pub fn vjp_diagonal_from<B: Backend>(
+pub fn vjp_diagonal_from(
     tape: &CompiledTape,
     inputs: &[f64],
-    ket: B,
+    ket: StateVector,
     diag: &[f64],
 ) -> Result<CircuitGradients> {
     let steps = checked_program(tape, diag)?;
@@ -244,11 +229,11 @@ fn checked_program<'t>(tape: &'t CompiledTape, diag: &[f64]) -> Result<&'t [Adjo
 
 /// The backward sweep shared by [`vjp_diagonal_tape`] and
 /// [`vjp_diagonal_from`], over a checked program.
-fn sweep<B: Backend>(
+fn sweep(
     tape: &CompiledTape,
     steps: &[AdjointStep],
     inputs: &[f64],
-    mut ket: B,
+    mut ket: StateVector,
     diag: &[f64],
 ) -> Result<CircuitGradients> {
     let mut bra = ket.clone();
@@ -378,9 +363,9 @@ pub fn backward_expectations_z_bank(
     vjp_bank(tape, inputs, ket, upstream, scratch, |u| z_diagonal(n, u))
 }
 
-/// [`backward_probabilities_from`] for every lane of a [`RegisterBank`]
-/// (see [`backward_expectations_z_bank`]); each upstream row holds
-/// `2^n_qubits` values.
+/// [`backward_probabilities_tape`]'s sweep for every lane of a
+/// [`RegisterBank`] (see [`backward_expectations_z_bank`]); each upstream
+/// row holds `2^n_qubits` values.
 ///
 /// # Errors
 ///
@@ -410,7 +395,7 @@ fn z_diagonal(n: usize, upstream: &[f64]) -> Result<Vec<f64>> {
     weighted_z_sum_diagonal(n, &wires, upstream)
 }
 
-/// [`backward_expectations_z_on`] against a pre-compiled tape: executes the
+/// [`backward_expectations_z`] against a pre-compiled tape: executes the
 /// tape, then sweeps (the re-executing oracle; see [`vjp_diagonal_tape`]).
 ///
 /// # Errors
@@ -418,10 +403,10 @@ fn z_diagonal(n: usize, upstream: &[f64]) -> Result<Vec<f64>> {
 /// Returns a dimension error if `upstream.len() != n_qubits`, plus the
 /// errors of [`vjp_diagonal_tape`] (including
 /// [`QuantumError::ForwardOnlyTape`]).
-pub fn backward_expectations_z_tape<B: Backend>(
+pub fn backward_expectations_z_tape(
     tape: &CompiledTape,
     inputs: &[f64],
-    initial: Option<&B>,
+    initial: Option<&StateVector>,
     upstream: &[f64],
 ) -> Result<CircuitGradients> {
     vjp_diagonal_tape(
@@ -439,16 +424,16 @@ pub fn backward_expectations_z_tape<B: Backend>(
 ///
 /// Returns a dimension error if `upstream.len() != n_qubits`, plus the
 /// errors of [`vjp_diagonal_from`].
-pub fn backward_expectations_z_from<B: Backend>(
+pub fn backward_expectations_z_from(
     tape: &CompiledTape,
     inputs: &[f64],
-    ket: B,
+    ket: StateVector,
     upstream: &[f64],
 ) -> Result<CircuitGradients> {
     vjp_diagonal_from(tape, inputs, ket, &z_diagonal(tape.n_qubits(), upstream)?)
 }
 
-/// [`backward_probabilities_on`] against a pre-compiled tape: executes the
+/// [`backward_probabilities`] against a pre-compiled tape: executes the
 /// tape, then sweeps (the re-executing oracle; see [`vjp_diagonal_tape`]).
 ///
 /// # Errors
@@ -456,31 +441,14 @@ pub fn backward_expectations_z_from<B: Backend>(
 /// Returns a dimension error if `upstream.len() != 2^n_qubits`, plus the
 /// errors of [`vjp_diagonal_tape`] (including
 /// [`QuantumError::ForwardOnlyTape`]).
-pub fn backward_probabilities_tape<B: Backend>(
+pub fn backward_probabilities_tape(
     tape: &CompiledTape,
     inputs: &[f64],
-    initial: Option<&B>,
+    initial: Option<&StateVector>,
     upstream: &[f64],
 ) -> Result<CircuitGradients> {
     let diag = probability_diagonal(tape.n_qubits(), upstream)?;
     vjp_diagonal_tape(tape, inputs, initial, &diag)
-}
-
-/// [`backward_probabilities_tape`] swept from the row's final register
-/// `ket` instead of re-executing the tape (see [`vjp_diagonal_from`]).
-///
-/// # Errors
-///
-/// Returns a dimension error if `upstream.len() != 2^n_qubits`, plus the
-/// errors of [`vjp_diagonal_from`].
-pub fn backward_probabilities_from<B: Backend>(
-    tape: &CompiledTape,
-    inputs: &[f64],
-    ket: B,
-    upstream: &[f64],
-) -> Result<CircuitGradients> {
-    let diag = probability_diagonal(tape.n_qubits(), upstream)?;
-    vjp_diagonal_from(tape, inputs, ket, &diag)
 }
 
 #[cfg(test)]
@@ -533,7 +501,7 @@ mod tests {
         let params: Vec<f64> = (0..n).map(|i| 0.1 + 0.13 * i as f64).collect();
         // Loss: sum_i w_i p_i with arbitrary weights.
         let w = [0.5, -1.5, 2.5, 0.25];
-        let g = backward_probabilities_on::<StateVector>(&c, &params, &[], None, &w).unwrap();
+        let g = backward_probabilities(&c, &params, &[], None, &w).unwrap();
         let eps = 1e-6;
         for k in 0..n {
             let mut pp = params.clone();
@@ -604,6 +572,6 @@ mod tests {
     fn rejects_wrong_upstream_length() {
         let c = Circuit::new(2).unwrap();
         assert!(backward_expectations_z(&c, &[], &[], None, &[1.0]).is_err());
-        assert!(backward_probabilities_on::<StateVector>(&c, &[], &[], None, &[1.0; 3]).is_err());
+        assert!(backward_probabilities(&c, &[], &[], None, &[1.0; 3]).is_err());
     }
 }

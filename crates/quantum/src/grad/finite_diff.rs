@@ -2,7 +2,6 @@
 //! analytic engines in tests. Not intended for training (O(2·n_params)
 //! executions and truncation error).
 
-use crate::backend::Backend;
 use crate::circuit::Circuit;
 use crate::error::Result;
 use crate::state::StateVector;
@@ -10,44 +9,8 @@ use crate::state::StateVector;
 /// Default step size balancing truncation and round-off error.
 pub const DEFAULT_EPS: f64 = 1e-6;
 
-/// [`jacobian_params`] generalized over the simulator [`Backend`].
-///
-/// # Errors
-///
-/// Returns circuit-execution errors.
-pub fn jacobian_params_on<B, F>(
-    circuit: &Circuit,
-    params: &[f64],
-    inputs: &[f64],
-    initial: Option<&B>,
-    eps: f64,
-    measure: F,
-) -> Result<Vec<Vec<f64>>>
-where
-    B: Backend,
-    F: Fn(&B) -> Vec<f64>,
-{
-    let mut work = params.to_vec();
-    let mut jac = Vec::with_capacity(circuit.n_params());
-    for k in 0..circuit.n_params() {
-        work[k] = params[k] + eps;
-        let plus = measure(&circuit.run_on(&work, inputs, initial)?);
-        work[k] = params[k] - eps;
-        let minus = measure(&circuit.run_on(&work, inputs, initial)?);
-        work[k] = params[k];
-        jac.push(
-            plus.iter()
-                .zip(&minus)
-                .map(|(p, m)| (p - m) / (2.0 * eps))
-                .collect(),
-        );
-    }
-    Ok(jac)
-}
-
 /// Jacobian of `measure` with respect to trainable parameters, via central
-/// differences with step `eps` on the dense reference backend. Returns
-/// `jac[p][o] = d out_o / d θ_p`.
+/// differences with step `eps`. Returns `jac[p][o] = d out_o / d θ_p`.
 ///
 /// # Errors
 ///
@@ -63,34 +26,48 @@ pub fn jacobian_params<F>(
 where
     F: Fn(&StateVector) -> Vec<f64>,
 {
-    jacobian_params_on(circuit, params, inputs, initial, eps, measure)
+    let mut work = params.to_vec();
+    let mut jac = Vec::with_capacity(circuit.n_params());
+    for k in 0..circuit.n_params() {
+        work[k] = params[k] + eps;
+        let plus = measure(&circuit.run(&work, inputs, initial)?);
+        work[k] = params[k] - eps;
+        let minus = measure(&circuit.run(&work, inputs, initial)?);
+        work[k] = params[k];
+        jac.push(
+            plus.iter()
+                .zip(&minus)
+                .map(|(p, m)| (p - m) / (2.0 * eps))
+                .collect(),
+        );
+    }
+    Ok(jac)
 }
 
 /// Jacobian of `measure` with respect to embedded inputs, via central
-/// differences with step `eps` on the simulator [`Backend`] `B`.
+/// differences with step `eps`.
 ///
 /// # Errors
 ///
 /// Returns circuit-execution errors.
-pub fn jacobian_inputs_on<B, F>(
+pub fn jacobian_inputs<F>(
     circuit: &Circuit,
     params: &[f64],
     inputs: &[f64],
-    initial: Option<&B>,
+    initial: Option<&StateVector>,
     eps: f64,
     measure: F,
 ) -> Result<Vec<Vec<f64>>>
 where
-    B: Backend,
-    F: Fn(&B) -> Vec<f64>,
+    F: Fn(&StateVector) -> Vec<f64>,
 {
     let mut work = inputs.to_vec();
     let mut jac = Vec::with_capacity(circuit.n_inputs());
     for k in 0..circuit.n_inputs() {
         work[k] = inputs[k] + eps;
-        let plus = measure(&circuit.run_on(params, &work, initial)?);
+        let plus = measure(&circuit.run(params, &work, initial)?);
         work[k] = inputs[k] - eps;
-        let minus = measure(&circuit.run_on(params, &work, initial)?);
+        let minus = measure(&circuit.run(params, &work, initial)?);
         work[k] = inputs[k];
         jac.push(
             plus.iter()
@@ -131,7 +108,7 @@ mod tests {
         let mut c = Circuit::new(1).unwrap();
         c.ry(0, Param::Input(0)).unwrap();
         let x = 0.55;
-        let jac = jacobian_inputs_on(&c, &[], &[x], None, DEFAULT_EPS, |s: &StateVector| {
+        let jac = jacobian_inputs(&c, &[], &[x], None, DEFAULT_EPS, |s: &StateVector| {
             vec![s.expectation_z(0).unwrap()]
         })
         .unwrap();

@@ -16,12 +16,11 @@
 //! hardware can evaluate; the paper's training relies on exactly this rule on
 //! the PennyLane simulator.
 
-use crate::backend::{start_state, Backend};
 use crate::circuit::Circuit;
 use crate::error::Result;
 use crate::gate::Param;
 use crate::grad::CircuitGradients;
-use crate::state::StateVector;
+use crate::state::{start_state, StateVector};
 use std::f64::consts::FRAC_PI_2;
 
 /// Jacobian pair `(jac_params, jac_inputs)` with `jac[p][o] = ∂out_o/∂θ_p`.
@@ -29,16 +28,16 @@ pub type JacobianPair = (Vec<Vec<f64>>, Vec<Vec<f64>>);
 
 /// Executes `circuit` with gate `gate_idx`'s angle replaced by
 /// `override_theta`. The starting register goes through the shared
-/// `backend::start_state`, so a mismatched `initial` width is a typed
-/// dimension error here exactly as it is in `Circuit::run_on`.
-fn run_with_override<B: Backend>(
+/// `start_state`, so a mismatched `initial` width is a typed dimension
+/// error here exactly as it is in `Circuit::run`.
+fn run_with_override(
     circuit: &Circuit,
     params: &[f64],
     inputs: &[f64],
-    initial: Option<&B>,
+    initial: Option<&StateVector>,
     gate_idx: usize,
     override_theta: f64,
-) -> Result<B> {
+) -> Result<StateVector> {
     circuit.check_bindings(params, inputs)?;
     let mut state = start_state(circuit.n_qubits(), initial)?;
     for (i, g) in circuit.ops().iter().enumerate() {
@@ -53,8 +52,7 @@ fn run_with_override<B: Backend>(
 }
 
 /// Full Jacobian of a measurement vector with respect to trainable
-/// parameters and inputs, via parameter shifts on the simulator [`Backend`]
-/// `B`: every shifted execution runs on `B`'s kernels.
+/// parameters and inputs, via parameter shifts.
 ///
 /// `measure` maps a final state to the output vector (e.g. per-wire `⟨Z⟩` or
 /// probabilities). Returns `(jac_params, jac_inputs)` where
@@ -63,19 +61,18 @@ fn run_with_override<B: Backend>(
 /// # Errors
 ///
 /// Returns circuit-execution errors.
-pub fn jacobian_on<B, F>(
+pub fn jacobian<F>(
     circuit: &Circuit,
     params: &[f64],
     inputs: &[f64],
-    initial: Option<&B>,
+    initial: Option<&StateVector>,
     measure: F,
 ) -> Result<JacobianPair>
 where
-    B: Backend,
-    F: Fn(&B) -> Vec<f64>,
+    F: Fn(&StateVector) -> Vec<f64>,
 {
     circuit.check_bindings(params, inputs)?;
-    let n_out = measure(&circuit.run_on(params, inputs, initial)?).len();
+    let n_out = measure(&circuit.run(params, inputs, initial)?).len();
     let mut jac_params = vec![vec![0.0; n_out]; circuit.n_params()];
     let mut jac_inputs = vec![vec![0.0; n_out]; circuit.n_inputs()];
 
@@ -113,25 +110,6 @@ where
     Ok((jac_params, jac_inputs))
 }
 
-/// [`jacobian_expectations_z`] generalized over the simulator [`Backend`].
-///
-/// # Errors
-///
-/// Returns circuit-execution errors.
-pub fn jacobian_expectations_z_on<B: Backend>(
-    circuit: &Circuit,
-    params: &[f64],
-    inputs: &[f64],
-    initial: Option<&B>,
-) -> Result<JacobianPair> {
-    let n = circuit.n_qubits();
-    jacobian_on(circuit, params, inputs, initial, |s: &B| {
-        (0..n)
-            .map(|w| s.expectation_z(w).expect("wire in range"))
-            .collect()
-    })
-}
-
 /// Jacobian of the per-wire `⟨Z⟩` readout.
 ///
 /// # Errors
@@ -143,22 +121,26 @@ pub fn jacobian_expectations_z(
     inputs: &[f64],
     initial: Option<&StateVector>,
 ) -> Result<JacobianPair> {
-    jacobian_expectations_z_on(circuit, params, inputs, initial)
+    let n = circuit.n_qubits();
+    jacobian(circuit, params, inputs, initial, |s| {
+        (0..n)
+            .map(|w| s.expectation_z(w).expect("wire in range"))
+            .collect()
+    })
 }
 
-/// Jacobian of the basis-state probability readout on the simulator
-/// [`Backend`] `B`.
+/// Jacobian of the basis-state probability readout.
 ///
 /// # Errors
 ///
 /// Returns circuit-execution errors.
-pub fn jacobian_probabilities_on<B: Backend>(
+pub fn jacobian_probabilities(
     circuit: &Circuit,
     params: &[f64],
     inputs: &[f64],
-    initial: Option<&B>,
+    initial: Option<&StateVector>,
 ) -> Result<JacobianPair> {
-    jacobian_on(circuit, params, inputs, initial, |s: &B| s.probabilities())
+    jacobian(circuit, params, inputs, initial, StateVector::probabilities)
 }
 
 /// Vector-Jacobian product computed by parameter shift (for cross-checking
@@ -241,7 +223,7 @@ mod tests {
         c.extend(strongly_entangling_layers(2, 1, 0, EntangleRange::Ring).unwrap())
             .unwrap();
         let params: Vec<f64> = (0..c.n_params()).map(|i| 0.2 + 0.1 * i as f64).collect();
-        let (jp, _) = jacobian_probabilities_on::<StateVector>(&c, &params, &[], None).unwrap();
+        let (jp, _) = jacobian_probabilities(&c, &params, &[], None).unwrap();
         for row in &jp {
             let s: f64 = row.iter().sum();
             assert!(s.abs() < 1e-10);

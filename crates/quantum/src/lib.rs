@@ -8,12 +8,11 @@
 //!
 //! ## What it provides
 //!
-//! * [`StateVector`] — dense `2^n`-amplitude register with single-qubit,
-//!   CNOT, and diagonal kernels plus `⟨Z⟩`/probability measurements.
-//! * [`backend`] — the per-row simulator [`Backend`] trait behind every
-//!   executor: [`DenseBackend`] (the reference semantics and default) and
-//!   [`SoaDenseBackend`] (split re/im planes + cache-blocked SIMD-friendly
-//!   kernels).
+//! * [`StateVector`] — the per-row simulator: a dense `2^n`-amplitude
+//!   register with single-qubit, CNOT, and diagonal kernels,
+//!   `⟨Z⟩`/probability measurements, and the gate, tape and adjoint-stop
+//!   executors every circuit run and gradient engine goes through. It is
+//!   the reference semantics the register bank is tested against.
 //! * [`bank`] — [`RegisterBank`], many rows of one circuit as the lanes of
 //!   one batch-major register: it runs a [`CompiledTape`]'s forward and
 //!   adjoint programs over every lane with unit-stride kernels, each lane
@@ -68,7 +67,6 @@ mod error;
 mod gate;
 mod state;
 
-pub mod backend;
 pub mod bank;
 pub mod embed;
 pub mod grad;
@@ -77,7 +75,6 @@ pub mod observable;
 pub mod tape;
 pub mod templates;
 
-pub use backend::{Backend, DenseBackend, SoaDenseBackend};
 pub use bank::{BankScratch, RegisterBank};
 pub use circuit::Circuit;
 pub use complex::C64;

@@ -7,11 +7,10 @@
 //! / Monte-Carlo wave-function method). Averaging expectations over
 //! trajectories converges to the density-matrix result.
 
-use crate::backend::start_state;
 use crate::circuit::Circuit;
 use crate::error::Result;
 use crate::gate::Gate;
-use crate::state::StateVector;
+use crate::state::{start_state, StateVector};
 use rand::Rng;
 
 /// A depolarizing noise model applied per gate per touched wire.

@@ -4,9 +4,16 @@
 //! register. Wire 0 is the **most significant** bit of the basis index, i.e.
 //! basis state `|q0 q1 … q(n-1)⟩` has index `q0·2^(n-1) + … + q(n-1)`,
 //! matching the PennyLane convention used by the paper.
+//!
+//! It is the per-row simulator: the eager and tape executors, the gradient
+//! engines and the noisy trajectories all run on it, and it is the
+//! reference the [`crate::RegisterBank`] lanes are tested against bit for
+//! bit.
 
 use crate::complex::C64;
 use crate::error::{QuantumError, Result};
+use crate::gate::Gate;
+use crate::tape::{CompiledTape, TapeOp};
 
 /// Maximum register size supported (keeps memory below ~512 MiB).
 pub const MAX_QUBITS: usize = 24;
@@ -104,9 +111,9 @@ impl StateVector {
         &self.amps
     }
 
-    /// Mutable access to the raw amplitudes, for the adjoint block kernel
-    /// and the structure-of-arrays conversion. A slice, so no caller can
-    /// break the length invariant (`2^n_qubits`).
+    /// Mutable access to the raw amplitudes, for the register bank's lane
+    /// readout. A slice, so no caller can break the length invariant
+    /// (`2^n_qubits`).
     #[inline]
     pub(crate) fn amps_mut(&mut self) -> &mut [C64] {
         &mut self.amps
@@ -284,6 +291,123 @@ impl StateVector {
         }
     }
 
+    /// Executes a gate sequence with resolved parameter/input bindings, one
+    /// gate at a time — the eager path the gradient oracles and the tape
+    /// equivalence suites check [`StateVector::execute_tape`] against.
+    ///
+    /// # Errors
+    ///
+    /// Propagates wire-validation errors from the kernels.
+    pub fn apply_ops(&mut self, ops: &[Gate], params: &[f64], inputs: &[f64]) -> Result<()> {
+        for g in ops {
+            let theta = g.param().map_or(0.0, |p| p.resolve(params, inputs));
+            g.apply(self, theta)?;
+        }
+        Ok(())
+    }
+
+    /// Applies one pre-resolved op of a [`CompiledTape`]: a fused matrix, a
+    /// CNOT run (one CNOT per pair), or a late-bound slot whose angle is
+    /// `inputs[index]`. Other ops ignore `inputs`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates kernel errors; returns an input-count error if a late
+    /// slot's index exceeds `inputs`.
+    pub fn apply_tape_op(&mut self, op: &TapeOp, inputs: &[f64]) -> Result<()> {
+        match op {
+            TapeOp::OneQ { wire, m } => self.apply_single_qubit(*wire, m),
+            TapeOp::CnotRun(pairs) => {
+                for &(c, t) in pairs {
+                    self.apply_cnot(c, t)?;
+                }
+                Ok(())
+            }
+            TapeOp::Late { gate, index } => {
+                let theta = *inputs.get(*index).ok_or(QuantumError::InputCountMismatch {
+                    expected: *index + 1,
+                    actual: inputs.len(),
+                })?;
+                gate.apply(self, theta)
+            }
+        }
+    }
+
+    /// Executes a [`CompiledTape`]'s forward program: the batched
+    /// counterpart of [`StateVector::apply_ops`], with all
+    /// parameter-dependent resolution already hoisted out by
+    /// [`crate::Circuit::compile`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an input-count error if `inputs` is shorter than the tape's
+    /// late-bound slots reference, and propagates kernel errors.
+    pub fn execute_tape(&mut self, tape: &CompiledTape, inputs: &[f64]) -> Result<()> {
+        if inputs.len() < tape.n_inputs() {
+            return Err(QuantumError::InputCountMismatch {
+                expected: tape.n_inputs(),
+                actual: inputs.len(),
+            });
+        }
+        for op in tape.forward_ops() {
+            self.apply_tape_op(op, inputs)?;
+        }
+        Ok(())
+    }
+
+    /// One block stop of the adjoint backward sweep, in a single traversal
+    /// of both registers (`self` is the ket): accumulates the 2×2 cross
+    /// matrix `C[a][b] = Σ conj(bra[·, a])·ket[·, b]`, where `·` runs over
+    /// every other wire and `a`, `b` are `wire`'s bit, and un-applies the
+    /// block's fused inverse `inv` from both registers as each amplitude
+    /// pair is read.
+    ///
+    /// The adjoint engine turns `C` into one gradient per rotation of the
+    /// block, `Im Σ_ab H[a][b]·C[a][b]`, with `H` the rotation's generator
+    /// in the block's exit frame ([`crate::tape::RotationBlock`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuantumError::WireOutOfRange`] for an invalid wire.
+    pub fn adjoint_block_stop(
+        &mut self,
+        bra: &mut StateVector,
+        wire: usize,
+        inv: &[[C64; 2]; 2],
+    ) -> Result<[[C64; 2]; 2]> {
+        self.check_wire(wire)?;
+        debug_assert_eq!(self.dim(), bra.dim(), "ket and bra widths differ");
+        let stride = 1usize << self.bit_of_wire(wire);
+        let m = *inv;
+        let mut c = [[C64::ZERO; 2]; 2];
+        for (kc, bc) in self
+            .amps
+            .chunks_exact_mut(stride << 1)
+            .zip(bra.amps.chunks_exact_mut(stride << 1))
+        {
+            let (k_lo, k_hi) = kc.split_at_mut(stride);
+            let (b_lo, b_hi) = bc.split_at_mut(stride);
+            for ((k0, k1), (b0, b1)) in k_lo
+                .iter_mut()
+                .zip(k_hi.iter_mut())
+                .zip(b_lo.iter_mut().zip(b_hi.iter_mut()))
+            {
+                let (x0, x1) = (*k0, *k1);
+                let (y0, y1) = (*b0, *b1);
+                let (y0c, y1c) = (y0.conj(), y1.conj());
+                c[0][0] += y0c * x0;
+                c[0][1] += y0c * x1;
+                c[1][0] += y1c * x0;
+                c[1][1] += y1c * x1;
+                *k0 = m[0][0] * x0 + m[0][1] * x1;
+                *k1 = m[1][0] * x0 + m[1][1] * x1;
+                *b0 = m[0][0] * y0 + m[0][1] * y1;
+                *b1 = m[1][0] * y0 + m[1][1] * y1;
+            }
+        }
+        Ok(c)
+    }
+
     /// Expectation value `⟨ψ|Z_wire|ψ⟩ ∈ [-1, 1]`.
     ///
     /// # Errors
@@ -410,6 +534,28 @@ impl StateVector {
     pub fn variance_z(&self, wire: usize) -> Result<f64> {
         let e = self.expectation_z(wire)?;
         Ok(1.0 - e * e)
+    }
+}
+
+/// The register an executor starts from: a clone of `initial`, checked
+/// against an `n_qubits`-wide register, or `|0…0⟩`. Every executor (circuit
+/// runs, tapes, parameter shifts, adjoint sweeps, noisy trajectories) starts
+/// here, so an embedded state of the wrong width is the same typed error
+/// everywhere.
+///
+/// # Errors
+///
+/// [`QuantumError::DimensionMismatch`] when `initial` has another width.
+pub(crate) fn start_state(n_qubits: usize, initial: Option<&StateVector>) -> Result<StateVector> {
+    match initial {
+        Some(s) if s.n_qubits() != n_qubits => Err(QuantumError::DimensionMismatch {
+            expected: 1 << n_qubits,
+            actual: s.dim(),
+        }),
+        Some(s) => Ok(s.clone()),
+        // Circuits and tapes validate their width at construction, so this
+        // cannot fail for them, but it stays a typed error, not a panic.
+        None => StateVector::zero_state(n_qubits),
     }
 }
 
@@ -583,5 +729,27 @@ mod tests {
         s.apply_single_qubit(1, &h_matrix()).unwrap();
         s.apply_cnot(1, 0).unwrap();
         assert!((s.norm() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn tape_and_adjoint_kernels_reject_bad_wires() {
+        let x = [[C64::ZERO, C64::ONE], [C64::ONE, C64::ZERO]];
+        let mut s = StateVector::zero_state(2).unwrap();
+        assert!(s.apply_cnot(0, 0).is_err());
+        assert!(s.apply_cnot(0, 5).is_err());
+        let bad_run = TapeOp::CnotRun(vec![(0, 1), (1, 1)]);
+        assert!(s.apply_tape_op(&bad_run, &[]).is_err());
+        let mut bra = s.clone();
+        assert!(s.adjoint_block_stop(&mut bra, 2, &x).is_err());
+    }
+
+    #[test]
+    fn reset_restores_the_zero_state() {
+        let x = [[C64::ZERO, C64::ONE], [C64::ONE, C64::ZERO]];
+        let mut s = StateVector::zero_state(2).unwrap();
+        s.apply_single_qubit(0, &x).unwrap();
+        assert!(s.probability(0b10) > 0.99);
+        s.reset();
+        assert_eq!(s, StateVector::zero_state(2).unwrap());
     }
 }

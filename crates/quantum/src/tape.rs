@@ -23,7 +23,7 @@
 //! [`RotationBlock`], differentiated in a single traversal of both
 //! registers. Every parametrized gate is a single-qubit rotation, so every
 //! stop of the sweep — a block, or an input rotation — runs the one block
-//! kernel, [`Backend::adjoint_block_stop`]. `crate::grad::adjoint`
+//! kernel, [`StateVector::adjoint_block_stop`]. `crate::grad::adjoint`
 //! consumes the program for the batched backward pass. Callers that only
 //! run forward compile with [`Circuit::compile_forward`] and skip the
 //! adjoint lowering; the adjoint entry points reject such a tape with
@@ -35,7 +35,7 @@
 //! # Examples
 //!
 //! ```
-//! use sqvae_quantum::{Circuit, DenseBackend, Param};
+//! use sqvae_quantum::{Circuit, Param};
 //!
 //! let mut c = Circuit::new(2)?;
 //! c.ry(0, Param::Input(0))?; // late-bound embedding slot
@@ -44,17 +44,17 @@
 //!
 //! let tape = c.compile(&[0.1, 0.2, 0.3])?; // once per batch
 //! for x in [0.5, 1.5] {
-//!     let state: DenseBackend = tape.execute_on(&[x], None)?; // per row
+//!     let state = tape.execute_on(&[x], None)?; // per row
 //!     assert_eq!(state.dim(), 4);
 //! }
 //! # Ok::<(), sqvae_quantum::QuantumError>(())
 //! ```
 
-use crate::backend::{matmul2, start_state, Backend};
 use crate::circuit::Circuit;
 use crate::complex::C64;
 use crate::error::{QuantumError, Result};
 use crate::gate::{Gate, Param};
+use crate::state::{start_state, StateVector};
 
 /// A pre-resolved operation on a compiled tape.
 ///
@@ -71,7 +71,7 @@ pub enum TapeOp {
         m: [[C64; 2]; 2],
     },
     /// A run of consecutive CNOTs (the template's ring entangler), applied
-    /// as one basis-state permutation by backends that support it.
+    /// as one basis-state permutation by the register bank.
     CnotRun(Vec<(usize, usize)>),
     /// A late-bound slot: a gate whose angle comes from the per-row input
     /// vector ([`Param::Input`]), resolved at execution time.
@@ -123,7 +123,7 @@ pub enum AdjointStop {
 /// `Im⟨bra|A_jᴴ·G_j·A_j|ket⟩` is taken in the block's exit frame with the
 /// conjugated generator `H_j = A_jᴴ·G_j·A_j`. All of them contract with
 /// one 2×2 cross matrix of the two registers
-/// ([`Backend::adjoint_block_stop`]), which then un-applies the fused
+/// ([`StateVector::adjoint_block_stop`]), which then un-applies the fused
 /// inverse `A_{k+1}` in the same pass.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RotationBlock {
@@ -226,7 +226,7 @@ impl CompiledTape {
     /// Returns an input-count error if `inputs` is shorter than the tape
     /// references, or a typed dimension mismatch if `initial` has a
     /// different width.
-    pub fn execute_on<B: Backend>(&self, inputs: &[f64], initial: Option<&B>) -> Result<B> {
+    pub fn execute_on(&self, inputs: &[f64], initial: Option<&StateVector>) -> Result<StateVector> {
         let mut state = start_state(self.n_qubits, initial)?;
         state.execute_tape(self, inputs)?;
         Ok(state)
@@ -237,10 +237,10 @@ impl CompiledTape {
     /// # Errors
     ///
     /// See [`CompiledTape::execute_on`].
-    pub fn expectations_z_on<B: Backend>(
+    pub fn expectations_z_on(
         &self,
         inputs: &[f64],
-        initial: Option<&B>,
+        initial: Option<&StateVector>,
     ) -> Result<Vec<f64>> {
         let state = self.execute_on(inputs, initial)?;
         (0..self.n_qubits).map(|w| state.expectation_z(w)).collect()
@@ -251,30 +251,28 @@ impl CompiledTape {
     /// # Errors
     ///
     /// See [`CompiledTape::execute_on`].
-    pub fn probabilities_on<B: Backend>(
+    pub fn probabilities_on(
         &self,
         inputs: &[f64],
-        initial: Option<&B>,
+        initial: Option<&StateVector>,
     ) -> Result<Vec<f64>> {
         Ok(self.execute_on(inputs, initial)?.probabilities())
     }
+}
 
-    /// Executes the tape then writes all basis-state probabilities into
-    /// `out` (cleared first, capacity reused) — the allocation-free readout
-    /// used by batched per-row paths.
-    ///
-    /// # Errors
-    ///
-    /// See [`CompiledTape::execute_on`].
-    pub fn probabilities_into_on<B: Backend>(
-        &self,
-        inputs: &[f64],
-        initial: Option<&B>,
-        out: &mut Vec<f64>,
-    ) -> Result<()> {
-        self.execute_on(inputs, initial)?.probabilities_into(out);
-        Ok(())
-    }
+/// Row-major product `a · b` of two 2×2 complex matrices (gate `b` applied
+/// first, then `a`): the fusion step of the forward and adjoint lowerings.
+fn matmul2(a: &[[C64; 2]; 2], b: &[[C64; 2]; 2]) -> [[C64; 2]; 2] {
+    [
+        [
+            a[0][0] * b[0][0] + a[0][1] * b[1][0],
+            a[0][0] * b[0][1] + a[0][1] * b[1][1],
+        ],
+        [
+            a[1][0] * b[0][0] + a[1][1] * b[1][0],
+            a[1][0] * b[0][1] + a[1][1] * b[1][1],
+        ],
+    ]
 }
 
 /// Incrementally lowers resolved gates into a fused op list.
@@ -421,11 +419,9 @@ pub(crate) fn compile(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::DenseBackend;
     use crate::embed::{angle_embedding_gates, RotationAxis};
-    use crate::gate::ry_matrix;
+    use crate::gate::{hadamard, pauli_x, ry_matrix};
     use crate::templates::{strongly_entangling_layers, EntangleRange};
-    use crate::StateVector;
 
     fn paper_circuit(n: usize, layers: usize) -> Circuit {
         let mut c = Circuit::new(n).unwrap();
@@ -463,6 +459,20 @@ mod tests {
     }
 
     #[test]
+    fn single_qubit_fusion_composes_in_gate_order() {
+        // X then H on wire 0 fused = H·X as a matrix.
+        let fused = matmul2(&hadamard(), &pauli_x());
+        let mut seq = StateVector::zero_state(1).unwrap();
+        seq.apply_single_qubit(0, &pauli_x()).unwrap();
+        seq.apply_single_qubit(0, &hadamard()).unwrap();
+        let mut one = StateVector::zero_state(1).unwrap();
+        one.apply_single_qubit(0, &fused).unwrap();
+        for (a, b) in seq.amplitudes().iter().zip(one.amplitudes()) {
+            assert!(a.approx_eq(*b, 1e-15), "{a} != {b}");
+        }
+    }
+
+    #[test]
     fn fusion_reaches_across_commuting_wires() {
         // H(0), H(1), H(0): the two wire-0 gates fuse through the commuting
         // wire-1 gate, leaving H·H = I on wire 0 and H on wire 1.
@@ -472,7 +482,7 @@ mod tests {
         c.h(0).unwrap();
         let tape = c.compile(&[]).unwrap();
         assert_eq!(tape.forward_ops().len(), 2);
-        let state: DenseBackend = tape.execute_on(&[], None).unwrap();
+        let state = tape.execute_on(&[], None).unwrap();
         let mut reference = StateVector::zero_state(2).unwrap();
         reference.apply_ops(c.ops(), &[], &[]).unwrap();
         for (a, b) in state.amplitudes().iter().zip(reference.amplitudes()) {
@@ -485,7 +495,7 @@ mod tests {
         let c = paper_circuit(3, 1);
         let tape = c.compile(&vec![0.0; c.n_params()]).unwrap();
         assert!(matches!(
-            tape.execute_on::<DenseBackend>(&[0.0], None),
+            tape.execute_on(&[0.0], None),
             Err(QuantumError::InputCountMismatch { .. })
         ));
         let wide = StateVector::zero_state(4).unwrap();

@@ -12,8 +12,7 @@ use proptest::prelude::*;
 use sqvae_quantum::embed::amplitude_embedding;
 use sqvae_quantum::grad::{adjoint, CircuitGradients};
 use sqvae_quantum::{
-    Backend, BankScratch, Circuit, CompiledTape, Gate, Param, QuantumError, RegisterBank,
-    StateVector,
+    BankScratch, Circuit, CompiledTape, Gate, Param, QuantumError, RegisterBank, StateVector,
 };
 
 /// Lane counts: one lane (the uniform-kernel shortcuts), small odd and
@@ -243,13 +242,9 @@ fn decoder_template_banks_match_per_row_bitwise() {
             )
             .unwrap();
             for l in 0..lanes {
-                let want = adjoint::backward_expectations_z_tape::<StateVector>(
-                    &tape,
-                    &inputs[l],
-                    None,
-                    &upstream[l],
-                )
-                .unwrap();
+                let want =
+                    adjoint::backward_expectations_z_tape(&tape, &inputs[l], None, &upstream[l])
+                        .unwrap();
                 assert_grads_eq(&got[l], &want, &format!("{n}q x{lanes} lane {l}"));
             }
         }

@@ -143,7 +143,7 @@ proptest! {
         let measure = |s: &StateVector| {
             (0..n).map(|w| s.expectation_z(w).unwrap()).collect::<Vec<_>>()
         };
-        let jac = finite_diff::jacobian_inputs_on(
+        let jac = finite_diff::jacobian_inputs(
             &c, &params, &inputs, None, finite_diff::DEFAULT_EPS, measure,
         )
         .unwrap();

@@ -1,15 +1,14 @@
 //! Compiled-tape equivalence: executing a [`CompiledTape`] must reproduce
 //! eager gate-by-gate execution — forward states, expectations,
 //! probabilities, and adjoint gradients — to ≤ 1e-12 on randomized circuits,
-//! on every backend (dense, SoA), and the tape must be reusable across rows.
+//! and the tape must be reusable across rows.
 
 use proptest::prelude::*;
-use sqvae_quantum::backend::{Backend, DenseBackend, SoaDenseBackend};
 use sqvae_quantum::embed::{angle_embedding_gates, RotationAxis};
-use sqvae_quantum::grad::adjoint;
+use sqvae_quantum::grad::{adjoint, paramshift};
 use sqvae_quantum::tape::{AdjointStep, AdjointStop};
 use sqvae_quantum::templates::{strongly_entangling_layers, EntangleRange};
-use sqvae_quantum::{Circuit, CompiledTape, Gate, Param, QuantumError};
+use sqvae_quantum::{Circuit, CompiledTape, Gate, Param, QuantumError, StateVector};
 
 const TOL: f64 = 1e-12;
 
@@ -50,8 +49,8 @@ fn build_circuit(n: usize, gates: Vec<Gate>) -> Circuit {
 }
 
 /// The eager gate-by-gate reference: explicit `apply_ops`, no tape.
-fn eager_state<B: Backend>(c: &Circuit, params: &[f64], inputs: &[f64]) -> B {
-    let mut s = B::zero_state(c.n_qubits()).unwrap();
+fn eager_state(c: &Circuit, params: &[f64], inputs: &[f64]) -> StateVector {
+    let mut s = StateVector::zero_state(c.n_qubits()).unwrap();
     s.apply_ops(c.ops(), params, inputs).unwrap();
     s
 }
@@ -67,7 +66,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Compiled execution reproduces the eager amplitudes, expectations, and
-    /// probabilities on both backends.
+    /// probabilities.
     #[test]
     fn compiled_forward_matches_gate_by_gate(
         gates in proptest::collection::vec(arb_gate(3, 4, 2), 1..32),
@@ -76,39 +75,25 @@ proptest! {
     ) {
         let c = build_circuit(3, gates);
         let tape = c.compile(&params).unwrap();
-        let eager: DenseBackend = eager_state(&c, &params, &inputs);
-        let dense: DenseBackend = tape.execute_on(&inputs, None).unwrap();
+        let eager = eager_state(&c, &params, &inputs);
+        let dense = tape.execute_on(&inputs, None).unwrap();
         for (a, b) in eager.amplitudes().iter().zip(dense.amplitudes()) {
             prop_assert!(a.approx_eq(*b, TOL), "dense amplitude {a} vs {b}");
         }
-        let soa: SoaDenseBackend = tape.execute_on(&inputs, None).unwrap();
-        let soa_sv = soa.to_statevector();
-        for (a, b) in eager.amplitudes().iter().zip(soa_sv.amplitudes()) {
-            prop_assert!(a.approx_eq(*b, TOL), "soa amplitude {a} vs {b}");
-        }
         assert_close(
             &c.expectations_z_all(&eager).unwrap(),
-            &tape.expectations_z_on::<DenseBackend>(&inputs, None).unwrap(),
+            &tape.expectations_z_on(&inputs, None).unwrap(),
             "expectations",
         );
         assert_close(
-            &c.expectations_z_all(&eager).unwrap(),
-            &c.expectations_z_all(&soa).unwrap(),
-            "soa expectations",
-        );
-        assert_close(
-            &Backend::probabilities(&eager),
-            &tape.probabilities_on::<DenseBackend>(&inputs, None).unwrap(),
+            &eager.probabilities(),
+            &tape.probabilities_on(&inputs, None).unwrap(),
             "probabilities",
         );
-        let mut soa_probs = Vec::new();
-        tape.probabilities_into_on::<SoaDenseBackend>(&inputs, None, &mut soa_probs).unwrap();
-        assert_close(&Backend::probabilities(&eager), &soa_probs, "soa probabilities");
     }
 
     /// The tape's pre-lowered adjoint sweep reproduces the eager adjoint
-    /// gradients (parameters AND inputs) for the ⟨Z⟩ readout on both
-    /// backends.
+    /// gradients (parameters AND inputs) for the ⟨Z⟩ readout.
     #[test]
     fn compiled_adjoint_matches_gate_by_gate(
         gates in proptest::collection::vec(arb_gate(3, 4, 2), 1..24),
@@ -118,16 +103,12 @@ proptest! {
     ) {
         let c = build_circuit(3, gates);
         let tape = c.compile(&params).unwrap();
-        let eager = adjoint::backward_expectations_z_on::<DenseBackend>(
+        let eager = adjoint::backward_expectations_z(
             &c, &params, &inputs, None, &upstream).unwrap();
-        let dense = adjoint::backward_expectations_z_tape::<DenseBackend>(
+        let taped = adjoint::backward_expectations_z_tape(
             &tape, &inputs, None, &upstream).unwrap();
-        let soa = adjoint::backward_expectations_z_tape::<SoaDenseBackend>(
-            &tape, &inputs, None, &upstream).unwrap();
-        assert_close(&eager.params, &dense.params, "dense param gradients");
-        assert_close(&eager.inputs, &dense.inputs, "dense input gradients");
-        assert_close(&eager.params, &soa.params, "soa param gradients");
-        assert_close(&eager.inputs, &soa.inputs, "soa input gradients");
+        assert_close(&eager.params, &taped.params, "param gradients");
+        assert_close(&eager.inputs, &taped.inputs, "input gradients");
     }
 
     /// Same for the probability readout (the baseline decoder's measurement).
@@ -140,16 +121,12 @@ proptest! {
     ) {
         let c = build_circuit(2, gates);
         let tape = c.compile(&params).unwrap();
-        let eager = adjoint::backward_probabilities_on::<DenseBackend>(
+        let eager = adjoint::backward_probabilities(
             &c, &params, &inputs, None, &upstream).unwrap();
-        let taped = adjoint::backward_probabilities_tape::<DenseBackend>(
+        let taped = adjoint::backward_probabilities_tape(
             &tape, &inputs, None, &upstream).unwrap();
         assert_close(&eager.params, &taped.params, "param gradients");
         assert_close(&eager.inputs, &taped.inputs, "input gradients");
-        let soa = adjoint::backward_probabilities_tape::<SoaDenseBackend>(
-            &tape, &inputs, None, &upstream).unwrap();
-        assert_close(&eager.params, &soa.params, "soa param gradients");
-        assert_close(&eager.inputs, &soa.inputs, "soa input gradients");
     }
 
     /// One tape, many rows: re-executing with different inputs matches
@@ -165,19 +142,12 @@ proptest! {
         let c = build_circuit(3, gates);
         let tape = c.compile(&params).unwrap();
         for row in &rows {
-            let eager: DenseBackend = eager_state(&c, &params, row);
-            let a: DenseBackend = tape.execute_on(row, None).unwrap();
-            let b: DenseBackend = tape.execute_on(row, None).unwrap();
+            let eager = eager_state(&c, &params, row);
+            let a = tape.execute_on(row, None).unwrap();
+            let b = tape.execute_on(row, None).unwrap();
             prop_assert_eq!(&a, &b, "tape re-execution must be deterministic");
             for (x, y) in eager.amplitudes().iter().zip(a.amplitudes()) {
                 prop_assert!(x.approx_eq(*y, TOL), "row amplitude {x} vs {y}");
-            }
-            let s1: SoaDenseBackend = tape.execute_on(row, None).unwrap();
-            let s2: SoaDenseBackend = tape.execute_on(row, None).unwrap();
-            prop_assert_eq!(&s1, &s2, "soa tape re-execution must be deterministic");
-            let s_sv = s1.to_statevector();
-            for (x, y) in eager.amplitudes().iter().zip(s_sv.amplitudes()) {
-                prop_assert!(x.approx_eq(*y, TOL), "soa row amplitude {x} vs {y}");
             }
         }
     }
@@ -200,42 +170,24 @@ fn paper_template_tape_matches_eager() {
     let upstream: Vec<f64> = (0..n).map(|i| 1.0 - 0.4 * i as f64).collect();
 
     let tape: CompiledTape = c.compile(&params).unwrap();
-    let eager: DenseBackend = eager_state(&c, &params, &inputs);
+    let eager = eager_state(&c, &params, &inputs);
     assert_close(
         &c.expectations_z_all(&eager).unwrap(),
-        &tape
-            .expectations_z_on::<DenseBackend>(&inputs, None)
-            .unwrap(),
+        &tape.expectations_z_on(&inputs, None).unwrap(),
         "paper template expectations",
     );
 
-    let ge =
-        adjoint::backward_expectations_z_on::<DenseBackend>(&c, &params, &inputs, None, &upstream)
-            .unwrap();
-    let gt = adjoint::backward_expectations_z_tape::<DenseBackend>(&tape, &inputs, None, &upstream)
-        .unwrap();
+    let ge = adjoint::backward_expectations_z(&c, &params, &inputs, None, &upstream).unwrap();
+    let gt = adjoint::backward_expectations_z_tape(&tape, &inputs, None, &upstream).unwrap();
     assert_close(&ge.params, &gt.params, "paper template param grads");
     assert_close(&ge.inputs, &gt.inputs, "paper template input grads");
-
-    let gs =
-        adjoint::backward_expectations_z_tape::<SoaDenseBackend>(&tape, &inputs, None, &upstream)
-            .unwrap();
-    assert_close(&ge.params, &gs.params, "paper template soa param grads");
-    assert_close(&ge.inputs, &gs.inputs, "paper template soa input grads");
-    assert_close(
-        &c.expectations_z_all(&eager).unwrap(),
-        &tape
-            .expectations_z_on::<SoaDenseBackend>(&inputs, None)
-            .unwrap(),
-        "paper template soa expectations",
-    );
 }
 
 /// Checks the tape sweep of `gates` (after a prefix that spreads and phases
 /// the state and entangles it with a CNOT ring, and followed by another
 /// ring so every wire's gradient reaches the readout) against the eager
-/// `vjp_diagonal_on` oracle on every backend, and that the adjoint program
-/// holds `blocks` rotation blocks.
+/// `vjp_diagonal` oracle, and that the adjoint program holds `blocks`
+/// rotation blocks.
 fn check_block_case(n: usize, gates: &[Gate], blocks: usize, what: &str) {
     let mut c = Circuit::new(n).unwrap();
     let ring: Vec<Gate> = (0..n).map(|w| Gate::CNOT(w, (w + 1) % n)).collect();
@@ -259,8 +211,7 @@ fn check_block_case(n: usize, gates: &[Gate], blocks: usize, what: &str) {
         .count();
     assert_eq!(found, blocks, "{what}: rotation blocks");
 
-    let eager =
-        adjoint::vjp_diagonal_on::<DenseBackend>(&c, &params, &inputs, None, &diag).unwrap();
+    let eager = adjoint::vjp_diagonal(&c, &params, &inputs, None, &diag).unwrap();
     assert!(
         eager
             .params
@@ -269,12 +220,9 @@ fn check_block_case(n: usize, gates: &[Gate], blocks: usize, what: &str) {
             .any(|g| g.abs() > 1e-3),
         "{what}: the case should exercise non-zero gradients"
     );
-    let dense = adjoint::vjp_diagonal_tape::<DenseBackend>(&tape, &inputs, None, &diag).unwrap();
-    let soa = adjoint::vjp_diagonal_tape::<SoaDenseBackend>(&tape, &inputs, None, &diag).unwrap();
-    for (name, g) in [("dense", &dense), ("soa", &soa)] {
-        assert_close(&eager.params, &g.params, &format!("{what}: {name} params"));
-        assert_close(&eager.inputs, &g.inputs, &format!("{what}: {name} inputs"));
-    }
+    let taped = adjoint::vjp_diagonal_tape(&tape, &inputs, None, &diag).unwrap();
+    assert_close(&eager.params, &taped.params, &format!("{what}: params"));
+    assert_close(&eager.inputs, &taped.inputs, &format!("{what}: inputs"));
 }
 
 #[test]
@@ -366,8 +314,8 @@ fn forward_only_tapes_are_rejected_by_the_adjoint_sweep() {
     let params: Vec<f64> = (0..c.n_params()).map(|i| 0.1 * i as f64).collect();
     let inputs = [0.2, -0.4, 0.9];
     let tape = c.compile_forward(&params).unwrap();
-    let state: DenseBackend = tape.execute_on(&inputs, None).unwrap();
-    let full: DenseBackend = c
+    let state = tape.execute_on(&inputs, None).unwrap();
+    let full = c
         .compile(&params)
         .unwrap()
         .execute_on(&inputs, None)
@@ -376,15 +324,15 @@ fn forward_only_tapes_are_rejected_by_the_adjoint_sweep() {
 
     let forward_only = Err(QuantumError::ForwardOnlyTape);
     assert_eq!(
-        adjoint::backward_expectations_z_tape::<DenseBackend>(&tape, &inputs, None, &[1.0; 3]),
+        adjoint::backward_expectations_z_tape(&tape, &inputs, None, &[1.0; 3]),
         forward_only
     );
     assert_eq!(
-        adjoint::backward_probabilities_tape::<SoaDenseBackend>(&tape, &inputs, None, &[1.0; 8]),
+        adjoint::backward_probabilities_tape(&tape, &inputs, None, &[1.0; 8]),
         forward_only
     );
     assert_eq!(
-        adjoint::vjp_diagonal_tape::<DenseBackend>(&tape, &inputs, None, &[1.0; 8]),
+        adjoint::vjp_diagonal_tape(&tape, &inputs, None, &[1.0; 8]),
         forward_only
     );
 }
@@ -397,17 +345,17 @@ fn tape_errors_and_immutability() {
     let mut c = Circuit::new(2).unwrap();
     c.ry(0, Param::Train(0)).unwrap();
     let tape = c.compile(&[0.3]).unwrap();
-    let wide = SoaDenseBackend::zero_state(3).unwrap();
+    let wide = StateVector::zero_state(3).unwrap();
     assert!(matches!(
         tape.execute_on(&[], Some(&wide)),
-        Err(sqvae_quantum::QuantumError::DimensionMismatch { .. })
+        Err(QuantumError::DimensionMismatch { .. })
     ));
 
     // New parameters require a new compile; the old tape still answers for
     // the old ones.
-    let old: DenseBackend = tape.execute_on(&[], None).unwrap();
-    let new: DenseBackend = c.compile(&[1.1]).unwrap().execute_on(&[], None).unwrap();
-    let reference: DenseBackend = eager_state(&c, &[0.3], &[]);
+    let old = tape.execute_on(&[], None).unwrap();
+    let new = c.compile(&[1.1]).unwrap().execute_on(&[], None).unwrap();
+    let reference = eager_state(&c, &[0.3], &[]);
     for (a, b) in old.amplitudes().iter().zip(reference.amplitudes()) {
         assert!(a.approx_eq(*b, TOL));
     }
@@ -416,4 +364,25 @@ fn tape_errors_and_immutability() {
         .iter()
         .zip(new.amplitudes())
         .any(|(a, b)| !a.approx_eq(*b, 1e-3)));
+}
+
+/// Mismatched embedded initial states are a typed error on every executor
+/// (run, parameter shift, eager adjoint), not a panic or silent misread.
+#[test]
+fn mismatched_initial_is_a_typed_error_everywhere() {
+    let mut c = Circuit::new(2).unwrap();
+    c.ry(0, Param::Train(0)).unwrap();
+    let wide = StateVector::zero_state(3).unwrap();
+    assert!(matches!(
+        c.run(&[0.1], &[], Some(&wide)),
+        Err(QuantumError::DimensionMismatch { .. })
+    ));
+    assert!(matches!(
+        paramshift::jacobian_expectations_z(&c, &[0.1], &[], Some(&wide)),
+        Err(QuantumError::DimensionMismatch { .. })
+    ));
+    assert!(matches!(
+        adjoint::backward_expectations_z(&c, &[0.1], &[], Some(&wide), &[1.0, 0.0]),
+        Err(QuantumError::DimensionMismatch { .. })
+    ));
 }

@@ -20,7 +20,7 @@ use sqvae::core::sampling::{generation_metrics, sample_molecules};
 use sqvae::datasets::pdbbind::{self, PdbbindConfig, PDBBIND_MATRIX_SIZE};
 use sqvae::datasets::qm9::{self, Qm9Config};
 use sqvae::datasets::Dataset;
-use sqvae::nn::{BackendKind, ExecPolicy, Threads};
+use sqvae::nn::{ExecPolicy, Threads};
 
 /// Asserts a digest equals its recorded value, printing the new value.
 fn check(stage: &str, got: u64, want: u64) {
@@ -197,10 +197,8 @@ fn molecular_datasets_match_recorded_digests() {
 
 /// One seeded `sample_molecules` + `generation_metrics` batch, decoded at
 /// 32×32. The untrained decoder's outputs are rescaled into the code range
-/// so the batch holds large, mostly invalid molecules. The digest was
-/// recorded on the `dense` backend; `soa` agrees only to 1e-12, so the
-/// model is pinned to `dense` whatever the environment selects. The batch
-/// runs sequentially and on two and three threads: its 64 × 56 × 1024
+/// so the batch holds large, mostly invalid molecules. The batch runs
+/// sequentially and on two and three threads: its 64 × 56 × 1024
 /// decoder product and its 64 samples' chem work are both split over the
 /// compute pool, and every split gives the recorded bits.
 #[test]
@@ -210,7 +208,7 @@ fn sampled_batch_matches_recorded_digest() {
     for threads in [Threads::Off, Threads::Fixed(2), Threads::Fixed(3)] {
         model.set_exec_policy(ExecPolicy {
             threads,
-            backend: BackendKind::Dense,
+            ..ExecPolicy::from_env()
         });
         let sampled = sample_molecules(
             &mut model,

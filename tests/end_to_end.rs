@@ -7,7 +7,7 @@ use sqvae::chem::{properties::DrugProperties, smiles, valence, MoleculeMatrix};
 use sqvae::core::{models, sampling, Autoencoder, ParamGroup, TrainConfig, Trainer};
 use sqvae::datasets::pdbbind::{generate as gen_pdbbind, PdbbindConfig};
 use sqvae::datasets::qm9::{generate as gen_qm9, Qm9Config};
-use sqvae::nn::{BackendKind, ExecPolicy, Matrix, Threads};
+use sqvae::nn::{ExecPolicy, Matrix, Threads};
 
 fn quick(epochs: usize) -> TrainConfig {
     TrainConfig {
@@ -113,8 +113,7 @@ fn nudge_quantum_param(model: &mut Autoencoder, k: usize, delta: f64) {
 fn hybrid_gradients_are_exact_end_to_end() {
     // Central-difference check of every quantum parameter of every quantum
     // factory, through the full Autoencoder (encoder, latent with a fixed ε,
-    // decoder) on the reference and the SoA backend: the safety net for any
-    // change to the gradient engine.
+    // decoder): the safety net for any change to the gradient engine.
     type Factory = fn(&mut StdRng) -> Autoencoder;
     let zoo: [(&str, Factory); 6] = [
         ("F-BQ-AE", |r| models::f_bq_ae(16, 1, r)),
@@ -126,37 +125,35 @@ fn hybrid_gradients_are_exact_end_to_end() {
     ];
     let x = Matrix::from_fn(2, 16, |r, c| 0.1 + 0.05 * (r * 16 + c) as f64);
     let eps = 1e-5;
-    for backend in [BackendKind::Dense, BackendKind::Soa] {
-        for (name, factory) in zoo {
-            let mut model = factory(&mut StdRng::seed_from_u64(8));
-            model.set_exec_policy(ExecPolicy {
-                threads: Threads::Off,
-                backend,
-            });
-            let out = model
-                .forward_train(&x, &mut StdRng::seed_from_u64(9))
-                .unwrap();
-            let (_, grad) = sqvae::nn::loss::mse(&out.reconstruction, &x).unwrap();
-            model.backward(&grad).unwrap();
-            let analytic: Vec<f64> = model
-                .parameters_of(ParamGroup::Quantum)
-                .iter()
-                .flat_map(|p| p.grad.as_slice().to_vec())
-                .collect();
-            assert!(!analytic.is_empty(), "{name} has quantum parameters");
+    for (name, factory) in zoo {
+        let mut model = factory(&mut StdRng::seed_from_u64(8));
+        model.set_exec_policy(ExecPolicy {
+            threads: Threads::Off,
+            ..ExecPolicy::from_env()
+        });
+        let out = model
+            .forward_train(&x, &mut StdRng::seed_from_u64(9))
+            .unwrap();
+        let (_, grad) = sqvae::nn::loss::mse(&out.reconstruction, &x).unwrap();
+        model.backward(&grad).unwrap();
+        let analytic: Vec<f64> = model
+            .parameters_of(ParamGroup::Quantum)
+            .iter()
+            .flat_map(|p| p.grad.as_slice().to_vec())
+            .collect();
+        assert!(!analytic.is_empty(), "{name} has quantum parameters");
 
-            for (k, &a) in analytic.iter().enumerate() {
-                nudge_quantum_param(&mut model, k, eps);
-                let plus = elbo(&mut model, &x);
-                nudge_quantum_param(&mut model, k, -2.0 * eps);
-                let minus = elbo(&mut model, &x);
-                nudge_quantum_param(&mut model, k, eps);
-                let fd = (plus - minus) / (2.0 * eps);
-                assert!(
-                    (a - fd).abs() < 1e-9 * (1.0 + a.abs()),
-                    "{name} on {backend}: quantum param {k}: analytic {a} vs fd {fd}"
-                );
-            }
+        for (k, &a) in analytic.iter().enumerate() {
+            nudge_quantum_param(&mut model, k, eps);
+            let plus = elbo(&mut model, &x);
+            nudge_quantum_param(&mut model, k, -2.0 * eps);
+            let minus = elbo(&mut model, &x);
+            nudge_quantum_param(&mut model, k, eps);
+            let fd = (plus - minus) / (2.0 * eps);
+            assert!(
+                (a - fd).abs() < 1e-9 * (1.0 + a.abs()),
+                "{name}: quantum param {k}: analytic {a} vs fd {fd}"
+            );
         }
     }
 }

@@ -1,13 +1,13 @@
 //! `Module::infer`, the evaluation forward, against the training forward on
-//! all six `Module` implementors: the same output bits, nothing kept, and a
-//! pending backward left as it was.
+//! all five `Module` implementors: the same output bits, nothing kept, and
+//! a pending backward left as it was. The container runs as an encoder and
+//! as a decoder.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sqvae::core::{HybridStack, PatchedQuantumLayer, QuantumInput, QuantumLayer, QuantumOutput};
 use sqvae::nn::{
-    Activation, ActivationKind, BackendKind, ExecPolicy, Linear, Matrix, Module, NnError,
-    Sequential, Threads,
+    Activation, ActivationKind, BackendKind, ExecPolicy, Linear, Matrix, Module, NnError, Threads,
 };
 
 /// A freshly built module, the same one on every call for a fixed seed.
@@ -24,12 +24,12 @@ fn implementors() -> [(&'static str, Build, usize); 6] {
             4,
         ),
         (
-            "Sequential",
+            "HybridStack decoder",
             |rng| {
-                let mut s = Sequential::new();
-                s.push(Linear::new(4, 3, rng));
-                s.push(Activation::new(ActivationKind::Tanh));
-                s.push(QuantumLayer::new(
+                let mut s = HybridStack::new();
+                s.push_classical(Linear::new(4, 3, rng));
+                s.push_classical(Activation::new(ActivationKind::Tanh));
+                s.push_quantum(QuantumLayer::new(
                     3,
                     1,
                     QuantumInput::Angle,
@@ -100,7 +100,7 @@ const POLICIES: [ExecPolicy; 2] = [
     },
     ExecPolicy {
         threads: Threads::Fixed(3),
-        backend: BackendKind::Soa,
+        backend: BackendKind::Dense,
     },
 ];
 

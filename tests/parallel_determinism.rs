@@ -10,9 +10,11 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sqvae_core::{
-    models, Autoencoder, ExecPolicy, History, ParamGroup, Threads, TrainConfig, Trainer,
+    models, Autoencoder, ExecPolicy, History, ParamGroup, QuantumInput, QuantumLayer,
+    QuantumOutput, Threads, TrainConfig, Trainer,
 };
 use sqvae_datasets::Dataset;
+use sqvae_nn::{Matrix, Module};
 
 fn toy_dataset(n: usize, width: usize, seed: u64) -> Dataset {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -124,4 +126,69 @@ fn evaluation_is_thread_count_invariant() {
     let seq = evaluate(Threads::Off);
     assert!(seq.is_finite());
     assert_eq!(evaluate(Threads::Fixed(4)), seq);
+}
+
+#[test]
+fn every_factory_model_starts_from_the_environment_policy() {
+    let mut rng = StdRng::seed_from_u64(1);
+    for model in [
+        models::classical_ae(16, 3, &mut rng),
+        models::classical_vae(16, 3, &mut rng),
+        models::f_bq_ae(16, 1, &mut rng),
+        models::f_bq_vae(16, 1, &mut rng),
+        models::h_bq_ae(16, 1, &mut rng),
+        models::h_bq_vae(16, 1, &mut rng),
+        models::sq_ae(16, 2, 1, &mut rng),
+        models::sq_vae(16, 2, 1, &mut rng),
+    ] {
+        assert_eq!(
+            model.exec_policy(),
+            ExecPolicy::from_env(),
+            "{}",
+            model.name
+        );
+    }
+}
+
+#[test]
+fn tape_reuse_matrix_is_deterministic() {
+    // Each batch pass compiles the circuit once and replays the shared tape
+    // on every row. Two guarantees across the thread-count matrix: (a)
+    // duplicated input rows produce bitwise-identical output and gradient
+    // rows, since they replay the same tape, and (b) every thread count
+    // reproduces the sequential pass bit for bit, tape sharing included.
+    let x = Matrix::from_fn(6, 3, |i, j| 0.21 * ((i % 3) as f64) - 0.13 * (j as f64));
+    let g = Matrix::from_fn(6, 3, |i, j| 0.17 * ((i % 3) as f64) + 0.05 * (j as f64));
+    // Rows 0..3 repeat as rows 3..6 (both in inputs and upstream grads).
+    let run = |threads: Threads| {
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut layer = QuantumLayer::new(
+            3,
+            2,
+            QuantumInput::Angle,
+            QuantumOutput::ExpectationZ,
+            &mut rng,
+        );
+        layer.set_exec_policy(ExecPolicy {
+            threads,
+            ..ExecPolicy::from_env()
+        });
+        let y = layer.forward(&x).unwrap();
+        let gin = layer.backward(&g).unwrap();
+        let grads = layer.parameters()[0].grad.clone();
+        (y, gin, grads)
+    };
+    let baseline = run(Threads::Off);
+    let (y, gin, _) = &baseline;
+    for r in 0..3 {
+        assert_eq!(y.row(r), y.row(r + 3), "duplicated row {r}");
+        assert_eq!(gin.row(r), gin.row(r + 3), "duplicated grad row {r}");
+    }
+    for threads in [Threads::Fixed(2), Threads::Fixed(4), Threads::Auto] {
+        assert_eq!(
+            run(threads),
+            baseline,
+            "{threads:?} diverged from the sequential tape replay"
+        );
+    }
 }

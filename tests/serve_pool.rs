@@ -3,8 +3,8 @@
 //!
 //! Results depend only on each request's payload (sample requests carry
 //! their own seeds), never on batch composition or on how many compute-pool
-//! threads a batch's rows fan out over. CI runs this at `SQVAE_THREADS=1`,
-//! at `=4` and under the soa backend.
+//! threads a batch's rows fan out over. CI runs this at `SQVAE_THREADS=1`
+//! and at `=4`.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
