@@ -17,6 +17,12 @@
 //! * **SQ-AE / SQ-VAE** — the scalable variant: *patched* quantum circuits
 //!   enlarge the latent space from `log2(d)` to `p·log2(d/p)` (§III-C).
 //!
+//! Every quantum stage is one [`QuantumLayer`]: a strongly-entangling
+//! sub-circuit with one angle vector per patch. The baselines build one
+//! patch ([`QuantumLayer::new`]); SQ-AE and SQ-VAE build `p`
+//! ([`QuantumLayer::amplitude_encoder`], [`QuantumLayer::angle_decoder`]),
+//! with the latent width [`patched_latent_dim`].
+//!
 //! ## Example: train an SQ-AE on synthetic ligands
 //!
 //! ```
@@ -44,6 +50,7 @@
 mod autoencoder;
 mod hybrid;
 mod latent;
+#[cfg(test)]
 mod patched;
 mod quantum_layer;
 mod trainer;
@@ -56,8 +63,9 @@ pub mod sampling;
 pub use autoencoder::{Autoencoder, ForwardOutput, ParameterCount};
 pub use hybrid::{HybridStack, ParamGroup};
 pub use latent::{GaussianLatent, Latent};
-pub use patched::{patched_latent_dim, PatchedQuantumLayer};
-pub use quantum_layer::{QuantumInput, QuantumLayer, QuantumOutput};
+pub use quantum_layer::{
+    patched_latent_dim, PatchedQuantumLayer, QuantumInput, QuantumLayer, QuantumOutput,
+};
 pub use trainer::{
     AnomalyEvent, AnomalyKind, EpochRecord, History, NanGuard, TrainConfig, Trainer,
 };

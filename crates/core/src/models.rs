@@ -17,8 +17,7 @@
 use crate::autoencoder::Autoencoder;
 use crate::hybrid::HybridStack;
 use crate::latent::{GaussianLatent, Latent};
-use crate::patched::{patched_latent_dim, PatchedQuantumLayer};
-use crate::quantum_layer::{QuantumInput, QuantumLayer, QuantumOutput};
+use crate::quantum_layer::{patched_latent_dim, QuantumInput, QuantumLayer, QuantumOutput};
 use rand::Rng;
 use sqvae_nn::{Activation, ActivationKind, Linear};
 use sqvae_quantum::embed::qubits_for_features;
@@ -572,12 +571,10 @@ pub fn h_bq_vae(input_dim: usize, n_layers: usize, rng: &mut impl Rng) -> Autoen
 pub fn sq_ae(input_dim: usize, p: usize, n_layers: usize, rng: &mut impl Rng) -> Autoencoder {
     let lsd = patched_latent_dim(input_dim, p);
     let mut enc = HybridStack::new();
-    enc.push_quantum(PatchedQuantumLayer::amplitude_encoder(
-        input_dim, p, n_layers, rng,
-    ));
+    enc.push_quantum(QuantumLayer::amplitude_encoder(input_dim, p, n_layers, rng));
     enc.push_classical(Linear::new(lsd, lsd, rng));
     let mut dec = HybridStack::new();
-    dec.push_quantum(PatchedQuantumLayer::angle_decoder(lsd, p, n_layers, rng));
+    dec.push_quantum(QuantumLayer::angle_decoder(lsd, p, n_layers, rng));
     dec.push_classical(Linear::new(lsd, input_dim, rng));
     Autoencoder::new(
         format!("SQ-AE(p={p},lsd={lsd})"),
@@ -597,12 +594,10 @@ pub fn sq_ae(input_dim: usize, p: usize, n_layers: usize, rng: &mut impl Rng) ->
 pub fn sq_vae(input_dim: usize, p: usize, n_layers: usize, rng: &mut impl Rng) -> Autoencoder {
     let lsd = patched_latent_dim(input_dim, p);
     let mut enc = HybridStack::new();
-    enc.push_quantum(PatchedQuantumLayer::amplitude_encoder(
-        input_dim, p, n_layers, rng,
-    ));
+    enc.push_quantum(QuantumLayer::amplitude_encoder(input_dim, p, n_layers, rng));
     enc.push_classical(Linear::new(lsd, lsd, rng));
     let mut dec = HybridStack::new();
-    dec.push_quantum(PatchedQuantumLayer::angle_decoder(lsd, p, n_layers, rng));
+    dec.push_quantum(QuantumLayer::angle_decoder(lsd, p, n_layers, rng));
     dec.push_classical(Linear::new(lsd, input_dim, rng));
     Autoencoder::new(
         format!("SQ-VAE(p={p},lsd={lsd})"),

@@ -1,13 +1,29 @@
-//! A variational quantum circuit as a neural-network layer.
+//! A variational quantum circuit as a neural-network layer, run as one or
+//! more patches — the paper's central scaling device (§III-C).
 //!
 //! The layer implements [`Module`], so classical and quantum stages
 //! backpropagate through each other exactly as the paper's hybrid
-//! architecture requires. Each pass first **compiles the circuit once per
-//! batch** into a [`CompiledTape`] — parameters bound, commuting
-//! single-qubit gates pre-fused, CNOT runs flattened, and (for training)
-//! the adjoint sweep pre-inverted into rotation blocks — and every batch
-//! row then replays that tape, so the per-gate lowering work is paid once
-//! instead of once per row.
+//! architecture requires.
+//!
+//! **Patches.** "We partition the entire feature vector into multiple
+//! equal-sized sub-vectors, and each sub-vector is fed into a quantum
+//! sub-circuit." A layer holds one sub-circuit structure and one angle
+//! vector per patch. Patch `k` reads columns `k·in..(k+1)·in` of each input
+//! row and writes columns `k·out..(k+1)·out` of each output row, `in` and
+//! `out` being the sub-circuit's widths. [`QuantumLayer::new`] builds one
+//! patch, the paper's baseline; [`QuantumLayer::amplitude_encoder`] and
+//! [`QuantumLayer::angle_decoder`] build `p`. With `p` patches over a
+//! 1024-feature input, each sub-circuit amplitude-embeds `1024/p` features
+//! into `log2(1024/p)` qubits and measures per-wire `⟨Z⟩`, so the latent
+//! space dimension grows to `LSD = p · log2(1024/p)` — 18, 32, 56, 96 for
+//! p = 2, 4, 8, 16 — instead of the baseline's 10 ([`patched_latent_dim`]).
+//!
+//! Each pass first **compiles the circuit once per patch and batch** into a
+//! [`CompiledTape`] — the patch's angles bound, commuting single-qubit gates
+//! pre-fused, CNOT runs flattened, and (for training) the adjoint sweep
+//! pre-inverted into rotation blocks — and every batch row then replays
+//! its patch's tape, so the per-gate lowering work is paid once instead of
+//! once per row.
 //!
 //! **Rows run as lanes of a register bank.** Every row of a patch replays
 //! the same tape, so a pass splits each patch's rows into chunks of at
@@ -18,32 +34,33 @@
 //! bit-identical to the per-row simulator for any chunking.
 //!
 //! **Forward keeps, backward sweeps.** The training forward
-//! ([`Module::forward`]) compiles the tape with its adjoint program and
-//! simulates each row once. It reads the outputs off each chunk's final
-//! bank, then keeps the tape, every chunk's bank (about `2^n × 16` bytes
-//! per row) and, for angle input, the angles the tape's input stops read.
-//! [`Module::backward`] runs only the adjoint sweep over those banks
-//! ([`adjoint::backward_expectations_z_bank`]), against each row's
-//! upstream-weighted diagonal observable, and consumes them: it neither
-//! recompiles nor re-simulates, and it differentiates the angles the
-//! forward ran with even if the optimizer stepped them since. The next
-//! forward drops whatever is still kept before it simulates. The
-//! evaluation forward ([`Module::infer`]) compiles a forward-only tape and
+//! ([`Module::forward`]) compiles every patch's tape with its adjoint
+//! program and simulates each row once. It reads the outputs off each
+//! chunk's final bank, then keeps the tapes, every chunk's bank (about
+//! `2^n × 16` bytes per row and patch) and, for angle input, the angles the
+//! tapes' input stops read. [`Module::backward`] runs only the adjoint
+//! sweep over those banks ([`adjoint::backward_expectations_z_bank`]),
+//! against each row's upstream-weighted diagonal observable, and consumes
+//! them: it neither recompiles nor re-simulates, and it differentiates the
+//! angles the forward ran with even if the optimizer stepped them since.
+//! The next forward drops whatever is still kept before it simulates. The
+//! evaluation forward ([`Module::infer`]) compiles forward-only tapes and
 //! keeps nothing.
 //!
 //! Chunks are independent simulations, so all three passes map
-//! `(patch, chunk)` items on the process-wide compute pool
-//! ([`sqvae_nn::parallel`]) according to the layer's [`ExecPolicy`]
-//! threads knob: each patch splits into `max(⌈seats / patches⌉, ⌈rows /
-//! 32⌉)` chunks (never more than its rows), `seats` being the threads the
-//! pass takes part with. A new layer starts from [`ExecPolicy::from_env`],
-//! and [`Module::set_exec_policy`] changes it. The calling thread and the
-//! pool's persistent helpers claim items one at a time, each with its own
-//! reused scratch; no thread is spawned per pass. The shared tape is
-//! immutable and crosses threads by reference. Results land in
-//! preallocated item slots and gradients accumulate per patch in fixed row
-//! order, so the parallel path is bit-identical to the sequential one. A
-//! backward keeps its forward's chunks, whatever the policy says since.
+//! `(patch, chunk)` items, patch-major, as one call on the process-wide
+//! compute pool ([`sqvae_nn::parallel`]) according to the layer's
+//! [`ExecPolicy`] threads knob: each patch splits into `max(⌈seats /
+//! patches⌉, ⌈rows / 32⌉)` chunks (never more than its rows), `seats` being
+//! the threads the pass takes part with. A new layer starts from
+//! [`ExecPolicy::from_env`], and [`Module::set_exec_policy`] changes it.
+//! The calling thread and the pool's persistent helpers claim items one at
+//! a time, each with its own reused scratch; no thread is spawned per
+//! pass. The shared tapes are immutable and cross threads by reference.
+//! Results land in preallocated item slots and gradients accumulate per
+//! patch in fixed row order, so the parallel path is bit-identical to the
+//! sequential one. A backward keeps its forward's chunks, whatever the
+//! policy says since.
 
 use rand::Rng;
 use sqvae_nn::parallel;
@@ -56,14 +73,14 @@ use sqvae_quantum::templates::{strongly_entangling_layers, EntangleRange};
 use sqvae_quantum::{BankScratch, Circuit, CompiledTape, RegisterBank, StateVector};
 use std::ops::Range;
 
-/// How classical data enters the circuit.
+/// How classical data enters each patch's sub-circuit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QuantumInput {
     /// Amplitude embedding: `in_features ≤ 2^n_qubits` values become the
     /// initial state (qubit-efficient; used by encoders). Inputs receive no
     /// gradient (they are raw data).
     Amplitude {
-        /// Width of the embedded feature vector.
+        /// Width of one patch's embedded feature vector.
         in_features: usize,
     },
     /// Angle embedding: one `RY(x_i)` per wire (used by decoders); inputs
@@ -71,7 +88,7 @@ pub enum QuantumInput {
     Angle,
 }
 
-/// What measurement the layer returns.
+/// What measurement each patch returns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QuantumOutput {
     /// Per-wire `⟨Z⟩` — `n_qubits` outputs in [-1, 1].
@@ -80,7 +97,35 @@ pub enum QuantumOutput {
     Probabilities,
 }
 
-/// A strongly-entangling variational circuit behaving as a `Module`.
+/// Latent space dimension of a patched encoder over `input_dim` features
+/// with `p` patches: `p · log2(input_dim / p)`.
+///
+/// # Panics
+///
+/// Panics unless `input_dim` and `p` are powers of two with `p < input_dim`.
+///
+/// # Examples
+///
+/// ```
+/// use sqvae_core::patched_latent_dim;
+/// // The paper's §IV-D: LSD 18/32/56/96 for 2/4/8/16 patches on 1024.
+/// assert_eq!(patched_latent_dim(1024, 2), 18);
+/// assert_eq!(patched_latent_dim(1024, 4), 32);
+/// assert_eq!(patched_latent_dim(1024, 8), 56);
+/// assert_eq!(patched_latent_dim(1024, 16), 96);
+/// ```
+pub fn patched_latent_dim(input_dim: usize, p: usize) -> usize {
+    assert!(
+        input_dim.is_power_of_two() && p.is_power_of_two() && p < input_dim,
+        "input_dim and patch count must be powers of two with p < input_dim"
+    );
+    let per_patch = input_dim / p;
+    p * (per_patch.trailing_zeros() as usize)
+}
+
+/// Strongly-entangling variational sub-circuits, one structure with one
+/// angle vector per patch, behaving as one `Module` whose outputs are the
+/// patches' outputs side by side.
 ///
 /// # Examples
 ///
@@ -102,17 +147,25 @@ pub enum QuantumOutput {
 /// ```
 #[derive(Debug, Clone)]
 pub struct QuantumLayer {
+    /// Every patch's sub-circuit, bound to that patch's angles when a pass
+    /// compiles it.
     circuit: Circuit,
     input_mode: QuantumInput,
     output_mode: QuantumOutput,
-    params: ParamTensor,
+    /// One `1 × n_params` angle vector per patch, in patch order.
+    params: Vec<ParamTensor>,
     kept: Option<Kept>,
     exec: ExecPolicy,
 }
 
+/// [`QuantumLayer`] under the name the end-to-end benchmark in `perfbench/`
+/// still calls its patched constructors by. It exists only for those calls;
+/// delete it once they go.
+pub type PatchedQuantumLayer = QuantumLayer;
+
 impl QuantumLayer {
-    /// Builds a layer of `n_layers` strongly-entangling layers on `n_qubits`
-    /// wires with angles initialized uniformly in `[-π, π]`.
+    /// Builds one patch: `n_layers` strongly-entangling layers on
+    /// `n_qubits` wires with angles initialized uniformly in `[-π, π]`.
     ///
     /// # Panics
     ///
@@ -121,6 +174,82 @@ impl QuantumLayer {
     /// angle input is requested on zero qubits — all construction-time
     /// configuration bugs.
     pub fn new(
+        n_qubits: usize,
+        n_layers: usize,
+        input_mode: QuantumInput,
+        output_mode: QuantumOutput,
+        rng: &mut impl Rng,
+    ) -> Self {
+        Self::patches(1, n_qubits, n_layers, input_mode, output_mode, rng)
+    }
+
+    /// An encoder of `p` patches: each amplitude-embeds `input_dim / p`
+    /// features and measures `⟨Z⟩` per wire.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `input_dim` and `p` are powers of two with
+    /// `p < input_dim` (construction-time configuration).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rand::{rngs::StdRng, SeedableRng};
+    /// use sqvae_core::QuantumLayer;
+    /// use sqvae_nn::{Matrix, Module};
+    ///
+    /// let mut rng = StdRng::seed_from_u64(0);
+    /// // 2 patches × (16 features → 4 qubits → 4 expectations) = 8-dim output.
+    /// let mut layer = QuantumLayer::amplitude_encoder(32, 2, 1, &mut rng);
+    /// let y = layer.forward(&Matrix::filled(3, 32, 0.5)).unwrap();
+    /// assert_eq!(y.shape(), (3, 8));
+    /// ```
+    pub fn amplitude_encoder(
+        input_dim: usize,
+        p: usize,
+        n_layers: usize,
+        rng: &mut impl Rng,
+    ) -> Self {
+        let n_qubits = patched_latent_dim(input_dim, p) / p;
+        let input_mode = QuantumInput::Amplitude {
+            in_features: input_dim / p,
+        };
+        Self::patches(
+            p,
+            n_qubits,
+            n_layers,
+            input_mode,
+            QuantumOutput::ExpectationZ,
+            rng,
+        )
+    }
+
+    /// A decoder of `p` patches: each angle-embeds `latent_dim / p` values
+    /// and measures `⟨Z⟩` per wire (the paper's scalable decoder readout).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `p` divides `latent_dim` (construction-time
+    /// configuration).
+    pub fn angle_decoder(latent_dim: usize, p: usize, n_layers: usize, rng: &mut impl Rng) -> Self {
+        assert!(
+            p > 0 && latent_dim % p == 0,
+            "patch count must divide the latent dimension"
+        );
+        Self::patches(
+            p,
+            latent_dim / p,
+            n_layers,
+            QuantumInput::Angle,
+            QuantumOutput::ExpectationZ,
+            rng,
+        )
+    }
+
+    /// `p` patches of one sub-circuit, their angle vectors drawn from `rng`
+    /// in patch order.
+    fn patches(
+        p: usize,
         n_qubits: usize,
         n_layers: usize,
         input_mode: QuantumInput,
@@ -146,7 +275,9 @@ impl QuantumLayer {
                     .expect("template wires in range"),
             )
             .expect("template wires in range");
-        let params = ParamTensor::new(init::angle_uniform(1, circuit.n_params(), rng));
+        let params = (0..p)
+            .map(|_| ParamTensor::new(init::angle_uniform(1, circuit.n_params(), rng)))
+            .collect();
         QuantumLayer {
             circuit,
             input_mode,
@@ -157,35 +288,45 @@ impl QuantumLayer {
         }
     }
 
-    /// Number of wires.
+    /// Number of wires of each patch's sub-circuit.
     pub fn n_qubits(&self) -> usize {
         self.circuit.n_qubits()
     }
 
-    /// Width of the input this layer expects.
+    /// Width of the input this layer expects: every patch's share.
     pub fn in_features(&self) -> usize {
+        self.params.len() * self.patch_in()
+    }
+
+    /// Width of the output this layer produces: every patch's readout.
+    pub fn out_features(&self) -> usize {
+        self.params.len() * self.patch_out()
+    }
+
+    /// The input mode of each patch.
+    pub fn input_mode(&self) -> QuantumInput {
+        self.input_mode
+    }
+
+    /// The output mode of each patch.
+    pub fn output_mode(&self) -> QuantumOutput {
+        self.output_mode
+    }
+
+    /// Input columns per patch.
+    fn patch_in(&self) -> usize {
         match self.input_mode {
             QuantumInput::Amplitude { in_features } => in_features,
             QuantumInput::Angle => self.circuit.n_qubits(),
         }
     }
 
-    /// Width of the output this layer produces.
-    pub fn out_features(&self) -> usize {
+    /// Output columns per patch.
+    fn patch_out(&self) -> usize {
         match self.output_mode {
             QuantumOutput::ExpectationZ => self.circuit.n_qubits(),
             QuantumOutput::Probabilities => 1 << self.circuit.n_qubits(),
         }
-    }
-
-    /// The input mode.
-    pub fn input_mode(&self) -> QuantumInput {
-        self.input_mode
-    }
-
-    /// The output mode.
-    pub fn output_mode(&self) -> QuantumOutput {
-        self.output_mode
     }
 
     fn check_width(&self, m: &Matrix) -> Result<(), NnError> {
@@ -208,21 +349,31 @@ impl QuantumLayer {
         }
     }
 
-    /// Lowers the circuit with the current trainable angles into a
+    /// Lowers the circuit with each patch's trainable angles into a
     /// [`CompiledTape`] carrying the adjoint program, for a training
-    /// forward whose backward sweeps the same tape.
-    fn compile_tape(&self) -> CompiledTape {
-        self.circuit
-            .compile(self.params.value.as_slice())
-            .expect("validated circuit")
+    /// forward whose backward sweeps the same tapes.
+    fn compile_tapes(&self) -> Vec<CompiledTape> {
+        self.params
+            .iter()
+            .map(|p| {
+                self.circuit
+                    .compile(p.value.as_slice())
+                    .expect("validated circuit")
+            })
+            .collect()
     }
 
-    /// [`Self::compile_tape`] without the adjoint program, for evaluation
-    /// passes (which never differentiate).
-    fn compile_forward_tape(&self) -> CompiledTape {
-        self.circuit
-            .compile_forward(self.params.value.as_slice())
-            .expect("validated circuit")
+    /// [`Self::compile_tapes`] without the adjoint programs, for
+    /// evaluation passes (which never differentiate).
+    fn compile_forward_tapes(&self) -> Vec<CompiledTape> {
+        self.params
+            .iter()
+            .map(|p| {
+                self.circuit
+                    .compile_forward(p.value.as_slice())
+                    .expect("validated circuit")
+            })
+            .collect()
     }
 
     /// Loads patch `k`'s share of rows `rows` of `input`, for the work item
@@ -240,7 +391,7 @@ impl QuantumLayer {
         lanes: &mut Vec<&'a [f64]>,
         sim: &mut BankScratch,
     ) {
-        let in_w = self.in_features();
+        let in_w = self.patch_in();
         lanes.clear();
         for (l, r) in rows.enumerate() {
             let x = patch_cols(input.row(r), k, in_w);
@@ -265,28 +416,12 @@ impl QuantumLayer {
             QuantumOutput::Probabilities => bank.probabilities_into(out),
         }
     }
-
-    /// Adds one row's parameter gradients into the accumulated gradient, in
-    /// caller-chosen order (the determinism guarantee lives with the caller).
-    fn accumulate_param_grads(&mut self, row_grads: &[f64]) {
-        for (i, g) in row_grads.iter().enumerate() {
-            let cur = self.params.grad.get(0, i);
-            self.params.grad.set(0, i, cur + g);
-        }
-    }
 }
 
-/// What a training forward keeps for its backward.
-///
-/// The forward passes here run a **bank** of structurally identical
-/// sub-circuits ([`crate::PatchedQuantumLayer`]; a lone [`QuantumLayer`] is
-/// a bank of one) as one patch-major list of work items. Patch `k` reads
-/// columns `k·in..(k+1)·in` of each input row and writes columns
-/// `k·out..(k+1)·out` of each output row. An item is a `(patch, chunk)`
-/// pair whose rows run as the lanes of one [`RegisterBank`], and the
-/// forward keeps one bank per item.
+/// What a training forward keeps for its backward: each patch's tape and
+/// every `(patch, chunk)` item's final [`RegisterBank`].
 #[derive(Debug, Clone)]
-pub(crate) struct Kept {
+struct Kept {
     /// Per patch, the tape the forward executed, adjoint program included.
     tapes: Vec<CompiledTape>,
     /// The batch input, kept only for angle input, whose input stops read
@@ -379,53 +514,27 @@ fn scatter(out: &mut Matrix, y: &[f64], k: usize, rows: Range<usize>, width: usi
     }
 }
 
-impl Kept {
-    /// Takes what `slot` holds for a backward pass with `grad_output` over
-    /// `out_features` columns. A shape error leaves it in place, so a
-    /// corrected call still succeeds.
-    pub(crate) fn take_for(
-        slot: &mut Option<Kept>,
-        grad_output: &Matrix,
-        out_features: usize,
-    ) -> Result<Kept, NnError> {
-        let kept = slot.as_ref().ok_or(NnError::BackwardBeforeForward)?;
-        let expected = (kept.rows, out_features);
-        if grad_output.shape() != expected {
-            return Err(NnError::ShapeMismatch {
-                expected,
-                actual: grad_output.shape(),
-            });
-        }
-        Ok(slot.take().expect("checked above"))
-    }
-}
-
 /// Columns `k·width..(k+1)·width` of a row: patch `k`'s share of it.
 fn patch_cols(row: &[f64], k: usize, width: usize) -> &[f64] {
     &row[k * width..(k + 1) * width]
 }
 
-/// The training forward of a bank: compiles every patch's tape with its
-/// adjoint program, runs every `(patch, chunk)` item's rows as the lanes of
-/// a new bank, and returns the outputs with what [`backward_bank`] sweeps
-/// from: the tapes and every item's bank.
-pub(crate) fn forward_bank(
-    bank: &[QuantumLayer],
-    input: &Matrix,
-    threads: Threads,
-) -> (Matrix, Kept) {
-    let tapes: Vec<CompiledTape> = bank.iter().map(QuantumLayer::compile_tape).collect();
-    let rows = input.rows();
-    let chunks = Chunks::new(rows, bank.len(), threads);
-    let items = parallel::map_rows_with(
-        chunks.items(bank.len()),
-        threads,
-        BankWork::new,
-        |idx, work| {
-            let (k, range) = chunks.item(idx);
+impl Module for QuantumLayer {
+    /// The training forward: compiles every patch's tape with its adjoint
+    /// program, runs every `(patch, chunk)` item's rows as the lanes of a
+    /// new bank, and keeps the tapes and every item's bank for
+    /// [`Module::backward`] to sweep from.
+    fn forward(&mut self, input: &Matrix) -> Result<Matrix, NnError> {
+        self.check_width(input)?;
+        self.kept = None;
+        let tapes = self.compile_tapes();
+        let (rows, patches, threads) = (input.rows(), self.params.len(), self.exec.threads);
+        let chunks = Chunks::new(rows, patches, threads);
+        let items = (0..chunks.items(patches)).map(|idx| chunks.item(idx));
+        let ran = parallel::map_items(items, threads, BankWork::new, |_, (k, range), work| {
             let mut regs =
-                RegisterBank::zero_state(bank[k].n_qubits(), range.len()).expect("valid register");
-            bank[k].run_chunk(
+                RegisterBank::zero_state(self.n_qubits(), range.len()).expect("valid register");
+            self.run_chunk(
                 &tapes[k],
                 input,
                 (k, range),
@@ -434,58 +543,56 @@ pub(crate) fn forward_bank(
                 &mut work.sim,
             );
             let mut y = Vec::new();
-            bank[k].read_out_bank(&regs, &mut y, &mut work.sim);
+            self.read_out_bank(&regs, &mut y, &mut work.sim);
             (regs, y)
-        },
-    );
-    let out_w = bank[0].out_features();
-    let mut out = Matrix::zeros(rows, bank.len() * out_w);
-    let banks = items
-        .into_iter()
-        .enumerate()
-        .map(|(idx, (regs, y))| {
-            let (k, range) = chunks.item(idx);
-            scatter(&mut out, &y, k, range, out_w);
-            regs
-        })
-        .collect();
-    let inputs = matches!(bank[0].input_mode, QuantumInput::Angle).then(|| input.clone());
-    let kept = Kept {
-        tapes,
-        inputs,
-        rows,
-        banks,
-    };
-    (out, kept)
-}
+        });
+        let out_w = self.patch_out();
+        let mut out = Matrix::zeros(rows, patches * out_w);
+        let banks = ran
+            .into_iter()
+            .enumerate()
+            .map(|(idx, (regs, y))| {
+                let (k, range) = chunks.item(idx);
+                scatter(&mut out, &y, k, range, out_w);
+                regs
+            })
+            .collect();
+        let inputs = matches!(self.input_mode, QuantumInput::Angle).then(|| input.clone());
+        self.kept = Some(Kept {
+            tapes,
+            inputs,
+            rows,
+            banks,
+        });
+        Ok(out)
+    }
 
-/// The evaluation forward of a bank: forward-only tapes, every
-/// `(patch, chunk)` item run as the lanes of one reused bank per thread
-/// and read out into a slot sized for the longest chunk, nothing kept.
-/// Bit-identical to [`forward_bank`]'s outputs.
-pub(crate) fn infer_bank(bank: &[QuantumLayer], input: &Matrix, threads: Threads) -> Matrix {
-    let tapes: Vec<CompiledTape> = bank
-        .iter()
-        .map(QuantumLayer::compile_forward_tape)
-        .collect();
-    let rows = input.rows();
-    let chunks = Chunks::new(rows, bank.len(), threads);
-    let out_w = bank[0].out_features();
-    let slot_len = chunks.max_len() * out_w;
-    let mut results = vec![0.0; chunks.items(bank.len()) * slot_len];
-    parallel::fill_rows(
-        &mut results,
-        slot_len,
-        threads,
-        BankWork::new,
-        |idx, work, slot| {
+    /// The evaluation forward: forward-only tapes, every `(patch, chunk)`
+    /// item run as the lanes of one reused bank per thread and read out
+    /// into a slot sized for the longest chunk, nothing kept. Bit-identical
+    /// to [`Module::forward`]'s outputs.
+    fn infer(&self, input: &Matrix) -> Result<Matrix, NnError> {
+        self.check_width(input)?;
+        let (rows, patches, threads) = (input.rows(), self.params.len(), self.exec.threads);
+        let out_w = self.patch_out();
+        let mut out = Matrix::zeros(rows, patches * out_w);
+        if rows == 0 {
+            // No slots to fill, and `chunks_mut` takes no zero length.
+            return Ok(out);
+        }
+        let tapes = self.compile_forward_tapes();
+        let chunks = Chunks::new(rows, patches, threads);
+        let slot_len = chunks.max_len() * out_w;
+        let mut results = vec![0.0; chunks.items(patches) * slot_len];
+        let slots = results.chunks_mut(slot_len);
+        parallel::map_items(slots, threads, BankWork::new, |idx, slot, work| {
             let (k, range) = chunks.item(idx);
-            let n = bank[k].n_qubits();
+            let n = self.n_qubits();
             let regs = work
                 .bank
                 .get_or_insert_with(|| RegisterBank::zero_state(n, 0).expect("valid register"));
             regs.reset(n, range.len()).expect("valid register");
-            bank[k].run_chunk(
+            self.run_chunk(
                 &tapes[k],
                 input,
                 (k, range),
@@ -493,106 +600,83 @@ pub(crate) fn infer_bank(bank: &[QuantumLayer], input: &Matrix, threads: Threads
                 &mut work.inputs,
                 &mut work.sim,
             );
-            bank[k].read_out_bank(regs, &mut work.out, &mut work.sim);
+            self.read_out_bank(regs, &mut work.out, &mut work.sim);
             slot[..work.out.len()].copy_from_slice(&work.out);
-        },
-    );
-    let mut out = Matrix::zeros(rows, bank.len() * out_w);
-    for (idx, y) in results.chunks_exact(slot_len.max(1)).enumerate() {
-        let (k, range) = chunks.item(idx);
-        scatter(&mut out, y, k, range, out_w);
-    }
-    out
-}
-
-/// The backward of a bank: sweeps every kept bank against its rows' share
-/// of `grad_output` (shape-checked by [`Kept::take_for`]), consuming it,
-/// then accumulates parameter gradients per patch in fixed row order and
-/// returns the input gradient (zeros for amplitude-embedded raw data).
-pub(crate) fn backward_bank(
-    bank: &mut [QuantumLayer],
-    kept: Kept,
-    grad_output: &Matrix,
-    threads: Threads,
-) -> Matrix {
-    let Kept {
-        tapes,
-        inputs,
-        rows,
-        banks,
-    } = kept;
-    let (layers, inputs) = (&*bank, inputs.as_ref());
-    let chunks = Chunks::of_kept(rows, layers.len(), banks.len());
-    let (in_w, out_w) = (layers[0].in_features(), layers[0].out_features());
-    let per_item = parallel::map_items(banks, threads, BankWork::new, |idx, mut ket, work| {
-        let (k, range) = chunks.item(idx);
-        work.inputs.clear();
-        work.upstream.clear();
-        for r in range {
-            let x = inputs.map_or(&[][..], |m| patch_cols(m.row(r), k, in_w));
-            work.inputs.push(x);
-            work.upstream.push(patch_cols(grad_output.row(r), k, out_w));
+        });
+        for (idx, y) in results.chunks_exact(slot_len).enumerate() {
+            let (k, range) = chunks.item(idx);
+            scatter(&mut out, y, k, range, out_w);
         }
-        let sweep = match layers[k].output_mode {
-            QuantumOutput::ExpectationZ => adjoint::backward_expectations_z_bank,
-            QuantumOutput::Probabilities => adjoint::backward_probabilities_bank,
-        };
-        sweep(
-            &tapes[k],
-            &work.inputs,
-            &mut ket,
-            &work.upstream,
-            &mut work.sim,
-        )
-        .expect("a kept bank matches its tape")
-    });
-    // Per `(patch, row)`, patch-major.
-    let per: Vec<_> = per_item.into_iter().flatten().collect();
-    let mut grad_input = Matrix::zeros(rows, bank.len() * in_w);
-    for (k, layer) in bank.iter_mut().enumerate() {
-        for r in 0..rows {
-            let grads = &per[k * rows + r];
-            layer.accumulate_param_grads(&grads.params);
-            if matches!(layer.input_mode, QuantumInput::Angle) {
-                grad_input.row_mut(r)[k * in_w..(k + 1) * in_w].copy_from_slice(&grads.inputs);
-            }
-        }
-    }
-    grad_input
-}
-
-impl Module for QuantumLayer {
-    fn forward(&mut self, input: &Matrix) -> Result<Matrix, NnError> {
-        self.check_width(input)?;
-        self.kept = None;
-        let (out, kept) = forward_bank(std::slice::from_ref(self), input, self.exec.threads);
-        self.kept = Some(kept);
         Ok(out)
     }
 
-    fn infer(&self, input: &Matrix) -> Result<Matrix, NnError> {
-        self.check_width(input)?;
-        Ok(infer_bank(
-            std::slice::from_ref(self),
-            input,
-            self.exec.threads,
-        ))
-    }
-
+    /// Sweeps every kept bank against its rows' share of `grad_output`,
+    /// consuming it, then accumulates each patch's parameter gradients in
+    /// fixed row order and returns the input gradient (zeros for
+    /// amplitude-embedded raw data). A shape error leaves the banks kept,
+    /// so a corrected call still succeeds.
     fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix, NnError> {
-        let width = self.out_features();
-        let kept = Kept::take_for(&mut self.kept, grad_output, width)?;
+        let kept = self.kept.as_ref().ok_or(NnError::BackwardBeforeForward)?;
+        let expected = (kept.rows, self.out_features());
+        if grad_output.shape() != expected {
+            return Err(NnError::ShapeMismatch {
+                expected,
+                actual: grad_output.shape(),
+            });
+        }
+        let Kept {
+            tapes,
+            inputs,
+            rows,
+            banks,
+        } = self.kept.take().expect("checked above");
+        let inputs = inputs.as_ref();
+        let patches = self.params.len();
+        let chunks = Chunks::of_kept(rows, patches, banks.len());
+        let (in_w, out_w) = (self.patch_in(), self.patch_out());
+        let sweep = match self.output_mode {
+            QuantumOutput::ExpectationZ => adjoint::backward_expectations_z_bank,
+            QuantumOutput::Probabilities => adjoint::backward_probabilities_bank,
+        };
         let threads = self.exec.threads;
-        Ok(backward_bank(
-            std::slice::from_mut(self),
-            kept,
-            grad_output,
-            threads,
-        ))
+        let per_item = parallel::map_items(banks, threads, BankWork::new, |idx, mut ket, work| {
+            let (k, range) = chunks.item(idx);
+            work.inputs.clear();
+            work.upstream.clear();
+            for r in range {
+                let x = inputs.map_or(&[][..], |m| patch_cols(m.row(r), k, in_w));
+                work.inputs.push(x);
+                work.upstream.push(patch_cols(grad_output.row(r), k, out_w));
+            }
+            sweep(
+                &tapes[k],
+                &work.inputs,
+                &mut ket,
+                &work.upstream,
+                &mut work.sim,
+            )
+            .expect("a kept bank matches its tape")
+        });
+        // Per `(patch, row)`, patch-major.
+        let per: Vec<_> = per_item.into_iter().flatten().collect();
+        let angle = matches!(self.input_mode, QuantumInput::Angle);
+        let mut grad_input = Matrix::zeros(rows, patches * in_w);
+        for (k, params) in self.params.iter_mut().enumerate() {
+            for r in 0..rows {
+                let grads = &per[k * rows + r];
+                for (acc, g) in params.grad.as_mut_slice().iter_mut().zip(&grads.params) {
+                    *acc += g;
+                }
+                if angle {
+                    grad_input.row_mut(r)[k * in_w..(k + 1) * in_w].copy_from_slice(&grads.inputs);
+                }
+            }
+        }
+        Ok(grad_input)
     }
 
     fn parameters(&mut self) -> Vec<&mut ParamTensor> {
-        vec![&mut self.params]
+        self.params.iter_mut().collect()
     }
 
     fn set_exec_policy(&mut self, policy: ExecPolicy) {
@@ -602,7 +686,7 @@ impl Module for QuantumLayer {
 
 /// The per-row oracles the bank passes are tested against.
 #[cfg(test)]
-pub(crate) mod oracle {
+mod oracle {
     use super::*;
 
     /// The start state and angles of one row: an amplitude-input row
@@ -615,13 +699,16 @@ pub(crate) mod oracle {
         }
     }
 
-    /// A bank's forward outputs, one `StateVector` per `(patch, row)`, read
-    /// out row by row.
-    pub(crate) fn bank_outputs(bank: &[QuantumLayer], input: &Matrix) -> Matrix {
-        let (in_w, out_w) = (bank[0].in_features(), bank[0].out_features());
-        let mut out = Matrix::zeros(input.rows(), bank.len() * out_w);
-        for (k, layer) in bank.iter().enumerate() {
-            let tape = layer.compile_forward_tape();
+    /// A layer's forward outputs, one `StateVector` per `(patch, row)`,
+    /// read out row by row.
+    pub(super) fn bank_outputs(layer: &QuantumLayer, input: &Matrix) -> Matrix {
+        let (in_w, out_w) = (layer.patch_in(), layer.patch_out());
+        let mut out = Matrix::zeros(input.rows(), layer.out_features());
+        for (k, params) in layer.params.iter().enumerate() {
+            let tape = layer
+                .circuit
+                .compile_forward(params.value.as_slice())
+                .unwrap();
             for r in 0..input.rows() {
                 let (mut state, angles) = row_start(layer, patch_cols(input.row(r), k, in_w));
                 state.execute_tape(&tape, angles).unwrap();
@@ -637,23 +724,20 @@ pub(crate) mod oracle {
         out
     }
 
-    /// A bank's gradients from `adjoint::backward_*_tape` on
+    /// A layer's gradients from `adjoint::backward_*_tape` on
     /// `Circuit::compile(angles)`, which re-executes every row: per patch,
     /// the parameter gradients summed over rows in row order, and the input
     /// gradient matrix.
-    pub(crate) fn bank_gradients(
-        bank: &[QuantumLayer],
+    pub(super) fn bank_gradients(
+        layer: &QuantumLayer,
         input: &Matrix,
         grad_output: &Matrix,
     ) -> (Vec<Vec<f64>>, Matrix) {
-        let (in_w, out_w) = (bank[0].in_features(), bank[0].out_features());
-        let mut grad_input = Matrix::zeros(input.rows(), bank.len() * in_w);
+        let (in_w, out_w) = (layer.patch_in(), layer.patch_out());
+        let mut grad_input = Matrix::zeros(input.rows(), layer.in_features());
         let mut params = Vec::new();
-        for (k, layer) in bank.iter().enumerate() {
-            let tape = layer
-                .circuit
-                .compile(layer.params.value.as_slice())
-                .unwrap();
+        for (k, angles) in layer.params.iter().enumerate() {
+            let tape = layer.circuit.compile(angles.value.as_slice()).unwrap();
             let mut sum = vec![0.0; tape.n_params()];
             for r in 0..input.rows() {
                 let (initial, inputs) = row_start(layer, patch_cols(input.row(r), k, in_w));
@@ -676,18 +760,24 @@ pub(crate) mod oracle {
     }
 }
 
+/// The pass contracts every build keeps, one patch or many, each checked on
+/// one build: `tests` runs them on the baselines' one-patch layers and
+/// `crate::patched` on the patched constructors.
 #[cfg(test)]
-mod tests {
+pub(crate) mod contract {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sqvae_nn::Threads;
 
-    fn rng() -> StdRng {
+    /// Builds a layer from a seeded RNG.
+    pub(crate) type Build = fn(&mut StdRng) -> QuantumLayer;
+
+    pub(crate) fn rng() -> StdRng {
         StdRng::seed_from_u64(7)
     }
 
-    fn with_threads(mut layer: QuantumLayer, threads: Threads) -> QuantumLayer {
+    pub(crate) fn with_threads(mut layer: QuantumLayer, threads: Threads) -> QuantumLayer {
         layer.set_exec_policy(ExecPolicy {
             threads,
             ..ExecPolicy::from_env()
@@ -695,11 +785,162 @@ mod tests {
         layer
     }
 
+    fn grads(layer: &QuantumLayer) -> Vec<&Matrix> {
+        layer.params.iter().map(|p| &p.grad).collect()
+    }
+
+    pub(crate) fn starts_from_the_environment_policy(name: &str, build: Build) {
+        assert_eq!(build(&mut rng()).exec, ExecPolicy::from_env(), "{name}");
+    }
+
+    /// Both forwards refuse a wrongly wide input, and `backward` refuses to
+    /// run before a forward or on a wrongly wide upstream gradient.
+    pub(crate) fn rejects_wrong_widths(name: &str, build: Build) {
+        let mut layer = build(&mut rng());
+        let (w, out) = (layer.in_features(), layer.out_features());
+        assert!(layer.forward(&Matrix::zeros(1, w + 2)).is_err(), "{name}");
+        assert!(layer.infer(&Matrix::zeros(1, w - 1)).is_err(), "{name}");
+        assert_eq!(
+            layer.backward(&Matrix::zeros(1, out)).unwrap_err(),
+            NnError::BackwardBeforeForward,
+            "{name}"
+        );
+        layer.forward(&Matrix::filled(1, w, 0.1)).unwrap();
+        assert!(
+            layer.backward(&Matrix::zeros(1, out - 1)).is_err(),
+            "{name}"
+        );
+    }
+
+    /// Outputs, input gradients and parameter gradients at 1, 3 and 16
+    /// threads are bit-identical to the sequential passes'.
+    pub(crate) fn threaded_passes_match_sequential(name: &str, build: Build) {
+        let layer_with = |threads| with_threads(build(&mut rng()), threads);
+        let mut seq = layer_with(Threads::Off);
+        let x = Matrix::from_fn(7, seq.in_features(), |i, j| {
+            0.3 * (i as f64) - 0.2 * (j as f64)
+        });
+        let y_seq = seq.forward(&x).unwrap();
+        let g = Matrix::from_fn(7, y_seq.cols(), |i, j| 0.1 * (i + j) as f64 - 0.4);
+        let gi_seq = seq.backward(&g).unwrap();
+
+        for threads in [Threads::Fixed(1), Threads::Fixed(3), Threads::Fixed(16)] {
+            let mut par = layer_with(threads);
+            assert_eq!(par.forward(&x).unwrap(), y_seq, "{name} {threads:?}");
+            assert_eq!(par.backward(&g).unwrap(), gi_seq, "{name} {threads:?}");
+            assert_eq!(grads(&par), grads(&seq), "{name} {threads:?}");
+        }
+    }
+
+    /// Both forwards and the kept-register backward equal the per-row
+    /// oracles bit for bit.
+    pub(crate) fn kept_backward_matches_the_oracle(name: &str, build: Build) {
+        // 0 rows, one lane, odd chunks, one row past a 32-lane chunk, and 65
+        // rows: three uneven chunks (21/22/22) per patch on every policy and
+        // host.
+        for rows in [0, 1, 3, 5, 33, 65] {
+            for threads in [Threads::Off, Threads::Fixed(3)] {
+                let mut layer = with_threads(build(&mut rng()), threads);
+                let x = Matrix::from_fn(rows, layer.in_features(), |i, j| {
+                    0.21 * (i % 7 + 1) as f64 - 0.13 * j as f64
+                });
+                let case = format!("{rows} rows {name} {threads:?}");
+                let y = layer.forward(&x).unwrap();
+                assert_eq!(y.shape(), (rows, layer.out_features()), "{case}");
+                assert_eq!(layer.infer(&x).unwrap(), y, "{case}");
+                assert_eq!(y, oracle::bank_outputs(&layer, &x), "{case}");
+                let g = Matrix::from_fn(rows, y.cols(), |i, j| {
+                    0.3 * (i % 5) as f64 - 0.17 * j as f64
+                });
+                let gin = layer.backward(&g).unwrap();
+                let (params, want_gin) = oracle::bank_gradients(&layer, &x, &g);
+                let got: Vec<&[f64]> = layer.params.iter().map(|p| p.grad.as_slice()).collect();
+                assert_eq!(got, params, "{case}");
+                assert_eq!(gin, want_gin, "{case}");
+            }
+        }
+    }
+
+    /// `backward` differentiates the forward that ran, once: an optimizer
+    /// step or a policy change in between leaks into no gradient, a second
+    /// call is refused, and a call refused for its shape keeps the
+    /// registers.
+    pub(crate) fn backward_differentiates_its_forward(name: &str, build: Build) {
+        use sqvae_nn::{Optimizer, Sgd};
+        let fresh = || with_threads(build(&mut rng()), Threads::Off);
+        let mut reference = fresh();
+        let x = Matrix::from_fn(4, reference.in_features(), |i, j| 0.1 * (i + 2 * j) as f64);
+        let y = reference.forward(&x).unwrap();
+        let g = Matrix::from_fn(4, y.cols(), |i, j| 0.2 * i as f64 - 0.1 * j as f64);
+        let want_gin = reference.backward(&g).unwrap();
+
+        // Backward sweeps the forward's banks with its tapes.
+        let mut stepped = fresh();
+        stepped.forward(&x).unwrap();
+        for p in stepped.parameters() {
+            p.grad.fill(0.7);
+        }
+        Sgd::new(0.5).step(&mut stepped.parameters()).unwrap();
+        stepped.zero_grad();
+        stepped = with_threads(stepped, Threads::Fixed(3));
+        for (a, b) in stepped.params.iter().zip(&reference.params) {
+            assert_ne!(a.value, b.value, "{name}");
+        }
+        assert_eq!(stepped.backward(&g).unwrap(), want_gin, "{name}");
+        assert_eq!(grads(&stepped), grads(&reference), "{name}");
+        // The registers are consumed: one backward per forward.
+        assert_eq!(
+            stepped.backward(&g).unwrap_err(),
+            NnError::BackwardBeforeForward,
+            "{name}"
+        );
+
+        let mut retried = fresh();
+        retried.forward(&x).unwrap();
+        assert!(
+            matches!(
+                retried.backward(&Matrix::zeros(4, y.cols() + 1)),
+                Err(NnError::ShapeMismatch { .. })
+            ),
+            "{name}"
+        );
+        assert!(
+            matches!(
+                retried.backward(&Matrix::zeros(3, y.cols())),
+                Err(NnError::ShapeMismatch { .. })
+            ),
+            "{name}"
+        );
+        assert_eq!(retried.backward(&g).unwrap(), want_gin, "{name}");
+        assert_eq!(grads(&retried), grads(&reference), "{name}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::contract::{self, rng, Build};
+    use super::*;
+
+    /// One patch in each (input, output) pairing the baselines build.
+    fn layers() -> [(&'static str, Build); 3] {
+        [
+            ("amplitude ⟨Z⟩", |rng| {
+                let input = QuantumInput::Amplitude { in_features: 8 };
+                QuantumLayer::new(3, 2, input, QuantumOutput::ExpectationZ, rng)
+            }),
+            ("angle ⟨Z⟩", |rng| {
+                QuantumLayer::new(3, 2, QuantumInput::Angle, QuantumOutput::ExpectationZ, rng)
+            }),
+            ("angle probabilities", |rng| {
+                QuantumLayer::new(3, 2, QuantumInput::Angle, QuantumOutput::Probabilities, rng)
+            }),
+        ]
+    }
+
     #[test]
     fn a_new_layer_starts_from_the_environment_policy() {
-        for (input, output) in MODES {
-            let layer = QuantumLayer::new(3, 1, input, output, &mut rng());
-            assert_eq!(layer.exec, ExecPolicy::from_env(), "{input:?} {output:?}");
+        for (name, build) in layers() {
+            contract::starts_from_the_environment_policy(name, build);
         }
     }
 
@@ -763,16 +1004,9 @@ mod tests {
 
     #[test]
     fn rejects_wrong_input_width() {
-        let mut r = rng();
-        let mut layer = QuantumLayer::new(
-            2,
-            1,
-            QuantumInput::Angle,
-            QuantumOutput::ExpectationZ,
-            &mut r,
-        );
-        assert!(layer.forward(&Matrix::zeros(1, 5)).is_err());
-        assert!(layer.backward(&Matrix::zeros(1, 2)).is_err()); // before forward
+        for (name, build) in layers() {
+            contract::rejects_wrong_widths(name, build);
+        }
     }
 
     #[test]
@@ -809,13 +1043,13 @@ mod tests {
         let ones = Matrix::filled(2, 2, 1.0);
         layer.backward(&ones).unwrap();
         let eps = 1e-6;
-        for k in 0..layer.params.len() {
+        for k in 0..layer.params[0].len() {
             let mut pert = layer.clone();
-            let v = pert.params.value.get(0, k);
-            pert.params.value.set(0, k, v + eps);
+            let v = pert.params[0].value.get(0, k);
+            pert.params[0].value.set(0, k, v + eps);
             let fp = pert.forward(&x).unwrap().sum();
             let fd = (fp - base) / eps;
-            let an = layer.params.grad.get(0, k);
+            let an = layer.params[0].grad.get(0, k);
             assert!((an - fd).abs() < 1e-4, "param {k}: {an} vs {fd}");
         }
     }
@@ -861,36 +1095,8 @@ mod tests {
 
     #[test]
     fn threaded_passes_are_bit_identical_to_sequential() {
-        let layer_with = |threads: Threads| {
-            let mut r = rng();
-            let layer = QuantumLayer::new(
-                3,
-                2,
-                QuantumInput::Angle,
-                QuantumOutput::ExpectationZ,
-                &mut r,
-            );
-            with_threads(layer, threads)
-        };
-        let x = Matrix::from_fn(7, 3, |i, j| 0.3 * (i as f64) - 0.2 * (j as f64));
-        let g = Matrix::from_fn(7, 3, |i, j| 0.1 * (i + j) as f64 - 0.4);
-
-        let mut seq = layer_with(Threads::Off);
-        let y_seq = seq.forward(&x).unwrap();
-        let gi_seq = seq.backward(&g).unwrap();
-
-        for threads in [Threads::Fixed(1), Threads::Fixed(3), Threads::Fixed(16)] {
-            let mut par = layer_with(threads);
-            assert_eq!(par.forward(&x).unwrap(), y_seq, "{threads:?}");
-            assert_eq!(par.backward(&g).unwrap(), gi_seq, "{threads:?}");
-            assert_eq!(par.params.grad, seq.params.grad, "{threads:?}");
-        }
-    }
-
-    fn input_width(input: QuantumInput) -> usize {
-        match input {
-            QuantumInput::Amplitude { in_features } => in_features,
-            QuantumInput::Angle => 3,
+        for (name, build) in layers() {
+            contract::threaded_passes_match_sequential(name, build);
         }
     }
 
@@ -915,94 +1121,17 @@ mod tests {
         assert_eq!(enc.parameter_count() + dec.parameter_count(), 108);
     }
 
-    /// Every (input, output) pairing the models use.
-    const MODES: [(QuantumInput, QuantumOutput); 3] = [
-        (
-            QuantumInput::Amplitude { in_features: 8 },
-            QuantumOutput::ExpectationZ,
-        ),
-        (QuantumInput::Angle, QuantumOutput::ExpectationZ),
-        (QuantumInput::Angle, QuantumOutput::Probabilities),
-    ];
-
     #[test]
     fn kept_register_backward_equals_the_re_executing_oracle_bitwise() {
-        // 0 rows, one lane, odd chunks, one row past a 32-lane chunk, and 65
-        // rows: three uneven chunks (21/22/22) on every policy and host.
-        for rows in [0, 1, 3, 5, 33, 65] {
-            for (input, output) in MODES {
-                let x = Matrix::from_fn(rows, input_width(input), |i, j| {
-                    0.21 * (i % 7 + 1) as f64 - 0.13 * j as f64
-                });
-                for threads in [Threads::Off, Threads::Fixed(3)] {
-                    let mut r = rng();
-                    let layer = QuantumLayer::new(3, 2, input, output, &mut r);
-                    let mut layer = with_threads(layer, threads);
-                    let case = format!("{rows} rows {input:?} {output:?} {threads:?}");
-                    let y = layer.forward(&x).unwrap();
-                    assert_eq!(y.shape(), (rows, layer.out_features()), "{case}");
-                    assert_eq!(layer.infer(&x).unwrap(), y, "{case}");
-                    let want_y = oracle::bank_outputs(std::slice::from_ref(&layer), &x);
-                    assert_eq!(y, want_y, "{case}");
-                    let g = Matrix::from_fn(rows, y.cols(), |i, j| {
-                        0.3 * (i % 5) as f64 - 0.17 * j as f64
-                    });
-                    let gin = layer.backward(&g).unwrap();
-                    let (params, want_gin) =
-                        oracle::bank_gradients(std::slice::from_ref(&layer), &x, &g);
-                    assert_eq!(layer.params.grad.as_slice(), &params[0][..], "{case}");
-                    assert_eq!(gin, want_gin, "{case}");
-                }
-            }
+        for (name, build) in layers() {
+            contract::kept_backward_matches_the_oracle(name, build);
         }
     }
 
     #[test]
     fn backward_differentiates_the_forward_that_ran_once() {
-        use sqvae_nn::{Optimizer, Sgd};
-        for (input, output) in MODES {
-            let x = Matrix::from_fn(4, input_width(input), |i, j| 0.1 * (i + 2 * j) as f64);
-            let fresh = || {
-                let mut r = rng();
-                let layer = QuantumLayer::new(3, 2, input, output, &mut r);
-                with_threads(layer, Threads::Off)
-            };
-            let mut reference = fresh();
-            let y = reference.forward(&x).unwrap();
-            let g = Matrix::from_fn(4, y.cols(), |i, j| 0.2 * i as f64 - 0.1 * j as f64);
-            let want_gin = reference.backward(&g).unwrap();
-
-            // Neither an optimizer step nor a policy change between
-            // forward and backward leaks into the gradients: backward
-            // sweeps the forward's banks with its tape.
-            let mut stepped = fresh();
-            stepped.forward(&x).unwrap();
-            stepped.params.grad.fill(0.7);
-            Sgd::new(0.5).step(&mut stepped.parameters()).unwrap();
-            stepped.zero_grad();
-            stepped = with_threads(stepped, Threads::Fixed(3));
-            assert_ne!(stepped.params.value, reference.params.value);
-            assert_eq!(stepped.backward(&g).unwrap(), want_gin);
-            assert_eq!(stepped.params.grad, reference.params.grad);
-            // The registers are consumed: one backward per forward.
-            assert_eq!(
-                stepped.backward(&g).unwrap_err(),
-                NnError::BackwardBeforeForward
-            );
-
-            // A backward rejected for its shape keeps the registers.
-            let mut retried = fresh();
-            retried.forward(&x).unwrap();
-            assert!(matches!(
-                retried.backward(&Matrix::zeros(4, y.cols() + 1)),
-                Err(NnError::ShapeMismatch { .. })
-            ));
-            assert!(matches!(
-                retried.backward(&Matrix::zeros(3, y.cols())),
-                Err(NnError::ShapeMismatch { .. })
-            ));
-            assert_eq!(retried.backward(&g).unwrap(), want_gin);
-            assert_eq!(retried.params.grad, reference.params.grad);
+        for (name, build) in layers() {
+            contract::backward_differentiates_its_forward(name, build);
         }
     }
 }

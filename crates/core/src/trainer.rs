@@ -123,16 +123,6 @@ impl Default for TrainConfig {
 }
 
 impl TrainConfig {
-    /// The paper's depth/LR-tuning configuration: a single homogeneous
-    /// learning rate of 0.001 for 20 epochs (§IV-B).
-    pub fn homogeneous(lr: f64) -> Self {
-        TrainConfig {
-            quantum_lr: lr,
-            classical_lr: lr,
-            ..TrainConfig::default()
-        }
-    }
-
     /// Always [`ExecPolicy::from_env`], the policy every freshly built model
     /// starts with; the configuration holds no policy, and the trainer runs
     /// on the model's own. It exists only because the end-to-end benchmark
@@ -993,14 +983,5 @@ mod tests {
             .train(&mut model, &toy_dataset(8, 16, 4), None)
             .unwrap();
         assert_eq!(model.exec_policy(), policy);
-    }
-
-    #[test]
-    fn homogeneous_config() {
-        let c = TrainConfig::homogeneous(0.001);
-        assert_eq!(c.quantum_lr, 0.001);
-        assert_eq!(c.classical_lr, 0.001);
-        assert_eq!(c.epochs, 20);
-        assert_eq!(c.batch_size, 32);
     }
 }

@@ -433,7 +433,7 @@ impl Matrix {
             }
             return;
         }
-        let items: Vec<&mut [f64]> = self.data.chunks_mut(rows_per_item * cols).collect();
+        let items = self.data.chunks_mut(rows_per_item * cols);
         parallel::map_items(items, threads, init, |item, rows, scratch| {
             for (r, row) in rows.chunks_exact_mut(cols).enumerate() {
                 f(item * rows_per_item + r, scratch, row);

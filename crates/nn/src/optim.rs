@@ -99,40 +99,25 @@ impl Optimizer for Sgd {
     }
 }
 
-/// Adam (Kingma & Ba) with the paper's defaults `β₁ = 0.9`, `β₂ = 0.999`
-/// (§IV-B).
+/// Adam (Kingma & Ba) with the paper's `β₁ = 0.9`, `β₂ = 0.999` (§IV-B)
+/// and `ε = 1e-8`.
 #[derive(Debug, Clone)]
 pub struct Adam {
     lr: f64,
-    beta1: f64,
-    beta2: f64,
-    eps: f64,
     t: u64,
     m: Vec<Matrix>,
     v: Vec<Matrix>,
 }
 
 impl Adam {
-    /// Adam with the paper's default betas and `ε = 1e-8`.
+    const BETA1: f64 = 0.9;
+    const BETA2: f64 = 0.999;
+    const EPS: f64 = 1e-8;
+
+    /// Adam with the given learning rate.
     pub fn new(lr: f64) -> Self {
         Adam {
             lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            t: 0,
-            m: Vec::new(),
-            v: Vec::new(),
-        }
-    }
-
-    /// Adam with explicit hyper-parameters.
-    pub fn with_betas(lr: f64, beta1: f64, beta2: f64, eps: f64) -> Self {
-        Adam {
-            lr,
-            beta1,
-            beta2,
-            eps,
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
@@ -161,8 +146,8 @@ impl Optimizer for Adam {
             });
         }
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let bc1 = 1.0 - Self::BETA1.powi(self.t as i32);
+        let bc2 = 1.0 - Self::BETA2.powi(self.t as i32);
         for ((p, m), v) in params.iter_mut().zip(&mut self.m).zip(&mut self.v) {
             if m.shape() != p.grad.shape() {
                 return Err(NnError::ShapeMismatch {
@@ -172,13 +157,13 @@ impl Optimizer for Adam {
             }
             for i in 0..p.grad.len() {
                 let g = p.grad.as_slice()[i];
-                let mi = self.beta1 * m.as_slice()[i] + (1.0 - self.beta1) * g;
-                let vi = self.beta2 * v.as_slice()[i] + (1.0 - self.beta2) * g * g;
+                let mi = Self::BETA1 * m.as_slice()[i] + (1.0 - Self::BETA1) * g;
+                let vi = Self::BETA2 * v.as_slice()[i] + (1.0 - Self::BETA2) * g * g;
                 m.as_mut_slice()[i] = mi;
                 v.as_mut_slice()[i] = vi;
                 let m_hat = mi / bc1;
                 let v_hat = vi / bc2;
-                p.value.as_mut_slice()[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+                p.value.as_mut_slice()[i] -= self.lr * m_hat / (v_hat.sqrt() + Self::EPS);
             }
         }
         Ok(())
@@ -262,6 +247,37 @@ mod tests {
         assert_eq!(opt.learning_rate(), 0.1);
         opt.set_learning_rate(0.5);
         assert_eq!(opt.learning_rate(), 0.5);
+    }
+
+    #[test]
+    fn adam_steps_match_the_recorded_digest() {
+        // Three steps of a fixed tensor and gradient, folded bit for bit
+        // (values, then both moments) into an FNV-1a hash recorded before
+        // the hyper-parameters became constants.
+        let mut p = ParamTensor::new(Matrix::from_fn(2, 3, |i, j| {
+            0.4 * i as f64 - 0.3 * j as f64
+        }));
+        let mut opt = Adam::new(0.03);
+        for step in 0..3 {
+            p.grad = Matrix::from_fn(2, 3, |i, j| (i + 2 * j + step) as f64 * 0.7 - 1.1);
+            opt.step(&mut [&mut p]).unwrap();
+        }
+        let words = p
+            .value
+            .as_slice()
+            .iter()
+            .chain(opt.m[0].as_slice())
+            .chain(opt.v[0].as_slice());
+        let digest = words.fold(0xcbf2_9ce4_8422_2325_u64, |h, x| {
+            x.to_bits()
+                .to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+        });
+        assert_eq!(
+            digest, 0xcf48_b0dd_73d7_a90a,
+            "Adam digest is now {digest:#018x}"
+        );
     }
 
     #[test]

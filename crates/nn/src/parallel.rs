@@ -3,11 +3,13 @@
 //! Every quantum layer simulates batch rows independently, every output
 //! row of a `Matrix` product is its own fold, and screening scores each
 //! sampled molecule on its own, so each of these is an embarrassingly
-//! parallel axis. [`map_rows`], [`map_rows_with`], [`map_items`] and
-//! [`fill_rows`] hand a call's rows (or the quantum layers' chunks of rows,
-//! or a product's groups of output rows) to one process-wide pool of
-//! helper threads (standard library only, matching the offline build
-//! environment). The pool holds `max(cpus, 2) − 1` helpers, started
+//! parallel axis. [`map_rows`] hands a call's rows to one process-wide
+//! pool of helper threads (standard library only, matching the offline
+//! build environment). [`map_items`] hands out owned items instead — the
+//! quantum layers' `(patch, chunk)` work items or their kept register
+//! banks, a product's groups of output rows, or disjoint slots of a
+//! caller's output buffer — each with one reused scratch value per
+//! participating thread. The pool holds `max(cpus, 2) − 1` helpers, started
 //! on the first parallel call with the CPU count read once, and lives for
 //! the process. Training, every quantum layer, the `Linear` products, the
 //! screening chem work and the serving engine submit into the same pool,
@@ -115,81 +117,28 @@ where
         .collect()
 }
 
-/// [`map_rows`] with per-thread scratch: computes `f(row, scratch)` for
-/// every row and returns the results in row order. Each participating
-/// thread builds one `scratch` value with `init`, on its first row, and
-/// reuses it for every further row it claims in the call, so per-row
-/// working buffers amortize to one allocation per thread. Results are
-/// bit-identical to the sequential loop as long as `f`'s result does not
-/// depend on what an earlier row left in the scratch.
-///
-/// # Panics
-///
-/// Re-raises the first panic raised by `init` or `f` as [`map_rows`] does.
-pub fn map_rows_with<S, R, G, F>(n_rows: usize, threads: Threads, init: G, f: F) -> Vec<R>
-where
-    S: Send,
-    R: Send,
-    G: Fn() -> S + Sync,
-    F: Fn(usize, &mut S) -> R + Sync,
-{
-    let slots: Vec<Mutex<Option<R>>> = (0..n_rows).map(|_| Mutex::new(None)).collect();
-    run_with(n_rows, threads, init, |row, scratch| {
-        *lock(&slots[row]) = Some(f(row, scratch));
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("a row slot is never locked across a panic")
-                .expect("every row slot is filled by the row that claimed it")
-        })
-        .collect()
-}
-
-/// Fills the row-major buffer `out` (`out.len() / row_len` rows of
-/// `row_len` values) by calling `f(row, scratch, slot)` for every row, on
-/// the compute pool exactly like [`map_rows`].
-///
-/// Unlike [`map_rows`], results are written straight into the caller's
-/// preallocated storage — no per-row `Vec` is ever allocated — and each
-/// participating thread builds one `scratch` value with `init`, as
-/// [`map_rows_with`] does. Row order is still deterministic: each slot is
-/// written by exactly one thread, so the output is bit-identical to the
-/// sequential loop.
-///
-/// # Panics
-///
-/// Panics if `out.len()` is not a multiple of `row_len`, and re-raises the
-/// first panic raised by `init` or `f` as [`map_rows`] does.
-pub fn fill_rows<S, F, G>(out: &mut [f64], row_len: usize, threads: Threads, init: G, f: F)
-where
-    S: Send,
-    G: Fn() -> S + Sync,
-    F: Fn(usize, &mut S, &mut [f64]) + Sync,
-{
-    if row_len == 0 {
-        assert!(out.is_empty(), "zero-width rows with non-empty output");
-        return;
-    }
-    assert_eq!(out.len() % row_len, 0, "output is not whole rows");
-    let n_rows = out.len() / row_len;
-    let slots: Vec<Mutex<&mut [f64]>> = out.chunks_mut(row_len).map(Mutex::new).collect();
-    run_with(n_rows, threads, init, |row, scratch| {
-        f(row, scratch, &mut lock(&slots[row]));
-    });
-}
-
-/// [`map_rows_with`] over owned inputs: computes `f(row, items[row],
-/// scratch)` for every row on the compute pool, handing each item by value
-/// to the thread that claims its row, with that thread's scratch, and
+/// [`map_rows`] over owned inputs with per-thread scratch: computes
+/// `f(row, item, scratch)` for the `row`-th item on the compute pool,
+/// handing each item by value to the thread that claims its row, and
 /// returns the results in row order (bit-identical to the sequential
-/// `items.into_iter().enumerate().map(..)`).
+/// `items.into_iter().enumerate().map(..)`). Each participating thread
+/// builds one `scratch` value with `init`, on its first row, and reuses it
+/// for every further row it claims in the call, so per-row working buffers
+/// amortize to one allocation per thread; results stay bit-identical as
+/// long as `f`'s result does not depend on what an earlier row left in the
+/// scratch. Items may borrow caller storage, such as the disjoint
+/// `chunks_mut` slots of a preallocated output, which `f` then writes in
+/// place.
 ///
 /// # Panics
 ///
 /// Re-raises the first panic raised by `init` or `f` as [`map_rows`] does.
-pub fn map_items<T, S, R, G, F>(items: Vec<T>, threads: Threads, init: G, f: F) -> Vec<R>
+pub fn map_items<T, S, R, G, F>(
+    items: impl IntoIterator<Item = T>,
+    threads: Threads,
+    init: G,
+    f: F,
+) -> Vec<R>
 where
     T: Send,
     S: Send,
@@ -197,11 +146,26 @@ where
     G: Fn() -> S + Sync,
     F: Fn(usize, T, &mut S) -> R + Sync,
 {
-    let items: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    map_rows_with(items.len(), threads, init, |row, scratch| {
-        let item = lock(&items[row]).take();
-        f(row, item.expect("every row is claimed once"), scratch)
-    })
+    // A slot holds `Err(Some(item))` until the row that claims it takes the
+    // item and stores `Ok(result)`.
+    let slots: Vec<Mutex<Result<R, Option<T>>>> = items
+        .into_iter()
+        .map(|t| Mutex::new(Err(Some(t))))
+        .collect();
+    run_with(slots.len(), threads, init, |row, scratch| {
+        let mut slot = lock(&slots[row]);
+        let item = slot.as_mut().err().and_then(Option::take);
+        *slot = Ok(f(row, item.expect("every row is claimed once"), scratch));
+    });
+    slots
+        .into_iter()
+        .map(|s| {
+            s.into_inner()
+                .expect("a row slot is never locked across a panic")
+                .ok()
+                .expect("every row slot is filled by the row that claimed it")
+        })
+        .collect()
 }
 
 /// Runs `body(row, scratch)` for every row on the compute pool, with one
@@ -497,6 +461,10 @@ mod tests {
     fn empty_and_single_row() {
         assert_eq!(map_rows(0, Threads::Fixed(4), |r| r), Vec::<usize>::new());
         assert_eq!(map_rows(1, Threads::Fixed(4), |r| r + 10), vec![10]);
+        let none = map_items(Vec::<f64>::new(), Threads::Fixed(4), || (), |_, x, ()| x);
+        assert!(none.is_empty());
+        let one = map_items([2.5], Threads::Fixed(4), || (), |r, x, ()| x + r as f64);
+        assert_eq!(one, vec![2.5]);
     }
 
     #[test]
@@ -529,51 +497,6 @@ mod tests {
     }
 
     #[test]
-    fn fill_rows_matches_sequential_and_reuses_scratch() {
-        let row_len = 3;
-        let expected: Vec<f64> = (0..13 * row_len)
-            .map(|i| (i / row_len + i % row_len) as f64)
-            .collect();
-        for threads in [
-            Threads::Off,
-            Threads::Fixed(1),
-            Threads::Fixed(4),
-            Threads::Fixed(64),
-        ] {
-            let mut out = vec![0.0; 13 * row_len];
-            fill_rows(
-                &mut out,
-                row_len,
-                threads,
-                Vec::<f64>::new,
-                |r, scratch, slot| {
-                    // The scratch persists across a worker's rows: grow it once
-                    // and fill from it, as the probability readout path does.
-                    scratch.clear();
-                    scratch.extend((0..row_len).map(|c| (r + c) as f64));
-                    slot.copy_from_slice(scratch);
-                },
-            );
-            assert_eq!(out, expected, "{threads:?}");
-        }
-    }
-
-    #[test]
-    fn fill_rows_handles_empty_output() {
-        let mut out: Vec<f64> = Vec::new();
-        fill_rows(&mut out, 4, Threads::Fixed(4), || (), |_, (), _| {});
-        fill_rows(&mut out, 0, Threads::Off, || (), |_, (), _| {});
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "not whole rows")]
-    fn fill_rows_rejects_ragged_output() {
-        let mut out = vec![0.0; 5];
-        fill_rows(&mut out, 3, Threads::Off, || (), |_, (), _| {});
-    }
-
-    #[test]
     fn rows_collect_in_order_not_arrival_order() {
         // Later rows finish first (they sleep less), yet results stay ordered.
         let out = map_rows(8, Threads::Fixed(4), |r| {
@@ -591,13 +514,56 @@ mod tests {
             .enumerate()
             .map(|(r, v)| (r, v.iter().sum::<f64>().to_bits()))
             .collect();
-        for threads in [Threads::Off, Threads::Fixed(3)] {
+        for threads in [Threads::Off, Threads::Fixed(3), Threads::Fixed(64)] {
             let got = map_items(items.clone(), threads, Vec::new, |r, v: Vec<f64>, seen| {
                 seen.push(r);
                 (r, v.into_iter().sum::<f64>().to_bits())
             });
             assert_eq!(got, expected, "{threads:?}");
         }
+    }
+
+    /// Filling a row-major output in place, as `Matrix::fill_rows_of_product`
+    /// and the quantum layers' evaluation pass do: `map_items` over the
+    /// buffer's `chunks_mut` slots, each written by the thread that claims it.
+    #[test]
+    fn fill_rows_matches_sequential_and_reuses_scratch() {
+        let row_len = 3;
+        let expected: Vec<f64> = (0..13 * row_len)
+            .map(|i| (i / row_len + i % row_len) as f64)
+            .collect();
+        for threads in [
+            Threads::Off,
+            Threads::Fixed(1),
+            Threads::Fixed(4),
+            Threads::Fixed(64),
+        ] {
+            let mut out = vec![0.0; 13 * row_len];
+            map_items(
+                out.chunks_mut(row_len),
+                threads,
+                Vec::<f64>::new,
+                |r, slot, scratch| {
+                    // The scratch persists across a thread's rows: grow it
+                    // once and fill from it.
+                    scratch.clear();
+                    scratch.extend((0..row_len).map(|c| (r + c) as f64));
+                    slot.copy_from_slice(scratch);
+                },
+            );
+            assert_eq!(out, expected, "{threads:?}");
+        }
+    }
+
+    /// An empty output has no slots, so nothing runs.
+    #[test]
+    fn fill_rows_handles_empty_output() {
+        let mut out: Vec<f64> = Vec::new();
+        for threads in [Threads::Off, Threads::Fixed(4)] {
+            let filled = map_items(out.chunks_mut(4), threads, || (), |_, _, ()| {});
+            assert!(filled.is_empty(), "{threads:?}");
+        }
+        assert!(out.is_empty());
     }
 
     /// Floating-point work whose bits depend on the row, so a misplaced or
@@ -654,18 +620,17 @@ mod tests {
         let barrier = Barrier::new(2);
         let helper_done = AtomicUsize::new(0);
         let err = panic::catch_unwind(AssertUnwindSafe(|| {
-            let mut out = vec![0.0; 2];
-            fill_rows(
-                &mut out,
-                1,
+            let mut out = [0.0; 2];
+            map_items(
+                out.iter_mut(),
                 Threads::Fixed(2),
                 || (),
-                |_, (), slot| {
+                |_, slot, ()| {
                     barrier.wait();
                     if thread::current().id() == caller {
                         panic!("caller row failed");
                     }
-                    slot[0] = 1.0;
+                    *slot = 1.0;
                     helper_done.fetch_add(1, Ordering::SeqCst);
                 },
             );
@@ -690,12 +655,11 @@ mod tests {
                         let threads =
                             [Threads::Auto, Threads::Fixed(2), Threads::Fixed(5)][(t + call) % 3];
                         assert_eq!(bits(&map_rows(24, threads, row_value)), *expected);
-                        let mut out = vec![0.0; 24];
-                        fill_rows(&mut out, 1, threads, Vec::new, |r, scratch, slot| {
+                        let got = map_items(0..24, threads, Vec::new, |_, r, scratch| {
                             scratch.push(r);
-                            slot[0] = row_value(r);
+                            row_value(r)
                         });
-                        assert_eq!(bits(&out), *expected);
+                        assert_eq!(bits(&got), *expected);
                     }
                 })
             })
@@ -723,15 +687,13 @@ mod tests {
     }
 
     #[test]
-    fn fill_rows_inits_scratch_at_most_once_per_participating_thread() {
+    fn map_items_inits_scratch_at_most_once_per_participating_thread() {
         let inits = Mutex::new(HashMap::new());
         let ran = Mutex::new(HashSet::new());
         // Rows 0 and 1 wait for each other, so two threads take part.
         let barrier = Barrier::new(2);
-        let mut out = vec![0.0; 32];
-        fill_rows(
-            &mut out,
-            1,
+        let out = map_items(
+            0..32,
             Threads::Fixed(2),
             || {
                 *inits
@@ -740,19 +702,19 @@ mod tests {
                     .entry(thread::current().id())
                     .or_insert(0) += 1
             },
-            |r, (), slot| {
+            |r, item, ()| {
                 if r < 2 {
                     barrier.wait();
                 }
                 ran.lock().unwrap().insert(thread::current().id());
-                slot[0] = r as f64;
+                item
             },
         );
         let (inits, ran) = (inits.into_inner().unwrap(), ran.into_inner().unwrap());
         assert_eq!(ran.len(), 2);
         assert!(inits.values().all(|&n| n == 1), "{inits:?}");
         assert_eq!(inits.keys().copied().collect::<HashSet<_>>(), ran);
-        assert_eq!(out, (0..32).map(|r| r as f64).collect::<Vec<_>>());
+        assert_eq!(out, (0..32).collect::<Vec<_>>());
     }
 
     #[test]
@@ -766,13 +728,12 @@ mod tests {
         assert_eq!(bits(&got), expected);
         assert!(ran.into_inner().unwrap().len() <= helpers() + 1);
         let mut out = vec![0.0; 200];
-        fill_rows(
-            &mut out,
-            1,
+        map_items(
+            out.iter_mut(),
             Threads::Fixed(64),
             || (),
-            |r, (), slot| {
-                slot[0] = row_value(r);
+            |r, slot, ()| {
+                *slot = row_value(r);
             },
         );
         assert_eq!(bits(&out), expected);

@@ -1,11 +1,11 @@
 //! `Module::infer`, the evaluation forward, against the training forward on
-//! all five `Module` implementors: the same output bits, nothing kept, and
+//! all four `Module` implementors: the same output bits, nothing kept, and
 //! a pending backward left as it was. The container runs as an encoder and
-//! as a decoder.
+//! as a decoder, and the quantum layer with one patch and with two.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sqvae::core::{HybridStack, PatchedQuantumLayer, QuantumInput, QuantumLayer, QuantumOutput};
+use sqvae::core::{HybridStack, QuantumInput, QuantumLayer, QuantumOutput};
 use sqvae::nn::{
     Activation, ActivationKind, BackendKind, ExecPolicy, Linear, Matrix, Module, NnError, Threads,
 };
@@ -71,8 +71,8 @@ fn implementors() -> [(&'static str, Build, usize); 6] {
             3,
         ),
         (
-            "PatchedQuantumLayer",
-            |rng| Box::new(PatchedQuantumLayer::amplitude_encoder(16, 2, 2, rng)),
+            "QuantumLayer amplitude_encoder",
+            |rng| Box::new(QuantumLayer::amplitude_encoder(16, 2, 2, rng)),
             16,
         ),
     ]
