@@ -303,16 +303,6 @@ impl QuantumLayer {
         self.params.len() * self.patch_out()
     }
 
-    /// The input mode of each patch.
-    pub fn input_mode(&self) -> QuantumInput {
-        self.input_mode
-    }
-
-    /// The output mode of each patch.
-    pub fn output_mode(&self) -> QuantumOutput {
-        self.output_mode
-    }
-
     /// Input columns per patch.
     fn patch_in(&self) -> usize {
         match self.input_mode {
@@ -657,18 +647,22 @@ impl Module for QuantumLayer {
             )
             .expect("a kept bank matches its tape")
         });
-        // Per `(patch, row)`, patch-major.
-        let per: Vec<_> = per_item.into_iter().flatten().collect();
         let angle = matches!(self.input_mode, QuantumInput::Angle);
         let mut grad_input = Matrix::zeros(rows, patches * in_w);
-        for (k, params) in self.params.iter_mut().enumerate() {
-            for r in 0..rows {
-                let grads = &per[k * rows + r];
-                for (acc, g) in params.grad.as_mut_slice().iter_mut().zip(&grads.params) {
-                    *acc += g;
+        // Items are patch-major and a patch's chunks run in row order, so
+        // each patch adds its rows' parameter gradients in row order.
+        for (idx, grads) in per_item.iter().enumerate() {
+            let (k, range) = chunks.item(idx);
+            let n_params = tapes[k].n_params();
+            let per_lane = n_params + tapes[k].n_inputs();
+            let acc = self.params[k].grad.as_mut_slice();
+            for (l, r) in range.enumerate() {
+                let (params, inputs) = grads[l * per_lane..(l + 1) * per_lane].split_at(n_params);
+                for (a, g) in acc.iter_mut().zip(params) {
+                    *a += g;
                 }
                 if angle {
-                    grad_input.row_mut(r)[k * in_w..(k + 1) * in_w].copy_from_slice(&grads.inputs);
+                    grad_input.row_mut(r)[k * in_w..(k + 1) * in_w].copy_from_slice(inputs);
                 }
             }
         }

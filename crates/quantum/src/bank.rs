@@ -30,6 +30,18 @@
 //! [`crate::grad::adjoint::backward_expectations_z_bank`] and
 //! [`crate::grad::adjoint::backward_probabilities_bank`].
 //!
+//! **Wide lanes, same bits.** Every lane-loop kernel (the uniform and
+//! per-lane matrix kernels, the CNOT gather, the `⟨Z⟩` sums and both
+//! block stops) is compiled twice from one body: for the build's target
+//! and, on x86-64, with AVX2 enabled. Each call runs the AVX2 form when
+//! `std::arch::is_x86_feature_detected!("avx2")` reports it, four `f64`
+//! per instruction where baseline x86-64 has two; other CPUs and
+//! architectures run the portable form. The bits do not depend on which
+//! form runs: a lane's operations are the same `f64` operations in the
+//! same order in both, the AVX2 form does not enable FMA, and Rust never
+//! contracts a multiply and an add on its own. The tests compare each
+//! kernel's two forms bit for bit.
+//!
 //! Working storage (gather planes, lane matrices, accumulators, the sweep's
 //! bra) lives in a [`BankScratch`] the caller owns, so a thread running many
 //! banks allocates it once.
@@ -230,11 +242,7 @@ impl RegisterBank {
         acc.clear();
         acc.resize((n + 1) * lanes, 0.0);
         let (z, p) = acc.split_at_mut(n * lanes);
-        match lanes {
-            0 => {}
-            1 => z_sums(&self.re, &self.im, n, 1, z, p),
-            _ => z_sums(&self.re, &self.im, n, lanes, z, p),
-        }
+        z_sums(&self.re, &self.im, n, lanes, z, p);
         out.clear();
         out.extend((0..lanes * n).map(|j| z[(j % n) * lanes + j / n]));
     }
@@ -355,11 +363,7 @@ impl RegisterBank {
             (&mut self.im, &mut work.gather_im),
         ] {
             gather.resize(plane.len(), 0.0);
-            match lanes {
-                0 => {}
-                1 => permute(plane, gather, &work.perm, 1),
-                _ => permute(plane, gather, &work.perm, lanes),
-            }
+            permute(plane, gather, &work.perm, lanes);
             std::mem::swap(plane, gather);
         }
         Ok(())
@@ -563,64 +567,133 @@ fn mul2(m: &Flat, a0r: f64, a0i: f64, a1r: f64, a1i: f64) -> [f64; 4] {
     ]
 }
 
-/// Applies one matrix to every lane: each block of `2·half` values pairs
-/// its lower `half` with its upper `half`, element by element.
-fn one_q(re: &mut [f64], im: &mut [f64], half: usize, m: &Flat) {
-    if half == 0 {
-        return;
-    }
-    for (rc, ic) in re
-        .chunks_exact_mut(2 * half)
-        .zip(im.chunks_exact_mut(2 * half))
-    {
-        let (r0, r1) = rc.split_at_mut(half);
-        let (i0, i1) = ic.split_at_mut(half);
-        for (((r0, i0), r1), i1) in r0.iter_mut().zip(i0).zip(r1).zip(i1) {
-            [*r0, *i0, *r1, *i1] = mul2(m, *r0, *i0, *r1, *i1);
+/// Defines a lane-loop kernel from one body, compiled twice:
+/// `$name::portable` for the build's target and, on x86-64, `$name::avx2`
+/// with AVX2 enabled. `$name` runs `avx2` when the CPU reports AVX2 and
+/// `portable` otherwise, one call either way: each plane stays its own
+/// argument, so the compiler knows none overlaps another and vectorizes
+/// the lane loops (inlined into a caller's loop, the portable block stop
+/// lost that). `avx2` enables exactly AVX2, not FMA, and Rust never
+/// contracts a multiply and an add on its own, so both forms do each
+/// lane's `f64` operations in the same order and give the same bits; only
+/// the vector width differs.
+macro_rules! kernel {
+    ($(#[$attr:meta])* fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $body:block) => {
+        mod $name {
+            use super::*;
+
+            $(#[$attr])*
+            #[inline(never)]
+            pub(super) fn portable($($arg: $ty),*) $body
+
+            #[cfg(target_arch = "x86_64")]
+            $(#[$attr])*
+            #[target_feature(enable = "avx2")]
+            pub(super) fn avx2($($arg: $ty),*) $body
         }
-    }
+
+        $(#[$attr])*
+        #[inline(always)]
+        fn $name($($arg: $ty),*) {
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: `avx2` requires only the AVX2 instructions, and
+                // the CPU has just reported them.
+                return unsafe { $name::avx2($($arg),*) };
+            }
+            $name::portable($($arg),*)
+        }
+    };
 }
 
-/// Applies lane `l`'s matrix (from the eight planes in `m`) to lane `l`,
-/// for amplitude pairs `stride` apart.
-fn lane_q(re: &mut [f64], im: &mut [f64], stride: usize, lanes: usize, m: &[f64]) {
-    let m = planes(m, lanes);
-    let half = stride * lanes;
-    for (rc, ic) in re
-        .chunks_exact_mut(2 * half)
-        .zip(im.chunks_exact_mut(2 * half))
-    {
-        let (r0, r1) = rc.split_at_mut(half);
-        let (i0, i1) = ic.split_at_mut(half);
-        for (((r0, i0), r1), i1) in r0
-            .chunks_exact_mut(lanes)
-            .zip(i0.chunks_exact_mut(lanes))
-            .zip(r1.chunks_exact_mut(lanes))
-            .zip(i1.chunks_exact_mut(lanes))
+kernel! {
+    /// Applies one matrix to every lane: each block of `2·half` values pairs
+    /// its lower `half` with its upper `half`, element by element.
+    fn one_q(re: &mut [f64], im: &mut [f64], half: usize, m: &Flat) {
+        if half == 0 {
+            return;
+        }
+        for (rc, ic) in re
+            .chunks_exact_mut(2 * half)
+            .zip(im.chunks_exact_mut(2 * half))
         {
-            for l in 0..lanes {
-                let ml = std::array::from_fn(|k| m[k][l]);
-                [r0[l], i0[l], r1[l], i1[l]] = mul2(&ml, r0[l], i0[l], r1[l], i1[l]);
+            let (r0, r1) = rc.split_at_mut(half);
+            let (i0, i1) = ic.split_at_mut(half);
+            for (((r0, i0), r1), i1) in r0.iter_mut().zip(i0).zip(r1).zip(i1) {
+                [*r0, *i0, *r1, *i1] = mul2(m, *r0, *i0, *r1, *i1);
             }
         }
     }
 }
 
-/// Gathers `dst`'s block of `lanes` values at amplitude `i` from `src`'s
-/// block at `perm[i]`.
+kernel! {
+    /// Applies lane `l`'s matrix (from the eight planes in `m`) to lane `l`,
+    /// for amplitude pairs `stride` apart.
+    fn lane_q(re: &mut [f64], im: &mut [f64], stride: usize, lanes: usize, m: &[f64]) {
+        let m = planes(m, lanes);
+        let half = stride * lanes;
+        for (rc, ic) in re
+            .chunks_exact_mut(2 * half)
+            .zip(im.chunks_exact_mut(2 * half))
+        {
+            let (r0, r1) = rc.split_at_mut(half);
+            let (i0, i1) = ic.split_at_mut(half);
+            for (((r0, i0), r1), i1) in r0
+                .chunks_exact_mut(lanes)
+                .zip(i0.chunks_exact_mut(lanes))
+                .zip(r1.chunks_exact_mut(lanes))
+                .zip(i1.chunks_exact_mut(lanes))
+            {
+                for l in 0..lanes {
+                    let ml = std::array::from_fn(|k| m[k][l]);
+                    [r0[l], i0[l], r1[l], i1[l]] = mul2(&ml, r0[l], i0[l], r1[l], i1[l]);
+                }
+            }
+        }
+    }
+}
+
+kernel! {
+    /// Gathers `dst`'s block of `lanes` values at amplitude `i` from `src`'s
+    /// block at `perm[i]`.
+    fn permute(src: &[f64], dst: &mut [f64], perm: &[usize], lanes: usize) {
+        // A literal lane count lets one lane copy single values instead of
+        // calling a block copy per amplitude.
+        match lanes {
+            0 => {}
+            1 => gather(src, dst, perm, 1),
+            _ => gather(src, dst, perm, lanes),
+        }
+    }
+}
+
+/// [`permute()`]'s loop, for a non-zero lane count.
 #[inline(always)]
-fn permute(src: &[f64], dst: &mut [f64], perm: &[usize], lanes: usize) {
+fn gather(src: &[f64], dst: &mut [f64], perm: &[usize], lanes: usize) {
     for (block, &from) in dst.chunks_exact_mut(lanes).zip(perm) {
         block.copy_from_slice(&src[from * lanes..][..lanes]);
     }
 }
 
-/// Per-lane `⟨Z_w⟩` sums into `z` (`n` planes of `lanes`), with `p` a
-/// lane-length plane of probabilities: amplitude by amplitude, each lane's
-/// probability is added to every wire whose bit is 0 and subtracted from
-/// every wire whose bit is 1, as the dense readout does one wire at a time.
+kernel! {
+    /// Per-lane `⟨Z_w⟩` sums into `z` (`n` planes of `lanes`), with `p` a
+    /// lane-length plane of probabilities: amplitude by amplitude, each
+    /// lane's probability is added to every wire whose bit is 0 and
+    /// subtracted from every wire whose bit is 1, as the dense readout does
+    /// one wire at a time.
+    fn z_sums(re: &[f64], im: &[f64], n: usize, lanes: usize, z: &mut [f64], p: &mut [f64]) {
+        // A literal lane count runs one lane's sums as scalars.
+        match lanes {
+            0 => {}
+            1 => lane_z_sums(re, im, n, 1, z, p),
+            _ => lane_z_sums(re, im, n, lanes, z, p),
+        }
+    }
+}
+
+/// [`z_sums()`]'s loop, for a non-zero lane count.
 #[inline(always)]
-fn z_sums(re: &[f64], im: &[f64], n: usize, lanes: usize, z: &mut [f64], p: &mut [f64]) {
+fn lane_z_sums(re: &[f64], im: &[f64], n: usize, lanes: usize, z: &mut [f64], p: &mut [f64]) {
     let p = &mut p[..lanes];
     for (i, (r, m)) in re
         .chunks_exact(lanes)
@@ -677,116 +750,118 @@ fn stop(
     }
 }
 
-/// The amplitude pairs of one block of a block stop, every lane: the
-/// block's lower (`kr0`, `ki0`) and upper (`kr1`, `ki1`) ket halves and the
-/// bra's likewise, `stride · lanes` values each, and the eight lane-length
-/// cross-matrix planes. Pairs run in order, each over its lanes. Each plane
-/// is its own argument so the compiler knows none overlaps another and
-/// vectorizes the lane loop; one call per block, not per pair, keeps a
-/// bank of few lanes from paying a call for each pair.
-#[allow(clippy::too_many_arguments)]
-#[inline(never)]
-fn stop_kernel(
-    kr0: &mut [f64],
-    ki0: &mut [f64],
-    kr1: &mut [f64],
-    ki1: &mut [f64],
-    br0: &mut [f64],
-    bi0: &mut [f64],
-    br1: &mut [f64],
-    bi1: &mut [f64],
-    c00r: &mut [f64],
-    c00i: &mut [f64],
-    c01r: &mut [f64],
-    c01i: &mut [f64],
-    c10r: &mut [f64],
-    c10i: &mut [f64],
-    c11r: &mut [f64],
-    c11i: &mut [f64],
-    m: &impl Fn(usize) -> Flat,
-) {
-    let lanes = c00r.len();
-    let (c00i, c01r, c01i) = (&mut c00i[..lanes], &mut c01r[..lanes], &mut c01i[..lanes]);
-    let (c10r, c10i, c11r, c11i) = (
-        &mut c10r[..lanes],
-        &mut c10i[..lanes],
-        &mut c11r[..lanes],
-        &mut c11i[..lanes],
-    );
-    for o in (0..kr0.len()).step_by(lanes) {
-        let at = o..o + lanes;
-        let (kr0, ki0, kr1, ki1) = (
-            &mut kr0[at.clone()],
-            &mut ki0[at.clone()],
-            &mut kr1[at.clone()],
-            &mut ki1[at.clone()],
+kernel! {
+    /// The amplitude pairs of one block of a block stop, every lane: the
+    /// block's lower (`kr0`, `ki0`) and upper (`kr1`, `ki1`) ket halves and
+    /// the bra's likewise, `stride · lanes` values each, and the eight
+    /// lane-length cross-matrix planes. Pairs run in order, each over its
+    /// lanes. One call per block, not per pair, keeps a bank of few lanes
+    /// from paying a call for each pair.
+    #[allow(clippy::too_many_arguments)]
+    fn stop_kernel(
+        kr0: &mut [f64],
+        ki0: &mut [f64],
+        kr1: &mut [f64],
+        ki1: &mut [f64],
+        br0: &mut [f64],
+        bi0: &mut [f64],
+        br1: &mut [f64],
+        bi1: &mut [f64],
+        c00r: &mut [f64],
+        c00i: &mut [f64],
+        c01r: &mut [f64],
+        c01i: &mut [f64],
+        c10r: &mut [f64],
+        c10i: &mut [f64],
+        c11r: &mut [f64],
+        c11i: &mut [f64],
+        m: &impl Fn(usize) -> Flat,
+    ) {
+        let lanes = c00r.len();
+        let (c00i, c01r, c01i) = (&mut c00i[..lanes], &mut c01r[..lanes], &mut c01i[..lanes]);
+        let (c10r, c10i, c11r, c11i) = (
+            &mut c10r[..lanes],
+            &mut c10i[..lanes],
+            &mut c11r[..lanes],
+            &mut c11i[..lanes],
         );
-        let (br0, bi0, br1, bi1) = (
-            &mut br0[at.clone()],
-            &mut bi0[at.clone()],
-            &mut br1[at.clone()],
-            &mut bi1[at],
-        );
-        for l in 0..lanes {
-            let (x, y) = stop_pair(
-                [kr0[l], ki0[l], kr1[l], ki1[l]],
-                [br0[l], bi0[l], br1[l], bi1[l]],
-                &m(l),
-                [
-                    &mut c00r[l],
-                    &mut c00i[l],
-                    &mut c01r[l],
-                    &mut c01i[l],
-                    &mut c10r[l],
-                    &mut c10i[l],
-                    &mut c11r[l],
-                    &mut c11i[l],
-                ],
+        for o in (0..kr0.len()).step_by(lanes) {
+            let at = o..o + lanes;
+            let (kr0, ki0, kr1, ki1) = (
+                &mut kr0[at.clone()],
+                &mut ki0[at.clone()],
+                &mut kr1[at.clone()],
+                &mut ki1[at.clone()],
             );
-            [kr0[l], ki0[l], kr1[l], ki1[l]] = x;
-            [br0[l], bi0[l], br1[l], bi1[l]] = y;
+            let (br0, bi0, br1, bi1) = (
+                &mut br0[at.clone()],
+                &mut bi0[at.clone()],
+                &mut br1[at.clone()],
+                &mut bi1[at],
+            );
+            for l in 0..lanes {
+                let (x, y) = stop_pair(
+                    [kr0[l], ki0[l], kr1[l], ki1[l]],
+                    [br0[l], bi0[l], br1[l], bi1[l]],
+                    &m(l),
+                    [
+                        &mut c00r[l],
+                        &mut c00i[l],
+                        &mut c01r[l],
+                        &mut c01i[l],
+                        &mut c10r[l],
+                        &mut c10i[l],
+                        &mut c11r[l],
+                        &mut c11i[l],
+                    ],
+                );
+                [kr0[l], ki0[l], kr1[l], ki1[l]] = x;
+                [br0[l], bi0[l], br1[l], bi1[l]] = y;
+            }
         }
     }
 }
 
-/// The block stop of a one-lane bank: the per-row kernel's loop over
-/// amplitude pairs `stride` apart, on split planes, with the cross matrix
-/// in locals; it is written to `acc` (one value per plane) at the end.
-/// [`stop`] gives the same bits at one lane, but keeps the cross matrix in
-/// the accumulator planes; a one-lane sweep through it ran about 1.4× as
-/// long (7 qubits, one x86-64 vCPU).
-fn stop_one(
-    ket: &mut RegisterBank,
-    bra: &mut RegisterBank,
-    stride: usize,
-    m: &Flat,
-    acc: [&mut [f64]; 8],
-) {
-    let mut c = [0.0; 8];
-    let blocks = ket
-        .re
-        .chunks_exact_mut(2 * stride)
-        .zip(ket.im.chunks_exact_mut(2 * stride))
-        .zip(bra.re.chunks_exact_mut(2 * stride))
-        .zip(bra.im.chunks_exact_mut(2 * stride));
-    for (((kr, ki), br), bi) in blocks {
-        let (kr0, kr1) = kr.split_at_mut(stride);
-        let (ki0, ki1) = ki.split_at_mut(stride);
-        let (br0, br1) = br.split_at_mut(stride);
-        let (bi0, bi1) = bi.split_at_mut(stride);
-        for o in 0..stride {
-            let (x, y) = stop_pair(
-                [kr0[o], ki0[o], kr1[o], ki1[o]],
-                [br0[o], bi0[o], br1[o], bi1[o]],
-                m,
-                c.each_mut(),
-            );
-            [kr0[o], ki0[o], kr1[o], ki1[o]] = x;
-            [br0[o], bi0[o], br1[o], bi1[o]] = y;
+kernel! {
+    /// The block stop of a one-lane bank: the per-row kernel's loop over
+    /// amplitude pairs `stride` apart, on split planes, with the cross
+    /// matrix in locals; it is written to `acc` (one value per plane) at the
+    /// end. [`stop`] gives the same bits at one lane, but keeps the cross
+    /// matrix in the accumulator planes; a one-lane sweep through it ran
+    /// about 1.4× as long (7 qubits, one x86-64 vCPU).
+    fn stop_one(
+        ket: &mut RegisterBank,
+        bra: &mut RegisterBank,
+        stride: usize,
+        m: &Flat,
+        acc: [&mut [f64]; 8],
+    ) {
+        let mut c = [0.0; 8];
+        let blocks = ket
+            .re
+            .chunks_exact_mut(2 * stride)
+            .zip(ket.im.chunks_exact_mut(2 * stride))
+            .zip(bra.re.chunks_exact_mut(2 * stride))
+            .zip(bra.im.chunks_exact_mut(2 * stride));
+        for (((kr, ki), br), bi) in blocks {
+            let (kr0, kr1) = kr.split_at_mut(stride);
+            let (ki0, ki1) = ki.split_at_mut(stride);
+            let (br0, br1) = br.split_at_mut(stride);
+            let (bi0, bi1) = bi.split_at_mut(stride);
+            for o in 0..stride {
+                let (x, y) = stop_pair(
+                    [kr0[o], ki0[o], kr1[o], ki1[o]],
+                    [br0[o], bi0[o], br1[o], bi1[o]],
+                    m,
+                    c.each_mut(),
+                );
+                [kr0[o], ki0[o], kr1[o], ki1[o]] = x;
+                [br0[o], bi0[o], br1[o], bi1[o]] = y;
+            }
         }
-    }
-    for (plane, v) in acc.into_iter().zip(c) {
-        plane[0] = v;
+        for (plane, v) in acc.into_iter().zip(c) {
+            plane[0] = v;
+        }
     }
 }
 
@@ -916,5 +991,179 @@ mod tests {
         };
         assert!(bank.apply_op(&one, &[], &mut work).is_err());
         assert_eq!(bank, RegisterBank::zero_state(2, 2).unwrap());
+    }
+
+    /// Register widths, each run at every wire, and lane counts: together
+    /// they hit every stride and every remainder of a 2-, 4- or 8-wide
+    /// vector loop over lanes.
+    const QUBITS: [usize; 4] = [1, 2, 5, 7];
+    const LANE_COUNTS: [usize; 8] = [1, 2, 3, 5, 8, 31, 32, 33];
+
+    /// The signatures of the `⟨Z⟩`-sum kernel and the one-lane block stop.
+    type ZSums = fn(&[f64], &[f64], usize, usize, &mut [f64], &mut [f64]);
+    type StopOne = fn(&mut RegisterBank, &mut RegisterBank, usize, &Flat, [&mut [f64]; 8]);
+
+    /// Seeded values in `[-1, 1)` (SplitMix64).
+    struct Seeded(u64);
+
+    impl Seeded {
+        fn next(&mut self) -> f64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut x = self.0;
+            x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            x ^= x >> 31;
+            (x >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+        }
+
+        fn plane(&mut self, len: usize) -> Vec<f64> {
+            (0..len).map(|_| self.next()).collect()
+        }
+
+        fn flat(&mut self) -> Flat {
+            std::array::from_fn(|_| self.next())
+        }
+    }
+
+    /// The block-stop kernel over every block of `2·half` values of the
+    /// ket and bra planes `kb` (`[ket.re, ket.im, bra.re, bra.im]`) as
+    /// [`stop`] runs it, in its portable form or the dispatched one.
+    fn stop_blocks(
+        portable: bool,
+        kb: &mut [Vec<f64>; 4],
+        acc: &mut [f64],
+        lanes: usize,
+        half: usize,
+        m: &impl Fn(usize) -> Flat,
+    ) {
+        let [kr, ki, br, bi] = kb;
+        let [c00r, c00i, c01r, c01i, c10r, c10i, c11r, c11i] = planes_mut(acc, lanes);
+        let blocks = kr
+            .chunks_exact_mut(2 * half)
+            .zip(ki.chunks_exact_mut(2 * half))
+            .zip(br.chunks_exact_mut(2 * half))
+            .zip(bi.chunks_exact_mut(2 * half));
+        for (((kr, ki), br), bi) in blocks {
+            let (kr0, kr1) = kr.split_at_mut(half);
+            let (ki0, ki1) = ki.split_at_mut(half);
+            let (br0, br1) = br.split_at_mut(half);
+            let (bi0, bi1) = bi.split_at_mut(half);
+            let kernel = if portable {
+                stop_kernel::portable
+            } else {
+                stop_kernel
+            };
+            kernel(
+                kr0, ki0, kr1, ki1, br0, bi0, br1, bi1, c00r, c00i, c01r, c01i, c10r, c10i, c11r,
+                c11i, m,
+            );
+        }
+    }
+
+    /// Every kernel's portable body gives the bits its dispatched form
+    /// gives: the form a CPU without AVX2, or another architecture, runs
+    /// against the one this host runs.
+    #[test]
+    fn portable_kernels_match_the_dispatched_ones_bitwise() {
+        let mut rng = Seeded(25);
+        for n in QUBITS {
+            let dim = 1 << n;
+            for lanes in LANE_COUNTS {
+                let len = lanes << n;
+                let (re, im) = (rng.plane(len), rng.plane(len));
+
+                // The `⟨Z⟩` sums.
+                let z_of = |kernel: ZSums| {
+                    let (mut z, mut p) = (vec![0.0; n * lanes], vec![0.0; lanes]);
+                    kernel(&re, &im, n, lanes, &mut z, &mut p);
+                    bits(&z)
+                };
+                assert_eq!(z_of(z_sums::portable), z_of(z_sums), "{n}q x{lanes} z");
+
+                // A CNOT run's gather, through a seeded permutation.
+                let mut perm: Vec<usize> = (0..dim).collect();
+                for i in (1..dim).rev() {
+                    perm.swap(i, (rng.next().abs() * (i + 1) as f64) as usize % (i + 1));
+                }
+                let gathered = |kernel: fn(&[f64], &mut [f64], &[usize], usize)| {
+                    let mut dst = vec![0.0; len];
+                    kernel(&re, &mut dst, &perm, lanes);
+                    bits(&dst)
+                };
+                assert_eq!(
+                    gathered(permute::portable),
+                    gathered(permute),
+                    "{n}q x{lanes} gather"
+                );
+
+                for wire in 0..n {
+                    let stride = 1 << (n - 1 - wire);
+                    let case = format!("{n}q x{lanes} wire {wire}");
+
+                    // One matrix for every lane, and one per lane.
+                    let m = rng.flat();
+                    let one = |kernel: fn(&mut [f64], &mut [f64], usize, &Flat)| {
+                        let (mut r, mut i) = (re.clone(), im.clone());
+                        kernel(&mut r, &mut i, stride * lanes, &m);
+                        (bits(&r), bits(&i))
+                    };
+                    assert_eq!(one(one_q::portable), one(one_q), "{case} one_q");
+                    let lane_m = rng.plane(8 * lanes);
+                    let per_lane = |kernel: fn(&mut [f64], &mut [f64], usize, usize, &[f64])| {
+                        let (mut r, mut i) = (re.clone(), im.clone());
+                        kernel(&mut r, &mut i, stride, lanes, &lane_m);
+                        (bits(&r), bits(&i))
+                    };
+                    assert_eq!(
+                        per_lane(lane_q::portable),
+                        per_lane(lane_q),
+                        "{case} lane_q"
+                    );
+
+                    // Both block stops of the sweep: one inverse for every
+                    // lane, and one per lane (an input rotation's).
+                    let kb = [re.clone(), im.clone(), rng.plane(len), rng.plane(len)];
+                    let lane_planes = planes(&lane_m, lanes);
+                    let per_lane_m = |l: usize| std::array::from_fn(|k| lane_planes[k][l]);
+                    for (what, uniform) in [("uniform", true), ("per-lane", false)] {
+                        let run = |portable| {
+                            let (mut kb, mut acc) = (kb.clone(), vec![0.0; 8 * lanes]);
+                            let half = stride * lanes;
+                            if uniform {
+                                stop_blocks(portable, &mut kb, &mut acc, lanes, half, &|_| m);
+                            } else {
+                                stop_blocks(portable, &mut kb, &mut acc, lanes, half, &per_lane_m);
+                            }
+                            (kb.map(|p| bits(&p)), bits(&acc))
+                        };
+                        assert_eq!(run(true), run(false), "{case} {what} stop");
+                    }
+
+                    // The one-lane block stop.
+                    if lanes == 1 {
+                        let bank = |re: &[f64], im: &[f64]| RegisterBank {
+                            n_qubits: n,
+                            lanes: 1,
+                            re: re.to_vec(),
+                            im: im.to_vec(),
+                        };
+                        let bra = (rng.plane(len), rng.plane(len));
+                        let run = |kernel: StopOne| {
+                            let (mut k, mut b) = (bank(&re, &im), bank(&bra.0, &bra.1));
+                            let mut acc = [0.0; 8];
+                            kernel(
+                                &mut k,
+                                &mut b,
+                                stride,
+                                &m,
+                                acc.each_mut().map(std::slice::from_mut),
+                            );
+                            (k, b, bits(&acc))
+                        };
+                        assert_eq!(run(stop_one::portable), run(stop_one), "{case} stop_one");
+                    }
+                }
+            }
+        }
     }
 }

@@ -275,37 +275,43 @@ fn sweep(
 }
 
 /// The backward sweep over every lane of a [`RegisterBank`] at once, each
-/// lane swept against the diagonal `diag_of` builds from its own upstream
-/// row. Lane `l` does exactly the `f64` operations [`sweep`] does on that
-/// row (the same program, the same block-stop order, and
-/// `grads[index] += contract_im(h, c)` in sweep order), so its gradients are
-/// bit-identical to [`vjp_diagonal_from`]'s.
+/// lane swept against the diagonal observable of its own upstream row,
+/// `width` values long: entry `i` of lane `l`'s diagonal is
+/// `entry(upstream[l], i)`, built straight into the scratch's batch-major
+/// diagonal plane. Lane `l` does exactly the `f64` operations [`sweep`]
+/// does on that row (the same diagonal entries, the same program, the same
+/// block-stop order, and `grads[index] += contract_im(h, c)` in sweep
+/// order), so its gradients are bit-identical to [`vjp_diagonal_from`]'s.
+/// Returns them lane-major (see [`backward_expectations_z_bank`]).
 fn vjp_bank(
     tape: &CompiledTape,
     inputs: &[&[f64]],
     ket: &mut RegisterBank,
     upstream: &[&[f64]],
     scratch: &mut BankScratch,
-    diag_of: impl Fn(&[f64]) -> Result<Vec<f64>>,
-) -> Result<Vec<CircuitGradients>> {
+    width: usize,
+    entry: impl Fn(&[f64], usize) -> f64,
+) -> Result<Vec<f64>> {
     let steps = tape.adjoint_program()?;
     ket.check_tape(tape)?;
     check_lane_count(upstream.len(), ket.lanes())?;
     ket.check_inputs(inputs, tape.n_inputs())?;
+    if let Some(row) = upstream.iter().find(|row| row.len() != width) {
+        return Err(QuantumError::DimensionMismatch {
+            expected: width,
+            actual: row.len(),
+        });
+    }
     let BankScratch { work, bra, diag } = scratch;
-    let lanes = ket.lanes();
     diag.clear();
-    diag.resize(lanes << tape.n_qubits(), 0.0);
-    for (l, row) in upstream.iter().enumerate() {
-        let d = diag_of(row)?;
-        checked_program(tape, &d)?;
-        for (i, v) in d.into_iter().enumerate() {
-            diag[i * lanes + l] = v;
-        }
+    for i in 0..1usize << tape.n_qubits() {
+        diag.extend(upstream.iter().map(|row| entry(row, i)));
     }
     bra.scaled_from(ket, diag);
 
-    let mut grads = vec![CircuitGradients::zeros(tape.n_params(), tape.n_inputs()); lanes];
+    let n_params = tape.n_params();
+    let per_lane = n_params + tape.n_inputs();
+    let mut grads = vec![0.0; ket.lanes() * per_lane];
     for step in steps {
         match step {
             AdjointStep::Unapply(ops) => {
@@ -316,10 +322,10 @@ fn vjp_bank(
             }
             AdjointStep::Stop(AdjointStop::Block(block)) => {
                 ket.block_stop(bra, block.wire, &block.inv, work)?;
-                for (l, g) in grads.iter_mut().enumerate() {
+                for l in 0..ket.lanes() {
                     let c = work.cross(l);
                     for (index, h) in &block.angles {
-                        g.params[*index] += contract_im(h, &c);
+                        grads[l * per_lane + index] += contract_im(h, &c);
                     }
                 }
             }
@@ -328,8 +334,9 @@ fn vjp_bank(
                     .single_qubit_generator()
                     .expect("parametrized gates are single-qubit rotations");
                 ket.input_stop(bra, gate, *index, inputs, work)?;
-                for (l, g) in grads.iter_mut().enumerate() {
-                    g.inputs[*index] += contract_im(&generator, &work.cross(l));
+                for l in 0..ket.lanes() {
+                    grads[l * per_lane + n_params + index] +=
+                        contract_im(&generator, &work.cross(l));
                 }
             }
         }
@@ -339,10 +346,15 @@ fn vjp_bank(
 
 /// [`backward_expectations_z_from`] for every lane of a [`RegisterBank`]:
 /// sweeps the bank `ket` that `tape`'s forward program produced (lane `l`
-/// with `inputs[l]`) against each lane's upstream row `upstream[l]`, and
-/// returns one [`CircuitGradients`] per lane, each bit-identical to the
-/// per-row sweep of that lane. The sweep un-applies the circuit from `ket`
-/// in place; `scratch` holds the bra and the kernels' working planes.
+/// with `inputs[l]`) against each lane's upstream row `upstream[l]`. The
+/// sweep un-applies the circuit from `ket` in place; `scratch` holds the
+/// bra, the diagonal plane and the kernels' working planes.
+///
+/// Returns every lane's gradients in one lane-major buffer, each lane
+/// bit-identical to the per-row sweep of its row: with `P =
+/// tape.n_params()` and `I = tape.n_inputs()`, lane `l`'s parameter
+/// gradients are `[l·(P + I)..l·(P + I) + P]` and its input gradients the
+/// `I` values after them.
 ///
 /// # Errors
 ///
@@ -358,9 +370,19 @@ pub fn backward_expectations_z_bank(
     ket: &mut RegisterBank,
     upstream: &[&[f64]],
     scratch: &mut BankScratch,
-) -> Result<Vec<CircuitGradients>> {
+) -> Result<Vec<f64>> {
     let n = tape.n_qubits();
-    vjp_bank(tape, inputs, ket, upstream, scratch, |u| z_diagonal(n, u))
+    // `Σ_w row[w]·Z_w` at basis state `i`, added up from 0.0 wire by wire
+    // as `weighted_z_sum_diagonal` adds it.
+    vjp_bank(tape, inputs, ket, upstream, scratch, n, |row, i| {
+        row.iter().enumerate().fold(0.0, |d, (w, c)| {
+            d + c * if i & (1 << (n - 1 - w)) == 0 {
+                1.0
+            } else {
+                -1.0
+            }
+        })
+    })
 }
 
 /// [`backward_probabilities_tape`]'s sweep for every lane of a
@@ -376,11 +398,9 @@ pub fn backward_probabilities_bank(
     ket: &mut RegisterBank,
     upstream: &[&[f64]],
     scratch: &mut BankScratch,
-) -> Result<Vec<CircuitGradients>> {
-    let n = tape.n_qubits();
-    vjp_bank(tape, inputs, ket, upstream, scratch, |u| {
-        probability_diagonal(n, u)
-    })
+) -> Result<Vec<f64>> {
+    let dim = 1 << tape.n_qubits();
+    vjp_bank(tape, inputs, ket, upstream, scratch, dim, |row, i| row[i])
 }
 
 /// The upstream-weighted `⟨Z⟩` diagonal `Σ_w upstream[w]·Z_w` on `n` wires.

@@ -140,9 +140,13 @@ fn run_bank(
     bank
 }
 
-fn assert_grads_eq(got: &CircuitGradients, want: &CircuitGradients, what: &str) {
-    assert_eq!(bits(&got.params), bits(&want.params), "{what}: params");
-    assert_eq!(bits(&got.inputs), bits(&want.inputs), "{what}: inputs");
+/// Lane `l`'s gradients in a bank sweep's lane-major result equal the
+/// per-row oracle's `want`.
+fn assert_lane_eq(got: &[f64], l: usize, want: &CircuitGradients, what: &str) {
+    let per_lane = want.params.len() + want.inputs.len();
+    let (params, inputs) = got[l * per_lane..(l + 1) * per_lane].split_at(want.params.len());
+    assert_eq!(bits(params), bits(&want.params), "{what}: params");
+    assert_eq!(bits(inputs), bits(&want.inputs), "{what}: inputs");
 }
 
 proptest! {
@@ -195,8 +199,9 @@ proptest! {
                 let got_p = adjoint::backward_probabilities_bank(
                     &tape, &views(&inputs), &mut ket, &views(&up_p), &mut scratch,
                 ).unwrap();
-                prop_assert_eq!(got_z.len(), lanes);
-                prop_assert_eq!(got_p.len(), lanes);
+                let per_lane = tape.n_params() + tape.n_inputs();
+                prop_assert_eq!(got_z.len(), lanes * per_lane);
+                prop_assert_eq!(got_p.len(), lanes * per_lane);
                 for l in 0..lanes {
                     let init = initial(n, embedded, seed, l);
                     let want_z = adjoint::backward_expectations_z_tape(
@@ -206,8 +211,8 @@ proptest! {
                         &tape, &inputs[l], init.as_ref(), &up_p[l],
                     ).unwrap();
                     let what = format!("{n}q x{lanes} embedded={embedded} lane {l}");
-                    assert_grads_eq(&got_z[l], &want_z, &format!("{what} <Z>"));
-                    assert_grads_eq(&got_p[l], &want_p, &format!("{what} probabilities"));
+                    assert_lane_eq(&got_z, l, &want_z, &format!("{what} <Z>"));
+                    assert_lane_eq(&got_p, l, &want_p, &format!("{what} probabilities"));
                 }
             }
         }
@@ -245,7 +250,7 @@ fn decoder_template_banks_match_per_row_bitwise() {
                 let want =
                     adjoint::backward_expectations_z_tape(&tape, &inputs[l], None, &upstream[l])
                         .unwrap();
-                assert_grads_eq(&got[l], &want, &format!("{n}q x{lanes} lane {l}"));
+                assert_lane_eq(&got, l, &want, &format!("{n}q x{lanes} lane {l}"));
             }
         }
     }
@@ -360,5 +365,6 @@ fn bank_arguments_are_checked_with_typed_errors() {
     let grads =
         adjoint::backward_expectations_z_bank(&tape, &good, &mut bank, &upstream, &mut scratch)
             .unwrap();
-    assert_eq!(grads.len(), 2);
+    // Two lanes of 3 parameter and 2 input gradients each.
+    assert_eq!(grads.len(), 2 * (3 + 2));
 }
