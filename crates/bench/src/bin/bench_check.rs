@@ -8,9 +8,7 @@
 //! cargo run -p sqvae-bench --bin bench_check -- --write bench.txt   # refresh baseline
 //! ```
 //!
-//! Several transcript files may be passed at once (they are concatenated),
-//! and the `SQVAE_BENCH_TOL` environment variable overrides the tolerance
-//! with a finite factor ≥ 1 (anything else warns and keeps the default).
+//! Several transcript files may be passed at once (they are concatenated).
 //!
 //! The shim prints one line per benchmark:
 //!
@@ -19,7 +17,7 @@
 //! ```
 //!
 //! The gate keys on the **best** sample — the least noisy statistic a short
-//! run produces — and the default tolerance is 3× (CI machines are shared
+//! run produces — and the tolerance is a fixed 3× (CI machines are shared
 //! and noisy; the gate exists to catch order-of-magnitude pessimizations
 //! like an accidental per-row allocation, not 10% jitter). Benchmarks
 //! missing from the baseline are reported and skipped, so adding a bench
@@ -31,7 +29,7 @@ use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 const BASELINE_FILE: &str = "BENCH_BASELINE.json";
-const DEFAULT_TOLERANCE: f64 = 3.0;
+const TOLERANCE: f64 = 3.0;
 
 /// Parses one shim transcript line into `(id, best nanoseconds)`.
 /// Returns `None` for non-benchmark lines (compilation noise, headers).
@@ -137,24 +135,8 @@ fn check(
     failures
 }
 
-/// Tolerance from the environment (`SQVAE_BENCH_TOL`), when set and
-/// parseable to a finite factor ≥ 1. A NaN or infinite factor would pass
-/// every benchmark and one below 1 would gate on noise, so those warn and
-/// count as unset.
-fn tolerance_from_env() -> Option<f64> {
-    let raw = std::env::var("SQVAE_BENCH_TOL").ok()?;
-    match raw.trim().parse::<f64>() {
-        Ok(t) if t.is_finite() && t >= 1.0 => Some(t),
-        _ => {
-            eprintln!("warning: ignoring SQVAE_BENCH_TOL={raw:?} (want a finite factor >= 1)");
-            None
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let mut write = false;
-    let tolerance = tolerance_from_env().unwrap_or(DEFAULT_TOLERANCE);
     let mut inputs: Vec<String> = Vec::new();
     for a in std::env::args().skip(1) {
         match a.as_str() {
@@ -214,10 +196,10 @@ fn main() -> ExitCode {
         }
     };
 
-    let failures = check(&baseline, &measured, tolerance);
+    let failures = check(&baseline, &measured, TOLERANCE);
     if failures.is_empty() {
         println!(
-            "bench gate: {} benchmarks within {tolerance}x of baseline",
+            "bench gate: {} benchmarks within {TOLERANCE}x of baseline",
             measured.len()
         );
         ExitCode::SUCCESS
@@ -262,26 +244,6 @@ mod tests {
         assert!((parsed["b/6q"] - 5.6e6).abs() < 0.1);
         assert!(parse_baseline("not json").is_err());
         assert!(parse_baseline("{\"k\": nope}").is_err());
-    }
-
-    #[test]
-    fn tolerance_env_parses_and_rejects_nonsense() {
-        // Single-threaded with respect to this variable: no other test in
-        // this binary touches SQVAE_BENCH_TOL.
-        std::env::set_var("SQVAE_BENCH_TOL", "5.5");
-        assert_eq!(tolerance_from_env(), Some(5.5));
-        std::env::set_var("SQVAE_BENCH_TOL", "0.5"); // < 1x would gate on noise
-        assert_eq!(tolerance_from_env(), None);
-        std::env::set_var("SQVAE_BENCH_TOL", "loose");
-        assert_eq!(tolerance_from_env(), None);
-        // Rust parses these as floats; a NaN or infinite factor would pass
-        // every benchmark.
-        for lax in ["nan", "NaN", "inf", "-inf", "infinity"] {
-            std::env::set_var("SQVAE_BENCH_TOL", lax);
-            assert_eq!(tolerance_from_env(), None, "{lax}");
-        }
-        std::env::remove_var("SQVAE_BENCH_TOL");
-        assert_eq!(tolerance_from_env(), None);
     }
 
     #[test]

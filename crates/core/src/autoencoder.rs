@@ -35,9 +35,9 @@ impl ParameterCount {
 /// (`sqvae::serve::ServeError::NonFinite`), and a checkpoint with a
 /// non-finite parameter is neither saved nor loaded
 /// ([`crate::checkpoint::CheckpointError::NonFinite`]). Training has its
-/// own guard ([`crate::NanGuard`]): a non-finite loss or gradient
-/// never reaches the optimizer, and the trainer rolls back to its last good
-/// weights.
+/// own guard (see [`crate::TrainConfig::max_nan_recoveries`]): a non-finite
+/// loss or gradient never reaches the optimizer, and the trainer rolls back
+/// to its last good weights.
 #[derive(Debug)]
 pub struct Autoencoder {
     /// Human-readable variant name (e.g. `"SQ-VAE(p=8)"`).
@@ -45,7 +45,6 @@ pub struct Autoencoder {
     encoder: HybridStack,
     latent: Latent,
     decoder: HybridStack,
-    last_kl: f64,
     identity_latent_dim: Option<usize>,
     spec: Option<ModelSpec>,
     exec: ExecPolicy,
@@ -74,7 +73,6 @@ impl Autoencoder {
             encoder,
             latent,
             decoder,
-            last_kl: 0.0,
             identity_latent_dim: None,
             spec: None,
             exec: ExecPolicy::from_env(),
@@ -145,7 +143,6 @@ impl Autoencoder {
             Latent::Gaussian(g) => g.last_kl().unwrap_or(0.0),
             _ => 0.0,
         };
-        self.last_kl = kl;
         let reconstruction = self.decoder.forward(&z)?;
         Ok(ForwardOutput { reconstruction, kl })
     }
@@ -229,28 +226,6 @@ impl Autoencoder {
         self.decode(&z)
     }
 
-    /// KL divergence of the most recent training forward.
-    pub fn last_kl(&self) -> f64 {
-        self.last_kl
-    }
-
-    /// Scales the VAE's KL weight (used by the trainer's warm-up schedule);
-    /// a no-op for non-variational models.
-    pub fn set_kl_scale(&mut self, scale: f64) {
-        if let Latent::Gaussian(g) = &mut self.latent {
-            g.set_kl_scale(scale);
-        }
-    }
-
-    /// The current KL warm-up scale (1.0 for non-variational models, which
-    /// have no KL term to scale).
-    pub fn kl_scale(&self) -> f64 {
-        match &self.latent {
-            Latent::Gaussian(g) => g.kl_scale(),
-            _ => 1.0,
-        }
-    }
-
     /// Mutable access to all parameters in `group` (latent heads count as
     /// classical).
     pub fn parameters_of(&mut self, group: ParamGroup) -> Vec<&mut ParamTensor> {
@@ -316,7 +291,7 @@ mod tests {
         let mut enc = HybridStack::new();
         enc.push_classical(Linear::new(6, 4, &mut rng));
         enc.push_classical(Activation::new(ActivationKind::Relu));
-        let latent = Latent::Gaussian(GaussianLatent::new(4, 2, 1.0, &mut rng));
+        let latent = Latent::Gaussian(GaussianLatent::new(4, 2, &mut rng));
         let mut dec = HybridStack::new();
         dec.push_classical(Linear::new(2, 6, &mut rng));
         Autoencoder::new("tiny-vae", enc, latent, dec)

@@ -12,13 +12,13 @@
 //!
 //! The body carries the model name, the [`ModelSpec`] architecture tag (so
 //! loading can call the same `models::*` factory that built the model), a
-//! simulator tag (written as `dense`; the tags of removed backends load as
-//! aliases of it, see [`BackendKind`], and any other tag is corrupt), the
-//! RNG seed recorded at save time, and the parameter tensors of both
-//! optimizer groups. Floats travel as IEEE-754
-//! bit patterns ([`sqvae_nn::serialize`]), so a save → load round trip
-//! reconstructs **bit-identically** — `reconstruct` on the loaded model
-//! produces the same bits as on the original.
+//! simulator tag (written as `dense`; an empty tag and the tags of two
+//! removed backends, `fused` and `soa`, load as aliases of it, and any other
+//! tag is corrupt), the RNG seed recorded at save time, and the parameter
+//! tensors of both optimizer groups. Floats travel as IEEE-754 bit patterns
+//! ([`sqvae_nn::serialize`]), so a save → load round trip reconstructs
+//! **bit-identically** — `reconstruct` on the loaded model produces the same
+//! bits as on the original.
 //!
 //! Corrupt input is a typed [`CheckpointError`], never a panic: truncation
 //! surfaces as [`CheckpointError::Io`] (`UnexpectedEof`), bit flips as
@@ -66,7 +66,7 @@ use rand::SeedableRng;
 use sqvae_nn::serialize::{
     read_matrix, read_string, read_u32, read_u64, write_matrix, write_string, write_u32, write_u64,
 };
-use sqvae_nn::{BackendKind, Matrix};
+use sqvae_nn::Matrix;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -214,9 +214,10 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// A copy of a model's parameter values, split by optimizer group.
 ///
-/// Used in two roles: the payload of a [`Checkpoint`], and a lightweight
-/// in-memory snapshot for the trainer's best-weights restore (no
-/// architecture metadata needed when the target is the same live model).
+/// Used in two roles: the payload of a [`Checkpoint`], and the trainer's
+/// in-memory last-good snapshot, which its non-finite guard rolls back to
+/// (no architecture metadata needed when the target is the same live
+/// model).
 #[derive(Debug, Clone)]
 pub struct ParamSnapshot {
     quantum: Vec<Matrix>,
@@ -393,7 +394,7 @@ impl Checkpoint {
         let mut body = Vec::new();
         write_string(&mut body, &self.name)?;
         write_string(&mut body, &self.spec.to_string())?;
-        write_string(&mut body, BackendKind::Dense.name())?;
+        write_string(&mut body, "dense")?;
         write_u64(&mut body, self.seed)?;
         ParamSnapshot::write_group(&mut body, &self.params.quantum)?;
         ParamSnapshot::write_group(&mut body, &self.params.classical)?;
@@ -443,10 +444,15 @@ impl Checkpoint {
         let name = read_string(&mut b)?;
         let spec_tag = read_string(&mut b)?;
         let spec: ModelSpec = spec_tag.parse().map_err(CheckpointError::Corrupt)?;
-        // Every tag `BackendKind` parses names the one simulator there is.
-        read_string(&mut b)?
-            .parse::<BackendKind>()
-            .map_err(CheckpointError::Corrupt)?;
+        // Every tag earlier builds wrote names the one simulator there is.
+        match read_string(&mut b)?.trim() {
+            "" | "dense" | "fused" | "soa" => {}
+            other => {
+                return Err(CheckpointError::Corrupt(format!(
+                    "invalid backend tag '{other}' (want dense; fused and soa are aliases of dense)"
+                )))
+            }
+        }
         let seed = read_u64(&mut b)?;
         let quantum = ParamSnapshot::read_group(&mut b)?;
         let classical = ParamSnapshot::read_group(&mut b)?;

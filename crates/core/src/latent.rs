@@ -3,9 +3,10 @@
 //! §II-B of the paper: the VAE's inference network outputs Gaussian
 //! parameters `(μ, log σ²)`; `z = μ + σ·ε` is sampled with the
 //! reparametrization trick and regularized toward `N(0, I)` by the KL term
-//! of the ELBO. Vanilla AEs skip the distribution ("the only part that AE
-//! does not involve"); where they have a latent-width FC, it is the last
-//! stage of the encoder stack.
+//! of the ELBO, at weight 1 (the full ELBO, as the paper trains). Vanilla
+//! AEs skip the distribution ("the only part that AE does not involve");
+//! where they have a latent-width FC, it is the last stage of the encoder
+//! stack.
 
 use rand::Rng;
 use sqvae_nn::{loss, ExecPolicy, Linear, Matrix, Module, NnError, ParamTensor};
@@ -28,8 +29,6 @@ pub struct GaussianLatent {
     pub(crate) mu_head: Linear,
     pub(crate) logvar_head: Linear,
     cached: Option<LatentCache>,
-    kl_weight: f64,
-    kl_scale: f64,
 }
 
 /// Clamp range for log σ² — keeps `exp(logvar)` finite at initialization
@@ -48,27 +47,13 @@ struct LatentCache {
 }
 
 impl GaussianLatent {
-    /// Creates μ and log σ² heads mapping `hidden_dim → latent_dim`, with KL
-    /// weight `kl_weight` in the ELBO.
-    pub fn new(hidden_dim: usize, latent_dim: usize, kl_weight: f64, rng: &mut impl Rng) -> Self {
+    /// Creates μ and log σ² heads mapping `hidden_dim → latent_dim`.
+    pub fn new(hidden_dim: usize, latent_dim: usize, rng: &mut impl Rng) -> Self {
         GaussianLatent {
             mu_head: Linear::new(hidden_dim, latent_dim, rng),
             logvar_head: Linear::new(hidden_dim, latent_dim, rng),
             cached: None,
-            kl_weight,
-            kl_scale: 1.0,
         }
-    }
-
-    /// Scales the KL weight (for warm-up schedules); `1.0` restores the
-    /// configured weight.
-    pub fn set_kl_scale(&mut self, scale: f64) {
-        self.kl_scale = scale.max(0.0);
-    }
-
-    /// The current KL warm-up scale (1.0 unless a schedule is mid-ramp).
-    pub fn kl_scale(&self) -> f64 {
-        self.kl_scale
     }
 
     /// Latent width.
@@ -126,14 +111,9 @@ impl GaussianLatent {
         self.cached.as_ref().map(|c| c.kl)
     }
 
-    /// The KL weight in the ELBO.
-    pub fn kl_weight(&self) -> f64 {
-        self.kl_weight
-    }
-
     /// Backward through sampling *and* the KL regularizer: consumes
-    /// `dL_recon/dz`, adds `kl_weight · dKL/d(μ, logvar)`, and returns
-    /// `dL/d(hidden)`.
+    /// `dL_recon/dz`, adds `dKL/d(μ, logvar)` (the ELBO's KL term, at
+    /// weight 1), and returns `dL/d(hidden)`.
     ///
     /// # Errors
     ///
@@ -144,16 +124,15 @@ impl GaussianLatent {
         //   dz/dμ = 1
         //   dz/dlogvar = ε·exp(logvar/2)/2
         let sigma = cache.logvar.map(|lv| (0.5 * lv).exp());
-        let grad_mu_recon = grad_z.clone();
-        let grad_logvar_recon = grad_z.hadamard(&cache.eps)?.hadamard(&sigma)?.scale(0.5);
         let (_, kl_mu, kl_logvar) = loss::gaussian_kl(&cache.mu, &cache.logvar)?;
-        let effective_weight = self.kl_weight * self.kl_scale;
-        let mut grad_mu = grad_mu_recon;
-        grad_mu.add_scaled(&kl_mu, effective_weight)?;
-        let mut grad_logvar = grad_logvar_recon;
-        grad_logvar.add_scaled(&kl_logvar, effective_weight)?;
-        // Clamped entries have zero derivative through the clamp.
-        let grad_logvar = grad_logvar.hadamard(&cache.logvar_mask)?;
+        let grad_mu = grad_z.add(&kl_mu)?;
+        let grad_logvar = grad_z
+            .hadamard(&cache.eps)?
+            .hadamard(&sigma)?
+            .scale(0.5)
+            .add(&kl_logvar)?
+            // Clamped entries have zero derivative through the clamp.
+            .hadamard(&cache.logvar_mask)?;
         let gh_mu = self.mu_head.backward(&grad_mu)?;
         let gh_logvar = self.logvar_head.backward(&grad_logvar)?;
         gh_mu.add(&gh_logvar)
@@ -221,7 +200,7 @@ mod tests {
     #[test]
     fn sample_shapes_and_kl() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut lat = GaussianLatent::new(4, 3, 1.0, &mut rng);
+        let mut lat = GaussianLatent::new(4, 3, &mut rng);
         let h = Matrix::filled(5, 4, 0.2);
         let z = lat.forward_sample(&h, &mut rng).unwrap();
         assert_eq!(z.shape(), (5, 3));
@@ -233,14 +212,14 @@ mod tests {
     fn paper_head_parameter_count() {
         // Two 6→6 heads = 84 classical parameters (Table I, F-BQ-VAE).
         let mut rng = StdRng::seed_from_u64(1);
-        let mut lat = GaussianLatent::new(6, 6, 1.0, &mut rng);
+        let mut lat = GaussianLatent::new(6, 6, &mut rng);
         assert_eq!(lat.parameter_count(), 84);
     }
 
     #[test]
     fn sampling_is_stochastic_but_mean_is_not() {
         let mut rng = StdRng::seed_from_u64(2);
-        let mut lat = GaussianLatent::new(3, 2, 1.0, &mut rng);
+        let mut lat = GaussianLatent::new(3, 2, &mut rng);
         let h = Matrix::filled(1, 3, 0.5);
         let z1 = lat.forward_sample(&h, &mut rng).unwrap();
         let z2 = lat.forward_sample(&h, &mut rng).unwrap();
@@ -253,7 +232,7 @@ mod tests {
     #[test]
     fn backward_requires_forward() {
         let mut rng = StdRng::seed_from_u64(3);
-        let mut lat = GaussianLatent::new(2, 2, 1.0, &mut rng);
+        let mut lat = GaussianLatent::new(2, 2, &mut rng);
         assert!(lat.backward(&Matrix::zeros(1, 2)).is_err());
     }
 
@@ -263,7 +242,7 @@ mod tests {
         // must not leave the stale sample cache behind: backward would pair
         // the old ε/μ/logvar with mu_head activations from the *mean* pass.
         let mut rng = StdRng::seed_from_u64(6);
-        let mut lat = GaussianLatent::new(3, 2, 1.0, &mut rng);
+        let mut lat = GaussianLatent::new(3, 2, &mut rng);
         let h = Matrix::filled(2, 3, 0.4);
         lat.forward_sample(&h, &mut rng).unwrap();
         assert!(lat.last_kl().is_some());
@@ -277,10 +256,12 @@ mod tests {
 
     #[test]
     fn gradient_check_through_reparametrization() {
-        // With ε frozen (reuse the cache), d(sum z)/d(head params) must match
-        // finite differences of μ + ε·σ.
+        // With ε frozen (reuse the cache), the input gradient `backward`
+        // returns for an upstream gradient of ones must match finite
+        // differences of sum(μ + ε·σ) + KL: the reparametrized sample and
+        // the ELBO's KL term together.
         let mut rng = StdRng::seed_from_u64(4);
-        let mut lat = GaussianLatent::new(3, 2, 0.0, &mut rng); // kl_weight 0 isolates reparam path
+        let mut lat = GaussianLatent::new(3, 2, &mut rng);
         let h = Matrix::from_rows(&[&[0.3, -0.2, 0.7]]).unwrap();
         let _z = lat.forward_sample(&h, &mut rng).unwrap();
         let eps_frozen = lat.cached.as_ref().unwrap().eps.clone();
@@ -288,9 +269,14 @@ mod tests {
 
         let loss_with = |lat: &mut GaussianLatent, h: &Matrix| -> f64 {
             let mu = lat.mu_head.forward(h).unwrap();
-            let logvar = lat.logvar_head.forward(h).unwrap();
+            let logvar = lat
+                .logvar_head
+                .forward(h)
+                .unwrap()
+                .map(|lv| lv.clamp(-LOGVAR_CLAMP, LOGVAR_CLAMP));
             let sigma = logvar.map(|lv| (0.5 * lv).exp());
-            mu.add(&sigma.hadamard(&eps_frozen).unwrap()).unwrap().sum()
+            let (kl, _, _) = loss::gaussian_kl(&mu, &logvar).unwrap();
+            mu.add(&sigma.hadamard(&eps_frozen).unwrap()).unwrap().sum() + kl
         };
         let base = loss_with(&mut lat.clone(), &h);
         let fd_eps = 1e-6;
@@ -306,7 +292,7 @@ mod tests {
     #[test]
     fn extreme_head_outputs_are_clamped() {
         let mut rng = StdRng::seed_from_u64(10);
-        let mut lat = GaussianLatent::new(2, 2, 1.0, &mut rng);
+        let mut lat = GaussianLatent::new(2, 2, &mut rng);
         // Force an enormous logvar by scaling the head weights.
         for p in lat.logvar_head.parameters() {
             for v in p.value.as_mut_slice() {
@@ -328,7 +314,7 @@ mod tests {
         let mut id = Latent::Identity;
         assert!(!id.is_variational());
         assert_eq!(id.parameter_count(), 0);
-        let g = Latent::Gaussian(GaussianLatent::new(6, 6, 1.0, &mut rng));
+        let g = Latent::Gaussian(GaussianLatent::new(6, 6, &mut rng));
         assert!(g.is_variational());
     }
 
@@ -346,7 +332,7 @@ mod tests {
             0xbfd7e890f94c499d,
         ];
         let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let lat = GaussianLatent::new(4, 2, 1.0, &mut StdRng::seed_from_u64(0));
+        let lat = GaussianLatent::new(4, 2, &mut StdRng::seed_from_u64(0));
         let mut model = crate::Autoencoder::new(
             "vae",
             crate::HybridStack::new(),

@@ -50,8 +50,6 @@
 mod autoencoder;
 mod hybrid;
 mod latent;
-#[cfg(test)]
-mod patched;
 mod quantum_layer;
 mod trainer;
 
@@ -66,9 +64,7 @@ pub use latent::{GaussianLatent, Latent};
 pub use quantum_layer::{
     patched_latent_dim, PatchedQuantumLayer, QuantumInput, QuantumLayer, QuantumOutput,
 };
-pub use trainer::{
-    AnomalyEvent, AnomalyKind, EpochRecord, History, NanGuard, TrainConfig, Trainer,
-};
+pub use trainer::{AnomalyEvent, AnomalyKind, EpochRecord, History, TrainConfig, Trainer};
 
 // Re-exported so downstream users can set a model's execution policy
 // without depending on `sqvae-nn` directly.

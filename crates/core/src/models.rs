@@ -23,9 +23,6 @@ use sqvae_nn::{Activation, ActivationKind, Linear};
 use sqvae_quantum::embed::qubits_for_features;
 use sqvae_quantum::MAX_QUBITS;
 
-/// Default KL weight for the VAE variants.
-pub const DEFAULT_KL_WEIGHT: f64 = 1.0;
-
 /// The architecture of a factory-built autoencoder, captured as data.
 ///
 /// Every `models::*` factory stamps its spec onto the returned
@@ -446,12 +443,7 @@ pub fn classical_vae(input_dim: usize, latent_dim: usize, rng: &mut impl Rng) ->
     Autoencoder::new(
         format!("VAE(lsd={latent_dim})"),
         mlp_encoder(input_dim, latent_dim, rng),
-        Latent::Gaussian(GaussianLatent::new(
-            latent_dim,
-            latent_dim,
-            DEFAULT_KL_WEIGHT,
-            rng,
-        )),
+        Latent::Gaussian(GaussianLatent::new(latent_dim, latent_dim, rng)),
         mlp_decoder(latent_dim, input_dim, rng),
     )
     .with_spec(ModelSpec::ClassicalVae {
@@ -512,12 +504,7 @@ pub fn f_bq_vae(input_dim: usize, n_layers: usize, rng: &mut impl Rng) -> Autoen
     Autoencoder::new(
         format!("F-BQ-VAE({input_dim}d)"),
         enc,
-        Latent::Gaussian(GaussianLatent::new(
-            n_qubits,
-            n_qubits,
-            DEFAULT_KL_WEIGHT,
-            rng,
-        )),
+        Latent::Gaussian(GaussianLatent::new(n_qubits, n_qubits, rng)),
         dec,
     )
     .with_spec(ModelSpec::FBqVae {
@@ -551,12 +538,7 @@ pub fn h_bq_vae(input_dim: usize, n_layers: usize, rng: &mut impl Rng) -> Autoen
     Autoencoder::new(
         format!("H-BQ-VAE({input_dim}d)"),
         enc,
-        Latent::Gaussian(GaussianLatent::new(
-            n_qubits,
-            n_qubits,
-            DEFAULT_KL_WEIGHT,
-            rng,
-        )),
+        Latent::Gaussian(GaussianLatent::new(n_qubits, n_qubits, rng)),
         dec,
     )
     .with_spec(ModelSpec::HBqVae {
@@ -602,7 +584,7 @@ pub fn sq_vae(input_dim: usize, p: usize, n_layers: usize, rng: &mut impl Rng) -
     Autoencoder::new(
         format!("SQ-VAE(p={p},lsd={lsd})"),
         enc,
-        Latent::Gaussian(GaussianLatent::new(lsd, lsd, DEFAULT_KL_WEIGHT, rng)),
+        Latent::Gaussian(GaussianLatent::new(lsd, lsd, rng)),
         dec,
     )
     .with_spec(ModelSpec::SqVae {

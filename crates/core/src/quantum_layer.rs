@@ -755,23 +755,22 @@ mod oracle {
 }
 
 /// The pass contracts every build keeps, one patch or many, each checked on
-/// one build: `tests` runs them on the baselines' one-patch layers and
-/// `crate::patched` on the patched constructors.
+/// one build: `tests` runs each on every build of its `layers()` and `banks()`.
 #[cfg(test)]
-pub(crate) mod contract {
+mod contract {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sqvae_nn::Threads;
 
     /// Builds a layer from a seeded RNG.
-    pub(crate) type Build = fn(&mut StdRng) -> QuantumLayer;
+    pub(super) type Build = fn(&mut StdRng) -> QuantumLayer;
 
-    pub(crate) fn rng() -> StdRng {
+    pub(super) fn rng() -> StdRng {
         StdRng::seed_from_u64(7)
     }
 
-    pub(crate) fn with_threads(mut layer: QuantumLayer, threads: Threads) -> QuantumLayer {
+    pub(super) fn with_threads(mut layer: QuantumLayer, threads: Threads) -> QuantumLayer {
         layer.set_exec_policy(ExecPolicy {
             threads,
             ..ExecPolicy::from_env()
@@ -783,13 +782,13 @@ pub(crate) mod contract {
         layer.params.iter().map(|p| &p.grad).collect()
     }
 
-    pub(crate) fn starts_from_the_environment_policy(name: &str, build: Build) {
+    pub(super) fn starts_from_the_environment_policy(name: &str, build: Build) {
         assert_eq!(build(&mut rng()).exec, ExecPolicy::from_env(), "{name}");
     }
 
     /// Both forwards refuse a wrongly wide input, and `backward` refuses to
     /// run before a forward or on a wrongly wide upstream gradient.
-    pub(crate) fn rejects_wrong_widths(name: &str, build: Build) {
+    pub(super) fn rejects_wrong_widths(name: &str, build: Build) {
         let mut layer = build(&mut rng());
         let (w, out) = (layer.in_features(), layer.out_features());
         assert!(layer.forward(&Matrix::zeros(1, w + 2)).is_err(), "{name}");
@@ -808,7 +807,7 @@ pub(crate) mod contract {
 
     /// Outputs, input gradients and parameter gradients at 1, 3 and 16
     /// threads are bit-identical to the sequential passes'.
-    pub(crate) fn threaded_passes_match_sequential(name: &str, build: Build) {
+    pub(super) fn threaded_passes_match_sequential(name: &str, build: Build) {
         let layer_with = |threads| with_threads(build(&mut rng()), threads);
         let mut seq = layer_with(Threads::Off);
         let x = Matrix::from_fn(7, seq.in_features(), |i, j| {
@@ -828,7 +827,7 @@ pub(crate) mod contract {
 
     /// Both forwards and the kept-register backward equal the per-row
     /// oracles bit for bit.
-    pub(crate) fn kept_backward_matches_the_oracle(name: &str, build: Build) {
+    pub(super) fn kept_backward_matches_the_oracle(name: &str, build: Build) {
         // 0 rows, one lane, odd chunks, one row past a 32-lane chunk, and 65
         // rows: three uneven chunks (21/22/22) per patch on every policy and
         // host.
@@ -859,7 +858,7 @@ pub(crate) mod contract {
     /// step or a policy change in between leaks into no gradient, a second
     /// call is refused, and a call refused for its shape keeps the
     /// registers.
-    pub(crate) fn backward_differentiates_its_forward(name: &str, build: Build) {
+    pub(super) fn backward_differentiates_its_forward(name: &str, build: Build) {
         use sqvae_nn::{Optimizer, Sgd};
         let fresh = || with_threads(build(&mut rng()), Threads::Off);
         let mut reference = fresh();
@@ -914,8 +913,11 @@ pub(crate) mod contract {
 mod tests {
     use super::contract::{self, rng, Build};
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
-    /// One patch in each (input, output) pairing the baselines build.
+    /// The one-patch builds the contracts run on: one in each (input,
+    /// output) pairing the baselines build.
     fn layers() -> [(&'static str, Build); 3] {
         [
             ("amplitude ⟨Z⟩", |rng| {
@@ -927,6 +929,20 @@ mod tests {
             }),
             ("angle probabilities", |rng| {
                 QuantumLayer::new(3, 2, QuantumInput::Angle, QuantumOutput::Probabilities, rng)
+            }),
+        ]
+    }
+
+    /// Both patched constructors as SQ-AE and SQ-VAE build them (§III-C):
+    /// four amplitude patches of 8 features on 3 qubits, and three angle
+    /// patches on 3 qubits.
+    fn banks() -> [(&'static str, Build); 2] {
+        [
+            ("amplitude_encoder(32, 4, 2)", |rng| {
+                QuantumLayer::amplitude_encoder(32, 4, 2, rng)
+            }),
+            ("angle_decoder(9, 3, 2)", |rng| {
+                QuantumLayer::angle_decoder(9, 3, 2, rng)
             }),
         ]
     }
@@ -1127,5 +1143,117 @@ mod tests {
         for (name, build) in layers() {
             contract::backward_differentiates_its_forward(name, build);
         }
+    }
+
+    #[test]
+    fn a_new_bank_starts_from_the_environment_policy() {
+        for (name, build) in banks() {
+            contract::starts_from_the_environment_policy(name, build);
+        }
+    }
+
+    #[test]
+    fn rejects_bad_widths() {
+        for (name, build) in banks() {
+            contract::rejects_wrong_widths(name, build);
+        }
+    }
+
+    #[test]
+    fn threaded_patch_bank_matches_sequential_bitwise() {
+        for (name, build) in banks() {
+            contract::threaded_passes_match_sequential(name, build);
+        }
+    }
+
+    #[test]
+    fn kept_bank_backward_equals_the_re_executing_oracle_bitwise() {
+        for (name, build) in banks() {
+            contract::kept_backward_matches_the_oracle(name, build);
+        }
+    }
+
+    #[test]
+    fn bank_backward_differentiates_the_forward_that_ran_once() {
+        for (name, build) in banks() {
+            contract::backward_differentiates_its_forward(name, build);
+        }
+    }
+
+    #[test]
+    fn latent_dims_match_paper() {
+        assert_eq!(patched_latent_dim(1024, 2), 18);
+        assert_eq!(patched_latent_dim(1024, 4), 32);
+        assert_eq!(patched_latent_dim(1024, 8), 56);
+        assert_eq!(patched_latent_dim(1024, 16), 96);
+        // Baseline (no patching, p=1): 10 = log2(1024).
+        assert_eq!(patched_latent_dim(1024, 1), 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "powers of two")]
+    fn latent_dim_rejects_non_powers() {
+        patched_latent_dim(1000, 2);
+    }
+
+    #[test]
+    fn encoder_shapes() {
+        let mut enc = QuantumLayer::amplitude_encoder(64, 4, 2, &mut StdRng::seed_from_u64(1));
+        assert_eq!(enc.parameters().len(), 4); // one angle vector per patch
+        assert_eq!(enc.in_features(), 64);
+        assert_eq!(enc.out_features(), 16); // 4 patches × log2(16)=4 qubits
+        let y = enc.forward(&Matrix::filled(2, 64, 0.3)).unwrap();
+        assert_eq!(y.shape(), (2, 16));
+    }
+
+    #[test]
+    fn decoder_shapes() {
+        let mut dec = QuantumLayer::angle_decoder(16, 4, 2, &mut StdRng::seed_from_u64(2));
+        assert_eq!(dec.in_features(), 16);
+        assert_eq!(dec.out_features(), 16);
+        let y = dec.forward(&Matrix::filled(3, 16, 0.1)).unwrap();
+        assert_eq!(y.shape(), (3, 16));
+    }
+
+    #[test]
+    fn patches_are_independent() {
+        // Changing features of patch 1 must not affect patch 0's outputs.
+        let mut enc = QuantumLayer::amplitude_encoder(16, 2, 1, &mut StdRng::seed_from_u64(3));
+        let mut a = Matrix::filled(1, 16, 0.5);
+        let y1 = enc.forward(&a).unwrap();
+        // Perturb patch 1 non-uniformly (amplitude embedding normalizes, so
+        // a uniform rescale would be invisible).
+        for c in 8..12 {
+            a.set(0, c, 0.9);
+        }
+        let y2 = enc.forward(&a).unwrap();
+        // Each patch embeds 8 features into 3 qubits → outputs are 3 wide.
+        for c in 0..3 {
+            assert!((y1.get(0, c) - y2.get(0, c)).abs() < 1e-12);
+        }
+        assert!((3..6).any(|c| (y1.get(0, c) - y2.get(0, c)).abs() > 1e-9));
+    }
+
+    #[test]
+    fn parameter_count_scales_with_patches() {
+        let mut enc = QuantumLayer::amplitude_encoder(64, 4, 3, &mut StdRng::seed_from_u64(4));
+        // 4 patches × (3 layers × 4 qubits × 3) = 144.
+        assert_eq!(enc.parameter_count(), 144);
+    }
+
+    #[test]
+    fn backward_routes_gradients_to_the_right_patch() {
+        let mut dec = QuantumLayer::angle_decoder(4, 2, 1, &mut StdRng::seed_from_u64(5));
+        let x = Matrix::from_rows(&[&[0.2, 0.4, 0.6, 0.8]]).unwrap();
+        dec.forward(&x).unwrap();
+        // Upstream gradient only on patch 0's outputs.
+        let mut g = Matrix::zeros(1, 4);
+        g.set(0, 0, 1.0);
+        g.set(0, 1, 1.0);
+        let gin = dec.backward(&g).unwrap();
+        // Patch 1's inputs get zero gradient.
+        assert_eq!(gin.get(0, 2), 0.0);
+        assert_eq!(gin.get(0, 3), 0.0);
+        assert!(gin.get(0, 0).abs() + gin.get(0, 1).abs() > 1e-9);
     }
 }

@@ -1,9 +1,11 @@
 //! Mini-batch training with heterogeneous learning rates.
 //!
-//! Implements §IV-B of the paper: Adam (β₁ = 0.9, β₂ = 0.999), mini-batches
-//! of 32, 20 epochs — with one Adam instance per parameter group so quantum
-//! angles and classical weights can use the Fig. 7 optimum (0.03 / 0.01) or
-//! any other combination.
+//! Implements §IV-B of the paper, one way for every model: Adam (β₁ = 0.9,
+//! β₂ = 0.999) with one instance per parameter group, so quantum angles and
+//! classical weights can use the Fig. 7 optimum (0.03 / 0.01) or any other
+//! pair; mini-batches of 32 from a training set reshuffled every epoch; 20
+//! epochs; and the full ELBO (reconstruction MSE plus the Gaussian latent's
+//! KL term at weight 1).
 //!
 //! The trainer runs a model on the model's own execution policy
 //! ([`Autoencoder::exec_policy`]): every model starts from
@@ -32,53 +34,20 @@ pub struct TrainConfig {
     pub classical_lr: f64,
     /// RNG seed for shuffling and reparametrization noise.
     pub seed: u64,
-    /// Whether to reshuffle the training set each epoch.
-    pub shuffle: bool,
     /// Optional global gradient-norm clip applied across both parameter
     /// groups before each optimizer step (guards against the VAE's early
     /// logvar blow-ups on high-dimensional data).
     pub max_grad_norm: Option<f64>,
-    /// KL warm-up: the KL weight ramps linearly from 0 to the latent head's
-    /// configured weight over this many epochs (0 = no warm-up). A standard
-    /// remedy for early posterior collapse in VAEs.
-    pub kl_warmup_epochs: usize,
-    /// Early stopping: end training when the test MSE has not improved for
-    /// this many consecutive epochs (requires a test set; `None` disables).
-    pub early_stop_patience: Option<usize>,
-    /// Guard rail against divergence, always on: when a batch produces a
-    /// non-finite loss or non-finite gradients, roll the parameters back to
-    /// the last good snapshot, scale the learning rates down, optionally
-    /// re-derive the RNG, record the event in [`History::anomalies`], and
-    /// keep training — instead of silently poisoning every later weight.
-    /// Defaults to [`NanGuard::default`].
-    pub nan_guard: NanGuard,
-}
-
-/// Policy for the trainer's non-finite guard rail (see
-/// [`TrainConfig::nan_guard`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NanGuard {
-    /// Give up — with a typed [`NnError::NonFinite`] — after this many
-    /// rollbacks in one run; the model is left on its last good snapshot.
-    pub max_recoveries: usize,
-    /// Multiply both learning rates by this factor on every rollback
-    /// (0.5 = halve the step; a blown-up step is the usual culprit).
-    pub lr_decay: f64,
-    /// Re-derive the shuffle/reparametrization RNG after a rollback, so the
-    /// retried trajectory does not replay the exact batch noise that blew
-    /// up (deterministic: the new seed is a hash of the old seed and the
-    /// rollback count).
-    pub reseed: bool,
-}
-
-impl Default for NanGuard {
-    fn default() -> Self {
-        NanGuard {
-            max_recoveries: 4,
-            lr_decay: 0.5,
-            reseed: true,
-        }
-    }
+    /// Budget of the guard rail against divergence, which is always on.
+    /// When a batch produces a non-finite loss or non-finite gradients, the
+    /// trainer rolls the parameters back to the last good snapshot, halves
+    /// both learning rates, re-derives the RNG (deterministically, from the
+    /// seed and the rollback count, so the retry does not replay the noise
+    /// that blew up), records the event in [`History::anomalies`], and keeps
+    /// training. After this many rollbacks in one run it gives up with a
+    /// typed [`NnError::NonFinite`], the model left on its last good
+    /// snapshot.
+    pub max_nan_recoveries: usize,
 }
 
 /// What the non-finite guard detected on one batch.
@@ -101,7 +70,7 @@ pub struct AnomalyEvent {
     /// What was detected.
     pub kind: AnomalyKind,
     /// Cumulative learning-rate scale in force *after* this rollback
-    /// (1.0 → untouched; 0.25 → two halvings at the default decay).
+    /// (1.0 → untouched; 0.25 → two rollbacks, each halving the rates).
     pub lr_scale: f64,
 }
 
@@ -113,11 +82,8 @@ impl Default for TrainConfig {
             quantum_lr: 0.03,
             classical_lr: 0.01,
             seed: 42,
-            shuffle: true,
             max_grad_norm: None,
-            kl_warmup_epochs: 0,
-            early_stop_patience: None,
-            nan_guard: NanGuard::default(),
+            max_nan_recoveries: 4,
         }
     }
 }
@@ -152,11 +118,6 @@ pub struct History {
     pub model: String,
     /// Per-epoch records, in order.
     pub records: Vec<EpochRecord>,
-    /// The epoch whose weights the model carries after training, when
-    /// best-weight tracking was active (early stopping with a test set):
-    /// the epoch with the lowest test MSE. `None` when tracking was off —
-    /// the model simply holds the last epoch's weights.
-    pub best_epoch: Option<usize>,
     /// Divergence events the non-finite guard rail recovered from, in
     /// order. Empty on a healthy run.
     pub anomalies: Vec<AnomalyEvent>,
@@ -182,21 +143,6 @@ impl History {
     pub fn at_epoch(&self, epoch: usize) -> Option<&EpochRecord> {
         self.records.iter().find(|r| r.epoch == epoch)
     }
-
-    /// Serializes the history as CSV (`epoch,train_mse,train_kl,test_mse`),
-    /// with an empty cell for missing test losses — ready for external
-    /// plotting tools.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("epoch,train_mse,train_kl,test_mse\n");
-        for r in &self.records {
-            let test = r.test_mse.map_or(String::new(), |t| format!("{t}"));
-            out.push_str(&format!(
-                "{},{},{},{}\n",
-                r.epoch, r.train_mse, r.train_kl, test
-            ));
-        }
-        out
-    }
 }
 
 /// Trains autoencoders against reconstruction MSE (+ KL for VAEs).
@@ -219,32 +165,10 @@ impl Trainer {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &TrainConfig {
-        &self.config
-    }
-
-    /// Converts a batch of row slices into a matrix.
-    fn batch_matrix(rows: &[&[f64]]) -> Result<Matrix, NnError> {
-        Matrix::from_rows(rows)
-    }
-
-    /// Default evaluation batch size used by [`Trainer::evaluate`].
-    pub const DEFAULT_EVAL_BATCH: usize = 64;
-
     /// Mean reconstruction MSE of `model` over `data` (evaluation mode: VAEs
-    /// reconstruct through the posterior mean), in batches of
-    /// [`Self::DEFAULT_EVAL_BATCH`].
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors from the model.
-    pub fn evaluate(model: &mut Autoencoder, data: &Dataset) -> Result<f64, NnError> {
-        Self::evaluate_batched(model, data, Self::DEFAULT_EVAL_BATCH)
-    }
-
-    /// [`Trainer::evaluate`] with an explicit batch size, bounding peak
-    /// evaluation memory. An empty dataset evaluates to 0.
+    /// reconstruct through the posterior mean), in batches of `batch_size`
+    /// rows, which bounds peak evaluation memory. An empty dataset
+    /// evaluates to 0.
     ///
     /// # Errors
     ///
@@ -253,7 +177,7 @@ impl Trainer {
     /// # Panics
     ///
     /// Panics when `batch_size == 0`.
-    pub fn evaluate_batched(
+    pub fn evaluate(
         model: &mut Autoencoder,
         data: &Dataset,
         batch_size: usize,
@@ -265,7 +189,7 @@ impl Trainer {
         let mut total = 0.0;
         let mut count = 0usize;
         for batch in data.batches(batch_size) {
-            let x = Self::batch_matrix(&batch)?;
+            let x = Matrix::from_rows(&batch)?;
             let recon = model.reconstruct(&x)?;
             let (mse, _) = loss::mse(&recon, &x)?;
             total += mse * batch.len() as f64;
@@ -276,22 +200,19 @@ impl Trainer {
 
     /// Runs the full training loop, returning the per-epoch history.
     ///
-    /// With early stopping active (a patience *and* a test set), the model
-    /// is left holding the weights of the **best-test-MSE epoch**, not the
-    /// last epoch trained — the stop fires only after `patience` epochs of
-    /// no improvement, so the final weights would otherwise always be
-    /// stale. [`History::best_epoch`] records which epoch that was.
-    ///
-    /// On every exit the KL warm-up scale is reset to 1.0, so a model whose
-    /// run ended mid-ramp (few epochs, or an early stop) does not keep
-    /// training with a silently down-weighted KL term on the next run.
+    /// A test set is only evaluated, after every epoch, into
+    /// [`EpochRecord::test_mse`]: it moves no weight, so a run with one ends
+    /// on the same parameters as a run without. The model is left holding
+    /// the last epoch's weights.
     ///
     /// The run uses the model's own execution policy and leaves it as it
     /// was.
     ///
     /// # Errors
     ///
-    /// Returns shape/optimizer errors from the underlying stages.
+    /// Returns shape/optimizer errors from the underlying stages, and
+    /// [`NnError::NonFinite`] once the guard rail has used up
+    /// [`TrainConfig::max_nan_recoveries`].
     pub fn train(
         &mut self,
         model: &mut Autoencoder,
@@ -301,34 +222,21 @@ impl Trainer {
         let mut history = History {
             model: model.name.clone(),
             records: Vec::with_capacity(self.config.epochs),
-            best_epoch: None,
             anomalies: Vec::new(),
         };
         let mut rng = StdRng::seed_from_u64(self.config.seed);
-        // (epoch, test MSE, weights) of the best epoch seen so far.
-        let mut best: Option<(usize, f64, ParamSnapshot)> = None;
-        let mut stale_epochs = 0usize;
         // Non-finite guard state: the last known-good weights, how many
         // rollbacks have fired, and the cumulative learning-rate scale.
-        let guard = self.config.nan_guard;
         let mut last_good = ParamSnapshot::capture(model);
         let mut recoveries = 0usize;
         let mut lr_scale = 1.0f64;
         for epoch in 0..self.config.epochs {
-            if self.config.kl_warmup_epochs > 0 {
-                let scale = ((epoch + 1) as f64 / self.config.kl_warmup_epochs as f64).min(1.0);
-                model.set_kl_scale(scale);
-            }
-            let data = if self.config.shuffle {
-                train.shuffled(self.config.seed.wrapping_add(epoch as u64))
-            } else {
-                train.clone()
-            };
+            let data = train.shuffled(self.config.seed.wrapping_add(epoch as u64));
             let mut epoch_mse = 0.0;
             let mut epoch_kl = 0.0;
             let mut seen = 0usize;
             for (batch_idx, batch) in data.batches(self.config.batch_size).into_iter().enumerate() {
-                let x = Self::batch_matrix(&batch)?;
+                let x = Matrix::from_rows(&batch)?;
                 model.zero_grad();
                 let out = model.forward_train(&x, &mut rng)?;
                 let (mut mse, grad) = loss::mse(&out.reconstruction, &x)?;
@@ -354,7 +262,7 @@ impl Trainer {
                         .restore(model)
                         .expect("snapshot was captured from this very model");
                     model.zero_grad();
-                    if recoveries > guard.max_recoveries {
+                    if recoveries > self.config.max_nan_recoveries {
                         // Budget exhausted: surface a typed error, with the
                         // model left on its last good weights.
                         return Err(NnError::NonFinite {
@@ -362,19 +270,17 @@ impl Trainer {
                             recoveries: recoveries - 1,
                         });
                     }
-                    lr_scale *= guard.lr_decay;
+                    // A blown-up step is the usual culprit: halve both rates.
+                    lr_scale *= 0.5;
                     self.quantum_opt
                         .set_learning_rate(self.config.quantum_lr * lr_scale);
                     self.classical_opt
                         .set_learning_rate(self.config.classical_lr * lr_scale);
-                    if guard.reseed {
-                        // Deterministic re-derivation: don't replay the exact
-                        // reparametrization noise that blew up.
-                        rng = StdRng::seed_from_u64(
-                            self.config.seed
-                                ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(recoveries as u64),
-                        );
-                    }
+                    // Deterministic re-derivation: don't replay the exact
+                    // reparametrization noise that blew up.
+                    rng = StdRng::seed_from_u64(
+                        self.config.seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(recoveries as u64),
+                    );
                     history.anomalies.push(AnomalyEvent {
                         epoch,
                         batch: batch_idx,
@@ -401,7 +307,7 @@ impl Trainer {
             }
             let denom = seen.max(1) as f64;
             let test_mse = match test {
-                Some(t) => Some(Self::evaluate_batched(model, t, self.config.batch_size)?),
+                Some(t) => Some(Self::evaluate(model, t, self.config.batch_size)?),
                 None => None,
             };
             history.records.push(EpochRecord {
@@ -410,28 +316,6 @@ impl Trainer {
                 train_kl: epoch_kl / denom,
                 test_mse,
             });
-            if let (Some(patience), Some(t)) = (self.config.early_stop_patience, test_mse) {
-                let improved = best.as_ref().map_or(true, |(_, b, _)| t < *b - 1e-12);
-                if improved {
-                    best = Some((epoch, t, ParamSnapshot::capture(model)));
-                    stale_epochs = 0;
-                } else {
-                    stale_epochs += 1;
-                    if stale_epochs >= patience {
-                        break;
-                    }
-                }
-            }
-        }
-        if let Some((epoch, _, snap)) = best {
-            history.best_epoch = Some(epoch);
-            if history.records.last().map(|r| r.epoch) != Some(epoch) {
-                snap.restore(model)
-                    .expect("snapshot was captured from this very model");
-            }
-        }
-        if self.config.kl_warmup_epochs > 0 {
-            model.set_kl_scale(1.0);
         }
         Ok(history)
     }
@@ -550,6 +434,45 @@ mod tests {
     }
 
     #[test]
+    fn a_test_set_changes_only_the_test_mse() {
+        // The SQ-VAE has quantum stacks and Gaussian heads, so evaluating a
+        // test set after each epoch runs both `infer` paths and the sample
+        // cache reset of `forward_mean` between epochs. None of it may move
+        // a weight or a train record: only `test_mse` differs.
+        let (train, test) = toy_dataset(24, 16, 80).shuffle_split(0.75, 0);
+        let run = |test: Option<&Dataset>| {
+            let mut model = models::sq_vae(16, 2, 1, &mut StdRng::seed_from_u64(81));
+            let hist = Trainer::new(quick_config(3))
+                .train(&mut model, &train, test)
+                .unwrap();
+            let params: Vec<Vec<u64>> = [ParamGroup::Quantum, ParamGroup::Classical]
+                .into_iter()
+                .flat_map(|group| {
+                    model
+                        .parameters_of(group)
+                        .into_iter()
+                        .map(|p| p.value.as_slice().iter().map(|v| v.to_bits()).collect())
+                        .collect::<Vec<_>>()
+                })
+                .collect();
+            (params, hist)
+        };
+        let train_bits = |h: &History| -> Vec<(u64, u64)> {
+            h.records
+                .iter()
+                .map(|r| (r.train_mse.to_bits(), r.train_kl.to_bits()))
+                .collect()
+        };
+        let (params, hist) = run(Some(&test));
+        let (bare_params, bare_hist) = run(None);
+        assert_eq!(hist.records.len(), 3);
+        assert!(hist.records.iter().all(|r| r.test_mse.is_some()));
+        assert!(bare_hist.records.iter().all(|r| r.test_mse.is_none()));
+        assert_eq!(params, bare_params);
+        assert_eq!(train_bits(&hist), train_bits(&bare_hist));
+    }
+
+    #[test]
     fn training_is_deterministic_given_seeds() {
         let run = || {
             let mut rng = StdRng::seed_from_u64(11);
@@ -567,7 +490,6 @@ mod tests {
         let mut hist = History {
             model: "m".into(),
             records: vec![],
-            best_epoch: None,
             anomalies: vec![],
         };
         assert!(hist.final_train_mse().is_none());
@@ -617,39 +539,6 @@ mod tests {
     }
 
     #[test]
-    fn early_stopping_halts_on_stale_test_loss() {
-        // Zero learning rates freeze the model, so the test loss can never
-        // improve: with patience 2 the run must end after 3 epochs.
-        let data = toy_dataset(8, 4, 40);
-        let (train, test) = data.shuffle_split(0.5, 0);
-        let mut rng = StdRng::seed_from_u64(41);
-        let mut model = models::classical_ae(4, 2, &mut rng);
-        let mut trainer = Trainer::new(TrainConfig {
-            epochs: 40,
-            batch_size: 4,
-            quantum_lr: 0.0,
-            classical_lr: 0.0,
-            early_stop_patience: Some(2),
-            ..TrainConfig::default()
-        });
-        let hist = trainer.train(&mut model, &train, Some(&test)).unwrap();
-        assert_eq!(
-            hist.records.len(),
-            3,
-            "first epoch sets the best loss; two stale epochs then stop"
-        );
-        // Without a test set the option is inert.
-        let mut trainer = Trainer::new(TrainConfig {
-            epochs: 3,
-            batch_size: 4,
-            early_stop_patience: Some(1),
-            ..TrainConfig::default()
-        });
-        let hist = trainer.train(&mut model, &train, None).unwrap();
-        assert_eq!(hist.records.len(), 3);
-    }
-
-    #[test]
     fn evaluate_empty_dataset_is_zero() {
         // shuffle_split(1.0) is the only route to an empty dataset: the
         // train side takes every sample.
@@ -658,11 +547,8 @@ mod tests {
         assert!(test.is_empty());
         let mut rng = StdRng::seed_from_u64(51);
         let mut model = models::classical_ae(4, 2, &mut rng);
-        assert_eq!(Trainer::evaluate(&mut model, &test).unwrap(), 0.0);
-        assert_eq!(
-            Trainer::evaluate_batched(&mut model, &test, 1).unwrap(),
-            0.0
-        );
+        assert_eq!(Trainer::evaluate(&mut model, &test, 64).unwrap(), 0.0);
+        assert_eq!(Trainer::evaluate(&mut model, &test, 1).unwrap(), 0.0);
     }
 
     #[test]
@@ -671,12 +557,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(53);
         let mut model = models::classical_ae(4, 2, &mut rng);
         // One oversized batch degenerates to a single full-dataset batch.
-        let oversized = Trainer::evaluate_batched(&mut model, &data, 64).unwrap();
-        let exact = Trainer::evaluate_batched(&mut model, &data, 3).unwrap();
+        let oversized = Trainer::evaluate(&mut model, &data, 64).unwrap();
+        let exact = Trainer::evaluate(&mut model, &data, 3).unwrap();
         assert!(oversized.is_finite());
         assert_eq!(oversized, exact);
-        // The default entry point also uses one batch here.
-        assert_eq!(Trainer::evaluate(&mut model, &data).unwrap(), oversized);
     }
 
     #[test]
@@ -685,155 +569,7 @@ mod tests {
         let data = toy_dataset(2, 4, 54);
         let mut rng = StdRng::seed_from_u64(55);
         let mut model = models::classical_ae(4, 2, &mut rng);
-        let _ = Trainer::evaluate_batched(&mut model, &data, 0);
-    }
-
-    #[test]
-    fn early_stop_fires_exactly_when_stale_epochs_reach_patience() {
-        // Zero learning rates freeze the model, so every epoch after the
-        // first is stale: the run must stop after exactly patience + 1
-        // epochs — a regression pin on the `stale_epochs == patience`
-        // boundary (neither one epoch early nor one late).
-        let data = toy_dataset(8, 4, 42);
-        let (train, test) = data.shuffle_split(0.5, 0);
-        for patience in 1..=3 {
-            let mut rng = StdRng::seed_from_u64(43);
-            let mut model = models::classical_ae(4, 2, &mut rng);
-            let mut trainer = Trainer::new(TrainConfig {
-                epochs: 40,
-                batch_size: 4,
-                quantum_lr: 0.0,
-                classical_lr: 0.0,
-                early_stop_patience: Some(patience),
-                ..TrainConfig::default()
-            });
-            let hist = trainer.train(&mut model, &train, Some(&test)).unwrap();
-            assert_eq!(hist.records.len(), patience + 1, "patience {patience}");
-        }
-    }
-
-    #[test]
-    fn history_csv_serialization() {
-        let hist = History {
-            model: "m".into(),
-            records: vec![
-                EpochRecord {
-                    epoch: 0,
-                    train_mse: 1.5,
-                    train_kl: 0.25,
-                    test_mse: Some(2.0),
-                },
-                EpochRecord {
-                    epoch: 1,
-                    train_mse: 1.0,
-                    train_kl: 0.1,
-                    test_mse: None,
-                },
-            ],
-            best_epoch: None,
-            anomalies: vec![],
-        };
-        let csv = hist.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "epoch,train_mse,train_kl,test_mse");
-        assert_eq!(lines[1], "0,1.5,0.25,2");
-        assert_eq!(lines[2], "1,1,0.1,");
-    }
-
-    #[test]
-    fn kl_warmup_runs_and_converges() {
-        let data = toy_dataset(24, 8, 30);
-        let mut rng = StdRng::seed_from_u64(31);
-        let mut model = models::classical_vae(8, 2, &mut rng);
-        let mut trainer = Trainer::new(TrainConfig {
-            epochs: 4,
-            batch_size: 8,
-            kl_warmup_epochs: 3,
-            ..TrainConfig::default()
-        });
-        let hist = trainer.train(&mut model, &data, None).unwrap();
-        assert!(hist.final_train_mse().unwrap().is_finite());
-        // With the weight ramping in, the KL term is reported every epoch.
-        assert!(hist.records.iter().all(|r| r.train_kl >= 0.0));
-    }
-
-    #[test]
-    fn early_stop_leaves_the_model_at_its_best_epoch() {
-        // An aggressive learning rate makes the test loss oscillate, so the
-        // stop fires with the live weights *worse* than the best epoch's.
-        // After train() returns, evaluating the model on the test set must
-        // reproduce the best recorded test MSE exactly — the weights were
-        // restored bit-for-bit — and best_epoch must name that epoch.
-        let data = toy_dataset(32, 8, 60);
-        let (train, test) = data.shuffle_split(0.75, 0);
-        let mut rng = StdRng::seed_from_u64(61);
-        let mut model = models::classical_ae(8, 2, &mut rng);
-        let mut trainer = Trainer::new(TrainConfig {
-            epochs: 30,
-            batch_size: 8,
-            classical_lr: 0.5,
-            early_stop_patience: Some(2),
-            ..TrainConfig::default()
-        });
-        let hist = trainer.train(&mut model, &train, Some(&test)).unwrap();
-        let best_epoch = hist.best_epoch.expect("tracking was active");
-        let best_mse = hist.at_epoch(best_epoch).unwrap().test_mse.unwrap();
-        // best_epoch is the argmin of the recorded test losses.
-        for r in &hist.records {
-            assert!(best_mse <= r.test_mse.unwrap() + 1e-12);
-        }
-        let now = Trainer::evaluate_batched(&mut model, &test, 8).unwrap();
-        assert_eq!(
-            now.to_bits(),
-            best_mse.to_bits(),
-            "model must carry the best epoch's weights, not the last's"
-        );
-    }
-
-    #[test]
-    fn best_epoch_is_none_without_early_stopping() {
-        let data = toy_dataset(8, 4, 62);
-        let mut rng = StdRng::seed_from_u64(63);
-        let mut model = models::classical_ae(4, 2, &mut rng);
-        let hist = Trainer::new(quick_config(2))
-            .train(&mut model, &data, None)
-            .unwrap();
-        assert_eq!(hist.best_epoch, None);
-    }
-
-    #[test]
-    fn kl_scale_is_reset_when_the_run_ends_mid_warmup() {
-        // Fewer epochs than warm-up epochs: the last epoch sets the scale
-        // to epochs/warmup < 1. Without the exit reset, the model would
-        // carry that down-weighted KL into any later training run.
-        let data = toy_dataset(16, 8, 64);
-        let mut rng = StdRng::seed_from_u64(65);
-        let mut model = models::classical_vae(8, 2, &mut rng);
-        let mut trainer = Trainer::new(TrainConfig {
-            epochs: 2,
-            batch_size: 8,
-            kl_warmup_epochs: 10,
-            ..TrainConfig::default()
-        });
-        trainer.train(&mut model, &data, None).unwrap();
-        assert_eq!(model.kl_scale(), 1.0);
-
-        // Early stop mid-ramp leaks the same way: frozen learning rates
-        // make epoch 1 stale, stopping at scale 2/10 before the fix.
-        let (train, test) = data.shuffle_split(0.5, 0);
-        let mut model = models::classical_vae(8, 2, &mut rng);
-        let mut trainer = Trainer::new(TrainConfig {
-            epochs: 20,
-            batch_size: 8,
-            quantum_lr: 0.0,
-            classical_lr: 0.0,
-            kl_warmup_epochs: 10,
-            early_stop_patience: Some(1),
-            ..TrainConfig::default()
-        });
-        let hist = trainer.train(&mut model, &train, Some(&test)).unwrap();
-        assert!(hist.records.len() < 20, "the stop must have fired");
-        assert_eq!(model.kl_scale(), 1.0);
+        let _ = Trainer::evaluate(&mut model, &data, 0);
     }
 
     /// A toy dataset with one sample carrying a 1e200 feature: the MSE of
@@ -859,11 +595,7 @@ mod tests {
         let mut trainer = Trainer::new(TrainConfig {
             epochs: 4,
             batch_size: 8,
-            nan_guard: NanGuard {
-                max_recoveries: 64,
-                lr_decay: 0.5,
-                reseed: true,
-            },
+            max_nan_recoveries: 64,
             ..TrainConfig::default()
         });
         let hist = trainer.train(&mut model, &data, None).unwrap();
@@ -878,9 +610,11 @@ mod tests {
             }
         }
         assert!(hist.final_train_mse().unwrap().is_finite());
-        // Events carry a decaying lr scale and ordered positions.
+        // Every rollback halves the rates, and events come in order.
+        for (k, event) in hist.anomalies.iter().enumerate() {
+            assert_eq!(event.lr_scale, 0.5f64.powi(k as i32 + 1));
+        }
         for w in hist.anomalies.windows(2) {
-            assert!(w[1].lr_scale < w[0].lr_scale);
             assert!((w[0].epoch, w[0].batch) < (w[1].epoch, w[1].batch));
         }
     }
@@ -896,11 +630,7 @@ mod tests {
         let mut trainer = Trainer::new(TrainConfig {
             epochs: 8,
             batch_size: 8,
-            nan_guard: NanGuard {
-                max_recoveries: 2,
-                lr_decay: 0.5,
-                reseed: false,
-            },
+            max_nan_recoveries: 2,
             ..TrainConfig::default()
         });
         let err = trainer.train(&mut model, &data, None).unwrap_err();

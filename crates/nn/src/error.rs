@@ -24,8 +24,9 @@ pub enum NnError {
         actual: usize,
     },
     /// Training diverged: non-finite losses or gradients kept appearing
-    /// after the guard rail exhausted its rollback budget (see
-    /// `sqvae_core::TrainConfig::nan_guard`).
+    /// after the trainer's guard rail used up its rollback budget (see
+    /// `sqvae_core::TrainConfig::max_nan_recoveries`); the model is left on
+    /// its last good weights.
     NonFinite {
         /// Epoch (0-based) of the final, unrecoverable event.
         epoch: usize,

@@ -17,7 +17,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sqvae::core::{models, Autoencoder, NanGuard, TrainConfig, Trainer};
+use sqvae::core::{models, Autoencoder, TrainConfig, Trainer};
 use sqvae::datasets::qm9::{generate as gen_qm9, Qm9Config};
 use sqvae::faults::{self, FaultPlan, FaultPoint, FaultScope};
 use sqvae::nn::Matrix;
@@ -294,10 +294,7 @@ fn nan_loss_faults_roll_back_and_training_still_converges_on_a_result() {
     let history = Trainer::new(TrainConfig {
         epochs: 4,
         batch_size: 8,
-        nan_guard: NanGuard {
-            max_recoveries: 10_000,
-            ..NanGuard::default()
-        },
+        max_nan_recoveries: 10_000,
         ..TrainConfig::default()
     })
     .train(&mut model, &data, None)

@@ -85,14 +85,14 @@ fn ligand_pipeline_sq_vae_trains_and_samples() {
 }
 
 /// The objective `Autoencoder::backward` differentiates: reconstruction MSE
-/// plus the Gaussian latent's weighted KL term (zero for AEs). The sampling
+/// plus the Gaussian latent's KL term at weight 1 (zero for AEs). The sampling
 /// rng is re-seeded on every call, so a VAE draws the same ε each time.
 fn elbo(model: &mut Autoencoder, x: &Matrix) -> f64 {
     let out = model
         .forward_train(x, &mut StdRng::seed_from_u64(9))
         .unwrap();
     let (mse, _) = sqvae::nn::loss::mse(&out.reconstruction, x).unwrap();
-    mse + models::DEFAULT_KL_WEIGHT * model.kl_scale() * out.kl
+    mse + out.kl
 }
 
 /// Adds `delta` to the `k`-th quantum parameter scalar, counting across

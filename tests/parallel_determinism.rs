@@ -121,7 +121,7 @@ fn evaluation_is_thread_count_invariant() {
             threads,
             ..ExecPolicy::from_env()
         });
-        Trainer::evaluate_batched(&mut model, &data, 4).unwrap()
+        Trainer::evaluate(&mut model, &data, 4).unwrap()
     };
     let seq = evaluate(Threads::Off);
     assert!(seq.is_finite());

@@ -164,9 +164,10 @@ fn quantum_models_match_recorded_digests() {
 /// more CPUs (two on fewer). The two-patch `sq_*` layers keep one chunk per
 /// patch, their two patches running as two pool items, except at
 /// `Fixed(3)` on three or more CPUs, where each patch splits in two. The
-/// 33- and 65-row kept-register oracle tests in `patched.rs` and
-/// `quantum_layer.rs` split every patch on any host, since those rows
-/// exceed one bank's lanes (65 rows into three uneven chunks).
+/// 33- and 65-row kept-register oracle tests in `quantum_layer.rs`, on
+/// one-patch and patched layers alike, split every patch on any host,
+/// since those rows exceed one bank's lanes (65 rows into three uneven
+/// chunks).
 #[test]
 fn dense_digests_hold_when_chunks_split_across_the_pool() {
     for ((name, make), want) in factories().into_iter().zip(MODEL_DIGESTS) {
