@@ -227,17 +227,35 @@ pub struct ParamSnapshot {
 impl ParamSnapshot {
     /// Copies the current parameter values out of `model`.
     pub fn capture(model: &mut Autoencoder) -> Self {
-        let quantum = model
-            .parameters_of(ParamGroup::Quantum)
-            .iter()
-            .map(|p| p.value.clone())
-            .collect();
-        let classical = model
-            .parameters_of(ParamGroup::Classical)
-            .iter()
-            .map(|p| p.value.clone())
-            .collect();
-        ParamSnapshot { quantum, classical }
+        let mut snapshot = ParamSnapshot {
+            quantum: Vec::new(),
+            classical: Vec::new(),
+        };
+        snapshot.recapture(model);
+        snapshot
+    }
+
+    /// Overwrites the snapshot with `model`'s current parameter values,
+    /// leaving it equal to [`ParamSnapshot::capture`]'s. A tensor of the
+    /// shape already stored is copied into the stored buffer, so the
+    /// trainer's re-capture after every batch allocates nothing.
+    pub(crate) fn recapture(&mut self, model: &mut Autoencoder) {
+        for (group, stored) in [
+            (ParamGroup::Quantum, &mut self.quantum),
+            (ParamGroup::Classical, &mut self.classical),
+        ] {
+            let params = model.parameters_of(group);
+            stored.truncate(params.len());
+            for (i, p) in params.iter().enumerate() {
+                match stored.get_mut(i) {
+                    Some(s) if s.shape() == p.value.shape() => {
+                        s.as_mut_slice().copy_from_slice(p.value.as_slice());
+                    }
+                    Some(s) => *s = p.value.clone(),
+                    None => stored.push(p.value.clone()),
+                }
+            }
+        }
     }
 
     /// Writes the snapshot's values back into `model`, group by group.
@@ -889,6 +907,30 @@ mod tests {
         for (a, b) in before.quantum.iter().zip(&after.quantum) {
             assert_eq!(a, b);
         }
+    }
+
+    #[test]
+    fn recapture_overwrites_in_place_and_equals_a_fresh_capture() {
+        let mut m = model();
+        let mut snap = ParamSnapshot::capture(&mut m);
+        let buffers: Vec<*const f64> = snap.quantum.iter().map(|s| s.as_slice().as_ptr()).collect();
+        for p in m.parameters_of(ParamGroup::Quantum) {
+            for v in p.value.as_mut_slice() {
+                *v = -*v + 0.25;
+            }
+        }
+        snap.recapture(&mut m);
+        let fresh = ParamSnapshot::capture(&mut m);
+        assert_eq!(snap.quantum, fresh.quantum);
+        assert_eq!(snap.classical, fresh.classical);
+        let now: Vec<*const f64> = snap.quantum.iter().map(|s| s.as_slice().as_ptr()).collect();
+        assert_eq!(buffers, now, "same-shape tensors are overwritten in place");
+        // Another architecture's snapshot is re-shaped to this model's.
+        let mut other =
+            ParamSnapshot::capture(&mut models::sq_vae(32, 2, 1, &mut StdRng::seed_from_u64(0)));
+        other.recapture(&mut m);
+        assert_eq!(other.quantum, fresh.quantum);
+        assert_eq!(other.classical, fresh.classical);
     }
 
     #[test]

@@ -303,7 +303,7 @@ impl Trainer {
                 epoch_mse += mse * batch.len() as f64;
                 epoch_kl += out.kl * batch.len() as f64;
                 seen += batch.len();
-                last_good = ParamSnapshot::capture(model);
+                last_good.recapture(model);
             }
             let denom = seen.max(1) as f64;
             let test_mse = match test {

@@ -155,15 +155,23 @@ impl Optimizer for Adam {
                     actual: p.grad.shape(),
                 });
             }
-            for i in 0..p.grad.len() {
-                let g = p.grad.as_slice()[i];
-                let mi = Self::BETA1 * m.as_slice()[i] + (1.0 - Self::BETA1) * g;
-                let vi = Self::BETA2 * v.as_slice()[i] + (1.0 - Self::BETA2) * g * g;
-                m.as_mut_slice()[i] = mi;
-                v.as_mut_slice()[i] = vi;
+            // Zipped, not indexed: no bounds checks, so the loop
+            // vectorizes.
+            let p = &mut **p;
+            let elements = p
+                .value
+                .as_mut_slice()
+                .iter_mut()
+                .zip(p.grad.as_slice())
+                .zip(m.as_mut_slice().iter_mut().zip(v.as_mut_slice()));
+            for ((x, &g), (m, v)) in elements {
+                let mi = Self::BETA1 * *m + (1.0 - Self::BETA1) * g;
+                let vi = Self::BETA2 * *v + (1.0 - Self::BETA2) * g * g;
+                *m = mi;
+                *v = vi;
                 let m_hat = mi / bc1;
                 let v_hat = vi / bc2;
-                p.value.as_mut_slice()[i] -= self.lr * m_hat / (v_hat.sqrt() + Self::EPS);
+                *x -= self.lr * m_hat / (v_hat.sqrt() + Self::EPS);
             }
         }
         Ok(())

@@ -16,9 +16,13 @@
 //! * a [`TapeOp::CnotRun`] is one basis permutation, gathered in `R`-length
 //!   blocks through scratch planes (the permutation is kept while the same
 //!   run repeats, as a template's entangling rings do);
-//! * `⟨Z⟩` accumulates per lane, and a block stop of the adjoint sweep
-//!   accumulates its 2×2 cross matrix in eight lane-length planes (a
-//!   one-lane bank keeps it in locals, as the per-row kernel does).
+//! * `⟨Z⟩` accumulates per lane;
+//! * every stop of the adjoint sweep, trainable block or input rotation,
+//!   runs one kernel: it un-applies each lane's inverse, read from the
+//!   same eight lane-length matrix planes (a block stop broadcasts its one
+//!   inverse into them), and accumulates each lane's 2×2 cross matrix in
+//!   eight more lane-length planes (a one-lane bank keeps it in locals,
+//!   as the per-row kernel does).
 //!
 //! **Bits are the contract.** Each lane does exactly the `f64` operations
 //! [`StateVector`] does on that row, in the same order: complex products
@@ -28,12 +32,14 @@
 //! any lane count, and lanes never read each other. The adjoint sweep over a
 //! bank lives beside the per-row sweep, in
 //! [`crate::grad::adjoint::backward_expectations_z_bank`] and
-//! [`crate::grad::adjoint::backward_probabilities_bank`].
+//! [`crate::grad::adjoint::backward_probabilities_bank`]; its bra build and
+//! gradient contraction are lane loops as well.
 //!
 //! **Wide lanes, same bits.** Every lane-loop kernel (the uniform and
-//! per-lane matrix kernels, the CNOT gather, the `⟨Z⟩` sums and both
-//! block stops) is compiled twice from one body: for the build's target
-//! and, on x86-64, with AVX2 enabled. Each call runs the AVX2 form when
+//! per-lane matrix kernels, the CNOT gather, the `⟨Z⟩` sums, the stop
+//! kernel and the one-lane stop) is compiled twice from one body: for the
+//! build's target and, on x86-64, with AVX2 enabled. Each call runs the
+//! AVX2 form when
 //! `std::arch::is_x86_feature_detected!("avx2")` reports it, four `f64`
 //! per instruction where baseline x86-64 has two; other CPUs and
 //! architectures run the portable form. The bits do not depend on which
@@ -43,8 +49,8 @@
 //! kernel's two forms bit for bit.
 //!
 //! Working storage (gather planes, lane matrices, accumulators, the sweep's
-//! bra) lives in a [`BankScratch`] the caller owns, so a thread running many
-//! banks allocates it once.
+//! bra, upstream planes and gradient plane) lives in a [`BankScratch`] the
+//! caller owns, so a thread running many banks allocates it once.
 //!
 //! # Examples
 //!
@@ -370,9 +376,10 @@ impl RegisterBank {
     }
 
     /// One block stop of the adjoint sweep over every lane (`self` is the
-    /// ket): accumulates each lane's 2×2 cross matrix into `work` (read it
-    /// with [`Work::cross`]) and un-applies `inv` from both banks in the
-    /// same pass, exactly as the per-row kernel does.
+    /// ket): broadcasts `inv` into `work`'s lane matrix planes and runs
+    /// [`stop`], which accumulates each lane's 2×2 cross matrix into `work`
+    /// (read it with [`Work::cross_planes`]) and un-applies `inv` from both
+    /// banks in the same pass, exactly as the per-row kernel does.
     pub(crate) fn block_stop(
         &mut self,
         bra: &mut RegisterBank,
@@ -381,13 +388,8 @@ impl RegisterBank {
         work: &mut Work,
     ) -> Result<()> {
         let s = self.stride(wire)?;
-        let m = flat(inv);
-        let acc = work.clear_acc(self.lanes);
-        match self.lanes {
-            0 => {}
-            1 => stop_one(self, bra, s, &m, acc),
-            lanes => stop(self, bra, s, lanes, |_| m, acc),
-        }
+        work.broadcast(&flat(inv), self.lanes);
+        stop(self, bra, s, work);
         Ok(())
     }
 
@@ -404,35 +406,58 @@ impl RegisterBank {
     ) -> Result<()> {
         let wire = work.lane_matrices(gate, index, inputs, true)?;
         let s = self.stride(wire)?;
-        let lanes = self.lanes;
-        if lanes == 1 {
-            let inv = work.lane_matrix(0);
-            stop_one(self, bra, s, &inv, work.clear_acc(1));
-        } else if lanes > 1 {
-            work.clear_acc(lanes);
-            let m = planes(&work.m, lanes);
-            stop(
-                self,
-                bra,
-                s,
-                lanes,
-                |l| std::array::from_fn(|k| m[k][l]),
-                planes_mut(&mut work.acc, lanes),
-            );
-        }
+        stop(self, bra, s, work);
         Ok(())
     }
 
     /// Makes `self` the bra of an adjoint sweep: `ket`'s lanes, each
-    /// amplitude scaled by its entry of the batch-major diagonal plane
-    /// `diag`, as [`StateVector::apply_diagonal_real`] scales one row.
-    pub(crate) fn scaled_from(&mut self, ket: &RegisterBank, diag: &[f64]) {
-        debug_assert_eq!(diag.len(), ket.re.len(), "diagonal plane width");
+    /// amplitude scaled by its lane's diagonal entry, as
+    /// [`StateVector::apply_diagonal_real`] scales one row. For every
+    /// amplitude `i`, `entries(i, d)` writes each lane's entry into the
+    /// lane-length plane `d`; the ket is scaled into the bra in the same
+    /// pass.
+    pub(crate) fn scaled_from(
+        &mut self,
+        ket: &RegisterBank,
+        d: &mut Vec<f64>,
+        entries: impl Fn(usize, &mut [f64]),
+    ) {
+        let lanes = ket.lanes;
         self.n_qubits = ket.n_qubits;
-        self.lanes = ket.lanes;
-        for (dst, src) in [(&mut self.re, &ket.re), (&mut self.im, &ket.im)] {
-            dst.clear();
-            dst.extend(src.iter().zip(diag).map(|(a, d)| a * d));
+        self.lanes = lanes;
+        self.re.resize(ket.re.len(), 0.0);
+        self.im.resize(ket.im.len(), 0.0);
+        d.clear();
+        d.resize(lanes, 0.0);
+        // A literal lane count runs one lane's entries and products as
+        // scalars.
+        match lanes {
+            0 => {}
+            1 => scale_lanes(self, ket, &mut d[..1], entries),
+            _ => scale_lanes(self, ket, &mut d[..lanes], entries),
+        }
+    }
+}
+
+/// [`RegisterBank::scaled_from`]'s loop, for `d.len()` lanes, at least one.
+#[inline(always)]
+fn scale_lanes(
+    bra: &mut RegisterBank,
+    ket: &RegisterBank,
+    d: &mut [f64],
+    entries: impl Fn(usize, &mut [f64]),
+) {
+    let lanes = d.len();
+    let amplitudes = bra
+        .re
+        .chunks_exact_mut(lanes)
+        .zip(bra.im.chunks_exact_mut(lanes))
+        .zip(ket.re.chunks_exact(lanes).zip(ket.im.chunks_exact(lanes)));
+    for (i, ((br, bi), (kr, ki))) in amplitudes.enumerate() {
+        entries(i, d);
+        for (((br, bi), (kr, ki)), d) in br.iter_mut().zip(bi).zip(kr.iter().zip(ki)).zip(&*d) {
+            *br = kr * d;
+            *bi = ki * d;
         }
     }
 }
@@ -457,8 +482,13 @@ pub struct BankScratch {
     pub(crate) work: Work,
     /// The sweep's bra bank.
     pub(crate) bra: RegisterBank,
-    /// The sweep's upstream-weighted diagonal, batch-major like a plane.
+    /// The sweep's upstream rows, transposed into lane-length planes.
+    pub(crate) up: Vec<f64>,
+    /// One amplitude's upstream-weighted diagonal entries, one per lane.
     pub(crate) diag: Vec<f64>,
+    /// The sweep's gradients, parameter-major: gradient `k` of lane `l` at
+    /// `[k · R + lane]`.
+    pub(crate) grads: Vec<f64>,
 }
 
 impl Default for BankScratch {
@@ -466,7 +496,9 @@ impl Default for BankScratch {
         BankScratch {
             work: Work::default(),
             bra: RegisterBank::empty(),
+            up: Vec::new(),
             diag: Vec::new(),
+            grads: Vec::new(),
         }
     }
 }
@@ -481,10 +513,10 @@ pub(crate) struct Work {
     perm: Vec<usize>,
     /// The register width and the run `perm` was computed for.
     perm_of: (usize, Vec<(usize, usize)>),
-    /// Per-lane matrices of an input rotation: eight lane-length planes,
-    /// one per [`Flat`] entry, back to back.
+    /// Per-lane matrices of an input rotation or of a stop: eight
+    /// lane-length planes, one per [`Flat`] entry, back to back.
     m: Vec<f64>,
-    /// A block stop's cross-matrix accumulators, laid out like `m`; the
+    /// A stop's cross-matrix accumulators, laid out like `m`; the
     /// `⟨Z⟩` readout keeps its per-wire sums and probabilities here.
     acc: Vec<f64>,
 }
@@ -533,25 +565,24 @@ impl Work {
         Ok(wire)
     }
 
+    /// Fills the lane matrix planes with `m` for each of `lanes` lanes.
+    fn broadcast(&mut self, m: &Flat, lanes: usize) {
+        self.m.clear();
+        for &v in m {
+            self.m.extend(std::iter::repeat(v).take(lanes));
+        }
+    }
+
     /// Lane `lane`'s matrix from the lane matrix planes.
     fn lane_matrix(&self, lane: usize) -> Flat {
         let lanes = self.m.len() / 8;
         std::array::from_fn(|k| self.m[k * lanes + lane])
     }
 
-    /// Zeroes the cross-matrix accumulators for `lanes` lanes and returns
-    /// their planes.
-    fn clear_acc(&mut self, lanes: usize) -> [&mut [f64]; 8] {
-        self.acc.clear();
-        self.acc.resize(8 * lanes.max(1), 0.0);
-        planes_mut(&mut self.acc, lanes.max(1))
-    }
-
-    /// Lane `lane`'s cross matrix from the last block stop.
-    pub(crate) fn cross(&self, lane: usize) -> [[C64; 2]; 2] {
-        let lanes = self.acc.len() / 8;
-        let c = |k: usize| C64::new(self.acc[k * lanes + lane], self.acc[(k + 1) * lanes + lane]);
-        [[c(0), c(2)], [c(4), c(6)]]
+    /// The cross-matrix planes of the last stop over `lanes` lanes, at
+    /// least one (each laid out like a [`Flat`] entry).
+    pub(crate) fn cross_planes(&self, lanes: usize) -> [&[f64]; 8] {
+        planes(&self.acc, lanes)
     }
 }
 
@@ -717,19 +748,26 @@ fn lane_z_sums(re: &[f64], im: &[f64], n: usize, lanes: usize, z: &mut [f64], p:
     }
 }
 
-/// The block-stop kernel over `lanes` lanes of `ket` and `bra`, for
+/// A stop of the adjoint sweep over every lane of `ket` and `bra`, for
 /// amplitude pairs `stride` apart: for every pair, in the per-row kernel's
 /// order, each lane adds `conj(bra)·ket` products to its eight cross-matrix
-/// planes `acc`, then un-applies its matrix `m(l)` from both banks.
-fn stop(
-    ket: &mut RegisterBank,
-    bra: &mut RegisterBank,
-    stride: usize,
-    lanes: usize,
-    m: impl Fn(usize) -> Flat,
-    acc: [&mut [f64]; 8],
-) {
+/// planes in `work`, then un-applies its own matrix, read from `work`'s
+/// lane matrix planes, from both banks. A block stop's planes hold one
+/// inverse broadcast to every lane, an input stop's each lane's own.
+fn stop(ket: &mut RegisterBank, bra: &mut RegisterBank, stride: usize, work: &mut Work) {
     debug_assert_eq!(ket.re.len(), bra.re.len(), "ket and bra widths differ");
+    let lanes = ket.lanes;
+    work.acc.clear();
+    work.acc.resize(8 * lanes.max(1), 0.0);
+    match lanes {
+        0 => return,
+        1 => {
+            let m = work.lane_matrix(0);
+            stop_one(ket, bra, stride, &m, planes_mut(&mut work.acc, 1));
+            return;
+        }
+        _ => {}
+    }
     let half = stride * lanes;
     let blocks = ket
         .re
@@ -737,7 +775,8 @@ fn stop(
         .zip(ket.im.chunks_exact_mut(2 * half))
         .zip(bra.re.chunks_exact_mut(2 * half))
         .zip(bra.im.chunks_exact_mut(2 * half));
-    let [c00r, c00i, c01r, c01i, c10r, c10i, c11r, c11i] = acc;
+    let [m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i] = planes(&work.m, lanes);
+    let [c00r, c00i, c01r, c01i, c10r, c10i, c11r, c11i] = planes_mut(&mut work.acc, lanes);
     for (((kr, ki), br), bi) in blocks {
         let (kr0, kr1) = kr.split_at_mut(half);
         let (ki0, ki1) = ki.split_at_mut(half);
@@ -745,18 +784,21 @@ fn stop(
         let (bi0, bi1) = bi.split_at_mut(half);
         stop_kernel(
             kr0, ki0, kr1, ki1, br0, bi0, br1, bi1, c00r, c00i, c01r, c01i, c10r, c10i, c11r, c11i,
-            &m,
+            m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i,
         );
     }
 }
 
 kernel! {
-    /// The amplitude pairs of one block of a block stop, every lane: the
-    /// block's lower (`kr0`, `ki0`) and upper (`kr1`, `ki1`) ket halves and
-    /// the bra's likewise, `stride · lanes` values each, and the eight
-    /// lane-length cross-matrix planes. Pairs run in order, each over its
-    /// lanes. One call per block, not per pair, keeps a bank of few lanes
-    /// from paying a call for each pair.
+    /// The amplitude pairs of one block of a stop, every lane: the block's
+    /// lower (`kr0`, `ki0`) and upper (`kr1`, `ki1`) ket halves and the
+    /// bra's likewise, `stride · lanes` values each, the eight lane-length
+    /// cross-matrix planes, and the eight lane-length planes of each lane's
+    /// matrix. Pairs run in order, each over its lanes. Every plane is its
+    /// own slice, cut to the lane count, so each lane's eight matrix loads
+    /// need no bounds check and the lane loop vectorizes. One call per
+    /// block, not per pair, keeps a bank of few lanes from paying a call
+    /// for each pair.
     #[allow(clippy::too_many_arguments)]
     fn stop_kernel(
         kr0: &mut [f64],
@@ -775,7 +817,14 @@ kernel! {
         c10i: &mut [f64],
         c11r: &mut [f64],
         c11i: &mut [f64],
-        m: &impl Fn(usize) -> Flat,
+        m00r: &[f64],
+        m00i: &[f64],
+        m01r: &[f64],
+        m01i: &[f64],
+        m10r: &[f64],
+        m10i: &[f64],
+        m11r: &[f64],
+        m11i: &[f64],
     ) {
         let lanes = c00r.len();
         let (c00i, c01r, c01i) = (&mut c00i[..lanes], &mut c01r[..lanes], &mut c01i[..lanes]);
@@ -784,6 +833,18 @@ kernel! {
             &mut c10i[..lanes],
             &mut c11r[..lanes],
             &mut c11i[..lanes],
+        );
+        let (m00r, m00i, m01r, m01i) = (
+            &m00r[..lanes],
+            &m00i[..lanes],
+            &m01r[..lanes],
+            &m01i[..lanes],
+        );
+        let (m10r, m10i, m11r, m11i) = (
+            &m10r[..lanes],
+            &m10i[..lanes],
+            &m11r[..lanes],
+            &m11i[..lanes],
         );
         for o in (0..kr0.len()).step_by(lanes) {
             let at = o..o + lanes;
@@ -800,10 +861,13 @@ kernel! {
                 &mut bi1[at],
             );
             for l in 0..lanes {
+                let m = [
+                    m00r[l], m00i[l], m01r[l], m01i[l], m10r[l], m10i[l], m11r[l], m11i[l],
+                ];
                 let (x, y) = stop_pair(
                     [kr0[l], ki0[l], kr1[l], ki1[l]],
                     [br0[l], bi0[l], br1[l], bi1[l]],
-                    &m(l),
+                    &m,
                     [
                         &mut c00r[l],
                         &mut c00i[l],
@@ -1025,19 +1089,21 @@ mod tests {
         }
     }
 
-    /// The block-stop kernel over every block of `2·half` values of the
-    /// ket and bra planes `kb` (`[ket.re, ket.im, bra.re, bra.im]`) as
-    /// [`stop`] runs it, in its portable form or the dispatched one.
+    /// The stop kernel over every block of `2·half` values of the ket and
+    /// bra planes `kb` (`[ket.re, ket.im, bra.re, bra.im]`) as [`stop`]
+    /// runs it, with the lane matrix planes `m`, in its portable form or
+    /// the dispatched one.
     fn stop_blocks(
         portable: bool,
         kb: &mut [Vec<f64>; 4],
         acc: &mut [f64],
         lanes: usize,
         half: usize,
-        m: &impl Fn(usize) -> Flat,
+        m: &[f64],
     ) {
         let [kr, ki, br, bi] = kb;
         let [c00r, c00i, c01r, c01i, c10r, c10i, c11r, c11i] = planes_mut(acc, lanes);
+        let [m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i] = planes(m, lanes);
         let blocks = kr
             .chunks_exact_mut(2 * half)
             .zip(ki.chunks_exact_mut(2 * half))
@@ -1055,7 +1121,7 @@ mod tests {
             };
             kernel(
                 kr0, ki0, kr1, ki1, br0, bi0, br1, bi1, c00r, c00i, c01r, c01i, c10r, c10i, c11r,
-                c11i, m,
+                c11i, m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i,
             );
         }
     }
@@ -1120,20 +1186,16 @@ mod tests {
                         "{case} lane_q"
                     );
 
-                    // Both block stops of the sweep: one inverse for every
-                    // lane, and one per lane (an input rotation's).
+                    // The stop kernel of the sweep: one inverse broadcast to
+                    // every lane (a block stop's), and one per lane (an input
+                    // rotation's).
                     let kb = [re.clone(), im.clone(), rng.plane(len), rng.plane(len)];
-                    let lane_planes = planes(&lane_m, lanes);
-                    let per_lane_m = |l: usize| std::array::from_fn(|k| lane_planes[k][l]);
-                    for (what, uniform) in [("uniform", true), ("per-lane", false)] {
+                    let mut broadcast = Work::default();
+                    broadcast.broadcast(&m, lanes);
+                    for (what, m) in [("broadcast", &broadcast.m), ("per-lane", &lane_m)] {
                         let run = |portable| {
                             let (mut kb, mut acc) = (kb.clone(), vec![0.0; 8 * lanes]);
-                            let half = stride * lanes;
-                            if uniform {
-                                stop_blocks(portable, &mut kb, &mut acc, lanes, half, &|_| m);
-                            } else {
-                                stop_blocks(portable, &mut kb, &mut acc, lanes, half, &per_lane_m);
-                            }
+                            stop_blocks(portable, &mut kb, &mut acc, lanes, stride * lanes, m);
                             (kb.map(|p| bits(&p)), bits(&acc))
                         };
                         assert_eq!(run(true), run(false), "{case} {what} stop");

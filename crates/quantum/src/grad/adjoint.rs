@@ -274,15 +274,63 @@ fn sweep(
     Ok(grads)
 }
 
+/// [`contract_im`] for every lane: adds lane `l`'s `Im Σ_ab H[a][b]·C[a][b]`
+/// to `g[l]`, with `C` read from the eight cross-matrix planes `c` a stop
+/// accumulated (laid out like a flat 2×2 matrix: `c00.re`, `c00.im`, …).
+/// Each lane does `contract_im`'s operations in its order: every product's
+/// imaginary part `h.re·c.im + h.im·c.re`, summed left to right.
+fn contract_lanes(h: &[[C64; 2]; 2], c: [&[f64]; 8], g: &mut [f64]) {
+    // A literal lane count runs one lane's sum as scalars.
+    match g.len() {
+        1 => contract(h, c, &mut g[..1]),
+        _ => contract(h, c, g),
+    }
+}
+
+/// [`contract_lanes`]'s loop.
+#[inline(always)]
+fn contract(h: &[[C64; 2]; 2], c: [&[f64]; 8], g: &mut [f64]) {
+    let lanes = g.len();
+    let [c00r, c00i, c01r, c01i, c10r, c10i, c11r, c11i] = c;
+    let (c00r, c00i, c01r, c01i) = (
+        &c00r[..lanes],
+        &c00i[..lanes],
+        &c01r[..lanes],
+        &c01i[..lanes],
+    );
+    let (c10r, c10i, c11r, c11i) = (
+        &c10r[..lanes],
+        &c10i[..lanes],
+        &c11r[..lanes],
+        &c11i[..lanes],
+    );
+    let [[h00, h01], [h10, h11]] = *h;
+    for l in 0..lanes {
+        g[l] += (((h00.re * c00i[l] + h00.im * c00r[l]) + (h01.re * c01i[l] + h01.im * c01r[l]))
+            + (h10.re * c10i[l] + h10.im * c10r[l]))
+            + (h11.re * c11i[l] + h11.im * c11r[l]);
+    }
+}
+
 /// The backward sweep over every lane of a [`RegisterBank`] at once, each
 /// lane swept against the diagonal observable of its own upstream row,
-/// `width` values long: entry `i` of lane `l`'s diagonal is
-/// `entry(upstream[l], i)`, built straight into the scratch's batch-major
-/// diagonal plane. Lane `l` does exactly the `f64` operations [`sweep`]
-/// does on that row (the same diagonal entries, the same program, the same
-/// block-stop order, and `grads[index] += contract_im(h, c)` in sweep
-/// order), so its gradients are bit-identical to [`vjp_diagonal_from`]'s.
-/// Returns them lane-major (see [`backward_expectations_z_bank`]).
+/// `width` values long. Every step is a loop over lanes:
+///
+/// * the bra: the upstream rows are transposed once into `width` lane
+///   planes, and for every amplitude `i`, `diagonal(up, i, d)` writes each
+///   lane's diagonal entry into the lane plane `d`, which scales the ket
+///   into the bra in the same pass;
+/// * every stop, trainable block or input rotation, runs one bank kernel
+///   ([`RegisterBank::block_stop`], [`RegisterBank::input_stop`]);
+/// * each gradient is contracted from the stop's cross-matrix planes for
+///   all lanes at once ([`contract_lanes`]) into a parameter-major plane,
+///   transposed once at the end into the lane-major result.
+///
+/// Lane `l` does exactly the `f64` operations [`sweep`] does on that row
+/// (the same diagonal entries, the same program, the same block-stop
+/// order, and `grads[index] += contract_im(h, c)` in sweep order), so its
+/// gradients are bit-identical to [`vjp_diagonal_from`]'s. Returns them
+/// lane-major (see [`backward_expectations_z_bank`]).
 fn vjp_bank(
     tape: &CompiledTape,
     inputs: &[&[f64]],
@@ -290,7 +338,7 @@ fn vjp_bank(
     upstream: &[&[f64]],
     scratch: &mut BankScratch,
     width: usize,
-    entry: impl Fn(&[f64], usize) -> f64,
+    diagonal: impl Fn(&[f64], usize, &mut [f64]),
 ) -> Result<Vec<f64>> {
     let steps = tape.adjoint_program()?;
     ket.check_tape(tape)?;
@@ -302,16 +350,30 @@ fn vjp_bank(
             actual: row.len(),
         });
     }
-    let BankScratch { work, bra, diag } = scratch;
-    diag.clear();
-    for i in 0..1usize << tape.n_qubits() {
-        diag.extend(upstream.iter().map(|row| entry(row, i)));
+    let lanes = ket.lanes();
+    if lanes == 0 {
+        return Ok(Vec::new());
     }
-    bra.scaled_from(ket, diag);
+    let BankScratch {
+        work,
+        bra,
+        up,
+        diag,
+        grads,
+    } = scratch;
+    up.clear();
+    up.resize(width * lanes, 0.0);
+    for (l, row) in upstream.iter().enumerate() {
+        for (w, &u) in row.iter().enumerate() {
+            up[w * lanes + l] = u;
+        }
+    }
+    bra.scaled_from(ket, diag, |i, d| diagonal(up, i, d));
 
     let n_params = tape.n_params();
     let per_lane = n_params + tape.n_inputs();
-    let mut grads = vec![0.0; ket.lanes() * per_lane];
+    grads.clear();
+    grads.resize(per_lane * lanes, 0.0);
     for step in steps {
         match step {
             AdjointStep::Unapply(ops) => {
@@ -322,11 +384,9 @@ fn vjp_bank(
             }
             AdjointStep::Stop(AdjointStop::Block(block)) => {
                 ket.block_stop(bra, block.wire, &block.inv, work)?;
-                for l in 0..ket.lanes() {
-                    let c = work.cross(l);
-                    for (index, h) in &block.angles {
-                        grads[l * per_lane + index] += contract_im(h, &c);
-                    }
+                let c = work.cross_planes(lanes);
+                for (index, h) in &block.angles {
+                    contract_lanes(h, c, &mut grads[index * lanes..][..lanes]);
                 }
             }
             AdjointStep::Stop(AdjointStop::Input { gate, index }) => {
@@ -334,14 +394,18 @@ fn vjp_bank(
                     .single_qubit_generator()
                     .expect("parametrized gates are single-qubit rotations");
                 ket.input_stop(bra, gate, *index, inputs, work)?;
-                for l in 0..ket.lanes() {
-                    grads[l * per_lane + n_params + index] +=
-                        contract_im(&generator, &work.cross(l));
-                }
+                let g = &mut grads[(n_params + index) * lanes..][..lanes];
+                contract_lanes(&generator, work.cross_planes(lanes), g);
             }
         }
     }
-    Ok(grads)
+    let mut out = vec![0.0; lanes * per_lane];
+    for (k, plane) in grads.chunks_exact(lanes).enumerate() {
+        for (l, &g) in plane.iter().enumerate() {
+            out[l * per_lane + k] = g;
+        }
+    }
+    Ok(out)
 }
 
 /// [`backward_expectations_z_from`] for every lane of a [`RegisterBank`]:
@@ -372,17 +436,28 @@ pub fn backward_expectations_z_bank(
     scratch: &mut BankScratch,
 ) -> Result<Vec<f64>> {
     let n = tape.n_qubits();
-    // `Σ_w row[w]·Z_w` at basis state `i`, added up from 0.0 wire by wire
-    // as `weighted_z_sum_diagonal` adds it.
-    vjp_bank(tape, inputs, ket, upstream, scratch, n, |row, i| {
-        row.iter().enumerate().fold(0.0, |d, (w, c)| {
-            d + c * if i & (1 << (n - 1 - w)) == 0 {
-                1.0
-            } else {
-                -1.0
-            }
-        })
+    vjp_bank(tape, inputs, ket, upstream, scratch, n, |up, i, d| {
+        z_entries(n, up, i, d);
     })
+}
+
+/// Every lane's entry of the upstream-weighted `⟨Z⟩` diagonal
+/// `Σ_w up[w]·Z_w` at basis state `i`, written into `d`, from the upstream
+/// rows transposed into `n` lane planes `up`: each lane is added up from
+/// 0.0 wire by wire, as `weighted_z_sum_diagonal` adds one row.
+fn z_entries(n: usize, up: &[f64], i: usize, d: &mut [f64]) {
+    let lanes = d.len();
+    d.fill(0.0);
+    for w in 0..n {
+        let z = if i & (1 << (n - 1 - w)) == 0 {
+            1.0
+        } else {
+            -1.0
+        };
+        for (d, u) in d.iter_mut().zip(&up[w * lanes..][..lanes]) {
+            *d += u * z;
+        }
+    }
 }
 
 /// [`backward_probabilities_tape`]'s sweep for every lane of a
@@ -400,7 +475,9 @@ pub fn backward_probabilities_bank(
     scratch: &mut BankScratch,
 ) -> Result<Vec<f64>> {
     let dim = 1 << tape.n_qubits();
-    vjp_bank(tape, inputs, ket, upstream, scratch, dim, |row, i| row[i])
+    vjp_bank(tape, inputs, ket, upstream, scratch, dim, |up, i, d| {
+        d.copy_from_slice(&up[i * d.len()..][..d.len()]);
+    })
 }
 
 /// The upstream-weighted `⟨Z⟩` diagonal `Σ_w upstream[w]·Z_w` on `n` wires.
@@ -586,6 +663,72 @@ mod tests {
         let theta = 0.41;
         let g = backward_expectations_z(&c, &[theta], &[], None, &[1.0]).unwrap();
         assert!((g.params[0] + 2.0 * (2.0 * theta).sin()).abs() < 1e-12);
+    }
+
+    /// Upstream values of both zero signs and both nonzero signs, so that a
+    /// sum which dropped its leading `0.0` would keep a `−0.0` and flip a
+    /// sign bit.
+    const SIGNED: [f64; 4] = [0.0, -0.0, 0.75, -1.25];
+
+    /// The lane-wise `⟨Z⟩` diagonal equals the per-row diagonal bit for bit,
+    /// lane 0 holding only `−0.0` and the other lanes every mix of signed
+    /// zeros and nonzero values.
+    #[test]
+    fn lane_z_entries_match_the_per_row_diagonal_bitwise() {
+        let n = 3;
+        let rows: Vec<Vec<f64>> = std::iter::once(vec![-0.0; n])
+            .chain((0..SIGNED.len().pow(n as u32)).map(|k| {
+                (0..n)
+                    .map(|w| SIGNED[k / SIGNED.len().pow(w as u32) % SIGNED.len()])
+                    .collect()
+            }))
+            .collect();
+        let lanes = rows.len();
+        let mut up = vec![0.0; n * lanes];
+        for (l, row) in rows.iter().enumerate() {
+            for (w, &u) in row.iter().enumerate() {
+                up[w * lanes + l] = u;
+            }
+        }
+        let want: Vec<Vec<f64>> = rows.iter().map(|r| z_diagonal(n, r).unwrap()).collect();
+        let mut d = vec![1.0; lanes];
+        for i in 0..1 << n {
+            z_entries(n, &up, i, &mut d);
+            for (l, want) in want.iter().enumerate() {
+                assert_eq!(d[l].to_bits(), want[i].to_bits(), "lane {l} entry {i}");
+            }
+        }
+    }
+
+    /// The lane-wise contraction adds `contract_im` bit for bit, at cross
+    /// matrices and rotation generators holding signed zeros: lane `l <
+    /// 256` holds the zero whose sign is bit `k` of `l` in entry `k`, the
+    /// other lanes mixes of zeros and nonzero values.
+    #[test]
+    fn lane_contraction_matches_contract_im_bitwise() {
+        let lanes = 256 + 64;
+        let c: Vec<Vec<f64>> = (0..8)
+            .map(|k| {
+                (0..lanes)
+                    .map(|l| match l {
+                        0..=255 if l >> k & 1 == 1 => -0.0,
+                        0..=255 => 0.0,
+                        _ => SIGNED[(l / (k + 1) + k) % SIGNED.len()],
+                    })
+                    .collect()
+            })
+            .collect();
+        let planes: [&[f64]; 8] = std::array::from_fn(|k| c[k].as_slice());
+        for (re, im) in SIGNED.iter().flat_map(|&re| SIGNED.map(|im| (re, im))) {
+            let h = [[C64::new(re, im), C64::new(im, re)], [C64::new(re, im); 2]];
+            let mut g = vec![0.0; lanes];
+            contract_lanes(&h, planes, &mut g);
+            for (l, g) in g.iter().enumerate() {
+                let cl = |k: usize| C64::new(c[k][l], c[k + 1][l]);
+                let want = 0.0 + contract_im(&h, &[[cl(0), cl(2)], [cl(4), cl(6)]]);
+                assert_eq!(g.to_bits(), want.to_bits(), "h ({re}, {im}) lane {l}");
+            }
+        }
     }
 
     #[test]

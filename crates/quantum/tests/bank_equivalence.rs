@@ -219,8 +219,31 @@ proptest! {
     }
 }
 
+/// Per-lane upstream rows of signed zeros: `+0.0` and `−0.0` in turn, and
+/// lane 0 all `−0.0`. Every gradient of such a lane is a zero, and its sign
+/// bit must still be the per-row sweep's. (The bra is then all zeros, and
+/// every cross-matrix sum starts at `+0.0`, so the bra's zero signs do not
+/// reach a gradient; the adjoint unit tests check the lane-wise diagonal
+/// and contraction at signed zeros directly.)
+fn signed_zeros(lanes: usize, width: usize) -> Vec<Vec<f64>> {
+    (0..lanes)
+        .map(|l| {
+            (0..width)
+                .map(|k| {
+                    if l == 0 || (l + k) % 2 == 1 {
+                        -0.0
+                    } else {
+                        0.0
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
 /// The paper's decoder sub-circuit (RY embedding + strongly-entangling
-/// layers) at the layers' shapes, on lanes that chunk like the layers do.
+/// layers) at the layers' shapes, on lanes that chunk like the layers do,
+/// against random upstream rows and rows of signed zeros.
 #[test]
 fn decoder_template_banks_match_per_row_bitwise() {
     use sqvae_quantum::embed::{angle_embedding_gates, RotationAxis};
@@ -236,21 +259,30 @@ fn decoder_template_banks_match_per_row_bitwise() {
         let mut scratch = BankScratch::default();
         for lanes in [1, 16, 32, 64] {
             let inputs = rows(n as u64, lanes, n);
-            let upstream = rows(n as u64 + 100, lanes, n);
-            let mut ket = run_bank(&tape, &inputs, false, 0, &mut scratch);
-            let got = adjoint::backward_expectations_z_bank(
-                &tape,
-                &views(&inputs),
-                &mut ket,
-                &views(&upstream),
-                &mut scratch,
-            )
-            .unwrap();
-            for l in 0..lanes {
-                let want =
-                    adjoint::backward_expectations_z_tape(&tape, &inputs[l], None, &upstream[l])
-                        .unwrap();
-                assert_lane_eq(&got, l, &want, &format!("{n}q x{lanes} lane {l}"));
+            let upstreams = [
+                ("random", rows(n as u64 + 100, lanes, n)),
+                ("signed zeros", signed_zeros(lanes, n)),
+            ];
+            for (what, upstream) in upstreams {
+                let mut ket = run_bank(&tape, &inputs, false, 0, &mut scratch);
+                let got = adjoint::backward_expectations_z_bank(
+                    &tape,
+                    &views(&inputs),
+                    &mut ket,
+                    &views(&upstream),
+                    &mut scratch,
+                )
+                .unwrap();
+                for l in 0..lanes {
+                    let want = adjoint::backward_expectations_z_tape(
+                        &tape,
+                        &inputs[l],
+                        None,
+                        &upstream[l],
+                    )
+                    .unwrap();
+                    assert_lane_eq(&got, l, &want, &format!("{n}q x{lanes} {what} lane {l}"));
+                }
             }
         }
     }
